@@ -176,8 +176,7 @@ def _split_central(Z, e, s, rng):
         if len(fac) <= 1:
             continue
         parts = []
-        for i in range(len(fac)):
-            u = _crt_component(F, fac, i)
+        for u in polys.crt_idempotents(F, fac):
             # evaluate u at z inside e.Z (constant term times e) and lift
             w = F.vscale(u[0], e) if u[0] else np.zeros(Z.n, dtype=np.int64)
             zp = e.copy()
@@ -192,21 +191,6 @@ def _split_central(Z, e, s, rng):
         if len(parts) > 1:
             return parts
     return None
-
-
-def _crt_component(F, fac, i):
-    pi = [1]
-    for _ in range(fac[i][1]):
-        pi = polys.mul(F, pi, fac[i][0])
-    rest = [1]
-    for j, (p, m) in enumerate(fac):
-        if j != i:
-            for _ in range(m):
-                rest = polys.mul(F, rest, p)
-    if polys.deg(rest) == 0:
-        return [F.inv(rest[0])] if rest[0] != 1 else [1]
-    inv = rep._poly_inverse_mod(F, rest, pi)
-    return polys.mod(F, polys.mul(F, rest, inv), polys.mul(F, pi, rest))
 
 
 def is_real(b: BlockInfo) -> bool:

@@ -113,6 +113,15 @@ class FieldCtx:
         for a in range(1, self.q):
             inv[a] = int(self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)])
         self.inv_table = inv
+        # x^t mod the modulus for t < 2m-1, folding bit-plane products back
+        masks = []
+        t = 1
+        for _ in range(2 * m - 1):
+            masks.append(t)
+            t <<= 1
+            if t >> m & 1:
+                t ^= self.modulus
+        self.red_masks = masks
 
     def _find_generator(self) -> int:
         order = self.q - 1
@@ -226,11 +235,7 @@ def splitting_degree(group) -> int:
     Brauer's bound: the multiplicative order of 2 modulo the odd part of the
     group exponent.
     """
-    exponent = 1
-    for x in range(group.order):
-        o = group.element_order(x)
-        exponent = exponent * o // _gcd(exponent, o)
-    odd = exponent
+    odd = group.exponent()
     while odd % 2 == 0:
         odd //= 2
     if odd == 1:
@@ -242,8 +247,3 @@ def splitting_degree(group) -> int:
         k += 1
     return k
 
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

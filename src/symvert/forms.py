@@ -288,12 +288,11 @@ def lift_selfadjoint_idempotent(
         return e
     # repeated squaring cycles when the ideal is not nil on k[b]; fall back
     # to the primary idempotents of k[b] and pick the sub-sum congruent to a
-    mu = linalg.min_poly(F, b)
-    fac = polys.factor(F, mu)
-    prim = []
-    for i in range(len(fac)):
-        u = _crt_poly(F, fac, i)
-        prim.append(rep.lift_idempotent(F, polys.eval_matrix(F, u, b), s))
+    fac = polys.factor(F, linalg.min_poly(F, b))
+    prim = [
+        rep.lift_idempotent(F, polys.eval_matrix(F, u, b), s)
+        for u in polys.crt_idempotents(F, fac)
+    ]
     for mask in range(1, 1 << len(prim)):
         e = zeros(E.module.dim, E.module.dim)
         for i, p in enumerate(prim):
@@ -302,22 +301,6 @@ def lift_selfadjoint_idempotent(
         if (mat_mul(F, e, e) == e).all() and in_I(e ^ a) and (sigma(e) == e).all():
             return e
     raise AssertionError("no self-adjoint idempotent lift found")
-
-
-def _crt_poly(F, fac, i):
-    """u = 1 mod fac[i]^mult, 0 mod the other primary factors."""
-    pi = fac[i][0]
-    for _ in range(fac[i][1] - 1):
-        pi = polys.mul(F, pi, fac[i][0])
-    rest = [1]
-    for j, (p, m) in enumerate(fac):
-        if j != i:
-            for _ in range(m):
-                rest = polys.mul(F, rest, p)
-    if polys.deg(rest) == 0:
-        return [1]
-    inv = rep._poly_inverse_mod(F, rest, pi)
-    return polys.mul(F, rest, inv)
 
 
 # -- perfect pairings -----------------------------------------------------
@@ -629,31 +612,6 @@ def _seeded_automorphism(M: ModuleRep, seed: int) -> np.ndarray | None:
         if linalg.is_invertible(F, u):
             return u
     return None
-
-
-def pick_nondegenerate_component(
-    B: GForm,
-    theta: np.ndarray,
-    phi_blocks: list[np.ndarray],
-    summand_forms: list[GForm],
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Given an isometry of (M, B_theta) into an orthogonal sum, written as
-    stacked kG-maps phi_i: M -> L_i, find a summand j on which M embeds
-    nondegenerately.  Returns (j, phi_j, gamma_j) where the pulled-back form
-    of phi_j is B_{gamma_j} with gamma_j a unit."""
-    F = B.F
-    total = zeros(B.module.dim, B.module.dim)
-    gammas = []
-    for phi, Bi in zip(phi_blocks, summand_forms):
-        pulled = mat_mul(F, phi.T, mat_mul(F, Bi.gram, phi))
-        total ^= pulled
-        gammas.append(endo_from_form(B, pulled))
-    if (total != mat_mul(F, theta.T, B.gram)).any():
-        raise ValueError("the supplied maps do not form an isometry")
-    for j, g in enumerate(gammas):
-        if linalg.is_invertible(F, g):
-            return j, phi_blocks[j], g
-    raise AssertionError("no summand carries a nondegenerate pullback")
 
 
 # -- forms on the regular module ------------------------------------------

@@ -9,6 +9,7 @@ All queries are pure; tables are immutable after load.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,9 @@ class GroupTable:
         self._orders: np.ndarray | None = None
         self._classes: list[ConjClass] | None = None
         self._class_of: np.ndarray | None = None
+        # standalone subgroup tables, keyed by element set; the first entry
+        # wins, since its generators fix the element ids callers see
+        self.subgroup_tables: dict[tuple[int, ...], tuple] = {}
 
     def _spot_check_associativity(self) -> None:
         rng = np.random.default_rng(12345)
@@ -77,10 +81,7 @@ class GroupTable:
         return self._orders
 
     def exponent(self) -> int:
-        e = 1
-        for o in map(int, self.element_orders()):
-            e = e * o // _gcd(e, o)
-        return e
+        return math.lcm(*map(int, self.element_orders()))
 
     def power(self, x: int, e: int) -> int:
         r = 0
@@ -92,12 +93,6 @@ class GroupTable:
             t = self.mul(t, t)
             e >>= 1
         return r
-
-    def word(self, gen_indices: list[int]) -> int:
-        x = 0
-        for i in gen_indices:
-            x = self.mul(x, self.generators[i])
-        return x
 
     # -- conjugacy --------------------------------------------------------
 
@@ -395,12 +390,6 @@ class Subgroup:
 
 class FeasibilityError(Exception):
     """Raised when a computation exceeds a configured search bound."""
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- constructors ---------------------------------------------------------

@@ -32,8 +32,7 @@ def mat_mul(F: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     m = F.m
     if m == 1:
         return (A @ B) & 1
-    # reduction masks: x^t mod modulus, for t < 2m-1
-    red = _reduction_masks(F)
+    red = F.red_masks
     planes = [None] * (2 * m - 1)
     Abits = [(A >> i) & 1 for i in range(m)]
     Bbits = [(B >> j) & 1 for j in range(m)]
@@ -49,40 +48,12 @@ def mat_mul(F: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return C
 
 
-_red_cache: dict[tuple[int, int], list[int]] = {}
-
-
-def _reduction_masks(F: FieldCtx) -> list[int]:
-    key = (F.m, F.modulus)
-    masks = _red_cache.get(key)
-    if masks is None:
-        masks = []
-        t = 1
-        for _ in range(2 * F.m - 1):
-            masks.append(t)
-            t <<= 1
-            if t >> F.m & 1:
-                t ^= F.modulus
-        _red_cache[key] = masks
-    return masks
-
-
 def mat_vec(F: FieldCtx, A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mat_mul(F, A, np.asarray(v, dtype=np.int64).reshape(-1, 1)).ravel()
 
 
 def vec_mat(F: FieldCtx, v: np.ndarray, A: np.ndarray) -> np.ndarray:
     return mat_mul(F, np.asarray(v, dtype=np.int64).reshape(1, -1), A).ravel()
-
-
-def mat_pow(F: FieldCtx, A: np.ndarray, e: int) -> np.ndarray:
-    R = eye(A.shape[0])
-    while e:
-        if e & 1:
-            R = mat_mul(F, R, A)
-        A = mat_mul(F, A, A)
-        e >>= 1
-    return R
 
 
 def rref(
@@ -125,11 +96,6 @@ def rref(
 
 def rank(F: FieldCtx, A: np.ndarray) -> int:
     return len(rref(F, A)[1])
-
-
-def row_space(F: FieldCtx, A: np.ndarray) -> np.ndarray:
-    R, pivots, _ = rref(F, A)
-    return R[: len(pivots)]
 
 
 def kernel(F: FieldCtx, A: np.ndarray) -> np.ndarray:
@@ -227,9 +193,8 @@ def inverse(F: FieldCtx, A: np.ndarray) -> np.ndarray:
         raise ValueError("inverse of non-square matrix")
     aug = np.concatenate([A, eye(n)], axis=1)
     R, pivots, _ = rref(F, aug)
-    if pivots[: n] != list(range(n)) if len(pivots) >= n else True:
-        if len(pivots) < n or pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular")
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
     return R[:, n:]
 
 
@@ -268,62 +233,41 @@ def min_poly(F: FieldCtx, A: np.ndarray) -> list[int]:
 
 def _local_min_poly(F: FieldCtx, A: np.ndarray, v: np.ndarray) -> list[int]:
     n = A.shape[0]
-    # echelonized Krylov basis with coordinates of each vector in terms of
-    # powers A^j v
-    basis_rows: list[np.ndarray] = []
-    piv: list[int] = []
-    coords: list[np.ndarray] = []
-    cur = v.copy()
-    j = 0
-    while True:
-        w = cur.copy()
-        cw = zeros(1, n + 1).ravel()
-        cw[j] = 1
-        for br, p, cc in zip(basis_rows, piv, coords):
-            if w[p]:
-                f = int(w[p])
-                w ^= F.vscale(f, br)
-                cw ^= F.vscale(f, cc)
-        nz = np.nonzero(w)[0]
-        if nz.size == 0:
-            poly = [int(c) for c in cw[: j + 1]]
-            return poly if poly else [1]
-        p = int(nz[0])
-        s = F.inv(int(w[p]))
-        basis_rows.append(F.vscale(s, w))
-        coords.append(F.vscale(s, cw))
-        piv.append(p)
+    # each Krylov vector A^j v carries its coordinates over the powers of A
+    # as trailing columns, so the first dependency spells out the polynomial
+    ech = Echelon(F, n)
+    cur = v
+    for j in range(n + 1):
+        w = zeros(1, 2 * n + 1).ravel()
+        w[:n] = cur
+        w[n + j] = 1
+        w = ech.reduce(w)
+        if not ech.append(w):
+            return [int(c) for c in w[n : n + j + 1]]
         cur = mat_vec(F, A, cur)
-        j += 1
-        if j > n:
-            raise AssertionError("Krylov overflow")
+    raise AssertionError("Krylov overflow")
 
 
 class Subspace:
-    """Row-space with canonical rref basis."""
+    """Row-space with canonical rref basis and its pivot columns."""
 
     def __init__(self, F: FieldCtx, ambient: int, vectors: np.ndarray | None):
         self.F = F
         self.ambient = ambient
         if vectors is None or np.asarray(vectors).size == 0:
             self.basis = zeros(0, ambient)
+            self.pivots: list[int] = []
         else:
             vv = np.asarray(vectors, dtype=np.int64).reshape(-1, ambient)
-            self.basis = row_space(F, vv)
+            R, self.pivots, _ = rref(F, vv)
+            self.basis = R[: len(self.pivots)]
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
     def contains(self, v: np.ndarray) -> bool:
-        if self.dim == 0:
-            return not np.asarray(v).any()
-        w = np.asarray(v, dtype=np.int64).copy().ravel()
-        for row in self.basis:
-            p = int(np.nonzero(row)[0][0])
-            if w[p]:
-                w ^= self.F.vscale(int(w[p]), row)
-        return not w.any()
+        return not reduce_mod(self.F, self, v).any()
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.basis)
@@ -350,27 +294,19 @@ class Subspace:
         return Subspace(F, n, np.array(rows) if rows else None)
 
     def complement_basis(self) -> np.ndarray:
-        """Rows completing the basis to the full ambient space."""
-        stacked = np.concatenate([self.basis, eye(self.ambient)], axis=0)
-        R, pivots, _ = rref(self.F, stacked)
-        # pivots of rref of stacked = full space; take identity rows whose
-        # index extends the subspace
-        out = []
-        have = Subspace(self.F, self.ambient, self.basis)
-        for i in range(self.ambient):
-            e = zeros(1, self.ambient).ravel()
-            e[i] = 1
-            if not have.contains(e):
-                out.append(e)
-                have = have.add(Subspace(self.F, self.ambient, e.reshape(1, -1)))
+        """Unit vectors, in index order, completing the basis to the full
+        ambient space."""
+        ech = Echelon(self.F, self.ambient)
+        for row in self.basis:
+            ech.append(row)  # rref rows are already reduced
+        out = [e for e in eye(self.ambient) if ech.insert(e)]
         return np.array(out) if out else zeros(0, self.ambient)
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         """Coordinates of v in the canonical basis (v must lie in the space)."""
-        x, cert = solve(self.F, self.basis.T, v)
-        if x is None:
+        if not self.contains(v):
             raise ValueError("vector not in subspace")
-        return x
+        return np.asarray(v, dtype=np.int64).ravel()[self.pivots]
 
     def __eq__(self, other) -> bool:
         return (
@@ -388,38 +324,50 @@ class Subspace:
 
 
 class Echelon:
-    """Incrementally maintained row-echelon basis (for spinning etc.)."""
+    """Incrementally maintained row-echelon basis with unit pivots.
+
+    Pivots are chosen among the first ``ambient`` columns only, so rows may
+    carry trailing columns (e.g. coordinates) that are reduced along with
+    them but never pivot.
+    """
 
     def __init__(self, F: FieldCtx, ambient: int):
         self.F = F
         self.ambient = ambient
         self.rows: list[np.ndarray] = []
-        self.pivs: list[int] = []
+        self.pivots: list[int] = []
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def reduce(self, v: np.ndarray) -> np.ndarray:
-        w = np.asarray(v, dtype=np.int64).copy().ravel()
-        for row, p in zip(self.rows, self.pivs):
-            if w[p]:
-                w ^= self.F.vscale(int(w[p]), row)
+        """A fresh copy of v with every pivot column cleared."""
+        F = self.F
+        w = np.array(v, dtype=np.int64).ravel()
+        for row, p in zip(self.rows, self.pivots):
+            c = w[p]
+            if c:  # unit coefficients (all of them over GF(2)) need no scaling
+                w ^= row if c == 1 else F.vscale(int(c), row)
         return w
+
+    def append(self, w: np.ndarray) -> bool:
+        """Add an already-reduced row; False, changing nothing, when it is
+        zero in the ambient columns."""
+        nz = np.nonzero(w[: self.ambient])[0]
+        if nz.size == 0:
+            return False
+        p = int(nz[0])
+        self.rows.append(self.F.vscale(self.F.inv(int(w[p])), w))
+        self.pivots.append(p)
+        return True
 
     def contains(self, v: np.ndarray) -> bool:
         return not self.reduce(v).any()
 
     def insert(self, v: np.ndarray) -> bool:
         """Add v to the span; returns True when the dimension grew."""
-        w = self.reduce(v)
-        nz = np.nonzero(w)[0]
-        if nz.size == 0:
-            return False
-        p = int(nz[0])
-        self.rows.append(self.F.vscale(self.F.inv(int(w[p])), w))
-        self.pivs.append(p)
-        return True
+        return self.append(self.reduce(v))
 
     def subspace(self) -> Subspace:
         if not self.rows:
@@ -432,9 +380,13 @@ def reduce_mod(F: FieldCtx, S: Subspace, vecs: np.ndarray) -> np.ndarray:
     vecs = np.atleast_2d(np.asarray(vecs, dtype=np.int64))
     if S.dim == 0:
         return vecs.copy()
-    pivots = [int(np.nonzero(r)[0][0]) for r in S.basis]
-    coeff = vecs[:, pivots]
-    return vecs ^ mat_mul(F, coeff, S.basis)
+    return vecs ^ mat_mul(F, vecs[:, S.pivots], S.basis)
+
+
+def free_columns(S: Subspace) -> list[int]:
+    """The non-pivot columns of S's rref basis, in increasing order."""
+    pivots = set(S.pivots)
+    return [i for i in range(S.ambient) if i not in pivots]
 
 
 def pivot_complement(S: Subspace) -> np.ndarray:
@@ -444,14 +396,7 @@ def pivot_complement(S: Subspace) -> np.ndarray:
     of these vectors, so they are the right complement for quotient
     coordinates.
     """
-    pivots = {int(np.nonzero(r)[0][0]) for r in S.basis}
-    out = []
-    for i in range(S.ambient):
-        if i not in pivots:
-            e = zeros(1, S.ambient).ravel()
-            e[i] = 1
-            out.append(e)
-    return np.array(out) if out else zeros(0, S.ambient)
+    return eye(S.ambient)[free_columns(S)]
 
 
 def full_space(F: FieldCtx, n: int) -> Subspace:

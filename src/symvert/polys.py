@@ -100,6 +100,41 @@ def lcm(F: FieldCtx, a: Poly, b: Poly) -> Poly:
     return monic(F, q)
 
 
+def inverse_mod(F: FieldCtx, a: Poly, m: Poly) -> Poly:
+    """The inverse of a modulo m (extended Euclid); a and m must be coprime."""
+    r0, r1 = list(m), mod(F, a, m)
+    s0, s1 = [], [1]
+    while r1:
+        q, r2 = divmod_(F, r0, r1)
+        r0, r1 = r1, r2
+        s0, s1 = s1, add(F, s0, mul(F, q, s1))
+    if deg(r0) != 0:
+        raise ValueError("not coprime")
+    return scale(F, F.inv(r0[0]), mod(F, s0, m))
+
+
+def crt_idempotents(F: FieldCtx, fac: list[tuple[Poly, int]]) -> list[Poly]:
+    """Chinese-remainder idempotents of a factorization [(p_i, m_i), ...].
+
+    u_i is 1 modulo p_i^m_i and 0 modulo every other primary factor,
+    reduced modulo the product of all of them, so the u_i sum to 1.
+    """
+    primary = []
+    for p, m in fac:
+        q = [1]
+        for _ in range(m):
+            q = mul(F, q, p)
+        primary.append(q)
+    total = [1]
+    for q in primary:
+        total = mul(F, total, q)
+    out = []
+    for q in primary:
+        rest = divmod_(F, total, q)[0]
+        out.append(mod(F, mul(F, rest, inverse_mod(F, rest, q)), total))
+    return out
+
+
 def pow_mod(F: FieldCtx, a: Poly, e: int, m: Poly) -> Poly:
     r = [1]
     a = mod(F, a, m)

@@ -153,14 +153,12 @@ def restrict(M: ModuleRep, H: Subgroup) -> ModuleRep:
     return ModuleRep(Ht, M.F, mats, check=False)
 
 
-_sub_table_cache: dict[tuple, tuple] = {}
-
-
 def subgroup_table(H: Subgroup) -> tuple[GroupTable, list[int]]:
-    key = (id(H.parent), H.elements)
-    if key not in _sub_table_cache:
-        _sub_table_cache[key] = H.as_table()
-    return _sub_table_cache[key]
+    """H's standalone table and id-to-parent map, cached on the parent."""
+    cache = H.parent.subgroup_tables
+    if H.elements not in cache:
+        cache[H.elements] = H.as_table()
+    return cache[H.elements]
 
 
 def induce(L: ModuleRep, H: Subgroup) -> tuple[ModuleRep, list[int]]:
@@ -202,49 +200,16 @@ def induce(L: ModuleRep, H: Subgroup) -> tuple[ModuleRep, list[int]]:
 
 def sub_module(M: ModuleRep, S: Subspace) -> tuple[ModuleRep, np.ndarray, np.ndarray]:
     """Compress a G-stable subspace; returns (module, incl d x c, proj c x d)."""
-    pivots = [int(np.nonzero(r)[0][0]) for r in S.basis]
-    incl = S.basis.T.copy()
-    proj = zeros(S.dim, M.dim)
-    for i, p in enumerate(pivots):
-        proj[i, p] = 1
-    mats = []
-    for A in (M.action(g) for g in M.group.generators):
-        mats.append(mat_mul(M.F, proj, mat_mul(M.F, A, incl)))
+    gens = [M.action(g) for g in M.group.generators]
+    mats, incl, proj = _compress_action(M.F, gens, S)
     return ModuleRep(M.group, M.F, mats, check=False), incl, proj
 
 
 def quotient_module(M: ModuleRep, S: Subspace) -> tuple[ModuleRep, np.ndarray]:
     """M/S; returns (module, projection c x d sending v to its coordinates)."""
-    comp = linalg.pivot_complement(S)
-    c = comp.shape[0]
-    # projection: reduce mod S, then read off the complement coordinates
-    # (complement rows are unit vectors by construction)
-    red = _reducer(M.F, S)
-    proj = zeros(c, M.dim)
-    for i, row in enumerate(comp):
-        proj[i, int(np.nonzero(row)[0][0])] = 1
-    proj = mat_mul(M.F, proj, red)
-    incl = comp.T
-    mats = []
-    for A in (M.action(g) for g in M.group.generators):
-        mats.append(mat_mul(M.F, proj, mat_mul(M.F, A, incl)))
+    gens = [M.action(g) for g in M.group.generators]
+    mats, proj, _ = _quotient_action(M.F, gens, S)
     return ModuleRep(M.group, M.F, mats, check=False), proj
-
-
-def _reducer(F: FieldCtx, S: Subspace) -> np.ndarray:
-    """Matrix of the canonical-representative map v -> v mod S.
-
-    For an rref basis the per-row reductions are independent, so the map is
-    I + basis^T . P with P the pivot-coordinate selector.
-    """
-    n = S.ambient
-    R = eye(n)
-    if S.dim:
-        P = zeros(S.dim, n)
-        for i, row in enumerate(S.basis):
-            P[i, int(np.nonzero(row)[0][0])] = 1
-        R ^= mat_mul(F, S.basis.T, P)
-    return R
 
 
 # -- hom spaces and endomorphism algebras ---------------------------------
@@ -317,27 +282,12 @@ class EndoAlgebra:
         if not self.gens:
             self.gens = list(self.basis)
         flat = np.array([b.ravel() for b in self.basis])
-        R, pivots, T = linalg.rref(self.module.F, flat, record_transform=True)
-        if len(pivots) != len(self.basis):
+        if linalg.rank(self.module.F, flat) != len(self.basis):
             raise ValueError("endomorphism basis is linearly dependent")
-        self._flat = flat
-        self._rref = R[: len(pivots)]
-        self._pivots = pivots
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def coords(self, f: np.ndarray) -> np.ndarray:
-        """Coordinates of f in the basis; raises if f is outside the span."""
-        x, cert = linalg.solve(self.module.F, self._flat.T, f.ravel())
-        if x is None:
-            raise ValueError("matrix not in the algebra")
-        return x
-
-    def contains(self, f: np.ndarray) -> bool:
-        x, _ = linalg.solve(self.module.F, self._flat.T, f.ravel())
-        return x is not None
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
         F = self.module.F
@@ -346,13 +296,6 @@ class EndoAlgebra:
             if c:
                 out ^= F.vscale(int(c), b)
         return out
-
-    def check_closure(self) -> bool:
-        for a in self.basis:
-            for b in self.basis:
-                if not self.contains(mat_mul(self.module.F, a, b)):
-                    return False
-        return True
 
 
 def end_algebra(
@@ -409,32 +352,17 @@ def left_mult_matrix(G: GroupTable, F: FieldCtx, vec: np.ndarray) -> np.ndarray:
 def spin(F: FieldCtx, vecs: np.ndarray, gens: list[np.ndarray]) -> Subspace:
     """Smallest gens-stable subspace containing the given row vectors."""
     n = gens[0].shape[0] if gens else vecs.shape[1]
-    rows: list[np.ndarray] = []
-    pivs: list[int] = []
-
-    def insert(w: np.ndarray) -> bool:
-        w = w.copy()
-        for row, p in zip(rows, pivs):
-            if w[p]:
-                w ^= F.vscale(int(w[p]), row)
-        nz = np.nonzero(w)[0]
-        if nz.size == 0:
-            return False
-        p = int(nz[0])
-        rows.append(F.vscale(F.inv(int(w[p])), w))
-        pivs.append(p)
-        return True
-
-    queue = [np.asarray(v, dtype=np.int64) for v in np.atleast_2d(vecs)]
+    ech = linalg.Echelon(F, n)
+    queue = list(np.atleast_2d(vecs))
     qi = 0
     while qi < len(queue):
         v = queue[qi]
         qi += 1
-        if insert(v):
-            src = rows[-1]
+        if ech.insert(v):
+            src = ech.rows[-1]
             for A in gens:
                 queue.append(mat_vec(F, A, src))
-    return Subspace(F, n, np.array(rows) if rows else None)
+    return ech.subspace()
 
 
 def chop(
@@ -469,24 +397,29 @@ def chop(
 
 
 def _compress_action(F, gens, sub: Subspace):
-    pivots = [int(np.nonzero(r)[0][0]) for r in sub.basis]
-    incl = sub.basis.T
+    """Action on a stable subspace in its rref-basis coordinates; returns
+    (matrices, incl d x c, proj c x d)."""
+    incl = sub.basis.T.copy()
     proj = zeros(sub.dim, sub.ambient)
-    for i, p in enumerate(pivots):
-        proj[i, p] = 1
-    mats = [mat_mul(F, proj, mat_mul(F, A, incl)) for A in gens]
+    proj[range(sub.dim), sub.pivots] = 1
+    # proj only selects the pivot rows
+    mats = [mat_mul(F, A, incl)[sub.pivots] for A in gens]
     return mats, incl, proj
 
 
 def _quotient_action(F, gens, sub: Subspace):
-    comp = linalg.pivot_complement(sub)
-    red = _reducer(F, sub)
-    proj = zeros(comp.shape[0], sub.ambient)
-    for i, row in enumerate(comp):
-        proj[i, int(np.nonzero(row)[0][0])] = 1
-    proj = mat_mul(F, proj, red)
-    incl = comp.T
-    mats = [mat_mul(F, proj, mat_mul(F, A, incl)) for A in gens]
+    """Action on the quotient by a stable subspace, in the coordinates of
+    the free columns; returns (matrices, proj c x d, complement rows c x d).
+
+    proj reads a vector's canonical representative modulo sub off the free
+    columns: the free entries stay, and each pivot entry contributes its
+    basis row's free entries (the sign is irrelevant in characteristic 2).
+    """
+    free = linalg.free_columns(sub)
+    comp = eye(sub.ambient)[free]
+    proj = comp.copy()
+    proj[:, sub.pivots] = sub.basis[:, free].T
+    mats = [mat_mul(F, proj, A[:, free]) for A in gens]
     return mats, proj, comp
 
 
@@ -569,10 +502,8 @@ def radical(E: EndoAlgebra, seed: int = 0) -> list[np.ndarray]:
         if prev is None:
             new_vecs = S.basis
         else:
-            prev_pivs = {int(np.nonzero(r)[0][0]) for r in prev.basis}
-            new_vecs = np.array(
-                [r for r in S.basis if int(np.nonzero(r)[0][0]) not in prev_pivs]
-            )
+            prev_pivs = set(prev.pivots)
+            new_vecs = S.basis[[p not in prev_pivs for p in S.pivots]]
         levels.append((new_vecs, prev))
         prev = S
     # unknowns: coordinates over E.basis; equations: each composition-series
@@ -598,43 +529,25 @@ def semisimple_quotient(E: EndoAlgebra, J: list[np.ndarray]):
     jflat = np.array([j.ravel() for j in J]) if J else zeros(0, n2)
     JS = Subspace(F, n2, jflat)
     reduced = linalg.reduce_mod(F, JS, np.array([b.ravel() for b in E.basis]))
-    # echelon of the reduced lifts with coefficient tracking, so expressing
-    # a quotient element later is a single reduction pass
+    # echelon of the reduced lifts, each row carrying its coordinates over
+    # the lifts as trailing columns, so expressing a quotient element later
+    # is a single reduction pass
     nb = len(E.basis)
-    rows: list[np.ndarray] = []
-    pivs: list[int] = []
-    coefs: list[np.ndarray] = []
+    ech = linalg.Echelon(F, n2)
     lifts = []
     for b, r in zip(E.basis, reduced):
-        w = r.copy()
-        c = zeros(1, nb).ravel()
-        c[len(lifts)] = 1
-        for row, p, cc in zip(rows, pivs, coefs):
-            if w[p]:
-                f = int(w[p])
-                w ^= F.vscale(f, row)
-                c ^= F.vscale(f, cc)
-        nz = np.nonzero(w)[0]
-        if nz.size:
-            p = int(nz[0])
-            s = F.inv(int(w[p]))
-            rows.append(F.vscale(s, w))
-            pivs.append(p)
-            coefs.append(F.vscale(s, c))
+        w = np.concatenate([r, zeros(1, nb).ravel()])
+        w[n2 + len(lifts)] = 1
+        if ech.insert(w):
             lifts.append(b)
     r_dim = len(lifts)
 
     def quo_coords(f: np.ndarray) -> np.ndarray:
         v = linalg.reduce_mod(F, JS, f.ravel()).ravel()
-        out = zeros(1, nb).ravel()
-        for row, p, cc in zip(rows, pivs, coefs):
-            if v[p]:
-                fct = int(v[p])
-                v ^= F.vscale(fct, row)
-                out ^= F.vscale(fct, cc)
-        if v.any():
+        w = ech.reduce(np.concatenate([v, zeros(1, nb).ravel()]))
+        if w[:n2].any():
             raise ValueError("element not in the algebra")
-        return out[:r_dim]
+        return w[n2 : n2 + r_dim]
 
     return lifts, quo_coords
 
@@ -718,12 +631,7 @@ def _split_once(E: EndoAlgebra, seed: int) -> np.ndarray | None:
                 return None
             continue
         # u = 1 mod p1, 0 mod the rest
-        p1 = sqfree[0]
-        rest = [1]
-        for p in sqfree[1:]:
-            rest = polys.mul(F, rest, p)
-        inv_rest = _poly_inverse_mod(F, rest, p1)
-        u = polys.mod(F, polys.mul(F, rest, inv_rest), _prod(F, sqfree))
+        u = polys.crt_idempotents(F, [(p, 1) for p in sqfree])[0]
         c = polys.eval_matrix(F, u, a)
         e = lift_idempotent(F, c, s)
         if (mat_mul(F, e, e) != e).any():
@@ -732,27 +640,6 @@ def _split_once(E: EndoAlgebra, seed: int) -> np.ndarray | None:
             continue
         return e
     raise AssertionError("failed to split a non-local endomorphism algebra")
-
-
-def _prod(F, ps):
-    out = [1]
-    for p in ps:
-        out = polys.mul(F, out, p)
-    return out
-
-
-def _poly_inverse_mod(F, a, m):
-    """Inverse of a modulo m (coprime)."""
-    # extended Euclid
-    r0, r1 = list(m), polys.mod(F, a, m)
-    s0, s1 = [], [1]
-    while r1:
-        q, r2 = polys.divmod_(F, r0, r1)
-        r0, r1 = r1, r2
-        s0, s1 = s1, polys.add(F, s0, polys.mul(F, q, s1))
-    if polys.deg(r0) != 0:
-        raise ValueError("not coprime")
-    return polys.scale(F, F.inv(r0[0]), polys.mod(F, s0, m))
 
 
 def _compress_endo(E: EndoAlgebra, e: np.ndarray, comp_mod, incl, proj):

@@ -40,8 +40,6 @@ def test_centre_matches_group_algebra_product():
             prod = Z.mul(ei, ej)
             vi = Z.to_group_algebra(ei)
             vj = Z.to_group_algebra(ej)
-            R = rep.right_mult_matrix(S4, F2, vj)
-            direct = linalg.vec_mat(F2, vi, R.T) if False else None
             got = np.zeros(S4.order, dtype=np.int64)
             # convolution by hand
             for g in np.nonzero(vi)[0]:

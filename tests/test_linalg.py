@@ -60,17 +60,22 @@ def test_inverse_round_trip(A):
     assert (linalg.mat_mul(F4, Ai, A) == linalg.eye(4)).all()
 
 
-@given(matrices(F2, 5, 5))
-def test_min_poly_annihilates(A):
-    mu = linalg.min_poly(F2, A)
-    assert not polys.eval_matrix(F2, mu, A).any()
+@given(
+    st.sampled_from([F2, F4]).flatmap(
+        lambda F: st.tuples(st.just(F), matrices(F, 5, 5))
+    )
+)
+def test_min_poly_annihilates(F_A):
+    F, A = F_A  # over GF(4) the Krylov pivots need not be 1
+    mu = linalg.min_poly(F, A)
+    assert not polys.eval_matrix(F, mu, A).any()
     assert mu[-1] == 1  # monic
     # minimality: no proper divisor annihilates
-    for f, _ in polys.factor(F2, mu):
-        q, r = polys.divmod_(F2, mu, f)
+    for f, _ in polys.factor(F, mu):
+        q, r = polys.divmod_(F, mu, f)
         assert r == []
         if polys.deg(q) >= 1 or q != [1]:
-            if polys.eval_matrix(F2, q, A).any():
+            if polys.eval_matrix(F, q, A).any():
                 continue
             pytest.fail("min_poly not minimal")
 
@@ -106,11 +111,14 @@ def test_subspace_sum_intersection_dims(A, B):
 def test_subspace_coords():
     S = linalg.Subspace(F4, 3, np.array([[1, 2, 0], [0, 0, 1]], dtype=np.int64))
     v = np.array([2, 3, 1], dtype=np.int64)  # 2*(1,2,0) + 1*(0,0,1)
+    assert S.pivots == [0, 2]
     c = S.coords(v)
     back = np.zeros(3, dtype=np.int64)
     for ci, bi in zip(c, S.basis):
         back ^= F4.vscale(int(ci), bi)
     assert (back == v).all()
+    with pytest.raises(ValueError):
+        S.coords(np.array([0, 1, 0], dtype=np.int64))
 
 
 def test_echelon_incremental():
@@ -121,6 +129,14 @@ def test_echelon_incremental():
     assert E.dim == 2
     assert E.contains(np.array([1, 0, 1, 0]))
     assert not E.contains(np.array([0, 0, 0, 1]))
+    # trailing coordinate columns are reduced along but never pivot
+    C = linalg.Echelon(F4, 2)
+    assert C.insert(np.array([2, 1, 1, 0]))  # pivot 2 is scaled to 1
+    assert C.pivots == [0] and (C.rows[0] == [1, 3, 3, 0]).all()
+    w = C.reduce(np.array([1, 3, 0, 1]))
+    assert (w == [0, 0, 3, 1]).all()
+    assert not C.append(w)  # dependent: only trailing entries are left
+    assert C.dim == 1
 
 
 def test_kernel_gf2_stream_matches_dense():

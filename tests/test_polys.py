@@ -55,6 +55,34 @@ def test_factor_reassembles_gf2(p):
             assert polys.deg(g) == 0, (f, d)
 
 
+@settings(max_examples=60)
+@given(
+    st.sampled_from([F2, F4]).flatmap(
+        lambda F: st.tuples(st.just(F), poly_strategy(F, 8))
+    )
+)
+def test_crt_idempotents(F_p):
+    F, p = F_p
+    if polys.deg(p) < 1:
+        return
+    fac = polys.factor(F, p)
+    primary = []
+    for f, mult in fac:
+        q = [1]
+        for _ in range(mult):
+            q = polys.mul(F, q, f)
+        primary.append(q)
+    us = polys.crt_idempotents(F, fac)
+    assert len(us) == len(fac)
+    total = []
+    for i, u in enumerate(us):
+        assert polys.deg(u) < polys.deg(p)
+        for j, q in enumerate(primary):
+            assert polys.mod(F, u, q) == ([1] if i == j else [])
+        total = polys.add(F, total, u)
+    assert polys.mod(F, total, polys.monic(F, p)) == [1]
+
+
 def test_factor_known_cases():
     # x^2 + x = x(x+1)
     assert polys.factor(F2, [0, 1, 1]) == [[[0, 1], 1], [[1, 1], 1]]

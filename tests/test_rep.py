@@ -1,5 +1,6 @@
 """Modules: construction, induction/restriction, decomposition, duality."""
 
+import gc
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from symvert import catalog, linalg, rep
 from symvert.field import make_field
+from symvert.group import GroupTable
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -111,6 +113,20 @@ def test_induced_regular_is_regular():
     Ht, _ = rep.subgroup_table(H)
     ind, _ = rep.induce(rep.regular_module(Ht, F2), H)
     assert rep.module_iso(ind, rep.regular_module(S3, F2)) is not None
+
+
+def test_subgroup_table_cache_is_per_group():
+    # a freed group's cached tables must never surface for a new group that
+    # reuses its id: alternate C4 and V4 tables, freeing each in turn
+    idx = np.arange(4)
+    c4 = (idx[:, None] + idx[None, :]) % 4
+    v4 = idx[:, None] ^ idx[None, :]
+    for _ in range(50):
+        for table, gens in ((c4, [1]), (v4, [1, 2])):
+            G = GroupTable(table, gens)
+            assert (rep.subgroup_table(G.full_subgroup())[0].mult == G.mult).all()
+            del G
+            gc.collect()
 
 
 def test_sub_and_quotient_module():
