@@ -128,33 +128,8 @@ def invariant_forms(M: ModuleRep, H: Subgroup | None = None) -> InvariantForms:
     """All H-invariant bilinear forms on M (H=None: the whole group),
     together with the symmetric and symplectic sub-slices."""
     F = M.F
-    if H is None:
-        pairs = [
-            (M.gen_matrices[i], M.action_inv(g).T)
-            for i, g in enumerate(M.group.generators)
-        ]
-    else:
-        Ht, elems = rep.subgroup_table(H)
-        pairs = [
-            (M.action(elems[g]), M.action(elems[Ht.inverse(g)]).T)
-            for g in Ht.generators
-        ]
-    d = M.dim
-    if not pairs:  # trivial subgroup: everything is invariant
-        basis = []
-        for i in range(d):
-            for j in range(d):
-                E = zeros(d, d)
-                E[i, j] = 1
-                basis.append(E)
-    else:
-        # invariance A^T.X.A = X  <=>  X.A = A^-T.X
-        blocks = [
-            linalg.kron(F, eye(d), A.T) ^ linalg.kron(F, Ainvt, eye(d))
-            for A, Ainvt in pairs
-        ]
-        ker = linalg.kernel(F, np.concatenate(blocks, axis=0))
-        basis = [v.reshape(d, d) for v in ker]
+    # invariance A^T.X.A = X  <=>  X.A = A^-T.X: X is a hom M -> M*
+    basis = rep.hom_space(M, rep.dual(M), H)
     symmetric = _sub_slice(F, basis, symplectic=False)
     symp = _sub_slice(F, basis, symplectic=True)
     return InvariantForms(basis, symmetric, symp)
@@ -526,14 +501,15 @@ def orth_decompose(B: GForm, seed: int = 0) -> list[OrthPiece]:
         if Mc.dim == 0:
             return
         Bc = GForm(Mc, gram, check=False)
-        cert = rep.decompose(Mc, seed=seed)
+        E = rep.end_algebra(Mc)
+        cert = rep.decompose(Mc, seed=seed, endo=E)
         comps = cert.components
         if seed:
             # different seeds explore different internal direct-sum
             # decompositions: transport the components along a seeded
             # module automorphism (decompositions of a module are not
             # unique even though the summands are, up to isomorphism)
-            u = _seeded_automorphism(Mc, seed)
+            u = _seeded_automorphism(Mc, E.basis, seed)
             if u is not None:
                 comps = [
                     rep.Component(
@@ -598,10 +574,12 @@ def orth_decompose(B: GForm, seed: int = 0) -> list[OrthPiece]:
     return pieces
 
 
-def _seeded_automorphism(M: ModuleRep, seed: int) -> np.ndarray | None:
-    """A seeded random unit of the endomorphism algebra, or None."""
+def _seeded_automorphism(
+    M: ModuleRep, basis: list[np.ndarray], seed: int
+) -> np.ndarray | None:
+    """A seeded random unit of the endomorphism algebra with the given
+    basis, or None."""
     F = M.F
-    basis = rep.hom_space(M, M)
     rng = random.Random(seed)
     for _ in range(50):
         u = zeros(M.dim, M.dim)

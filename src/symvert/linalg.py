@@ -113,6 +113,14 @@ def kernel(F: FieldCtx, A: np.ndarray) -> np.ndarray:
     return basis
 
 
+def reverse_rref(F: FieldCtx, A: np.ndarray) -> np.ndarray:
+    """The basis of A's row space in the form `kernel` returns: each row
+    has 1 at its own last nonzero column and 0 at the others' last columns,
+    in increasing order of that column (an rref over reversed columns)."""
+    R, pivots, _ = rref(F, np.asarray(A)[:, ::-1])
+    return R[: len(pivots)][::-1, ::-1].copy()
+
+
 def _kernel_gf2_packed(A: np.ndarray) -> np.ndarray:
     """GF(2) null space with rows packed into Python ints (fast path)."""
     packed = np.packbits((A & 1).astype(np.uint8), axis=1, bitorder="little")

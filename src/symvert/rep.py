@@ -218,55 +218,64 @@ def quotient_module(M: ModuleRep, S: Subspace) -> tuple[ModuleRep, np.ndarray]:
 def hom_space(
     M: ModuleRep, N: ModuleRep, H: Subgroup | None = None
 ) -> list[np.ndarray]:
-    """Basis of {X : X rho_M(h) = rho_N(h) X for h in H} (H=None: all of G)."""
+    """Basis of {X : X rho_M(h) = rho_N(h) X for h in H} (H=None: all of G).
+
+    Standard-basis method (Lux & Szoke 2003; Parker's MeatAxe): spin M from
+    the unit vectors not yet in the span.  A hom is fixed by the images y_s
+    of these seeds: it sends b_k = A_g b_parent to W_k y_seed(k), with W_k
+    the same word in N's matrices, and each relation A_g b_i = sum c_k b_k
+    is a linear condition on the y's.  The basis is the one `linalg.kernel`
+    gives for the equations on the row-major vec(X).
+    """
     F = M.F
     if H is None:
-        gen_pairs = [
-            (M.gen_matrices[i], N.gen_matrices[i])
-            for i in range(len(M.group.generators))
-        ]
+        gens = list(zip(M.gen_matrices, N.gen_matrices))
     else:
         Ht, elems = subgroup_table(H)
-        gen_pairs = [
-            (M.action(elems[g]), N.action(elems[g])) for g in Ht.generators
-        ]
-        if not gen_pairs:  # trivial subgroup
-            out = []
-            for i in range(N.dim):
-                for j in range(M.dim):
-                    E = zeros(N.dim, M.dim)
-                    E[i, j] = 1
-                    out.append(E)
-            return out
+        gens = [(M.action(elems[g]), N.action(elems[g])) for g in Ht.generators]
     dm, dn = M.dim, N.dim
-    if F.m == 1 and dm * dn >= 4096:
-        # streaming bit-packed path: never materializes the Kronecker blocks
-        def _rows():
-            for Am, An in gen_pairs:
-                colmask = [
-                    sum(int(Am[q, j]) << q for q in range(dm)) for j in range(dm)
-                ]
-                rowspread = [
-                    sum(int(An[i, p]) << (p * dm) for p in range(dn))
-                    for i in range(dn)
-                ]
-                for i in range(dn):
-                    rs = rowspread[i]
-                    base = i * dm
-                    for j in range(dm):
-                        yield (colmask[j] << base) ^ (rs << j)
-
-        ker = linalg.kernel_gf2_stream(_rows(), dn * dm)
-        return [v.reshape(dn, dm) for v in ker]
-    blocks = []
-    for Am, An in gen_pairs:
-        # row-major vec(X): X@Am -> (I (x) Am^T) x ; An@X -> (An (x) I) x
-        blocks.append(
-            linalg.kron(F, eye(dn), Am.T) ^ linalg.kron(F, An, eye(dm))
-        )
-    sys = np.concatenate(blocks, axis=0)
-    ker = linalg.kernel(F, sys)
-    return [v.reshape(dn, dm) for v in ker]
+    # spun vectors carry their coordinates over the spun basis as trailing
+    # columns, so a vector already in the span reduces to its relation
+    ech = linalg.Echelon(F, dm)
+    pad = zeros(1, dm).ravel()
+    spun, words, seeds = [], [], []  # b_k, W_k and the seed of b_k
+    rels = []  # (c, B_g W_i, seed of b_i) for A_g b_i = sum c_k b_k
+    r = 0
+    for e in eye(dm):
+        if not ech.reduce(np.concatenate([e, pad]))[:dm].any():
+            continue
+        todo = [(e, eye(dn))]
+        while todo:
+            v, W = todo.pop()
+            w = ech.reduce(np.concatenate([v, pad]))
+            if w[:dm].any():
+                w[dm + len(spun)] = 1
+                ech.append(w)
+                spun.append(v)
+                words.append(W)
+                seeds.append(r)
+                todo += [(mat_vec(F, A, v), mat_mul(F, B, W)) for A, B in gens]
+            else:
+                rels.append((w[dm:], W, r))
+        r += 1
+    words, seeds = np.array(words), np.array(seeds)
+    # rows: relation, then row of N; columns: seed, then entry of y_seed
+    sys = zeros(len(rels) * dn, r * dn)
+    C = np.array([c for c, _, _ in rels], dtype=np.int64).reshape(-1, dm)
+    for s in range(r):
+        on = seeds == s
+        blk = mat_mul(F, C[:, on], words[on].reshape(-1, dn * dn))
+        sys[:, s * dn : (s + 1) * dn] = blk.reshape(-1, dn)
+    for i, (_, BW, s) in enumerate(rels):
+        sys[i * dn : (i + 1) * dn, s * dn : (s + 1) * dn] ^= BW
+    Y = linalg.kernel(F, sys)
+    # X S has column k equal to W_k y_seed(k), where S has columns b_k
+    XS = np.zeros((len(Y), dn, dm), dtype=np.int64)
+    for k, s in enumerate(seeds):
+        XS[:, :, k] = mat_mul(F, Y[:, s * dn : (s + 1) * dn], words[k].T)
+    S_inv = linalg.inverse(F, np.array(spun).T)
+    X = mat_mul(F, XS.reshape(-1, dm), S_inv).reshape(len(Y), dn * dm)
+    return [v.reshape(dn, dm) for v in linalg.reverse_rref(F, X)]
 
 
 @dataclass
@@ -853,6 +862,8 @@ def matrix_from_hex(F: FieldCtx, data: list[str], rows: int, cols: int) -> np.nd
     vals = [F.elem_from_hex(s) for s in data]
     if len(vals) != rows * cols:
         raise ValueError("matrix entry count mismatch")
+    if any(not 0 <= v < F.q for v in vals):
+        raise ValueError(f"matrix entry outside GF({F.q})")
     return np.array(vals, dtype=np.int64).reshape(rows, cols)
 
 

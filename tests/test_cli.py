@@ -80,6 +80,17 @@ def test_malformed_json_exit_code(tmp_path, s3_files, capsys):
     assert cli.main(["blocks", str(bad)]) == 2
 
 
+def test_out_of_field_entry_exit_code(tmp_path, capsys):
+    # "3" is not an element of GF(2)
+    C2 = catalog.suite_group("C2")
+    g = tmp_path / "c2.json"
+    g.write_text(json.dumps(group_to_dict(C2)))
+    m = tmp_path / "bad-entry.json"
+    m.write_text(json.dumps({"field_degree": 1, "dim": 1, "matrices": [["3"]]}))
+    assert cli.main(["vertices", str(g), str(m)]) == 2
+    assert "outside GF(2)" in capsys.readouterr().err
+
+
 def test_unknown_suite_exit_code(capsys):
     assert cli.main(["verify", "nope"]) == 2
 

@@ -40,6 +40,20 @@ def test_invariant_forms_regular_s3():
         assert not b.diagonal().any()
 
 
+def test_invariant_forms_for_a_proper_subgroup():
+    M = regular_s3()
+    H = S3.sylow2()
+    assert H.order == 2
+    inv = forms.invariant_forms(M, H)
+    # Res_H kG is free of rank 3, so the forms are Hom_H(kH^3, kH^3)
+    assert len(inv.basis) == 18
+    for X in inv.basis:
+        for h in H.elements:
+            A = M.action(h)
+            assert (mat_mul(F2, A.T, mat_mul(F2, X, A)) == X).all()
+    assert len(forms.invariant_forms(M, S3.trivial_subgroup()).basis) == 36
+
+
 def test_regular_form_flags():
     M = regular_s3()
     t = S3.involutions()[0]

@@ -150,6 +150,15 @@ def test_kernel_gf2_stream_matches_dense():
     assert linalg.rank(F2, stream) == len(stream)
 
 
+@given(matrices(F4, 4, 7), matrices(F4, 3, 3))
+def test_reverse_rref_gives_the_kernel_basis(A, T):
+    K = linalg.kernel(F4, A)
+    assert (linalg.reverse_rref(F4, K) == K).all()
+    # any spanning set of the null space is brought to the same basis
+    spanning = np.vstack([linalg.mat_mul(F4, T, K[:3]), K[::-1]])
+    assert (linalg.reverse_rref(F4, spanning) == K).all()
+
+
 @given(matrices(F4, 2, 2), matrices(F4, 2, 2), matrices(F4, 2, 2), matrices(F4, 2, 2))
 def test_kron_mixed_product(A, B, C, D):
     left = linalg.mat_mul(

@@ -1,10 +1,13 @@
 """Modules: construction, induction/restriction, decomposition, duality."""
 
+import functools
 import gc
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symvert import catalog, linalg, rep
 from symvert.field import make_field
@@ -168,6 +171,66 @@ def test_hom_space_streaming_path_matches_small_path():
             lhs = linalg.mat_mul(F2, X, M3.action(g))
             rhs = linalg.mat_mul(F2, M3.action(g), X)
             assert (lhs == rhs).all()
+
+
+def kron_hom_reference(M, N, H):
+    """Hom_H(M, N) as the null space of the dense Kronecker system on the
+    row-major vec(X), one block per element of H (all of G's generators
+    when H is None)."""
+    F = M.F
+    dm, dn = M.dim, N.dim
+    elems = M.group.generators if H is None else H.elements
+    blocks = [linalg.zeros(0, dn * dm)]
+    for x in elems:
+        # X A_M(x) = A_N(x) X
+        blocks.append(
+            linalg.kron(F, np.eye(dn, dtype=np.int64), M.action(x).T)
+            ^ linalg.kron(F, N.action(x), np.eye(dm, dtype=np.int64))
+        )
+    ker = linalg.kernel(F, np.concatenate(blocks, axis=0))
+    return [v.reshape(dn, dm) for v in ker]
+
+
+@functools.lru_cache(maxsize=None)
+def module_pool(name, m):
+    G, F = catalog.suite_group(name), make_field(m)
+    return [
+        rep.trivial_module(G, F),
+        rep.regular_module(G, F),
+        rep.permutation_module(G, F),
+        *rep.irreducible_modules(G, F),
+    ]
+
+
+@st.composite
+def hom_cases(draw):
+    name = draw(st.sampled_from(["S3", "V4", "A4"]))
+    m = draw(st.sampled_from([1, 2]))
+    G, pool = catalog.suite_group(name), module_pool(name, m)
+    sums = st.lists(st.sampled_from(pool), min_size=1, max_size=3).filter(
+        lambda ms: sum(x.dim for x in ms) <= 12
+    )
+    M = rep.direct_sum(draw(sums))
+    N = rep.direct_sum(draw(sums))
+    x = draw(st.integers(1, G.order - 1))
+    H = draw(
+        st.sampled_from(
+            [None, G.trivial_subgroup(), G.closure([x]), G.sylow2()]
+        )
+    )
+    return M, N, H
+
+
+@settings(max_examples=60, deadline=None)
+@given(hom_cases())
+def test_hom_space_matches_kronecker_reference(case):
+    M, N, H = case
+    got = rep.hom_space(M, N, H)
+    want = kron_hom_reference(M, N, H)
+    assert len(got) == len(want)
+    for X, Y in zip(got, want):
+        assert X.shape == (N.dim, M.dim)
+        assert (X == Y).all()
 
 
 def test_end_dim_of_regular_module_is_group_order():
