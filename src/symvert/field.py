@@ -122,6 +122,20 @@ class FieldCtx:
             if t >> m & 1:
                 t ^= self.modulus
         self.red_masks = masks
+        # bit-sliced mat_mul plans (h, s, chunk, spread, group spreads): with
+        # B's bit planes taken h at a time, a float64 product has m + h - 1
+        # fields of s bits, each counting at most chunk * min(m, h) bit
+        # products, so all partial sums stay below 2^53.  spread[a] puts bit i
+        # of a at bit s*i; a group spread does so for bits g..g+h-1 of b only
+        self.mat_mul_plans = []
+        elems, bits = np.arange(self.q), np.arange(m)
+        for h in range(m, 0, -1):
+            s = 53 // (m + h - 1)
+            chunk = ((1 << s) - 1) // min(m, h)
+            if chunk:
+                spread = ((elems[:, None] >> bits & 1) * 2.0 ** (s * bits)).sum(1)
+                groups = [spread[elems >> g & (1 << h) - 1] for g in range(0, m, h)]
+                self.mat_mul_plans.append((h, s, chunk, spread, groups))
 
     def _find_generator(self) -> int:
         order = self.q - 1

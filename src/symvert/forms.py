@@ -571,6 +571,7 @@ def orth_decompose(B: GForm, seed: int = 0) -> list[OrthPiece]:
         )
 
     rec(B.module, B.gram, eye(amb), seed)
+    del rec  # a self-referencing closure: free its data now, not at a full gc
     return pieces
 
 

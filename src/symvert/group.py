@@ -25,6 +25,8 @@ class GroupTable:
         self.mult = np.asarray(mult, dtype=np.int64)
         self.order = self.mult.shape[0]
         self.generators = list(generators)
+        if any(not 0 <= g < self.order for g in self.generators):
+            raise ValueError(f"generator id outside range({self.order})")
         self.perms = perms  # optional permutation labels, 0-based images
         inv = np.zeros(self.order, dtype=np.int64)
         for x in range(self.order):

@@ -26,25 +26,28 @@ def mat_add(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def mat_mul(F: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product via bit-plane decomposition (m^2 integer matmuls)."""
+    """Matrix product.  GF(2): one integer matmul mod 2.  GF(2^m): bit-sliced
+    onto exact float64 BLAS products (after Albrecht's M4RIE).  Bit i of each
+    element sits at bit s*i, so a product of A with a group of B's bit
+    planes counts each carry-less plane t in its own s-bit field, whose low
+    bit is that plane's parity; ``red_masks`` folds the 2m-1 parities back.
+    ``FieldCtx.mat_mul_plans`` sizes the inner chunks so that every partial
+    sum stays below 2^53; the plan with the fewest products wins."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
-    m = F.m
+    m, k = F.m, A.shape[1]
     if m == 1:
         return (A @ B) & 1
-    red = F.red_masks
-    planes = [None] * (2 * m - 1)
-    Abits = [(A >> i) & 1 for i in range(m)]
-    Bbits = [(B >> j) & 1 for j in range(m)]
-    for i in range(m):
-        for j in range(m):
-            P = (Abits[i] @ Bbits[j]) & 1
-            t = i + j
-            planes[t] = P if planes[t] is None else planes[t] ^ P
-    C = np.zeros(planes[0].shape, dtype=np.int64)
-    for t, P in enumerate(planes):
-        if P is not None:
-            C ^= P * red[t]
+    h, s, chunk, spread, groups = min(
+        F.mat_mul_plans, key=lambda p: len(p[4]) * -(-k // p[2])
+    )
+    As, C = spread[A], zeros(A.shape[0], B.shape[1])
+    for g, group in zip(range(0, m, h), groups):
+        P = 0
+        for c in range(0, k, chunk):
+            P ^= (As[:, c : c + chunk] @ group[B[c : c + chunk]]).astype(np.int64)
+        for t in range(min(m + h, 2 * m - g) - 1):
+            C ^= (P >> s * t & 1) * F.red_masks[g + t]
     return C
 
 

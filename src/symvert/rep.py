@@ -361,6 +361,7 @@ def left_mult_matrix(G: GroupTable, F: FieldCtx, vec: np.ndarray) -> np.ndarray:
 def spin(F: FieldCtx, vecs: np.ndarray, gens: list[np.ndarray]) -> Subspace:
     """Smallest gens-stable subspace containing the given row vectors."""
     n = gens[0].shape[0] if gens else vecs.shape[1]
+    stacked = np.concatenate(gens) if gens else zeros(0, n)
     ech = linalg.Echelon(F, n)
     queue = list(np.atleast_2d(vecs))
     qi = 0
@@ -368,9 +369,8 @@ def spin(F: FieldCtx, vecs: np.ndarray, gens: list[np.ndarray]) -> Subspace:
         v = queue[qi]
         qi += 1
         if ech.insert(v):
-            src = ech.rows[-1]
-            for A in gens:
-                queue.append(mat_vec(F, A, src))
+            # the images under every generator, in order, from one product
+            queue.extend(mat_vec(F, stacked, ech.rows[-1]).reshape(-1, n))
     return ech.subspace()
 
 
@@ -396,6 +396,7 @@ def chop(
         rec(quoM, d - sub.dim, mat_mul(F, qincl, lift), seed + 1)
 
     rec(gens, dim, eye(dim), seed)
+    del rec  # a self-referencing closure: free its data now, not at a full gc
     out = []
     acc = None
     for piece in chain:
@@ -517,17 +518,17 @@ def radical(E: EndoAlgebra, seed: int = 0) -> list[np.ndarray]:
         prev = S
     # unknowns: coordinates over E.basis; equations: each composition-series
     # term must be pushed into the previous one
-    cols = []
-    for b in E.basis:
-        eqs = []
-        for new_vecs, below in levels:
-            img = mat_mul(F, b, new_vecs.T).T  # images of the lifted vectors
-            if below is not None:
-                img = linalg.reduce_mod(F, below, img)
-            eqs.append(img.ravel())
-        cols.append(np.concatenate(eqs))
-    sys = np.array(cols).T
-    ker = linalg.kernel(F, sys)
+    nb = len(E.basis)
+    stacked = np.concatenate(E.basis)
+    eqs = []
+    for new_vecs, below in levels:
+        # rows: the images of the lifted vectors under each basis element
+        img = mat_mul(F, stacked, new_vecs.T).reshape(nb, d, -1)
+        img = img.transpose(0, 2, 1).reshape(-1, d)
+        if below is not None:
+            img = linalg.reduce_mod(F, below, img)
+        eqs.append(img.reshape(nb, -1))
+    ker = linalg.kernel(F, np.concatenate(eqs, axis=1).T)
     return [E.element(c) for c in ker]
 
 
@@ -607,10 +608,9 @@ def lift_idempotent(F: FieldCtx, a: np.ndarray, s: int) -> np.ndarray:
     return e
 
 
-def _split_once(E: EndoAlgebra, seed: int) -> np.ndarray | None:
-    """A nontrivial idempotent of E, or None when E is local."""
+def _split_once(E: EndoAlgebra, J: list[np.ndarray], seed: int) -> np.ndarray | None:
+    """A nontrivial idempotent of E, or None when E is local (J = J(E))."""
     F = E.module.F
-    J = radical(E, seed=seed)
     lifts, quo_coords = semisimple_quotient(E, J)
     r = len(lifts)
     if r == 1:
@@ -651,18 +651,20 @@ def _split_once(E: EndoAlgebra, seed: int) -> np.ndarray | None:
     raise AssertionError("failed to split a non-local endomorphism algebra")
 
 
-def _compress_endo(E: EndoAlgebra, e: np.ndarray, comp_mod, incl, proj):
-    """e E e compressed to the component's coordinates."""
-    F = E.module.F
-    seen = linalg.Echelon(F, comp_mod.dim ** 2)
+def _compress_corner(F, mats, e: np.ndarray, incl, proj) -> list[np.ndarray]:
+    """A basis of the span of e X e over X in mats, in the component's
+    coordinates: the independent nonzero compressions, in order."""
+    if not mats:
+        return []
+    # X e incl for all X stacked, then proj e times all of them side by side
+    right = np.split(mat_mul(F, np.concatenate(mats), mat_mul(F, e, incl)), len(mats))
+    both = mat_mul(F, mat_mul(F, proj, e), np.hstack(right))
+    seen = linalg.Echelon(F, incl.shape[1] ** 2)
     basis = []
-    for b in E.basis:
-        c = mat_mul(F, proj, mat_mul(F, e, mat_mul(F, b, mat_mul(F, e, incl))))
-        if c.any() and seen.insert(c.ravel()):
-            basis.append(c)
-    # compression is not multiplicative, so compressed generators of E need
-    # not generate the corner algebra; the basis always does
-    return EndoAlgebra(comp_mod, basis)
+    for x in np.hsplit(both, len(mats)):
+        if x.any() and seen.insert(x.ravel()):
+            basis.append(x.copy())
+    return basis
 
 
 def decompose(
@@ -672,10 +674,10 @@ def decompose(
     E = endo if endo is not None else end_algebra(M)
     comps: list[Component] = []
 
-    def rec(E: EndoAlgebra, lift_incl, lift_proj, outer_e, seed: int):
+    def rec(E: EndoAlgebra, J, lift_incl, lift_proj, outer_e, seed: int):
         # lift_incl/lift_proj: maps between component coords and ambient M;
         # outer_e: the ambient idempotent projecting onto this component
-        e = _split_once(E, seed)
+        e = _split_once(E, J, seed)
         if e is None:
             comps.append(
                 Component(
@@ -690,7 +692,11 @@ def decompose(
         for part in (e, e ^ eye(E.module.dim)):
             S = linalg.col_space(F, part)
             comp_mod, incl, proj = sub_module(E.module, S)
-            Ec = _compress_endo(E, part, comp_mod, incl, proj)
+            # compression is not multiplicative, so compressed generators of
+            # E need not generate the corner algebra; the basis always does.
+            # J(eEe) = e J(E) e, so the corner's radical is compressed too
+            Ec = EndoAlgebra(comp_mod, _compress_corner(F, E.basis, part, incl, proj))
+            Jc = _compress_corner(F, J, part, incl, proj)
             # ambient inclusion/projection/idempotent
             amb_incl = mat_mul(F, lift_incl, incl)
             amb_proj = mat_mul(F, proj, mat_mul(F, part, lift_proj))
@@ -698,9 +704,10 @@ def decompose(
                 F, lift_incl, mat_mul(F, part, lift_proj)
             )
             amb_e = mat_mul(F, amb_e, outer_e)
-            rec(Ec, amb_incl, amb_proj, amb_e, seed + 1)
+            rec(Ec, Jc, amb_incl, amb_proj, amb_e, seed + 1)
 
-    rec(E, eye(M.dim), eye(M.dim), eye(M.dim), seed)
+    rec(E, radical(E, seed), eye(M.dim), eye(M.dim), eye(M.dim), seed)
+    del rec  # a self-referencing closure: free its data now, not at a full gc
     comps.sort(key=lambda c: (c.module.dim, c.subspace.basis.tobytes()))
     # group by isomorphism class
     mults: list[int] = []
@@ -722,7 +729,7 @@ def is_indecomposable(M: ModuleRep, endo: EndoAlgebra | None = None) -> bool:
     E = endo if endo is not None else end_algebra(M)
     # indecomposable iff the endomorphism algebra is local, i.e. unsplittable
     # (the residue algebra may be a proper field extension of the base field)
-    return _split_once(E, 0) is None
+    return _split_once(E, radical(E, 0), 0) is None
 
 
 # -- isomorphism ----------------------------------------------------------

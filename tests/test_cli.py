@@ -91,6 +91,17 @@ def test_out_of_field_entry_exit_code(tmp_path, capsys):
     assert "outside GF(2)" in capsys.readouterr().err
 
 
+def test_out_of_range_generator_exit_code(tmp_path, s3_files, capsys):
+    _, m = s3_files
+    table = catalog.suite_group("S3").mult.tolist()
+    for bad in (7, -1):
+        g = tmp_path / f"s3-table-{bad}.json"
+        g.write_text(json.dumps({"table": table, "generators": [1, bad]}))
+        assert cli.main(["vertices", str(g), m]) == 2
+        assert cli.main(["blocks", str(g)]) == 2
+        assert "generator id outside range(6)" in capsys.readouterr().err
+
+
 def test_unknown_suite_exit_code(capsys):
     assert cli.main(["verify", "nope"]) == 2
 

@@ -32,6 +32,36 @@ def test_mat_mul_associative_distributive(A, B, C):
     ).all()
 
 
+def _scalar_mat_mul(F, A, B):
+    C = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            for a, b in zip(A[i], B[:, j]):
+                C[i, j] ^= F.mul(int(a), int(b))
+    return C
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+def test_mat_mul_matches_scalar_reference(m):
+    F = make_field(m)
+    rng = np.random.default_rng(m)
+    shapes = [(3, k, 4) for k in (0, 1, 2, 9)] + [(1, 9, 1), (5, 1, 1)]
+    if m > 1:
+        # wider than the inner chunk of the plan with the most planes
+        shapes.append((1, F.mat_mul_plans[0][2] + 1, 1))
+        if m > 2:
+            shapes.append((2, 2 * F.mat_mul_plans[0][2] + 3, 3))
+    for r, k, c in shapes:
+        # all-ones bits fill every field of the spread product
+        for A, B in [
+            (rng.integers(0, F.q, (r, k)), rng.integers(0, F.q, (k, c))),
+            (np.full((r, k), F.q - 1), np.full((k, c), F.q - 1)),
+        ]:
+            got = linalg.mat_mul(F, A, B)
+            assert got.shape == (r, c) and got.dtype == np.int64
+            assert (got == _scalar_mat_mul(F, A, B)).all(), (r, k, c)
+
+
 @given(matrices(F2, 4, 6))
 def test_rref_rank_kernel_dims(A):
     r = linalg.rank(F2, A)

@@ -3,6 +3,7 @@
 import functools
 import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -316,3 +317,55 @@ def test_lift_idempotent():
     out = rep.lift_idempotent(F2, a, s)
     assert (linalg.mat_mul(F2, out, out) == out).all()
     assert linalg.is_nilpotent(F2, out ^ a)
+
+
+def _corner_modules():
+    for F in (F2, F4):
+        for name in ("S3", "A4", "D12", "C3:C4", "S4", "SL(2,3)"):
+            G = catalog.suite_group(name)
+            yield f"{name}-regular-gf{F.q}", rep.regular_module(G, F)
+        for name in ("S4", "S5"):
+            G = catalog.suite_group(name)
+            yield f"{name}-perm-gf{F.q}", rep.permutation_module(G, F)
+        yield f"D12-pim-gf{F.q}", catalog.d12_pim(F)[0]
+    yield "GL(3,2):2-induced-gf2", catalog.gl32_induced_module(F2)[0]
+
+
+@pytest.mark.parametrize("seed", [0, 20240401])
+def test_compressed_radical_is_the_corner_radical(seed):
+    # J(eEe) = e J(E) e: decompose compresses J(E) instead of re-chopping
+    split = 0
+    for label, M in _corner_modules():
+        assert M.dim <= 24
+        F = M.F
+        E = rep.end_algebra(M)
+        J = rep.radical(E, seed)
+        e = rep._split_once(E, J, seed)
+        if e is None:
+            continue
+        split += 1
+        for part in (e, e ^ linalg.eye(M.dim)):
+            comp, incl, proj = rep.sub_module(M, linalg.col_space(F, part))
+            basis = rep._compress_corner(F, E.basis, part, incl, proj)
+            Ec = rep.EndoAlgebra(comp, basis)
+            Jc = rep._compress_corner(F, J, part, incl, proj)
+            n2 = comp.dim**2
+            got, want = (
+                linalg.Subspace(F, n2, np.array([x.ravel() for x in X]))
+                for X in (Jc, rep.radical(Ec, seed + 1))
+            )
+            assert got == want, label
+    assert split >= 10
+
+
+def test_decompose_frees_its_recursion_without_gc():
+    # the recursive helper refers to itself; were that cycle left in place,
+    # the components would live on until the next full collection
+    gc.disable()
+    try:
+        cert = rep.decompose(rep.regular_module(S3, F2))
+        ref = weakref.ref(cert.components[0].idempotent)
+        del cert
+        assert ref() is None
+    finally:
+        gc.enable()
