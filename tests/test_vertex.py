@@ -217,3 +217,32 @@ def test_report_to_dict_shape():
     assert d["green_vertex"]["order"] == 1
     assert len(d["symmetric_vertices"]) == 1
     assert isinstance(d["symmetric_vertices"][0]["form_hash"], str)
+
+
+def test_sym_projective_exhaustive_search_order():
+    # trivial^3 at a Sylow 2-subgroup of S3: no basis trace is a unit and
+    # not all are nilpotent, so the exhaustive combination search decides
+    M = rep.direct_sum([rep.trivial_module(S3, F2)] * 3)
+    H = S3.sylow2()
+    base = forms.base_form(M)
+    fixed = vertex.sigma_fixed_basis(M, forms.Adjoint(base), H)
+    traces = vertex.rel_trace_batch(M, fixed, H)
+    assert len(fixed) == 6
+    assert not any(linalg.is_invertible(F2, t) for t in traces)
+    assert not all(linalg.is_nilpotent(F2, t) for t in traces)
+    # the first unit in little-endian mask order, as first written
+    want = None
+    for mask in range(1, 2**6):
+        coeffs = [mask >> i & 1 for i in range(6)]
+        t = np.zeros((3, 3), dtype=np.int64)
+        a = np.zeros((3, 3), dtype=np.int64)
+        for c, u, tu in zip(coeffs, fixed, traces):
+            if c:
+                t ^= tu
+                a ^= u
+        if linalg.is_invertible(F2, t):
+            want = (a, t)
+            break
+    cert = vertex.is_sym_projective(M, H, base)
+    assert want is not None and cert.projective
+    assert (cert.alpha == want[0]).all() and (cert.theta == want[1]).all()
