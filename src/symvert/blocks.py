@@ -25,7 +25,7 @@ from . import forms, linalg, polys, rep, vertex
 from .field import FieldCtx
 from .forms import Adjoint, GForm
 from .group import GroupTable, Subgroup, direct_product
-from .linalg import Subspace, eye, mat_mul, mat_vec, zeros
+from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul, mat_vec, zeros
 from .rep import ModuleRep
 
 
@@ -160,14 +160,10 @@ def _split_central(Z, e, s, rng):
         v = Z.mul(e, b)
         if v.any() and ech.insert(v):
             vecs.append(v)
-    cands = list(vecs)
-    for _ in range(40):  # random fallback for the rare unseparated case
-        v = np.zeros(Z.n, dtype=np.int64)
-        for w in vecs:
-            c = rng.randrange(F.q)
-            if c:
-                v ^= F.vscale(c, w)
-        cands.append(v)
+    # random fallback for the rare unseparated case, built in full: the
+    # shared rng must advance by 40 draws whatever this call finds
+    draws = coefficient_vectors(F.q, len(vecs), rng, 0, 40)
+    cands = vecs + [combine(F, c, vecs) for c in draws]
     space = ech.subspace()
     for z in cands:
         Mz = np.array([space.coords(Z.mul(z, b)) for b in space.basis]).T
@@ -292,12 +288,9 @@ def block_of_module(M: ModuleRep, blocks: list[BlockInfo] | None = None) -> Bloc
     F = M.F
     if blocks is None:
         blocks = block_decomposition(G, F)
-    acts = M.full_action()
+    acts = [M.action(g) for g in range(G.order)]
     for b in blocks:
-        A = zeros(M.dim, M.dim)
-        vec = b.group_algebra_vector
-        for g in np.nonzero(vec)[0]:
-            A ^= F.vscale(int(vec[g]), acts[g])
+        A = combine(F, b.group_algebra_vector, acts)
         if (A == eye(M.dim)).all():
             return b
     raise ValueError("no block acts as the identity (module not indecomposable?)")

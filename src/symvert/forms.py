@@ -21,7 +21,7 @@ import numpy as np
 from . import linalg, polys, rep
 from .field import FieldCtx
 from .group import GroupTable, Subgroup
-from .linalg import Subspace, eye, mat_mul, mat_vec, zeros
+from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul, mat_vec, zeros
 from .rep import EndoAlgebra, ModuleRep
 
 
@@ -144,15 +144,7 @@ def _sub_slice(F, basis, symplectic: bool):
         if symplectic:
             cond = np.concatenate([cond, np.diag(b)])
         cols.append(cond)
-    ker = linalg.kernel(F, np.array(cols).T)
-    out = []
-    for c in ker:
-        g = zeros(*basis[0].shape)
-        for ci, b in zip(c, basis):
-            if ci:
-                g ^= F.vscale(int(ci), b)
-        out.append(g)
-    return out
+    return [combine(F, c, basis) for c in linalg.kernel(F, np.array(cols).T)]
 
 
 def base_form(M: ModuleRep, seed: int = 0) -> GForm | None:
@@ -166,30 +158,11 @@ def base_form(M: ModuleRep, seed: int = 0) -> GForm | None:
     for g in sym:
         if linalg.is_invertible(F, g):
             return GForm(M, g)
-    h = len(sym)
-    if h >= 2:
-        if F.q**h <= 4096:
-            for mask in range(1, F.q**h):
-                coeffs, x = [], mask
-                for _ in range(h):
-                    coeffs.append(x % F.q)
-                    x //= F.q
-                g = zeros(M.dim, M.dim)
-                for c, b in zip(coeffs, sym):
-                    if c:
-                        g ^= F.vscale(c, b)
-                if linalg.is_invertible(F, g):
-                    return GForm(M, g)
-        else:
-            rng = random.Random(seed)
-            for _ in range(500):
-                g = zeros(M.dim, M.dim)
-                for b in sym:
-                    c = rng.randrange(F.q)
-                    if c:
-                        g ^= F.vscale(c, b)
-                if linalg.is_invertible(F, g):
-                    return GForm(M, g)
+    rng = random.Random(seed)
+    for c in coefficient_vectors(F.q, len(sym), rng, 4096, 500):
+        g = combine(F, c, sym)
+        if linalg.is_invertible(F, g):
+            return GForm(M, g)
     return None
 
 
@@ -268,11 +241,8 @@ def lift_selfadjoint_idempotent(
         rep.lift_idempotent(F, polys.eval_matrix(F, u, b), s)
         for u in polys.crt_idempotents(F, fac)
     ]
-    for mask in range(1, 1 << len(prim)):
-        e = zeros(E.module.dim, E.module.dim)
-        for i, p in enumerate(prim):
-            if mask >> i & 1:
-                e ^= p
+    for c in coefficient_vectors(2, len(prim), None, 2 ** len(prim), 0):
+        e = combine(F, c, prim)
         if (mat_mul(F, e, e) == e).all() and in_I(e ^ a) and (sigma(e) == e).all():
             return e
     raise AssertionError("no self-adjoint idempotent lift found")
@@ -337,10 +307,7 @@ def extend_form_from_summand(
     x, _ = linalg.solve(F, np.array(cols).T, bhat.ravel())
     if x is None:
         raise AssertionError("no extension exists; form not H-invariant?")
-    theta = zeros(B.module.dim, B.module.dim)
-    for c, t in zip(x, cand):
-        if c:
-            theta ^= F.vscale(int(c), t)
+    theta = combine(F, x, cand)
     return theta, form_from_endo(B, theta)
 
 
@@ -582,12 +549,8 @@ def _seeded_automorphism(
     basis, or None."""
     F = M.F
     rng = random.Random(seed)
-    for _ in range(50):
-        u = zeros(M.dim, M.dim)
-        for b in basis:
-            c = rng.randrange(F.q)
-            if c:
-                u ^= F.vscale(c, b)
+    for c in coefficient_vectors(F.q, len(basis), rng, 0, 50):
+        u = combine(F, c, basis)
         if linalg.is_invertible(F, u):
             return u
     return None

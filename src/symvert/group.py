@@ -19,41 +19,41 @@ class GroupTable:
     def __init__(
         self,
         mult: np.ndarray,
-        generators: list[int],
+        generators: list[int] | None,
         perms: list[tuple[int, ...]] | None = None,
     ):
+        """A group from its multiplication table, checked exactly: a Latin
+        square with identity 0, generated by `generators` (None: derive
+        them), and associative by Light's test over the generators."""
         self.mult = np.asarray(mult, dtype=np.int64)
-        self.order = self.mult.shape[0]
-        self.generators = list(generators)
-        if any(not 0 <= g < self.order for g in self.generators):
-            raise ValueError(f"generator id outside range({self.order})")
-        self.perms = perms  # optional permutation labels, 0-based images
-        inv = np.zeros(self.order, dtype=np.int64)
-        for x in range(self.order):
-            row = np.nonzero(self.mult[x] == 0)[0]
-            if row.size != 1:
-                raise ValueError("not a group table: missing/duplicate inverse")
-            inv[x] = row[0]
-        self.inv = inv
-        if (self.mult[0] != np.arange(self.order)).any() or (
-            self.mult[:, 0] != np.arange(self.order)
-        ).any():
+        n = self.order = self.mult.shape[0]
+        ids = np.arange(n)
+        if self.mult.shape != (n, n) or not (
+            (np.sort(self.mult, axis=0) == ids[:, None]).all()
+            and (np.sort(self.mult, axis=1) == ids).all()
+        ):
+            raise ValueError("not a group table: not a Latin square")
+        if (self.mult[0] != ids).any() or (self.mult[:, 0] != ids).any():
             raise ValueError("id 0 is not the identity")
-        self._spot_check_associativity()
+        self.inv = np.argmin(self.mult, axis=1)  # the 0 in each row
+        if generators is None:
+            generators = Subgroup(self, tuple(range(n)), None).gens
+        self.generators = list(generators)
+        if any(not 0 <= g < n for g in self.generators):
+            raise ValueError(f"generator id outside range({n})")
+        if self.closure(self.generators).order != n:
+            raise ValueError("generators do not generate the table")
+        # (x g) y = x (g y) for every generator g makes the table associative
+        for g in self.generators:
+            if (self.mult[self.mult[:, g]] != self.mult[:, self.mult[g]]).any():
+                raise ValueError("multiplication table is not associative")
+        self.perms = perms  # optional permutation labels, 0-based images
         self._orders: np.ndarray | None = None
         self._classes: list[ConjClass] | None = None
         self._class_of: np.ndarray | None = None
         # standalone subgroup tables, keyed by element set; the first entry
         # wins, since its generators fix the element ids callers see
         self.subgroup_tables: dict[tuple[int, ...], tuple] = {}
-
-    def _spot_check_associativity(self) -> None:
-        rng = np.random.default_rng(12345)
-        n = self.order
-        for _ in range(min(64, n * n)):
-            a, b, c = rng.integers(0, n, size=3)
-            if self.mult[self.mult[a, b], c] != self.mult[a, self.mult[b, c]]:
-                raise ValueError("multiplication table is not associative")
 
     # -- basic queries ----------------------------------------------------
 
@@ -284,10 +284,14 @@ class GroupTable:
 
     # -- cosets -----------------------------------------------------------
 
-    def left_transversal(self, H: "Subgroup") -> list[int]:
+    def left_transversal(self, H: "Subgroup", K: "Subgroup | None" = None) -> list[int]:
+        """Left transversal of H in K (None: the whole group), H <= K: the
+        first element of each coset in K's element order."""
+        if K is not None and not self.is_subgroup_of(H, K):
+            raise ValueError("H is not contained in K")
         seen = np.zeros(self.order, dtype=bool)
         reps = []
-        for g in range(self.order):
+        for g in range(self.order) if K is None else K.elements:
             if not seen[g]:
                 reps.append(g)
                 for h in H.elements:
@@ -468,36 +472,8 @@ def group_from_dict(data: dict) -> GroupTable:
     if "points" in data:
         return from_permutations(data["points"], data["generators"])
     if "table" in data:
-        table = np.asarray(data["table"], dtype=np.int64)
-        gens = data.get("generators")
-        if gens is None:
-            gens = _table_generators(table)
-        return GroupTable(table, gens)
+        return GroupTable(data["table"], data.get("generators"))
     raise ValueError("group file needs 'points'+'generators' or 'table'")
-
-
-def _table_generators(table: np.ndarray) -> list[int]:
-    n = table.shape[0]
-    gens: list[int] = []
-    have = {0}
-    for x in range(1, n):
-        if x not in have:
-            gens.append(x)
-            # closure under current gens
-            frontier = [0]
-            have = {0}
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for g in gens:
-                        z = int(table[y, g])
-                        if z not in have:
-                            have.add(z)
-                            nxt.append(z)
-                frontier = nxt
-            if len(have) == n:
-                break
-    return gens
 
 
 def group_to_dict(G: GroupTable) -> dict:

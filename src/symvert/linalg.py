@@ -25,6 +25,29 @@ def mat_add(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.bitwise_xor(A, B)
 
 
+def combine(F: FieldCtx, coeffs, mats) -> np.ndarray:
+    """sum_i coeffs[i] * mats[i] over equal-shape matrices or vectors (at
+    least one)."""
+    out = np.zeros_like(mats[0], dtype=np.int64)
+    for c, b in zip(coeffs, mats):
+        if c:
+            out ^= F.vscale(int(c), b)
+    return out
+
+
+def coefficient_vectors(q: int, h: int, rng, exhaustive_upto: int, draws: int):
+    """Coefficient vectors of length h for a combination search.  When
+    q^h <= exhaustive_upto: every nonzero vector, in little-endian mask
+    order (c_i = mask // q^i mod q).  Otherwise: `draws` vectors, each
+    drawn entry by entry with rng.randrange(q)."""
+    if q**h <= exhaustive_upto:
+        for mask in range(1, q**h):
+            yield [mask // q**i % q for i in range(h)]
+    else:
+        for _ in range(draws):
+            yield [rng.randrange(q) for _ in range(h)]
+
+
 def mat_mul(F: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Matrix product.  GF(2): one integer matmul mod 2.  GF(2^m): bit-sliced
     onto exact float64 BLAS products (after Albrecht's M4RIE).  Bit i of each

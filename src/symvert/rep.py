@@ -10,6 +10,7 @@ idempotent with the repeated-squaring device, and recurse on both summands.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ import numpy as np
 from . import linalg, polys
 from .field import FieldCtx, make_field
 from .group import GroupTable, Subgroup
-from .linalg import Subspace, eye, mat_mul, mat_vec, zeros
+from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul, mat_vec, zeros
 
 
 class ModuleRep:
@@ -299,12 +300,7 @@ class EndoAlgebra:
         return len(self.basis)
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
-        F = self.module.F
-        out = zeros(self.module.dim, self.module.dim)
-        for c, b in zip(coeffs, self.basis):
-            if c:
-                out ^= F.vscale(int(c), b)
-        return out
+        return combine(self.module.F, coeffs, self.basis)
 
 
 def end_algebra(
@@ -440,11 +436,7 @@ def _random_algebra_element(F, gens, rng, pool: list[np.ndarray]) -> np.ndarray:
         b = pool[rng.randrange(len(pool))]
         x = mat_mul(F, a, b)
     else:
-        x = zeros(n, n)
-        for g in gens:
-            c = rng.randrange(F.q)
-            if c:
-                x ^= F.vscale(c, g)
+        x = combine(F, [rng.randrange(F.q) for _ in gens], gens)
         if rng.random() < 0.5:
             x ^= F.vscale(rng.randrange(1, F.q), eye(n))
     pool.append(x)
@@ -618,15 +610,9 @@ def _split_once(E: EndoAlgebra, J: list[np.ndarray], seed: int) -> np.ndarray | 
     # multiplication-by-a matrix on E/J for deterministic seeded elements
     rng = random.Random(seed)
     s = idempotent_power_exponent(E.dim)
-    for attempt in range(400):
-        if attempt < len(lifts):
-            a = lifts[attempt]
-        else:
-            a = zeros(E.module.dim, E.module.dim)
-            for b in lifts:
-                c = rng.randrange(F.q)
-                if c:
-                    a ^= F.vscale(c, b)
+    draws = coefficient_vectors(F.q, r, rng, 0, 400 - r)
+    cands = itertools.chain(lifts, (combine(F, c, lifts) for c in draws))
+    for attempt, a in enumerate(cands):
         La = np.array(
             [quo_coords(mat_mul(F, a, b)) for b in lifts]
         ).T  # columns: a*lift_j in quotient coords
@@ -745,28 +731,9 @@ def module_iso(M: ModuleRep, N: ModuleRep, seed: int = 0) -> np.ndarray | None:
     for h in homs:
         if linalg.is_invertible(F, h):
             return h
-    h = len(homs)
-    if F.q ** h <= 4096:
-        for mask in range(1, F.q ** h):
-            coeffs = []
-            x = mask
-            for _ in range(h):
-                coeffs.append(x % F.q)
-                x //= F.q
-            cand = zeros(M.dim, M.dim)
-            for c, b in zip(coeffs, homs):
-                if c:
-                    cand ^= F.vscale(c, b)
-            if linalg.is_invertible(F, cand):
-                return cand
-        return None
     rng = random.Random(seed)
-    for _ in range(500):
-        cand = zeros(M.dim, M.dim)
-        for b in homs:
-            c = rng.randrange(F.q)
-            if c:
-                cand ^= F.vscale(c, b)
+    for c in coefficient_vectors(F.q, len(homs), rng, 4096, 500):
+        cand = combine(F, c, homs)
         if linalg.is_invertible(F, cand):
             return cand
     return None

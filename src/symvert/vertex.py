@@ -20,23 +20,9 @@ import numpy as np
 
 from . import forms, linalg, rep
 from .forms import Adjoint, GForm
-from .group import GroupTable, Subgroup
-from .linalg import Subspace, eye, mat_mul, zeros
+from .group import Subgroup
+from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul, zeros
 from .rep import ModuleRep
-
-
-def transversal_in(G: GroupTable, H: Subgroup, K: Subgroup) -> list[int]:
-    """Left transversal of H in K (both subgroups of G, H <= K)."""
-    if not G.is_subgroup_of(H, K):
-        raise ValueError("H is not contained in K")
-    seen: set[int] = set()
-    reps = []
-    for t in K.elements:
-        if t not in seen:
-            reps.append(t)
-            for h in H.elements:
-                seen.add(G.mul(t, h))
-    return reps
 
 
 def rel_trace(
@@ -52,9 +38,7 @@ def rel_trace_batch(
     """Relative traces of several endomorphisms at once (shared transversal)."""
     G = M.group
     F = M.F
-    if K is None:
-        K = Subgroup(G, tuple(range(G.order)), tuple(G.generators))
-    trans = transversal_in(G, H, K)
+    trans = G.left_transversal(H, K)
     d = M.dim
     h = len(fs)
     C = np.concatenate(fs, axis=1)  # d x (h d)
@@ -92,11 +76,7 @@ def is_projective(M: ModuleRep, H: Subgroup) -> ProjectivityCert:
     x, _ = linalg.solve(F, A, eye(M.dim).ravel())
     if x is None:
         return ProjectivityCert(False, None)
-    alpha = zeros(M.dim, M.dim)
-    for c, b in zip(x, basis):
-        if c:
-            alpha ^= F.vscale(int(c), b)
-    return ProjectivityCert(True, alpha)
+    return ProjectivityCert(True, combine(F, x, basis))
 
 
 def is_summand(M: ModuleRep, N: ModuleRep) -> bool:
@@ -187,15 +167,7 @@ def sigma_fixed_basis(
     if not basis:
         return []
     cols = [(b ^ sigma(b)).ravel() for b in basis]
-    ker = linalg.kernel(F, np.array(cols).T)
-    out = []
-    for c in ker:
-        u = zeros(M.dim, M.dim)
-        for ci, b in zip(c, basis):
-            if ci:
-                u ^= F.vscale(int(ci), b)
-        out.append(u)
-    return out
+    return [combine(F, c, basis) for c in linalg.kernel(F, np.array(cols).T)]
 
 
 @dataclass
@@ -229,10 +201,7 @@ def form_is_H_projective(
     x, _ = linalg.solve(F, A, theta.ravel())
     if x is None:
         return FormProjectivityCert(False)
-    alpha = zeros(M.dim, M.dim)
-    for c, u in zip(x, fixed):
-        if c:
-            alpha ^= F.vscale(int(c), u)
+    alpha = combine(F, x, fixed)
     cert = FormProjectivityCert(True, alpha)
     _build_form_isometry(B, theta, alpha, H, cert)
     return cert
@@ -317,23 +286,13 @@ def is_sym_projective(
         # whole traced subspace
         return SymProjectivityCert(False, base=base)
     # E_G(M) not local (or base pathology): search combinations
-    h = len(fixed)
-    if F.q**h <= 65536:
-        for mask in range(1, F.q**h):
-            coeffs, x = [], mask
-            for _ in range(h):
-                coeffs.append(x % F.q)
-                x //= F.q
-            t = zeros(M.dim, M.dim)
-            a = zeros(M.dim, M.dim)
-            for c, (u, tu) in zip(coeffs, zip(fixed, traces)):
-                if c:
-                    t ^= F.vscale(c, tu)
-                    a ^= F.vscale(c, u)
-            if linalg.is_invertible(F, t):
-                return SymProjectivityCert(True, a, t, base)
-        return SymProjectivityCert(False, base=base)
-    raise AssertionError("unit search space too large for a non-local algebra")
+    if F.q ** len(fixed) > 65536:
+        raise AssertionError("unit search space too large for a non-local algebra")
+    for c in coefficient_vectors(F.q, len(fixed), None, 65536, 0):
+        t = combine(F, c, traces)
+        if linalg.is_invertible(F, t):
+            return SymProjectivityCert(True, combine(F, c, fixed), t, base)
+    return SymProjectivityCert(False, base=base)
 
 
 @dataclass

@@ -6,7 +6,7 @@ import pytest
 
 from symvert import catalog, cli, rep
 from symvert.field import make_field
-from symvert.group import group_to_dict
+from symvert.group import GroupTable, group_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,21 @@ def test_out_of_range_generator_exit_code(tmp_path, s3_files, capsys):
         assert cli.main(["vertices", str(g), m]) == 2
         assert cli.main(["blocks", str(g)]) == 2
         assert "generator id outside range(6)" in capsys.readouterr().err
+
+
+def test_non_group_table_exit_code(tmp_path, s3_files, capsys):
+    # one 0 in each row, but no Latin square: once accepted, `blocks` then
+    # looped forever in element_order and `vertices` stalled in sylow2
+    _, m = s3_files
+    table = [[0, 1, 2, 3], [1, 0, 1, 1], [2, 0, 1, 2], [3, 1, 2, 0]]
+    for gens in (None, [1, 2, 3]):
+        with pytest.raises(ValueError):
+            GroupTable(table, gens)
+    for i, extra in enumerate(({}, {"generators": [1, 2, 3]})):
+        g = tmp_path / f"non-group-{i}.json"
+        g.write_text(json.dumps({"table": table, **extra}))
+        assert cli.main(["vertices", str(g), m]) == 2
+        assert cli.main(["blocks", str(g)]) == 2
 
 
 def test_unknown_suite_exit_code(capsys):

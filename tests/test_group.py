@@ -7,6 +7,7 @@ import pytest
 from symvert import catalog
 from symvert.group import (
     FeasibilityError,
+    GroupTable,
     direct_product,
     from_permutations,
     group_from_dict,
@@ -165,6 +166,16 @@ def test_left_transversal_partitions():
     assert seen == set(range(6))
 
 
+def test_left_transversal_in_subgroup():
+    P = S4.sylow2()
+    H = [K for K in S4.two_subgroups_up_to_conjugacy()
+         if K.order == 4 and S4.is_subgroup_of(K, P)][0]
+    T = S4.left_transversal(H, P)
+    assert len(T) == 2
+    with pytest.raises(ValueError):
+        S4.left_transversal(P, H)
+
+
 def test_double_cosets_cover():
     H = S4.sylow2()
     K = S4.closure([x for x in range(S4.order) if S4.element_order(x) == 3][:1])
@@ -190,6 +201,40 @@ def test_direct_product():
 def test_from_permutations_rejects_garbage():
     with pytest.raises((ValueError, AssertionError, IndexError)):
         from_permutations(3, [[1, 1, 2]])  # not a permutation
+
+
+def test_table_validation_is_exact():
+    # a Latin square with identity 0 in which every x squares to 0: a loop
+    # of order 5, hence not associative, whatever the generators
+    loop5 = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    for gens in (None, [1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="not associative"):
+            GroupTable(loop5, gens)
+    rows = S3.mult.copy()
+    rows[1, [2, 3]] = rows[1, [3, 2]]  # rows stay permutations, columns not
+    with pytest.raises(ValueError, match="Latin square"):
+        GroupTable(rows, None)
+    with pytest.raises(ValueError, match="do not generate"):
+        GroupTable(S3.mult, [S3.involutions()[0]])
+    assert GroupTable(S3.mult, None).closure(S3.generators).order == 6
+
+
+def test_table_generators_are_derived_greedily():
+    # the first element outside the span of the earlier picks, in id order
+    for name in ("S3", "D12", "SL(2,3)", "GL(3,2):2"):
+        G = catalog.suite_group(name)
+        gens = group_from_dict({"table": G.mult.tolist()}).generators
+        assert G.closure(gens).order == G.order
+        for i, g in enumerate(gens):
+            span = G.closure(gens[:i]).elements
+            assert g not in span
+            assert all(x in span for x in range(g))
 
 
 def test_serialization_round_trip(tmp_path):

@@ -1,5 +1,8 @@
 """Exact linear algebra over GF(2^m)."""
 
+import itertools
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,6 +64,42 @@ def test_mat_mul_matches_scalar_reference(m):
             assert got.shape == (r, c) and got.dtype == np.int64
             assert (got == _scalar_mat_mul(F, A, B)).all(), (r, k, c)
 
+
+
+@pytest.mark.parametrize("q, h", [(2, 1), (2, 4), (4, 1), (4, 3)])
+def test_coefficient_vectors_exhaustive_order(q, h):
+    # little-endian masks: the first coefficient runs fastest
+    want = [list(t[::-1]) for t in itertools.product(range(q), repeat=h)][1:]
+    assert list(linalg.coefficient_vectors(q, h, None, q**h, 0)) == want
+    if (q, h) == (2, 4):
+        assert want[:4] == [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0]]
+
+
+@pytest.mark.parametrize("seed", [0, 20240401])
+@pytest.mark.parametrize("q, h", [(2, 5), (4, 3)])
+def test_coefficient_vectors_draw_order(q, h, seed):
+    # past the exhaustive bound: entry-by-entry draws from the caller's rng
+    ref = random.Random(seed)
+    want = [[ref.randrange(q) for _ in range(h)] for _ in range(7)]
+    rng = random.Random(seed)
+    got = list(linalg.coefficient_vectors(q, h, rng, q**h - 1, 7))
+    assert got == want
+    assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_combine_matches_scalar_reference(m):
+    F = make_field(m)
+    rng = np.random.default_rng(m)
+    for shape in [(3, 4), (5,)]:
+        mats = list(rng.integers(0, F.q, (4,) + shape))
+        coeffs = [0, 1, F.q - 1, int(rng.integers(0, F.q))]
+        want = np.zeros(shape, dtype=np.int64)
+        for idx in np.ndindex(*shape):
+            for c, b in zip(coeffs, mats):
+                want[idx] ^= F.mul(c, int(b[idx]))
+        got = linalg.combine(F, np.array(coeffs), mats)
+        assert got.dtype == np.int64 and (got == want).all()
 
 @given(matrices(F2, 4, 6))
 def test_rref_rank_kernel_dims(A):

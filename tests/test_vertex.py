@@ -17,16 +17,6 @@ def two_dim_simple(G):
     return [m for m in rep.irreducible_modules(G, F2) if m.dim == 2][0]
 
 
-def test_transversal_in():
-    P = S4.sylow2()
-    H = [K for K in S4.two_subgroups_up_to_conjugacy()
-         if K.order == 4 and S4.is_subgroup_of(K, P)][0]
-    T = vertex.transversal_in(S4, H, P)
-    assert len(T) == 2
-    with pytest.raises(ValueError):
-        vertex.transversal_in(S4, P, H)
-
-
 def test_rel_trace_transitivity():
     M = rep.regular_module(S4, F2)
     P = S4.sylow2()
