@@ -26,7 +26,7 @@ class GroupTable:
         square with identity 0, generated by `generators` (None: derive
         them), and associative by Light's test over the generators."""
         self.mult = np.asarray(mult, dtype=np.int64)
-        n = self.order = self.mult.shape[0]
+        n = self.order = self.mult.shape[0] if self.mult.ndim == 2 else 0
         ids = np.arange(n)
         if self.mult.shape != (n, n) or not (
             (np.sort(self.mult, axis=0) == ids[:, None]).all()

@@ -216,6 +216,9 @@ def test_table_validation_is_exact():
     for gens in (None, [1, 2], [1, 2, 3, 4]):
         with pytest.raises(ValueError, match="not associative"):
             GroupTable(loop5, gens)
+    for bad in (5, [0, 1], [[0, 1]]):
+        with pytest.raises(ValueError, match="Latin square"):
+            GroupTable(bad, None)
     rows = S3.mult.copy()
     rows[1, [2, 3]] = rows[1, [3, 2]]  # rows stay permutations, columns not
     with pytest.raises(ValueError, match="Latin square"):
