@@ -1,8 +1,9 @@
 """2-blocks of a group algebra in characteristic 2.
 
 Blocks are the primitive idempotents of the centre Z(kG), computed on the
-class-sum basis: the nilradical is split off with the repeated-squaring
-device and idempotents of the semisimple quotient are lifted back.  Every
+class-sum basis: an idempotent e is split by the CRT idempotents of an
+element of the Berlekamp subalgebra {a : a^q = a} of e.Z, lifted with the
+repeated-squaring device, until that subalgebra is one-dimensional.  Every
 block idempotent is supported on 2-regular classes; a block is real when
 its coefficients are constant on inverse pairs of classes.  Each real block
 carries a defect group D (a Sylow 2-subgroup of the centralizer of a defect
@@ -16,8 +17,7 @@ group acting on kG as a G x G-module.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import forms, linalg, polys, rep, vertex
 from .field import FieldCtx
 from .forms import Adjoint, GForm
 from .group import GroupTable, Subgroup, direct_product
-from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul, mat_vec, zeros
+from .linalg import Subspace, combine, eye, mat_mul, zeros
 from .rep import ModuleRep
 
 
@@ -64,11 +64,6 @@ class CentreAlgebra:
                 c = F.mul(int(u[i]), int(v[j]))
                 out ^= F.vscale(c, self.struct[i, j])
         return out
-
-    def mult_matrix(self, u: np.ndarray) -> np.ndarray:
-        """Matrix of multiplication by u on the class-sum basis."""
-        cols = [self.mul(u, b) for b in eye(self.n)]
-        return np.array(cols).T
 
     def power(self, u: np.ndarray, e: int) -> np.ndarray:
         acc = self.unit.copy()
@@ -110,11 +105,11 @@ class BlockInfo:
         return self.centre.to_group_algebra(self.idempotent)
 
 
-def block_decomposition(G: GroupTable, F: FieldCtx, seed: int = 0) -> list[BlockInfo]:
+def block_decomposition(G: GroupTable, F: FieldCtx) -> list[BlockInfo]:
     """The blocks of kG: primitive idempotents of Z(kG) with supports,
     reality and principality flags, and (extended) defect groups."""
     Z = CentreAlgebra(G, F)
-    idems = _primitive_idempotents(Z, seed)
+    idems = _primitive_idempotents(Z)
     out = []
     for e in idems:
         support = [int(i) for i in np.nonzero(e)[0]]
@@ -133,15 +128,13 @@ def block_decomposition(G: GroupTable, F: FieldCtx, seed: int = 0) -> list[Block
     return out
 
 
-def _primitive_idempotents(Z: CentreAlgebra, seed: int) -> list[np.ndarray]:
-    F = Z.F
+def _primitive_idempotents(Z: CentreAlgebra) -> list[np.ndarray]:
     s = rep.idempotent_power_exponent(Z.n)
-    rng = random.Random(seed)
     done: list[np.ndarray] = []
     work = [Z.unit.copy()]
     while work:
         e = work.pop()
-        split = _split_central(Z, e, s, rng)
+        split = _split_central(Z, e, s)
         if split is None:
             done.append(e)
         else:
@@ -150,25 +143,24 @@ def _primitive_idempotents(Z: CentreAlgebra, seed: int) -> list[np.ndarray]:
     return done
 
 
-def _split_central(Z, e, s, rng):
-    """Split the idempotent e of Z(kG) or return None if primitive."""
+def _split_central(Z, e, s):
+    """Split the idempotent e of Z(kG), or return None if it is primitive.
+
+    e.Z is commutative over GF(q), so a -> a^q - a is GF(q)-linear on it
+    and its kernel, the Berlekamp subalgebra, is GF(q)^r with r the number
+    of primitive idempotents of e.Z (Eberly & Giesbrecht, J. Symbolic
+    Comput. 29, 2000).  So e is primitive iff the kernel has dim 1, and any
+    non-scalar kernel element splits it."""
     F = Z.F
-    # basis of e.Z
-    vecs = []
-    ech = linalg.Echelon(F, Z.n)
-    for b in eye(Z.n):
-        v = Z.mul(e, b)
-        if v.any() and ech.insert(v):
-            vecs.append(v)
-    # random fallback for the rare unseparated case, built in full: the
-    # shared rng must advance by 40 draws whatever this call finds
-    draws = coefficient_vectors(F.q, len(vecs), rng, 0, 40)
-    cands = vecs + [combine(F, c, vecs) for c in draws]
-    space = ech.subspace()
-    for z in cands:
+    space = Subspace(F, Z.n, np.array([Z.mul(e, b) for b in eye(Z.n)]))  # e.Z
+    frob = np.array([space.coords(Z.power(b, F.q) ^ b) for b in space.basis]).T
+    ker = linalg.kernel(F, frob)
+    if len(ker) == 1:
+        return None
+    for x in ker:
+        z = combine(F, x, space.basis)
         Mz = np.array([space.coords(Z.mul(z, b)) for b in space.basis]).T
-        p = linalg.min_poly(F, Mz)
-        fac = polys.factor(F, p)
+        fac = polys.factor(F, linalg.min_poly(F, Mz))
         if len(fac) <= 1:
             continue
         parts = []
@@ -186,7 +178,7 @@ def _split_central(Z, e, s, rng):
                 parts.append(f)
         if len(parts) > 1:
             return parts
-    return None
+    raise AssertionError("a Berlekamp element failed to split a central idempotent")
 
 
 def is_real(b: BlockInfo) -> bool:

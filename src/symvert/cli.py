@@ -18,7 +18,7 @@ import numpy as np
 from . import blocks as blocks_mod
 from . import catalog, forms, rep, vertex
 from .field import make_field
-from .group import FeasibilityError, GroupTable, load_group
+from .group import FeasibilityError, load_group
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,8 +52,11 @@ def cmd_vertices(args) -> int:
     if G.order > args.bound_group_order or M.dim > args.bound_dim:
         print("error: input exceeds feasibility bounds", file=sys.stderr)
         return EXIT_INFEASIBLE
+    if not rep.is_indecomposable(M):
+        print("error: module is decomposable", file=sys.stderr)
+        return EXIT_PARSE
     F = M.F
-    base = forms.base_form(M, seed=args.seed)
+    base = forms.base_form(M)
     if base is None:
         out = {"meta": _meta(F, args), "case": "not-applicable",
                "reason": "module has no nondegenerate invariant symmetric form"}
@@ -79,7 +82,7 @@ def cmd_blocks(args) -> int:
         print("error: input exceeds feasibility bounds", file=sys.stderr)
         return EXIT_INFEASIBLE
     F = make_field(args.field_degree)
-    bl = blocks_mod.block_decomposition(G, F, seed=args.seed)
+    bl = blocks_mod.block_decomposition(G, F)
     out = {
         "meta": _meta(F, args),
         "blocks": [blocks_mod.block_to_dict(b) for b in bl],

@@ -14,12 +14,11 @@ dual pairs).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, polys, rep
-from .field import FieldCtx
 from .group import GroupTable, Subgroup
 from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul, mat_vec, zeros
 from .rep import EndoAlgebra, ModuleRep
@@ -147,21 +146,17 @@ def _sub_slice(F, basis, symplectic: bool):
     return [combine(F, c, basis) for c in linalg.kernel(F, np.array(cols).T)]
 
 
-def base_form(M: ModuleRep, seed: int = 0) -> GForm | None:
+def base_form(M: ModuleRep) -> GForm | None:
     """A nondegenerate invariant symmetric form on M, or None.
 
-    Deterministic: the first nondegenerate element found scanning the
-    canonical symmetric-slice basis, then exhaustive/seeded combinations.
+    Requires M indecomposable.  Nondegenerate forms are the isomorphisms
+    M -> M* in the symmetric slice of Hom(M, M*); as E(M) is local, the
+    non-isomorphisms form a subspace, so the first nondegenerate element
+    of the canonical symmetric-slice basis exists exactly when any
+    nondegenerate symmetric form does.
     """
-    F = M.F
-    sym = invariant_forms(M).symmetric
-    for g in sym:
-        if linalg.is_invertible(F, g):
-            return GForm(M, g)
-    rng = random.Random(seed)
-    for c in coefficient_vectors(F.q, len(sym), rng, 4096, 500):
-        g = combine(F, c, sym)
-        if linalg.is_invertible(F, g):
+    for g in invariant_forms(M).symmetric:
+        if linalg.is_invertible(M.F, g):
             return GForm(M, g)
     return None
 

@@ -21,10 +21,6 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def mat_add(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.bitwise_xor(A, B)
-
-
 def combine(F: FieldCtx, coeffs, mats) -> np.ndarray:
     """sum_i coeffs[i] * mats[i] over equal-shape matrices or vectors (at
     least one)."""
@@ -38,8 +34,11 @@ def combine(F: FieldCtx, coeffs, mats) -> np.ndarray:
 def coefficient_vectors(q: int, h: int, rng, exhaustive_upto: int, draws: int):
     """Coefficient vectors of length h for a combination search.  When
     q^h <= exhaustive_upto: every nonzero vector, in little-endian mask
-    order (c_i = mask // q^i mod q).  Otherwise: `draws` vectors, each
-    drawn entry by entry with rng.randrange(q)."""
+    order (c_i = mask // q^i mod q); `lift_selfadjoint_idempotent` tries
+    its sub-sums this way.  Otherwise: `draws` vectors, each drawn entry by
+    entry with rng.randrange(q): the candidates of `_split_once`, which
+    raises when they run out, and of `_seeded_automorphism`, whose
+    transport is optional."""
     if q**h <= exhaustive_upto:
         for mask in range(1, q**h):
             yield [mask // q**i % q for i in range(h)]

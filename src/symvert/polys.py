@@ -25,10 +25,6 @@ def deg(p: Poly) -> int:
     return len(p) - 1
 
 
-def is_zero(p: Poly) -> bool:
-    return len(p) == 0
-
-
 def add(F: FieldCtx, a: Poly, b: Poly) -> Poly:
     n = max(len(a), len(b))
     out = [0] * n

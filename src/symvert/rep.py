@@ -120,10 +120,6 @@ def permutation_module(G: GroupTable, F: FieldCtx) -> ModuleRep:
     return ModuleRep(G, F, mats, check=False)
 
 
-def from_matrices(G: GroupTable, F: FieldCtx, mats) -> ModuleRep:
-    return ModuleRep(G, F, mats)
-
-
 def dual(M: ModuleRep) -> ModuleRep:
     mats = []
     for g in M.group.generators:
@@ -722,20 +718,16 @@ def is_indecomposable(M: ModuleRep, endo: EndoAlgebra | None = None) -> bool:
 
 
 def module_iso(M: ModuleRep, N: ModuleRep, seed: int = 0) -> np.ndarray | None:
+    """An isomorphism M -> N (the first invertible Hom basis element), or
+    None.  Requires M indecomposable: then E(M) is local, so the
+    non-isomorphisms M -> N form a subspace of Hom(M, N), and M = N exactly
+    when some basis element avoids it.  A returned map is always an
+    isomorphism; `seed` is ignored."""
     if M.dim != N.dim:
         return None
-    F = M.F
-    homs = hom_space(M, N)
-    if not homs:
-        return None
-    for h in homs:
-        if linalg.is_invertible(F, h):
+    for h in hom_space(M, N):
+        if linalg.is_invertible(M.F, h):
             return h
-    rng = random.Random(seed)
-    for c in coefficient_vectors(F.q, len(homs), rng, 4096, 500):
-        cand = combine(F, c, homs)
-        if linalg.is_invertible(F, cand):
-            return cand
     return None
 
 

@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from . import forms, linalg, rep
+from . import linalg, rep
 from .field import FieldCtx
 from .forms import GForm
 from .group import GroupTable, from_permutations

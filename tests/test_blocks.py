@@ -48,6 +48,24 @@ def test_centre_matches_group_algebra_product():
             assert (got == Z.to_group_algebra(prod)).all()
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", catalog.SUITE_NAMES)
+def test_block_idempotents_are_primitive(name, m):
+    # e is primitive in Z(kG) iff the Berlekamp subalgebra {a : a^q = a}
+    # of e.Z, which is GF(q)^r for r primitive idempotents, has dim 1
+    F = make_field(m)
+    bl = blocks.block_decomposition(catalog.suite_group(name), F)
+    Z = bl[0].centre
+    total = np.zeros(Z.n, dtype=np.int64)
+    for b in bl:
+        e = b.idempotent
+        total ^= e
+        eZ = linalg.Subspace(F, Z.n, np.array([Z.mul(e, c) for c in linalg.eye(Z.n)]))
+        frob = np.array([eZ.coords(Z.power(v, F.q) ^ v) for v in eZ.basis]).T
+        assert eZ.dim - linalg.rank(F, frob) == 1
+    assert (total == Z.unit).all()
+
+
 def test_blocks_s3():
     bl = blocks.block_decomposition(S3, F2)
     assert len(bl) == 2

@@ -117,6 +117,19 @@ def test_non_group_table_exit_code(tmp_path, s3_files, capsys):
         assert cli.main(["blocks", str(g)]) == 2
 
 
+def test_decomposable_module_exit_code(tmp_path, s3_files, capsys):
+    # the S3 permutation module is trivial + a projective simple; symmetric
+    # vertices are defined for indecomposable modules only
+    g, _ = s3_files
+    M = rep.permutation_module(catalog.suite_group("S3"), make_field(1))
+    m = tmp_path / "s3-perm.json"
+    m.write_text(json.dumps(rep.module_to_dict(M)))
+    assert cli.main(["--json", "vertices", g, str(m)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: module is decomposable" in captured.err
+
+
 def test_unknown_suite_exit_code(capsys):
     assert cli.main(["verify", "nope"]) == 2
 

@@ -1,7 +1,5 @@
 """Invariant bilinear forms: slices, adjoints, decompositions, Mackey."""
 
-import random
-
 import numpy as np
 import pytest
 
@@ -317,34 +315,3 @@ def test_form_serialization_round_trip():
     d = forms.form_to_dict(B)
     B2 = forms.form_from_dict(d, M)
     assert (B2.gram == B.gram).all()
-
-
-def _reference_base_form(M, seed):
-    # the combination search as first written, on inputs where no basis
-    # form is nondegenerate and there are too many combinations to try all
-    F = M.F
-    sym = forms.invariant_forms(M).symmetric
-    assert not any(linalg.is_invertible(F, g) for g in sym)
-    assert F.q ** len(sym) > 4096
-    rng = random.Random(seed)
-    for _ in range(500):
-        g = np.zeros((M.dim, M.dim), dtype=np.int64)
-        for b in sym:
-            c = rng.randrange(F.q)
-            if c:
-                g ^= F.vscale(c, b)
-        if linalg.is_invertible(F, g):
-            return g
-    return None
-
-
-@pytest.mark.parametrize("seed", [0, 20240401])
-@pytest.mark.parametrize("F, copies", [(F2, 5), (F4, 4)])
-def test_base_form_random_search_order(F, copies, seed):
-    # no symmetric-slice basis form of trivial^n is nondegenerate and
-    # q^(n(n+1)/2) > 4096, so only the seeded draws can find one
-    M = rep.direct_sum([rep.trivial_module(S3, F)] * copies)
-    want = _reference_base_form(M, seed)
-    got = forms.base_form(M, seed=seed)
-    assert want is not None and got is not None
-    assert (got.gram == want).all()

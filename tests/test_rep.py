@@ -3,7 +3,6 @@
 import functools
 import gc
 import json
-import random
 import weakref
 
 import numpy as np
@@ -370,34 +369,3 @@ def test_decompose_frees_its_recursion_without_gc():
         assert ref() is None
     finally:
         gc.enable()
-
-
-def _reference_module_iso(M, N, seed):
-    # the combination search as first written, on inputs where no basis
-    # element is invertible and there are too many combinations to try all
-    F = M.F
-    homs = rep.hom_space(M, N)
-    assert not any(linalg.is_invertible(F, h) for h in homs)
-    assert F.q ** len(homs) > 4096
-    rng = random.Random(seed)
-    for _ in range(500):
-        cand = np.zeros((M.dim, M.dim), dtype=np.int64)
-        for b in homs:
-            c = rng.randrange(F.q)
-            if c:
-                cand ^= F.vscale(c, b)
-        if linalg.is_invertible(F, cand):
-            return cand
-    return None
-
-
-@pytest.mark.parametrize("seed", [0, 20240401])
-@pytest.mark.parametrize("F, copies", [(F2, 5), (F4, 4)])
-def test_module_iso_random_search_order(F, copies, seed):
-    # no Hom basis element of trivial^n is invertible and q^(n^2) > 4096,
-    # so only the seeded draws can find an isomorphism
-    M = rep.direct_sum([rep.trivial_module(S3, F)] * copies)
-    want = _reference_module_iso(M, M, seed)
-    got = rep.module_iso(M, M, seed=seed)
-    assert want is not None and got is not None
-    assert (got == want).all()

@@ -1,5 +1,7 @@
 """Relative projectivity, Green vertices, symmetric vertices."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -209,30 +211,49 @@ def test_report_to_dict_shape():
     assert isinstance(d["symmetric_vertices"][0]["form_hash"], str)
 
 
-def test_sym_projective_exhaustive_search_order():
-    # trivial^3 at a Sylow 2-subgroup of S3: no basis trace is a unit and
-    # not all are nilpotent, so the exhaustive combination search decides
-    M = rep.direct_sum([rep.trivial_module(S3, F2)] * 3)
-    H = S3.sylow2()
-    base = forms.base_form(M)
-    fixed = vertex.sigma_fixed_basis(M, forms.Adjoint(base), H)
-    traces = vertex.rel_trace_batch(M, fixed, H)
-    assert len(fixed) == 6
-    assert not any(linalg.is_invertible(F2, t) for t in traces)
-    assert not all(linalg.is_nilpotent(F2, t) for t in traces)
-    # the first unit in little-endian mask order, as first written
-    want = None
-    for mask in range(1, 2**6):
-        coeffs = [mask >> i & 1 for i in range(6)]
-        t = np.zeros((3, 3), dtype=np.int64)
-        a = np.zeros((3, 3), dtype=np.int64)
-        for c, u, tu in zip(coeffs, fixed, traces):
-            if c:
-                t ^= tu
-                a ^= u
-        if linalg.is_invertible(F2, t):
-            want = (a, t)
-            break
-    cert = vertex.is_sym_projective(M, H, base)
-    assert want is not None and cert.projective
-    assert (cert.alpha == want[0]).all() and (cert.theta == want[1]).all()
+def _any_unit(F, mats):
+    """Whether some combination of mats is invertible, trying all q^h of
+    them; None when there are more than 4096."""
+    if F.q ** len(mats) > 4096:
+        return None
+    for coeffs in itertools.product(range(F.q), repeat=len(mats)):
+        if any(coeffs):
+            x = np.zeros_like(mats[0])
+            for c, m in zip(coeffs, mats):
+                if c:
+                    x ^= F.vscale(c, m)
+            if linalg.is_invertible(F, x):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["S3", "D12", "A4", "S4"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_basis_checks_match_exhaustive_search(name, m):
+    # on indecomposable modules E(M) is local, so a basis check decides
+    # module_iso, base_form and is_sym_projective exactly
+    G = catalog.suite_group(name)
+    F = make_field(m)
+    comps = [c.module for c in rep.decompose(rep.regular_module(G, F)).components]
+    mods = comps + rep.irreducible_modules(G, F)
+    decided = 0
+    for M in mods:
+        for N in [rep.dual(M)] + comps:
+            iso = _any_unit(F, rep.hom_space(M, N)) if M.dim == N.dim else False
+            if iso is not None:
+                assert (rep.module_iso(M, N) is not None) == iso
+                decided += 1
+        has_form = _any_unit(F, forms.invariant_forms(M).symmetric)
+        if has_form is None:
+            continue
+        base = forms.base_form(M)
+        assert (base is not None) == has_form
+        decided += 1
+        for H in G.two_subgroups_up_to_conjugacy() if has_form else []:
+            fixed = vertex.sigma_fixed_basis(M, forms.Adjoint(base), H)
+            traces = vertex.rel_trace_batch(M, fixed, H) if fixed else []
+            unit = _any_unit(F, traces)
+            if unit is not None:
+                assert vertex.is_sym_projective(M, H, base).projective == unit
+                decided += 1
+    assert decided >= 2 * len(mods)
