@@ -407,7 +407,13 @@ def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def from_permutations(points: int, generators: list[list[int]]) -> GroupTable:
-    """Build a table from 1-based permutation images."""
+    """Build a table from 1-based permutation images.
+
+    Elements are numbered in breadth-first order of the right Cayley graph.
+    Its edges give right multiplication by each generator, R_g[x] = x g, and
+    every element j > 0 was first reached as parent(j) g, so the table
+    fills one column at a time: x j = (x parent(j)) g = R_g[x parent(j)].
+    """
     gens = [tuple(x - 1 for x in g) for g in generators]
     for g in gens:
         if sorted(g) != list(range(points)):
@@ -415,24 +421,25 @@ def from_permutations(points: int, generators: list[list[int]]) -> GroupTable:
     ident = tuple(range(points))
     elems = [ident]
     index = {ident: 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = _perm_mul(p, g)
-                if q not in index:
-                    index[q] = len(elems)
-                    elems.append(q)
-                    nxt.append(q)
-        frontier = nxt
+    right: list[list[int]] = [[] for _ in gens]  # right[k][x] = id(x g_k)
+    reached = [(0, 0)]  # (parent, generator index) of each element
+    for x, p in enumerate(elems):  # elems grows in breadth-first order
+        for k, g in enumerate(gens):
+            q = _perm_mul(p, g)
+            if q not in index:
+                index[q] = len(elems)
+                elems.append(q)
+                reached.append((x, k))
+            right[k].append(index[q])
     n = len(elems)
-    mult = np.zeros((n, n), dtype=np.int64)
-    for i, p in enumerate(elems):
-        for j, q in enumerate(elems):
-            mult[i, j] = index[_perm_mul(p, q)]
+    R = np.array(right, dtype=np.int64).reshape(len(gens), n)
+    cols = np.empty((n, n), dtype=np.int64)  # cols[j] = column j of the table
+    cols[0] = np.arange(n)
+    for j in range(1, n):
+        x, k = reached[j]
+        cols[j] = R[k][cols[x]]
     gen_ids = [index[g] for g in gens]
-    return GroupTable(mult, gen_ids, perms=elems)
+    return GroupTable(np.ascontiguousarray(cols.T), gen_ids, perms=elems)
 
 
 def direct_product(G: GroupTable, H: GroupTable) -> tuple[GroupTable, "ProductMaps"]:

@@ -49,12 +49,15 @@ class ModuleRep:
                 raise ValueError("generator matrices must be square, same size")
             if not linalg.is_invertible(self.F, A):
                 raise ValueError("generator matrix is singular")
+        # x -> act[x] is a homomorphism iff act[x] A_g = act[x g] on every
+        # edge of the Cayley graph; the tree edges hold by construction
         act = self.full_action()
-        rng = random.Random(987)
-        n = self.group.order
-        for _ in range(min(24, n * n)):
-            a, b = rng.randrange(n), rng.randrange(n)
-            if (act[self.group.mul(a, b)] != mat_mul(self.F, act[a], act[b])).any():
+        G = self.group
+        acts = np.array([act[x] for x in range(G.order)])
+        stacked = acts.reshape(-1, self.dim)
+        for g, A in zip(G.generators, self.gen_matrices):
+            moved = mat_mul(self.F, stacked, A).reshape(acts.shape)
+            if (moved != acts[G.mult[:, g]]).any():
                 raise ValueError("matrices do not satisfy the group relations")
 
     def full_action(self) -> dict[int, np.ndarray]:
@@ -121,9 +124,7 @@ def permutation_module(G: GroupTable, F: FieldCtx) -> ModuleRep:
 
 
 def dual(M: ModuleRep) -> ModuleRep:
-    mats = []
-    for g in M.group.generators:
-        mats.append(M.action_inv(g).T.copy())
+    mats = [linalg.inverse(M.F, A).T.copy() for A in M.gen_matrices]
     return ModuleRep(M.group, M.F, mats, check=False)
 
 
@@ -197,15 +198,13 @@ def induce(L: ModuleRep, H: Subgroup) -> tuple[ModuleRep, list[int]]:
 
 def sub_module(M: ModuleRep, S: Subspace) -> tuple[ModuleRep, np.ndarray, np.ndarray]:
     """Compress a G-stable subspace; returns (module, incl d x c, proj c x d)."""
-    gens = [M.action(g) for g in M.group.generators]
-    mats, incl, proj = _compress_action(M.F, gens, S)
+    mats, incl, proj = _compress_action(M.F, M.gen_matrices, S)
     return ModuleRep(M.group, M.F, mats, check=False), incl, proj
 
 
 def quotient_module(M: ModuleRep, S: Subspace) -> tuple[ModuleRep, np.ndarray]:
     """M/S; returns (module, projection c x d sending v to its coordinates)."""
-    gens = [M.action(g) for g in M.group.generators]
-    mats, proj, _ = _quotient_action(M.F, gens, S)
+    mats, proj, _ = _quotient_action(M.F, M.gen_matrices, S)
     return ModuleRep(M.group, M.F, mats, check=False), proj
 
 
@@ -404,9 +403,11 @@ def _compress_action(F, gens, sub: Subspace):
     incl = sub.basis.T.copy()
     proj = zeros(sub.dim, sub.ambient)
     proj[range(sub.dim), sub.pivots] = 1
-    # proj only selects the pivot rows
-    mats = [mat_mul(F, A, incl)[sub.pivots] for A in gens]
-    return mats, incl, proj
+    # one product of the stacked generators; proj only selects pivot rows
+    k, d = len(gens), sub.ambient
+    stacked = np.concatenate(gens) if gens else zeros(0, d)
+    images = mat_mul(F, stacked, incl).reshape(k, d, sub.dim)
+    return list(images[:, sub.pivots]), incl, proj
 
 
 def _quotient_action(F, gens, sub: Subspace):
@@ -421,8 +422,11 @@ def _quotient_action(F, gens, sub: Subspace):
     comp = eye(sub.ambient)[free]
     proj = comp.copy()
     proj[:, sub.pivots] = sub.basis[:, free].T
-    mats = [mat_mul(F, proj, A[:, free]) for A in gens]
-    return mats, proj, comp
+    # one product with the generators side by side, split back per generator
+    k, c = len(gens), len(free)
+    side = np.hstack([A[:, free] for A in gens]) if gens else zeros(sub.ambient, 0)
+    images = mat_mul(F, proj, side)
+    return list(images.reshape(c, k, c).transpose(1, 0, 2).copy()), proj, comp
 
 
 def _random_algebra_element(F, gens, rng, pool: list[np.ndarray]) -> np.ndarray:
@@ -741,8 +745,7 @@ def is_selfdual(M: ModuleRep) -> bool:
 def irreducible_modules(G: GroupTable, F: FieldCtx, seed: int = 0) -> list[ModuleRep]:
     """All irreducible modules, from a composition series of the regular one."""
     M = regular_module(G, F)
-    gens = [M.action(g) for g in G.generators]
-    chain = chop(F, gens, G.order, seed=seed)
+    chain = chop(F, M.gen_matrices, G.order, seed=seed)
     out: list[ModuleRep] = []
     prev: Subspace | None = None
     for S in chain:

@@ -103,6 +103,26 @@ def is_summand(M: ModuleRep, N: ModuleRep) -> bool:
     return False
 
 
+def _is_summand_of_induced(M: ModuleRep, Z: ModuleRep, V: Subgroup) -> bool:
+    """Whether M is a direct summand of Ind_V^G Z, without building it.
+
+    By Frobenius reciprocity the maps M -> Ind Z -> M are the relative
+    traces tr_V^G(a b) with b: Res M -> Z and a: Z -> Res M, so the trace
+    ideal of Ind Z in E_G(M) is spanned by those traces; M is a summand
+    exactly when it contains the identity.
+    """
+    F = M.F
+    res = rep.restrict(M, V)
+    ups, downs = rep.hom_space(Z, res), rep.hom_space(res, Z)
+    if not ups or not downs:
+        return False
+    products = [mat_mul(F, a, b) for a in ups for b in downs]
+    traces = rel_trace_batch(M, products, V)
+    A = np.array([t.ravel() for t in traces]).T
+    x, _ = linalg.solve(F, A, eye(M.dim).ravel())
+    return x is not None
+
+
 # -- Green vertices and sources -------------------------------------------
 
 
@@ -143,8 +163,7 @@ def green_vertex(
         dec = rep.decompose(res, seed=seed)
         for i, mult in enumerate(dec.multiplicities):
             Z = next(c.module for c in dec.components if c.iso_class == i)
-            ind, _ = rep.induce(Z, V)
-            if is_summand(M, ind):
+            if _is_summand_of_induced(M, Z, V):
                 sources.append(
                     SourceInfo(
                         Z,

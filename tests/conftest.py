@@ -1,7 +1,5 @@
 """Shared fixtures and the acceptance-criterion reporting hook."""
 
-import re
-
 _ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
 
 

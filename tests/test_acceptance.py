@@ -7,7 +7,6 @@ covers) are computed once per group and reused across criteria.
 import functools
 
 import numpy as np
-import pytest
 
 from symvert import blocks, catalog, forms, linalg, rep, specht, vertex
 from symvert.field import make_field

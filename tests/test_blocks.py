@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symvert import blocks, catalog, forms, linalg, rep, vertex
+from symvert import blocks, catalog, forms, linalg, rep
 from symvert.field import make_field
 from symvert.linalg import mat_mul
 

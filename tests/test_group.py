@@ -198,6 +198,42 @@ def test_direct_product():
     assert maps.split(P.mul(x, y)) == (S3.mul(a, 1), S3.mul(b, 4))
 
 
+def _pairwise_table(points, generators):
+    """Reference table: breadth-first elements, then every pair composed."""
+    gens = [tuple(x - 1 for x in g) for g in generators]
+    perms = [tuple(range(points))]
+    index = {perms[0]: 0}
+    for p in perms:
+        for g in gens:
+            q = tuple(p[g[i]] for i in range(points))
+            if q not in index:
+                index[q] = len(perms)
+                perms.append(q)
+    mult = [[index[tuple(p[q[i]] for i in range(points))] for q in perms]
+            for p in perms]
+    return perms, mult, [index[g] for g in gens]
+
+
+def _dihedral(n):
+    """The symmetries of an n-gon, as 1-based permutations of its corners."""
+    rotation = [i % n + 1 for i in range(1, n + 1)]
+    reflection = [(n - i) % n + 1 for i in range(n)]
+    return [rotation, reflection]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [group_to_dict(catalog.suite_group(name)) for name in catalog.SUITE_NAMES]
+    + [{"points": 20, "generators": _dihedral(20)}],
+)
+def test_from_permutations_matches_pairwise_composition(spec):
+    G = from_permutations(spec["points"], spec["generators"])
+    perms, mult, gen_ids = _pairwise_table(spec["points"], spec["generators"])
+    assert G.perms == perms
+    assert G.mult.tolist() == mult
+    assert G.generators == gen_ids
+
+
 def test_from_permutations_rejects_garbage():
     with pytest.raises((ValueError, AssertionError, IndexError)):
         from_permutations(3, [[1, 1, 2]])  # not a permutation

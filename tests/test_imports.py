@@ -1,9 +1,10 @@
-"""Every import in the library is used: a stdlib-ast scan of src/symvert."""
+"""Every import is used: a stdlib-ast scan of src/symvert and tests/."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "symvert"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "symvert"
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -22,8 +23,15 @@ def _unused_imports(path: Path) -> list[str]:
             if name not in used]
 
 
-def test_no_unused_imports_in_src():
-    files = sorted(SRC.glob("*.py"))
+def _unused_in(folder: Path) -> list[str]:
+    files = sorted(folder.glob("*.py"))
     assert files
-    unused = [u for f in files for u in _unused_imports(f)]
-    assert unused == []
+    return [u for f in files for u in _unused_imports(f)]
+
+
+def test_no_unused_imports_in_src():
+    assert _unused_in(SRC) == []
+
+
+def test_no_unused_imports_in_tests():
+    assert _unused_in(TESTS) == []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from symvert import catalog, linalg, rep
 from symvert.field import make_field
-from symvert.group import GroupTable
+from symvert.group import GroupTable, from_permutations
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -232,6 +232,24 @@ def test_hom_space_matches_kronecker_reference(case):
     for X, Y in zip(got, want):
         assert X.shape == (N.dim, M.dim)
         assert (X == Y).all()
+
+
+def test_validation_checks_every_cayley_graph_edge():
+    # two involutions that do not commute: the breadth-first tree reaches
+    # ab through a then b, and the relation ba = ab fails off the tree
+    a = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    b = np.array([[1, 0], [1, 1]], dtype=np.int64)
+    with pytest.raises(ValueError, match="group relations"):
+        rep.ModuleRep(V4, F2, [a, b])
+    rep.ModuleRep(V4, F2, [a, a])
+    # a repeated generator never enters the breadth-first action, so only
+    # its Cayley-graph edges can see that its two matrices differ
+    G = from_permutations(3, [[2, 3, 1], [2, 1, 3], [2, 3, 1]])
+    P = rep.permutation_module(G, F2).gen_matrices
+    with pytest.raises(ValueError, match="group relations"):
+        rep.ModuleRep(G, F2, [P[0], P[1], P[1]])
+    for M in (rep.regular_module(S4, F4), rep.permutation_module(A4, F2)):
+        rep.ModuleRep(M.group, M.F, M.gen_matrices)
 
 
 def test_end_dim_of_regular_module_is_group_order():

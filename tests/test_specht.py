@@ -1,9 +1,8 @@
 """Specht modules, their bilinear forms, and row-reversal witnesses."""
 
-import numpy as np
 import pytest
 
-from symvert import catalog, forms, linalg, rep, specht
+from symvert import linalg, rep, specht
 from symvert.field import make_field
 from symvert.linalg import mat_mul
 

@@ -257,3 +257,28 @@ def test_basis_checks_match_exhaustive_search(name, m):
                 assert vertex.is_sym_projective(M, H, base).projective == unit
                 decided += 1
     assert decided >= 2 * len(mods)
+
+
+@pytest.mark.parametrize("name", ["S3", "D12", "A4", "S4"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_sources_by_reciprocity_match_induced_summands(name, m):
+    # M | Ind_V^G Z, decided from Hom_V spaces and relative traces, agrees
+    # with building Ind_V^G Z and testing M | Ind Z over G; the trivial
+    # subgroup gives the negatives for the modules that are not projective
+    G = catalog.suite_group(name)
+    F = make_field(m)
+    mods = [rep.trivial_module(G, F)]
+    for N in (rep.regular_module(G, F), rep.permutation_module(G, F)):
+        for c in rep.decompose(N).components:
+            if all(rep.module_iso(c.module, X) is None for X in mods):
+                mods.append(c.module)
+    verdicts = set()
+    for M in mods:
+        green = vertex.green_vertex(M, with_sources=False).vertex
+        for V in (green, G.sylow2(), G.trivial_subgroup()):
+            for c in rep.decompose(rep.restrict(M, V)).components:
+                got = vertex._is_summand_of_induced(M, c.module, V)
+                ind, _ = rep.induce(c.module, V)
+                assert got == vertex.is_summand(M, ind)
+                verdicts.add(got)
+    assert verdicts == {True, False}
