@@ -23,6 +23,7 @@ from .group import FeasibilityError, load_group
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
+EXIT_INTERNAL = 4  # an internal certificate check failed (an AssertionError)
 
 DEFAULT_SEED = 20240401
 
@@ -254,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except AssertionError as exc:
+        print(f"error: internal certificate failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ by the self-duality and symmetric type of the sources.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,6 +124,45 @@ def _is_summand_of_induced(M: ModuleRep, Z: ModuleRep, V: Subgroup) -> bool:
     return x is not None
 
 
+def _is_orth_summand_of_induced(
+    M: ModuleRep, base: GForm, Z: ModuleRep, BZ: GForm, V: Subgroup
+) -> np.ndarray | None:
+    """A b in Hom_V(Res_V M, Z) whose reciprocity map phi_b: M -> Ind_V^G Z,
+    m -> sum over t of t (x) b(t^-1 m), pulls the induced form of BZ back
+    to a nondegenerate form on M; None when there is none.
+
+    With P and B0 the Grams of base and BZ, the pulled-back Gram is
+    P.tr_V^G(P^-1 b^T B0 b), quadratic in b.  On a basis b_1..b_n its
+    coefficients are theta_ii = tr(P^-1 b_i^T B0 b_i) and, for i < j,
+    theta_ij = tr(P^-1 (b_i^T B0 b_j + b_j^T B0 b_i)).  Requires M
+    indecomposable: then E_G(M) is local, and modulo its radical the map
+    is a polynomial over a field of degree < q in each variable (over
+    GF(2), c^2 = c makes it multilinear), so it takes a unit value exactly
+    when some theta is a unit.  b_i is a witness for a unit theta_ii, and
+    b_i + b_j for a unit theta_ij once no theta_ii is one.
+    """
+    F = M.F
+    downs = rep.hom_space(rep.restrict(M, V), Z)
+    if not downs:
+        return None
+    d = M.dim
+    Pinv = linalg.inverse(F, base.gram)
+    B0b = mat_mul(F, BZ.gram, np.concatenate(downs, axis=1))
+    # rows[i][:, j-th block] = P^-1 b_i^T B0 b_j
+    rows = [mat_mul(F, mat_mul(F, Pinv, b.T), B0b) for b in downs]
+
+    def block(i, j):
+        return rows[i][:, j * d : (j + 1) * d]
+
+    pairs = [(i, i) for i in range(len(downs))]
+    pairs += list(itertools.combinations(range(len(downs)), 2))
+    ends = [block(i, i) if i == j else block(i, j) ^ block(j, i) for i, j in pairs]
+    for (i, j), theta in zip(pairs, rel_trace_batch(M, ends, V)):
+        if linalg.is_invertible(F, theta):
+            return downs[i] if i == j else downs[i] ^ downs[j]
+    return None
+
+
 # -- Green vertices and sources -------------------------------------------
 
 
@@ -130,7 +170,11 @@ def _is_summand_of_induced(M: ModuleRep, Z: ModuleRep, V: Subgroup) -> bool:
 class SourceInfo:
     module: ModuleRep
     self_dual: bool
-    symmetric_type: bool
+    form: GForm | None  # a nondegenerate invariant symmetric form, if any
+
+    @property
+    def symmetric_type(self) -> bool:
+        return self.form is not None
 
 
 @dataclass
@@ -168,7 +212,7 @@ def green_vertex(
                     SourceInfo(
                         Z,
                         rep.module_iso(Z, rep.dual(Z)) is not None,
-                        forms.base_form(Z) is not None,
+                        forms.base_form(Z),
                     )
                 )
     return GreenVertexInfo(V, cert, sources)
@@ -363,7 +407,16 @@ def classify_case(
     case III when the sources are not self-dual; case I when a source Z has
     symmetric type and M appears as a nondegenerate component of the induced
     form on Ind_V^G Z (then V itself is a symmetric vertex and M lies in
-    the principal block); case II otherwise."""
+    the principal block); case II otherwise.
+
+    Requires M indecomposable.  Case I holds iff tr_V^G(P^-1 b^T B0 b) is a
+    unit for some b in Hom_V(Res_V M, Z), with P and B0 the Grams of base
+    and of Z's form (`_is_orth_summand_of_induced`).  Proof: by Frobenius
+    reciprocity every G-map M -> Ind Z is phi_b for one such b, and the
+    induced form pulls back along phi_b to Gram P.tr_V^G(P^-1 b^T B0 b);
+    M is a nondegenerate component exactly when some phi_b pulls it back
+    to a nondegenerate form, as phi_b(M) then splits off with its
+    orthogonal complement."""
     G = M.group
     if base is None:
         base = forms.base_form(M)
@@ -376,17 +429,12 @@ def classify_case(
     checks: dict[str, bool] = {}
     if not src.self_dual:
         case = "III"
+    elif src.symmetric_type and _is_orth_summand_of_induced(
+        M, base, src.module, src.form, V
+    ) is not None:
+        case = "I"
     else:
         case = "II"
-        if src.symmetric_type:
-            B0 = forms.base_form(src.module)
-            _, indB, _ = forms.induce_form(B0, V)
-            for piece in forms.orth_decompose(indB, seed=seed):
-                if piece.kind != "indecomposable":
-                    continue
-                if rep.module_iso(piece.modules[0], M) is not None:
-                    case = "I"
-                    break
     if case == "I":
         checks["sym_vertex_equals_green_vertex"] = any(
             G.subgroup_conjugate(t.subgroup, V) is not None for t in sym

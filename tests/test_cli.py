@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from symvert import catalog, cli, rep
+from symvert import blocks, catalog, cli, rep, vertex
 from symvert.field import make_field
 from symvert.group import GroupTable, group_to_dict
 
@@ -128,6 +128,28 @@ def test_decomposable_module_exit_code(tmp_path, s3_files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: module is decomposable" in captured.err
+
+
+@pytest.mark.parametrize("layer, name, command", [
+    (rep, "decompose", "vertices"),
+    (vertex, "green_vertex", "vertices"),
+    (blocks, "block_decomposition", "blocks"),
+])
+def test_internal_certificate_failure_exit_code(
+    monkeypatch, s3_files, capsys, layer, name, command
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("chop failed to make progress")
+
+    monkeypatch.setattr(layer, name, fail)
+    g, m = s3_files
+    argv = ["--json", command, g] + ([m] if command == "vertices" else [])
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal certificate failure: chop failed to make progress\n"
+    )
 
 
 def test_unknown_suite_exit_code(capsys):

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symvert import catalog, forms, linalg, rep, vertex
 from symvert.field import make_field
@@ -259,6 +261,17 @@ def test_basis_checks_match_exhaustive_search(name, m):
     assert decided >= 2 * len(mods)
 
 
+def _one_per_class(G, F):
+    """The trivial module and the components of the regular and permutation
+    modules, one per isomorphism class."""
+    mods = [rep.trivial_module(G, F)]
+    for N in (rep.regular_module(G, F), rep.permutation_module(G, F)):
+        for c in rep.decompose(N).components:
+            if all(rep.module_iso(c.module, X) is None for X in mods):
+                mods.append(c.module)
+    return mods
+
+
 @pytest.mark.parametrize("name", ["S3", "D12", "A4", "S4"])
 @pytest.mark.parametrize("m", [1, 2])
 def test_sources_by_reciprocity_match_induced_summands(name, m):
@@ -267,13 +280,8 @@ def test_sources_by_reciprocity_match_induced_summands(name, m):
     # subgroup gives the negatives for the modules that are not projective
     G = catalog.suite_group(name)
     F = make_field(m)
-    mods = [rep.trivial_module(G, F)]
-    for N in (rep.regular_module(G, F), rep.permutation_module(G, F)):
-        for c in rep.decompose(N).components:
-            if all(rep.module_iso(c.module, X) is None for X in mods):
-                mods.append(c.module)
     verdicts = set()
-    for M in mods:
+    for M in _one_per_class(G, F):
         green = vertex.green_vertex(M, with_sources=False).vertex
         for V in (green, G.sylow2(), G.trivial_subgroup()):
             for c in rep.decompose(rep.restrict(M, V)).components:
@@ -282,3 +290,98 @@ def test_sources_by_reciprocity_match_induced_summands(name, m):
                 assert got == vertex.is_summand(M, ind)
                 verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def _symmetric_gf2_modules():
+    """Small catalogue modules over GF(2) with a nondegenerate symmetric
+    form."""
+    return [
+        M
+        for name in ("S3", "D12", "A4", "S4")
+        for M in _one_per_class(catalog.suite_group(name), F2)
+        if forms.base_form(M) is not None
+    ]
+
+
+def test_case_I_by_reciprocity_matches_orthogonal_decomposition():
+    # the reference builds Ind_V^G Z with its induced form and looks for M
+    # among the indecomposable pieces of an orthogonal decomposition
+    verdicts = []
+    specht = catalog.s5_specht_irreducible(make_field(2)).irreducible
+    for M in _symmetric_gf2_modules() + [specht]:
+        F, G = M.F, M.group
+        base = forms.base_form(M)
+        green = vertex.green_vertex(M)
+        src, V = green.sources[0], green.vertex
+        if not (src.self_dual and src.symmetric_type):
+            continue
+        ind, indB, trans = forms.induce_form(src.form, V)
+        want = any(
+            p.kind == "indecomposable"
+            and rep.module_iso(p.modules[0], M) is not None
+            for p in forms.orth_decompose(indB)
+        )
+        b = vertex._is_orth_summand_of_induced(M, base, src.module, src.form, V)
+        assert (b is not None) == want
+        verdicts.append(want)
+        if b is None:
+            continue
+        # the witness phi_b(m) = sum over t of t (x) b(t^-1 m) is a G-map
+        # into Ind_V^G Z that pulls the induced form back nondegenerately
+        phi = np.concatenate(
+            [mat_mul(F, b, M.action(G.inverse(t))) for t in trans]
+        )
+        for A, Ai in zip(M.gen_matrices, ind.gen_matrices):
+            assert (mat_mul(F, phi, A) == mat_mul(F, Ai, phi)).all()
+        assert linalg.is_invertible(F, mat_mul(F, phi.T, mat_mul(F, indB.gram, phi)))
+    assert set(verdicts) == {True, False}
+    assert verdicts[-1]  # the S5 Specht module is the paper's case-I example
+
+
+def test_orth_summand_criterion_uses_the_cross_terms(monkeypatch):
+    # over A4's Sylow subgroup V, take Z = k + k with the identity form; on
+    # the 2-dim simple module M, b -> tr_V^G(P^-1 b^T B0 b) is then a sum of
+    # two anisotropic forms, so Hom_V(Res M, Z) has a basis of b with no
+    # unit value, where only the cross terms theta_ij find the units
+    A4 = catalog.suite_group("A4")
+    M, V = two_dim_simple(A4), A4.sylow2()
+    base = forms.base_form(M)
+    k = rep.trivial_module(rep.subgroup_table(V)[0], F2)
+    Z = rep.direct_sum([k, k])
+    BZ = forms.GForm(Z, np.eye(2, dtype=np.int64))
+    Pinv = linalg.inverse(F2, base.gram)
+
+    def unit(b):
+        q = mat_mul(F2, Pinv, mat_mul(F2, b.T, mat_mul(F2, BZ.gram, b)))
+        return linalg.is_invertible(F2, vertex.rel_trace(M, q, V))
+
+    downs = rep.hom_space(rep.restrict(M, V), Z)
+    span = [linalg.combine(F2, np.array(c), downs)
+            for c in itertools.product(range(2), repeat=len(downs)) if any(c)]
+    seen = linalg.Echelon(F2, M.dim * Z.dim)
+    isotropic = [b for b in span if not unit(b) and seen.insert(b.ravel())]
+    assert len(isotropic) == len(downs) and any(unit(b) for b in span)
+    monkeypatch.setattr(rep, "hom_space", lambda *args, **kwargs: isotropic)
+    b = vertex._is_orth_summand_of_induced(M, base, Z, BZ, V)
+    assert b is not None and unit(b)
+
+
+@pytest.fixture(scope="module")
+def case_references():
+    return [(M, _case_invariants(vertex.classify_case(M, check_principal=False)))
+            for M in _symmetric_gf2_modules()]
+
+
+def _case_invariants(r):
+    return (r.case, r.green.vertex.order,
+            sorted(t.subgroup.order for t in r.sym_vertices))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_case_and_vertex_orders_do_not_depend_on_the_seed(
+    case_references, data, seed
+):
+    M, want = data.draw(st.sampled_from(case_references))
+    r = vertex.classify_case(M, seed=seed, check_principal=False)
+    assert _case_invariants(r) == want
