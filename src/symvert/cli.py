@@ -17,7 +17,7 @@ import numpy as np
 
 from . import blocks as blocks_mod
 from . import catalog, forms, rep, vertex
-from .field import make_field
+from .field import MAX_DEGREE, make_field
 from .group import FeasibilityError, load_group
 
 EXIT_OK = 0
@@ -26,6 +26,7 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4  # an internal certificate check failed (an AssertionError)
 
 DEFAULT_SEED = 20240401
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, IndexError, OverflowError)
 
 
 def _meta(F, args) -> dict:
@@ -47,7 +48,7 @@ def cmd_vertices(args) -> int:
     try:
         G = load_group(args.group)
         M = rep.load_module(args.module, G)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if G.order > args.bound_group_order or M.dim > args.bound_dim:
@@ -76,7 +77,7 @@ def cmd_vertices(args) -> int:
 def cmd_blocks(args) -> int:
     try:
         G = load_group(args.group)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     if G.order > args.bound_group_order:
@@ -234,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariant bilinear forms, vertices and 2-blocks of "
         "finite groups in characteristic 2",
     )
-    p.add_argument("--field-degree", type=int, default=1, metavar="M")
+    p.add_argument("--field-degree", type=int, default=1, metavar="M",
+                   choices=range(1, MAX_DEGREE + 1))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="N")
     p.add_argument("--json", action="store_true", help="compact JSON output")
     p.add_argument("--bound-group-order", type=int, default=10_000, metavar="K")

@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
+MAX_DEGREE = 16  # larger degrees only build ever larger tables and plans
+
 
 def _poly_mulmod_gf2(a: int, b: int, modulus: int, m: int) -> int:
     """Carry-less multiply of bit-polynomials a, b reduced mod modulus."""
@@ -82,8 +84,8 @@ class FieldCtx:
     """
 
     def __init__(self, m: int, modulus: int | None = None):
-        if m < 1:
-            raise ValueError("degree must be >= 1")
+        if not 1 <= m <= MAX_DEGREE:
+            raise ValueError(f"field degree must be between 1 and {MAX_DEGREE}")
         self.m = m
         self.q = 1 << m
         self.modulus = default_modulus(m) if modulus is None else modulus

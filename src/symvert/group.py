@@ -240,17 +240,9 @@ class GroupTable:
         P = self.sylow2()
         reps: list[Subgroup] = []
         for H in self.all_subgroups_of(P):
-            if any(self.subgroup_conjugate(H, R) is not None for R in reps):
-                continue
-            H.class_size = len(self.subgroup_conjugates(H))
-            reps.append(H)
+            if all(self.subgroup_conjugate(H, R) is None for R in reps):
+                reps.append(H)
         return reps
-
-    def subgroup_conjugates(self, H: "Subgroup") -> list[tuple]:
-        out = set()
-        for g in range(self.order):
-            out.add(tuple(sorted(self.conj(g, h) for h in H.elements)))
-        return sorted(out)
 
     def conjugate_subgroup(self, g: int, H: "Subgroup") -> "Subgroup":
         return Subgroup(
@@ -344,7 +336,6 @@ class Subgroup:
         self.parent = parent
         self.elements = tuple(sorted(elements))
         self.gens = tuple(gens) if gens is not None else None
-        self.class_size: int | None = None
         if self.gens is None:
             self.gens = self._find_gens()
 

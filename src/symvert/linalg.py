@@ -402,11 +402,6 @@ class Echelon:
         """Add v to the span; returns True when the dimension grew."""
         return self.append(self.reduce(v))
 
-    def subspace(self) -> Subspace:
-        if not self.rows:
-            return Subspace(self.F, self.ambient, None)
-        return Subspace(self.F, self.ambient, np.array(self.rows))
-
 
 def reduce_mod(F: FieldCtx, S: Subspace, vecs: np.ndarray) -> np.ndarray:
     """Canonical representatives of the given row vectors modulo S."""

@@ -350,19 +350,39 @@ def left_mult_matrix(G: GroupTable, F: FieldCtx, vec: np.ndarray) -> np.ndarray:
 
 
 def spin(F: FieldCtx, vecs: np.ndarray, gens: list[np.ndarray]) -> Subspace:
-    """Smallest gens-stable subspace containing the given row vectors."""
-    n = gens[0].shape[0] if gens else vecs.shape[1]
-    stacked = np.concatenate(gens) if gens else zeros(0, n)
-    ech = linalg.Echelon(F, n)
-    queue = list(np.atleast_2d(vecs))
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        if ech.insert(v):
-            # the images under every generator, in order, from one product
-            queue.extend(mat_vec(F, stacked, ech.rows[-1]).reshape(-1, n))
-    return ech.subspace()
+    """Smallest gens-stable subspace containing the given row vectors.
+
+    Frontier spin: one product clears the pivots of the fully reduced basis
+    from a whole frontier, and the images of the rows then added make the
+    next one, from one product with the generators side by side."""
+    front = np.atleast_2d(np.asarray(vecs, dtype=np.int64))
+    n = front.shape[1]
+    side = np.hstack([A.T for A in gens]) if gens else zeros(n, 0)
+    basis, pivots = zeros(0, n), []
+    while len(front):
+        if pivots:
+            front = front ^ mat_mul(F, front[:, pivots], basis)
+        front, new, new_pivots = front[front.any(axis=1)], [], []
+        while len(front):
+            v, front = front[0], front[1:]
+            p = int(v.nonzero()[0][0])
+            v = v if v[p] == 1 else F.vscale(F.inv(int(v[p])), v)
+            new = [w ^ F.vscale(int(w[p]), v) if w[p] else w for w in new] + [v]
+            new_pivots.append(p)
+            if len(front):
+                front = front ^ F.vmul(front[:, p, None], v)
+                front = front[front.any(axis=1)]
+        new = np.array(new).reshape(-1, n)
+        if pivots:  # clear the new pivot columns from the old rows
+            basis ^= mat_mul(F, basis[:, new_pivots], new)
+        basis, pivots = np.vstack([basis, new]), pivots + new_pivots
+        if len(pivots) == n:
+            break
+        front = mat_mul(F, new, side).reshape(-1, n)
+    order = np.argsort(pivots)
+    S = Subspace(F, n, None)
+    S.basis, S.pivots = basis[order], [pivots[i] for i in order]
+    return S
 
 
 def chop(

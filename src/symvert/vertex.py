@@ -66,10 +66,14 @@ def is_projective(M: ModuleRep, H: Subgroup) -> ProjectivityCert:
     """Whether M is H-projective: identity in tr_H^G(E_H(M)).
 
     The trace image is a two-sided ideal of E_G(M), so it contains a unit
-    exactly when it contains the identity — a linear system.
+    exactly when it contains the identity — a linear system.  It has no
+    solution when |G:H|_2 does not divide dim M (Green): by linearity M is
+    H-projective over the algebraic closure too, where each indecomposable
+    summand X has a vertex Q <=_G H, and |G:Q|_2 divides dim X.
     """
     F = M.F
-    basis = rep.hom_space(M, M, H)
+    index = M.group.order // H.order  # its 2-part is index & -index
+    basis = [] if M.dim % (index & -index) else rep.hom_space(M, M, H)
     if not basis:
         return ProjectivityCert(False, None)
     traces = rel_trace_batch(M, basis, H)

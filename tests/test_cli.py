@@ -1,8 +1,14 @@
 """Command-line interface: exit codes, determinism, report contents."""
 
+import contextlib
+import copy
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symvert import blocks, catalog, cli, rep, vertex
 from symvert.field import make_field
@@ -168,3 +174,115 @@ def test_oracle_small_suite(capsys):
     data = json.loads(out)
     assert data["suite"] == "oracle-small"
     assert all(r["pass"] for r in data["results"])
+
+
+S3_TABLE = catalog.suite_group("S3").mult.tolist()
+
+
+def _quiet_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _paths(doc, path=()):
+    """Every position in a JSON document, the root first."""
+    out = [path]
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            out += _paths(v, path + (k,))
+    elif isinstance(doc, list):
+        for i, v in enumerate(doc):
+            out += _paths(v, path + (i,))
+    return out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+    | st.integers(-10, 10) | st.sampled_from([2**63, -(2**63) - 1, 10**30]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def corrupted_text(draw, doc):
+    """doc as JSON text with one corruption: a key dropped or renamed, a
+    value replaced by one of another type or out of range, a list entry
+    dropped (ragged rows and matrices), or the text cut short."""
+    kind = draw(st.sampled_from(["drop", "rename", "replace", "truncate"]))
+    text = json.dumps(doc)
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(_paths(doc)[kind != "replace":]))
+    if not path:
+        return json.dumps(draw(JSON_VALUES))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    key = path[-1]
+    if kind == "replace":
+        parent[key] = draw(JSON_VALUES)
+    elif kind == "rename" and isinstance(key, str):
+        parent[key + "_"] = parent.pop(key)
+    else:
+        del parent[key]
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_corrupted_input_files_exit_with_a_documented_code(s3_files, data):
+    g, m = s3_files
+    docs = {"group": json.loads(Path(g).read_text()),
+            "table": {"table": S3_TABLE, "generators": [1, 2]},
+            "module": json.loads(Path(m).read_text())}
+    which = data.draw(st.sampled_from(sorted(docs)))
+    bad = Path(g).parent / "corrupted.json"
+    bad.write_text(data.draw(corrupted_text(docs[which])))
+    if which == "module":
+        runs = [["--json", "vertices", g, str(bad)]]
+    else:
+        runs = [["--json", "vertices", str(bad), m], ["--json", "blocks", str(bad)]]
+    for argv in runs:
+        code, err = _quiet_main(argv)
+        assert code in {0, 2, 3, 4}
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("which, doc", [
+    ("group", None),  # not a JSON object
+    ("group", {"points": None, "generators": [[2, 1, 3], [2, 3, 1]]}),
+    ("group", {"points": 10**30, "generators": [[2, 1, 3], [2, 3, 1]]}),
+    ("group", {"points": 3, "generators": 1.5}),
+    ("group", {"points": 3, "generators": [[None, 1, 3], [2, 3, 1]]}),
+    ("group", {"table": {}, "generators": [1, 2]}),
+    ("group", {"table": 10**30, "generators": [1, 2]}),
+    ("group", {"table": S3_TABLE, "generators": [[1]]}),
+    ("group", {"table": S3_TABLE, "generators": [1.5, 2]}),
+    ("module", 1.5),
+    ("module", {"field_degree": [], "dim": 2, "matrices": []}),
+    ("module", {"field_degree": 10**6, "dim": 2, "matrices": []}),
+    ("module", {"field_degree": 1, "dim": 2, "matrices": [[1]]}),
+])
+def test_input_files_that_used_to_crash_exit_2(tmp_path, s3_files, which, doc):
+    # each raised TypeError, IndexError or OverflowError out of cli.main,
+    # or (a field degree of 10**6) searched for a modulus without end
+    g, m = s3_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [g, str(bad)] if which == "module" else [str(bad), m]
+    code, err = _quiet_main(["vertices"] + argv)
+    assert code == 2 and err.startswith("error: ")
+
+
+def test_field_degree_flag_out_of_range_is_a_usage_error(s3_files, capsys):
+    g, _ = s3_files
+    for degree in ("0", "17"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--field-degree", degree, "blocks", g])
+        assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -234,6 +234,52 @@ def test_hom_space_matches_kronecker_reference(case):
         assert (X == Y).all()
 
 
+def spin_reference(F, vecs, gens):
+    """The spin one vector at a time: each queued vector goes into an
+    Echelon, and its images are queued when the dimension grew."""
+    ech = linalg.Echelon(F, vecs.shape[1])
+    queue = list(vecs)
+    while queue:
+        if ech.insert(queue.pop(0)):
+            queue += [linalg.mat_vec(F, A, ech.rows[-1]) for A in gens]
+    return linalg.Subspace(F, vecs.shape[1], np.array(ech.rows))
+
+
+@st.composite
+def spin_cases(draw):
+    name = draw(st.sampled_from(["S3", "V4", "A4"]))
+    m = draw(st.sampled_from([1, 2]))
+    mods = st.lists(st.sampled_from(module_pool(name, m)), min_size=1,
+                    max_size=3).filter(lambda ms: sum(x.dim for x in ms) <= 12)
+    M = rep.direct_sum(draw(mods))
+    kind = draw(st.sampled_from(["none", "one", "few", "endo"]))
+    if kind == "endo":  # the whole basis of E, as EndoAlgebra spins it
+        gens = rep.end_algebra(M).basis
+    else:
+        gens = {"none": [], "one": M.gen_matrices[:1], "few": M.gen_matrices}[kind]
+    q, d = 1 << m, M.dim
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=d, max_size=d),
+                         min_size=1, max_size=4))
+    seeds = np.array(rows, dtype=np.int64).reshape(-1, d)
+    extra = draw(st.sampled_from(["none", "zero", "spanning"]))
+    if extra == "zero":
+        seeds = np.concatenate([linalg.zeros(1, d), seeds, linalg.zeros(1, d)])
+    elif extra == "spanning":
+        seeds = np.concatenate([seeds, np.eye(d, dtype=np.int64)])
+    return M.F, seeds, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(spin_cases())
+def test_spin_matches_one_vector_at_a_time(case):
+    F, seeds, gens = case
+    got = rep.spin(F, seeds, gens)
+    want = spin_reference(F, seeds, gens)
+    assert got.pivots == want.pivots
+    assert got.basis.shape == want.basis.shape
+    assert (got.basis == want.basis).all()
+
+
 def test_validation_checks_every_cayley_graph_edge():
     # two involutions that do not commute: the breadth-first tree reaches
     # ab through a then b, and the relation ba = ab fails off the tree

@@ -292,6 +292,47 @@ def test_sources_by_reciprocity_match_induced_summands(name, m):
     assert verdicts == {True, False}
 
 
+def _higman_alpha(M, H):
+    """The full Higman solve: an alpha in E_H(M) with tr_H^G(alpha) the
+    identity, from the traces of a basis of E_H(M); None when there is none."""
+    basis = rep.hom_space(M, M, H)
+    if not basis:
+        return None
+    traces = vertex.rel_trace_batch(M, basis, H)
+    A = np.array([t.ravel() for t in traces]).T
+    x, _ = linalg.solve(M.F, A, np.eye(M.dim, dtype=np.int64).ravel())
+    return None if x is None else linalg.combine(M.F, x, basis)
+
+
+def test_dimension_bound_rejects_only_what_higman_rejects():
+    # is_projective says no without a solve when |G:H|_2 does not divide
+    # dim M; the reference solve must agree, and the ascent over all classes
+    # must stop at the same vertex with the same alpha
+    specht = catalog.s5_specht_irreducible(make_field(2)).irreducible
+    mods = [specht]
+    for name in ("C2", "V4", "S3", "D12", "A4", "S4", "SL(2,3)", "C3:C4"):
+        G = catalog.suite_group(name)
+        mods += _one_per_class(G, F2) + [rep.permutation_module(G, F2)]
+    rejected = 0
+    for M in mods:
+        G = M.group
+        classes = sorted(G.two_subgroups_up_to_conjugacy(), key=lambda s: s.order)
+        for H in classes:
+            index = G.order // H.order
+            if M.dim % (index & -index):
+                assert not vertex.is_projective(M, H).projective
+                assert _higman_alpha(M, H) is None
+                rejected += 1
+        if not rep.is_indecomposable(M):
+            continue
+        V, alpha = next((H, a) for H in classes
+                        if (a := _higman_alpha(M, H)) is not None)
+        green = vertex.green_vertex(M, with_sources=False)
+        assert green.vertex.elements == V.elements
+        assert (green.cert.alpha == alpha).all()
+    assert rejected > 0
+
+
 def _symmetric_gf2_modules():
     """Small catalogue modules over GF(2) with a nondegenerate symmetric
     form."""
