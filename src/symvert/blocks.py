@@ -38,21 +38,14 @@ class CentreAlgebra:
         self.classes = G.conjugacy_classes()
         n = len(self.classes)
         self.n = n
-        self.class_of = np.zeros(G.order, dtype=np.int64)
-        for i, c in enumerate(self.classes):
-            for x in c.members:
-                self.class_of[x] = i
-        reps = {c.rep: i for i, c in enumerate(self.classes)}
-        # a[i, j, k] = #{(x, y) in C_i x C_j : x.y = rep_k} mod 2
+        self.class_of = G.class_ids
+        # struct[i, j, k] = #{(x, y) in C_i x C_j : x.y = rep_k}
+        #                 = #{x in C_i : x^-1.rep_k in C_j}, mod 2
+        reps = [c.rep for c in self.classes]
         a = np.zeros((n, n, n), dtype=np.int64)
-        for x in range(G.order):
-            cx = self.class_of[x]
-            row = G.mult[x]
-            for y in range(G.order):
-                k = reps.get(int(row[y]))
-                if k is not None:
-                    a[cx, self.class_of[y], k] ^= 1
-        self.struct = a
+        y = G.mult[G.inv][:, reps]  # y[x, k] = x^-1.rep_k
+        np.add.at(a, (self.class_of[:, None], self.class_of[y], np.arange(n)), 1)
+        self.struct = a % 2
         self.unit = np.zeros(n, dtype=np.int64)
         self.unit[self.class_of[0]] = 1
 
@@ -76,11 +69,7 @@ class CentreAlgebra:
         return acc
 
     def to_group_algebra(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.G.order, dtype=np.int64)
-        for i in np.nonzero(u)[0]:
-            for x in self.classes[i].members:
-                out[x] = u[i]
-        return out
+        return u[self.class_of]
 
     def contragredient(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
@@ -179,10 +168,6 @@ def _split_central(Z, e, s):
         if len(parts) > 1:
             return parts
     raise AssertionError("a Berlekamp element failed to split a central idempotent")
-
-
-def is_real(b: BlockInfo) -> bool:
-    return b.real
 
 
 def nilradical(Z: CentreAlgebra) -> Subspace:
@@ -348,12 +333,9 @@ def regular_bimodule(G: GroupTable, F: FieldCtx) -> RegularBimodule:
     n = G.order
     mats = []
     for gen in GG.generators:
-        a, bb = maps.split(gen)
-        P = zeros(n, n)
-        binv = G.inverse(bb)
-        for x in range(n):
-            P[G.mul(a, G.mul(x, binv)), x] = 1
-        mats.append(P)
+        a, b = maps.split(gen)
+        # column x holds a 1 in row a.x.b^-1
+        mats.append(eye(n)[:, G.mult[a, G.mult[:, G.inv[b]]]])
     M = ModuleRep(GG, F, mats, check=False)
     B = GForm(M, eye(n))
     return RegularBimodule(M, GG, maps.pair, B)
@@ -410,7 +392,7 @@ def build_theta(b: BlockInfo, bi: RegularBimodule) -> ThetaCert:
     sigma = Adjoint(bi.form)
     sigma_ok = bool((sigma(theta) == theta).all())
     full = vertex.rel_trace(bi.module, theta, dE)
-    reb = rep.right_mult_matrix(G, F, b.group_algebra_vector)
+    reb = rep.right_mult_matrix(G, b.group_algebra_vector)
     return ThetaCert(theta, sigma_ok, bool((full == reb).all()), choices)
 
 
@@ -490,7 +472,7 @@ def verify_theorem_vertexBlock(
     if G.order <= bound:
         bi = regular_bimodule(G, F)
         S = linalg.col_space(
-            F, rep.right_mult_matrix(G, F, b.group_algebra_vector)
+            F, rep.right_mult_matrix(G, b.group_algebra_vector)
         )
         nondeg = forms.is_nondegenerate_on(bi.form, S)
         details["B1_nondegenerate_on_block"] = nondeg

@@ -46,12 +46,12 @@ def _emit(data: dict, args) -> None:
 
 def cmd_vertices(args) -> int:
     try:
-        G = load_group(args.group)
+        G = load_group(args.group, args.bound_group_order)
         M = rep.load_module(args.module, G)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if G.order > args.bound_group_order or M.dim > args.bound_dim:
+    if M.dim > args.bound_dim:
         print("error: input exceeds feasibility bounds", file=sys.stderr)
         return EXIT_INFEASIBLE
     if not rep.is_indecomposable(M):
@@ -64,11 +64,7 @@ def cmd_vertices(args) -> int:
                "reason": "module has no nondegenerate invariant symmetric form"}
         _emit(out, args)
         return EXIT_OK
-    try:
-        report = vertex.classify_case(M, base, seed=args.seed)
-    except FeasibilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    report = vertex.classify_case(M, base, seed=args.seed)
     out = {"meta": _meta(F, args), **vertex.report_to_dict(report)}
     _emit(out, args)
     return EXIT_OK
@@ -76,13 +72,10 @@ def cmd_vertices(args) -> int:
 
 def cmd_blocks(args) -> int:
     try:
-        G = load_group(args.group)
+        G = load_group(args.group, args.bound_group_order)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if G.order > args.bound_group_order:
-        print("error: input exceeds feasibility bounds", file=sys.stderr)
-        return EXIT_INFEASIBLE
     F = make_field(args.field_degree)
     bl = blocks_mod.block_decomposition(G, F)
     out = {
@@ -177,7 +170,7 @@ def _verify_oracle_small(args) -> list[dict]:
         E = rep.regular_end_algebra(G, F, M)
         J = rep.group_algebra_radical(G, F)
         jmats = np.array(
-            [rep.right_mult_matrix(G, F, v).ravel() for v in J.basis]
+            [rep.right_mult_matrix(G, v).ravel() for v in J.basis]
         )
         I = Subspace(F, M.dim**2, jmats)
         base = [np.zeros((M.dim, M.dim), dtype=np.int64),
@@ -189,7 +182,7 @@ def _verify_oracle_small(args) -> list[dict]:
             n = np.zeros((M.dim, M.dim), dtype=np.int64)
             for v in J.basis:
                 if rng.randrange(2):
-                    n ^= rep.right_mult_matrix(G, F, v)
+                    n ^= rep.right_mult_matrix(G, v)
             e = forms.lift_selfadjoint_idempotent(E, sigma, I, e0 ^ n)
             if ((mat_mul(F, e, e) != e).any() or (sigma(e) != e).any()
                     or not I.contains((e ^ e0 ^ n).ravel())):
@@ -259,6 +252,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except FeasibilityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except AssertionError as exc:
         print(f"error: internal certificate failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

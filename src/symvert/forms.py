@@ -355,14 +355,7 @@ def mackey_decompose(
     if L.group.order != Ht.order:
         raise ValueError("form's module is not over the subgroup H")
     M_ind, trans = rep.induce(L, H)
-    pos = {t: i for i, t in enumerate(trans)}
-    tcos = {}
-    hpart = {}
-    for t in trans:
-        for h in H.elements:
-            x = G.mul(t, h)
-            tcos[x] = t
-            hpart[x] = h
+    _, coset, hid = rep.coset_split(H)
     gram_ind = linalg.kron(F, eye(len(trans)), L_form.gram)
 
     Kt, kelems = rep.subgroup_table(K)
@@ -400,11 +393,10 @@ def mackey_decompose(
         # witness columns: (coset k_i, basis e_l) -> k_i . (g tensor e_l)
         for ki in ktrans:
             x = G.mul(kelems[ki], g)
-            t, h = tcos[x], hpart[x]
-            blk = pos[t]
+            blk, h = int(coset[x]), int(hid[x])
             for l in range(dl):
                 col = zeros(M_ind.dim, 1).ravel()
-                col[blk * dl : (blk + 1) * dl] = Lact[hidx[h]][:, l]
+                col[blk * dl : (blk + 1) * dl] = Lact[h][:, l]
                 cols.append(col)
     W = np.array(cols).T
     verified = _verify_mackey(F, res_module, res_form, pieces, W)
@@ -554,14 +546,6 @@ def _seeded_automorphism(
 # -- forms on the regular module ------------------------------------------
 
 
-def contragredient(G: GroupTable, vec: np.ndarray) -> np.ndarray:
-    """The coefficient vector of x^o: transport each coefficient g -> g^-1."""
-    out = np.zeros_like(np.asarray(vec, dtype=np.int64))
-    for g in range(G.order):
-        out[G.inverse(g)] = vec[g]
-    return out
-
-
 def regular_form(M: ModuleRep, a: np.ndarray) -> GForm:
     """B_a(x, y) = B_1(x.a, y) on the regular module, for a in kG.
 
@@ -571,13 +555,7 @@ def regular_form(M: ModuleRep, a: np.ndarray) -> GForm:
     G = M.group
     if M.dim != G.order:
         raise ValueError("regular forms live on the regular module")
-    a = np.asarray(a, dtype=np.int64)
-    gram = zeros(G.order, G.order)
-    for g in range(G.order):
-        ginv = G.inverse(g)
-        for h in range(G.order):
-            gram[g, h] = a[G.mul(ginv, h)]
-    return GForm(M, gram, check=False)
+    return GForm(M, rep.right_mult_matrix(G, a).T, check=False)
 
 
 def standard_form(M: ModuleRep) -> GForm:

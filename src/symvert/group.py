@@ -50,7 +50,7 @@ class GroupTable:
         self.perms = perms  # optional permutation labels, 0-based images
         self._orders: np.ndarray | None = None
         self._classes: list[ConjClass] | None = None
-        self._class_of: np.ndarray | None = None
+        self.class_ids: np.ndarray | None = None  # class index of each element
         # standalone subgroup tables, keyed by element set; the first entry
         # wins, since its generators fix the element ids callers see
         self.subgroup_tables: dict[tuple[int, ...], tuple] = {}
@@ -125,12 +125,12 @@ class GroupTable:
             c.inverse_class = j
             c.is_real = j == i
         self._classes = classes
-        self._class_of = class_of
+        self.class_ids = class_of
         return classes
 
     def class_of(self, x: int) -> int:
         self.conjugacy_classes()
-        return int(self._class_of[x])
+        return int(self.class_ids[x])
 
     def involutions(self) -> list[int]:
         return [x for x in range(1, self.order) if self.mul(x, x) == 0]
@@ -397,8 +397,11 @@ def _perm_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def from_permutations(points: int, generators: list[list[int]]) -> GroupTable:
-    """Build a table from 1-based permutation images.
+def from_permutations(
+    points: int, generators: list[list[int]], bound: int | None = None
+) -> GroupTable:
+    """Build a table from 1-based permutation images; FeasibilityError as
+    soon as the enumeration passes `bound` elements.
 
     Elements are numbered in breadth-first order of the right Cayley graph.
     Its edges give right multiplication by each generator, R_g[x] = x g, and
@@ -421,6 +424,8 @@ def from_permutations(points: int, generators: list[list[int]]) -> GroupTable:
                 index[q] = len(elems)
                 elems.append(q)
                 reached.append((x, k))
+                if bound is not None and len(elems) > bound:
+                    raise FeasibilityError(f"group order exceeds bound {bound}")
             right[k].append(index[q])
     n = len(elems)
     R = np.array(right, dtype=np.int64).reshape(len(gens), n)
@@ -460,18 +465,23 @@ class ProductMaps:
 # -- serialization --------------------------------------------------------
 
 
-def load_group(path: str) -> GroupTable:
+def load_group(path: str, bound: int | None = None) -> GroupTable:
     with open(path) as fh:
         data = json.load(fh)
-    return group_from_dict(data)
+    return group_from_dict(data, bound)
 
 
-def group_from_dict(data: dict) -> GroupTable:
+def group_from_dict(data: dict, bound: int | None = None) -> GroupTable:
+    """The group of a file's data; FeasibilityError if its order passes
+    `bound` (for permutations, before the table is built)."""
     if "points" in data:
-        return from_permutations(data["points"], data["generators"])
-    if "table" in data:
-        return GroupTable(data["table"], data.get("generators"))
-    raise ValueError("group file needs 'points'+'generators' or 'table'")
+        return from_permutations(data["points"], data["generators"], bound)
+    if "table" not in data:
+        raise ValueError("group file needs 'points'+'generators' or 'table'")
+    G = GroupTable(data["table"], data.get("generators"))
+    if bound is not None and G.order > bound:
+        raise FeasibilityError(f"group order exceeds bound {bound}")
+    return G
 
 
 def group_to_dict(G: GroupTable) -> dict:

@@ -99,12 +99,7 @@ def trivial_module(G: GroupTable, F: FieldCtx) -> ModuleRep:
 
 def regular_module(G: GroupTable, F: FieldCtx) -> ModuleRep:
     """Left regular module: g sends basis vector e_x to e_{gx}."""
-    mats = []
-    for g in G.generators:
-        A = zeros(G.order, G.order)
-        for x in range(G.order):
-            A[G.mul(g, x), x] = 1
-        mats.append(A)
+    mats = [left_mult_matrix(G, e) for e in eye(G.order)[G.generators]]
     return ModuleRep(G, F, mats, check=False)
 
 
@@ -169,31 +164,28 @@ def induce(L: ModuleRep, H: Subgroup) -> tuple[ModuleRep, list[int]]:
     Ht, elems = subgroup_table(H)
     if L.group.order != Ht.order:
         raise ValueError("module is not over the given subgroup")
-    idx_in_H = {x: i for i, x in enumerate(elems)}
-    trans = G.left_transversal(H)
-    pos = {t: i for i, t in enumerate(trans)}
-    dl = L.dim
-    d = len(trans) * dl
-    # decompose any group element as t*h
-    tcos = np.zeros(G.order, dtype=np.int64)
-    hpart = np.zeros(G.order, dtype=np.int64)
-    for t in trans:
-        for h in H.elements:
-            x = G.mul(t, h)
-            tcos[x] = t
-            hpart[x] = h
-    Lact = L.full_action()
-    mats = []
-    for g in G.generators:
-        A = zeros(d, d)
-        for j, t in enumerate(trans):
-            gt = G.mul(g, t)
-            t2 = int(tcos[gt])
-            h = int(hpart[gt])
-            i = pos[t2]
-            A[i * dl : (i + 1) * dl, j * dl : (j + 1) * dl] = Lact[idx_in_H[h]]
-        mats.append(A)
+    trans, coset, hid = coset_split(H)
+    acts = np.array([L.action(h) for h in range(Ht.order)])
+    k, dl, r = len(trans), L.dim, len(G.generators)
+    gt = G.mult[np.ix_(G.generators, trans)]  # g t_j = t_i h: block (i, j) is L(h)
+    A = np.zeros((r, k, k, dl, dl), dtype=np.int64)
+    A[np.arange(r)[:, None], coset[gt], np.arange(k)] = acts[hid[gt]]
+    mats = list(A.transpose(0, 1, 3, 2, 4).reshape(r, k * dl, k * dl))
     return ModuleRep(G, L.F, mats, check=False), trans
+
+
+def coset_split(H: Subgroup) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """H's left transversal, and for every element x of the parent group
+    the position i in it and the id h in H's own table with x = t_i h."""
+    G = H.parent
+    _, elems = subgroup_table(H)
+    trans = G.left_transversal(H)
+    x = G.mult[np.ix_(trans, elems)]
+    coset = np.empty(G.order, dtype=np.int64)
+    hid = np.empty(G.order, dtype=np.int64)
+    coset[x] = np.arange(len(trans))[:, None]
+    hid[x] = np.arange(len(elems))
+    return trans, coset, hid
 
 
 def sub_module(M: ModuleRep, S: Subspace) -> tuple[ModuleRep, np.ndarray, np.ndarray]:
@@ -311,39 +303,24 @@ def end_algebra(
 
 def regular_end_algebra(G: GroupTable, F: FieldCtx, M: ModuleRep) -> EndoAlgebra:
     """E_G(kG) = all right multiplications r(x): v -> v.x (basis for free)."""
-    n = G.order
-    basis = []
-    for x in range(n):
-        R = zeros(n, n)
-        for y in range(n):
-            R[G.mul(y, x), y] = 1
-        basis.append(R)
+    basis = [right_mult_matrix(G, e) for e in eye(G.order)]
     gens = [basis[g] for g in G.generators]
     return EndoAlgebra(M, basis, gens=gens)
 
 
-def right_mult_matrix(G: GroupTable, F: FieldCtx, vec: np.ndarray) -> np.ndarray:
-    """Right multiplication by a group-algebra element on the regular basis."""
-    n = G.order
-    R = zeros(n, n)
-    for x in range(n):
-        c = int(vec[x])
-        if c:
-            for y in range(n):
-                R[G.mul(y, x), y] ^= c
-    return R
+# kG multiplies on the group-element basis through the table: the
+# coefficient of r in a.b is the sum over y of a[r y^-1] b[y], which is
+# also the sum over y of a[y] b[y^-1 r]
 
 
-def left_mult_matrix(G: GroupTable, F: FieldCtx, vec: np.ndarray) -> np.ndarray:
-    """Left multiplication by a group-algebra element on the regular basis."""
-    n = G.order
-    L = zeros(n, n)
-    for x in range(n):
-        c = int(vec[x])
-        if c:
-            for y in range(n):
-                L[G.mul(x, y), y] ^= c
-    return L
+def right_mult_matrix(G: GroupTable, a: np.ndarray) -> np.ndarray:
+    """The matrix of v -> v.a on kG: entry (r, y) is a[y^-1 r]."""
+    return np.asarray(a, dtype=np.int64)[G.mult[G.inv]].T
+
+
+def left_mult_matrix(G: GroupTable, a: np.ndarray) -> np.ndarray:
+    """The matrix of v -> a.v on kG: entry (r, y) is a[r y^-1]."""
+    return np.asarray(a, dtype=np.int64)[G.mult[:, G.inv]]
 
 
 # -- MeatAxe-style chop ---------------------------------------------------
@@ -812,7 +789,7 @@ def pims(G: GroupTable, F: FieldCtx, seed: int = 0) -> list[PimInfo]:
     cert = decompose(M, seed=seed, endo=E)
     J = group_algebra_radical(G, F, seed=seed)
     # left-multiplication matrices for a basis of J
-    Jmats = [left_mult_matrix(G, F, v) for v in J.basis]
+    Jmats = [left_mult_matrix(G, v) for v in J.basis]
     out: list[PimInfo] = []
     seen: list[tuple[ModuleRep, int]] = []
     for ci, c in enumerate(cert.components):

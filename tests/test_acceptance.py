@@ -534,7 +534,7 @@ def test_criterion_11_oracles():
             F2,
             M.dim**2,
             np.array(
-                [rep.right_mult_matrix(G, F2, v).ravel() for v in J.basis]
+                [rep.right_mult_matrix(G, v).ravel() for v in J.basis]
             ),
         )
         seeds_base = [np.zeros((M.dim, M.dim), dtype=np.int64),
@@ -547,7 +547,7 @@ def test_criterion_11_oracles():
             nmat = np.zeros((M.dim, M.dim), dtype=np.int64)
             for v in J.basis:
                 if rng.randrange(2):
-                    nmat ^= rep.right_mult_matrix(G, F2, v)
+                    nmat ^= rep.right_mult_matrix(G, v)
             a = e0 ^ nmat
             e = forms.lift_selfadjoint_idempotent(E, sigma, I, a)
             assert (mat_mul(F2, e, e) == e).all()

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symvert import blocks, catalog, forms, linalg, rep
 from symvert.field import make_field
+from symvert.group import GroupTable
 from symvert.linalg import mat_mul
 
 F2 = make_field(1)
@@ -28,23 +31,28 @@ def test_centre_algebra_structure():
             assert (Z.mul(ei, ej) == Z.mul(ej, ei)).all()
 
 
-def test_centre_matches_group_algebra_product():
-    # multiply two class sums in kG directly and re-express on class sums
-    Z = blocks.CentreAlgebra(S4, F2)
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", catalog.SUITE_NAMES)
+def test_centre_matches_group_algebra_product(name, m):
+    # multiply two scaled class sums in kG directly and re-express on class
+    # sums; the scalars run through the nonzero elements of the field
+    G = catalog.suite_group(name)
+    F = make_field(m)
+    Z = blocks.CentreAlgebra(G, F)
     for i in range(Z.n):
         for j in range(Z.n):
             ei = np.zeros(Z.n, dtype=np.int64)
-            ei[i] = 1
+            ei[i] = 1 + i % (F.q - 1)
             ej = np.zeros(Z.n, dtype=np.int64)
-            ej[j] = 1
+            ej[j] = 1 + (i + j) % (F.q - 1)
             prod = Z.mul(ei, ej)
             vi = Z.to_group_algebra(ei)
             vj = Z.to_group_algebra(ej)
-            got = np.zeros(S4.order, dtype=np.int64)
+            got = np.zeros(G.order, dtype=np.int64)
             # convolution by hand
             for g in np.nonzero(vi)[0]:
                 for h in np.nonzero(vj)[0]:
-                    got[S4.mul(int(g), int(h))] ^= F2.mul(int(vi[g]), int(vj[h]))
+                    got[G.mul(int(g), int(h))] ^= F.mul(int(vi[g]), int(vj[h]))
             assert (got == Z.to_group_algebra(prod)).all()
 
 
@@ -222,3 +230,32 @@ def test_block_to_dict_shape():
         "coefficients", "support_class_reps", "real", "principal",
         "defect_group", "extended_defect_group",
     }
+
+
+SMALL = [name for name in catalog.SUITE_NAMES if catalog.suite_group(name).order <= 24]
+
+
+def _block_invariants(G, F, relabel):
+    """Each block as (kG vector over the original ids, real, principal,
+    |D|, |E|), given the original-to-G id map."""
+    out = []
+    for b in blocks.block_decomposition(G, F):
+        E = b.extended_defect_group
+        out.append((
+            tuple(b.group_algebra_vector[relabel]), b.real, b.principal,
+            b.defect_group.order, None if E is None else E.order,
+        ))
+    return sorted(out)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(SMALL), m=st.sampled_from([1, 2]), data=st.data())
+def test_blocks_do_not_depend_on_element_labels(name, m, data):
+    G = catalog.suite_group(name)
+    F = make_field(m)
+    # p maps each id to its new label; the identity keeps label 0
+    p = np.array([0] + data.draw(st.permutations(range(1, G.order))))
+    mult = np.empty_like(G.mult)
+    mult[np.ix_(p, p)] = p[G.mult]
+    H = GroupTable(mult, [int(p[g]) for g in G.generators])
+    assert _block_invariants(H, F, p) == _block_invariants(G, F, np.arange(G.order))

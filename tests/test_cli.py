@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symvert import blocks, catalog, cli, rep, vertex
+from symvert import blocks, catalog, cli, group, rep, vertex
 from symvert.field import make_field
 from symvert.group import GroupTable, group_to_dict
 
@@ -166,6 +166,23 @@ def test_infeasible_exit_code(s3_files, capsys):
     g, m = s3_files
     assert cli.main(["--bound-group-order", "2", "blocks", g]) == 3
     assert cli.main(["--bound-dim", "1", "vertices", g, m]) == 3
+
+
+def test_group_order_bound_stops_the_enumeration(monkeypatch, capsys):
+    # the bound reaches the element enumeration: GL(3,2):2 (order 336, three
+    # generators) exits 3 after at most (bound + 1) * 3 compositions
+    perm_mul, calls = group._perm_mul, []
+
+    def counted(p, q):
+        calls.append(1)
+        return perm_mul(p, q)
+
+    monkeypatch.setattr(group, "_perm_mul", counted)
+    path = str(Path(cli.__file__).parent / "data" / "gl32_2.json")
+    assert cli.main(["--bound-group-order", "10", "blocks", path]) == 3
+    assert 0 < len(calls) <= 11 * 3
+    assert "exceeds bound 10" in capsys.readouterr().err
+    assert cli.main(["--bound-group-order", "336", "--json", "blocks", path]) == 0
 
 
 def test_oracle_small_suite(capsys):

@@ -97,7 +97,7 @@ def test_adjoint_of_right_multiplication_under_bt():
     def rmul(x):
         v = np.zeros(6, dtype=np.int64)
         v[x] = 1
-        return rep.right_mult_matrix(S3, F2, v)
+        return rep.right_mult_matrix(S3, v)
 
     assert (sigma(rmul(t)) == rmul(t)).all()
     for s in range(6):
@@ -234,7 +234,7 @@ def test_perfect_pairing():
     t = S3.involutions()[0]
     v = np.zeros(6, dtype=np.int64)
     v[0] = v[t] = 1  # theta = 1 + t, a non-unit
-    theta = rep.right_mult_matrix(S3, F2, v)
+    theta = rep.right_mult_matrix(S3, v)
     cert = forms.perfect_pairing(B, theta)
     assert cert.perfect
     assert cert.left.dim == cert.right.dim == 3
