@@ -48,18 +48,21 @@ def coefficient_vectors(q: int, h: int, rng, exhaustive_upto: int, draws: int):
 
 
 def mat_mul(F: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product.  GF(2): one integer matmul mod 2.  GF(2^m): bit-sliced
-    onto exact float64 BLAS products (after Albrecht's M4RIE).  Bit i of each
-    element sits at bit s*i, so a product of A with a group of B's bit
-    planes counts each carry-less plane t in its own s-bit field, whose low
-    bit is that plane's parity; ``red_masks`` folds the 2m-1 parities back.
+    """Matrix product.  GF(2): one float BLAS product mod 2, as numpy has no
+    integer BLAS; sums of k products of 0/1 are exact in float32 while
+    k < 2^24, and in float64 beyond.  GF(2^m): bit-sliced onto exact float64
+    BLAS products (after Albrecht's M4RIE).  Bit i of each element sits at
+    bit s*i, so a product of A with a group of B's bit planes counts each
+    carry-less plane t in its own s-bit field, whose low bit is that
+    plane's parity; ``red_masks`` folds the 2m-1 parities back.
     ``FieldCtx.mat_mul_plans`` sizes the inner chunks so that every partial
     sum stays below 2^53; the plan with the fewest products wins."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     m, k = F.m, A.shape[1]
     if m == 1:
-        return (A @ B) & 1
+        t = np.float32 if k < 1 << 24 else np.float64
+        return (A.astype(t) @ B.astype(t)).astype(np.int64) & 1
     h, s, chunk, spread, groups = min(
         F.mat_mul_plans, key=lambda p: len(p[4]) * -(-k // p[2])
     )
@@ -247,38 +250,49 @@ def is_nilpotent(F: FieldCtx, A: np.ndarray) -> bool:
     return not P.any()
 
 
-def min_poly(F: FieldCtx, A: np.ndarray) -> list[int]:
-    """Monic minimal polynomial (coefficient list, index = power)."""
+def min_poly(F: FieldCtx, A: np.ndarray, coords=None) -> list[int]:
+    """Monic minimal polynomial (coefficient list, index = power): the lcm
+    of the unit vectors' local polynomials under A.  With ``coords``, A's
+    minimal polynomial in the unital algebra that ``coords`` maps onto
+    coordinates (a quotient, say): as p(L_A) 1 = p(A), that is the local
+    polynomial of the identity, from the one sequence coords(A^j)."""
     from . import polys
 
+    if coords is not None:
+        powers = _orbit(lambda P: mat_mul(F, A, P), eye(A.shape[0]))
+        return _first_dependency(F, map(coords, powers))
     n = A.shape[0]
     mu = [1]
-    for i in range(n):
-        v = zeros(1, n).ravel()
-        v[i] = 1
-        # local minimal polynomial of (A, v)
-        local = _local_min_poly(F, A, v)
+    for v in eye(n):
+        local = _first_dependency(F, _orbit(lambda u: mat_vec(F, A, u), v))
         mu = polys.lcm(F, mu, local)
         if polys.deg(mu) == n:
             break
     return mu
 
 
-def _local_min_poly(F: FieldCtx, A: np.ndarray, v: np.ndarray) -> list[int]:
-    n = A.shape[0]
-    # each Krylov vector A^j v carries its coordinates over the powers of A
-    # as trailing columns, so the first dependency spells out the polynomial
-    ech = Echelon(F, n)
-    cur = v
-    for j in range(n + 1):
+def _orbit(step, v):
+    """v, step(v), step(step(v)), ... without end."""
+    while True:
+        yield v
+        v = step(v)
+
+
+def _first_dependency(F: FieldCtx, vectors) -> list[int]:
+    """The monic c with sum_j c_j v_j = 0 of least degree, for the first
+    vectors v_0, v_1, ... of a sequence of length-n vectors.  Each v_j
+    carries a unit at trailing column j, so the first one that reduces to
+    zero spells the relation out; n + 1 vectors are always dependent."""
+    for j, v in enumerate(vectors):
+        n = v.size
+        if j == 0:
+            ech = Echelon(F, n)
         w = zeros(1, 2 * n + 1).ravel()
-        w[:n] = cur
+        w[:n] = v
         w[n + j] = 1
         w = ech.reduce(w)
         if not ech.append(w):
             return [int(c) for c in w[n : n + j + 1]]
-        cur = mat_vec(F, A, cur)
-    raise AssertionError("Krylov overflow")
 
 
 class Subspace:

@@ -604,16 +604,12 @@ def _split_once(E: EndoAlgebra, J: list[np.ndarray], seed: int) -> np.ndarray | 
     r = len(lifts)
     if r == 1:
         return None
-    # multiplication-by-a matrix on E/J for deterministic seeded elements
     rng = random.Random(seed)
     s = idempotent_power_exponent(E.dim)
     draws = coefficient_vectors(F.q, r, rng, 0, 400 - r)
     cands = itertools.chain(lifts, (combine(F, c, lifts) for c in draws))
     for attempt, a in enumerate(cands):
-        La = np.array(
-            [quo_coords(mat_mul(F, a, b)) for b in lifts]
-        ).T  # columns: a*lift_j in quotient coords
-        mu = linalg.min_poly(F, La)
+        mu = linalg.min_poly(F, a, quo_coords)  # a's minimal polynomial in E/J
         fac = polys.factor(F, mu, seed=seed + attempt)
         sqfree = [p for p, _ in fac]
         if len(sqfree) < 2:

@@ -65,6 +65,19 @@ def test_mat_mul_matches_scalar_reference(m):
             assert (got == _scalar_mat_mul(F, A, B)).all(), (r, k, c)
 
 
+def test_gf2_mat_mul_float_path_is_exact():
+    # the float BLAS product against the integer one it replaced
+    rng = np.random.default_rng(2)
+    for r, k, c in [(3, 0, 4), (1, 40, 1), (200, 7, 3), (3, 7, 200), (336, 336, 336)]:
+        A, B = rng.integers(0, 2, (r, k)), rng.integers(0, 2, (k, c))
+        got = linalg.mat_mul(F2, A, B)
+        assert got.dtype == np.int64 and (got == (A @ B) & 1).all(), (r, k, c)
+    # an odd sum of 100,001 ones keeps its parity
+    k = 100_001
+    got = linalg.mat_mul(F2, np.ones((2, k), np.int64), np.ones((k, 3), np.int64))
+    assert (got == 1).all()
+
+
 
 @pytest.mark.parametrize("q, h", [(2, 4), (4, 3)])
 def test_coefficient_vectors_exhaustive_order(q, h):

@@ -2,7 +2,9 @@
 
 import functools
 import gc
+import itertools
 import json
+import random
 import weakref
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symvert import catalog, linalg, rep
+from symvert import catalog, linalg, polys, rep
 from symvert.field import make_field
 from symvert.group import GroupTable, from_permutations
 
@@ -433,3 +435,49 @@ def test_decompose_frees_its_recursion_without_gc():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _split_cases():
+    SL23 = catalog.suite_group("SL(2,3)")
+    # E/J is GF(2) x GF(4), GF(2) x M_2(GF(2)) for S3 and GF(4) x M_2(GF(4))
+    # for S4: some L_a on E/J have no cyclic vector
+    yield "SL(2,3)-regular-gf2", rep.regular_module(SL23, F2)
+    yield "S3-regular-gf2", rep.regular_module(S3, F2)
+    # E/J = GF(4): the candidates end on the deg(mu) == r certificate
+    irr = [M for M in rep.irreducible_modules(SL23, F2) if M.dim == 2]
+    yield "SL(2,3)-irreducible-gf2", irr[0]
+    yield "S4-regular-gf4", rep.regular_module(S4, F4)
+
+
+@pytest.mark.parametrize("label, M", list(_split_cases()))
+def test_quotient_min_poly_matches_left_multiplication(label, M, monkeypatch):
+    F, seed = M.F, 3
+    E = rep.end_algebra(M)
+    J = rep.radical(E, seed)
+    lifts, quo_coords = rep.semisimple_quotient(E, J)
+    r = len(lifts)
+    draws = linalg.coefficient_vectors(F.q, r, random.Random(seed), 0, 400 - r)
+    cands = itertools.chain(lifts, (linalg.combine(F, c, lifts) for c in draws))
+    degrees = set()
+    for a in itertools.islice(cands, 20):
+        # reference: the matrix of left multiplication by a on E/J
+        La = np.array([quo_coords(linalg.mat_mul(F, a, b)) for b in lifts]).T
+        mu = linalg.min_poly(F, a, quo_coords)
+        assert mu == linalg.min_poly(F, La), label
+        degrees.add(polys.deg(mu))
+    assert min(degrees) < r, label  # some La is not cyclic
+    # one min_poly call per attempt; polys.factor is seeded seed + attempt
+    calls, attempts = [], []
+    real_min_poly, real_factor = linalg.min_poly, polys.factor
+    monkeypatch.setattr(
+        linalg, "min_poly", lambda *a: calls.append(1) or real_min_poly(*a)
+    )
+    monkeypatch.setattr(
+        polys,
+        "factor",
+        lambda *a, seed: attempts.append(seed) or real_factor(*a, seed=seed),
+    )
+    e = rep._split_once(E, J, seed)
+    assert attempts == list(range(seed, seed + len(attempts)))
+    assert len(calls) == len(attempts) >= 1
+    assert (e is None) == (label == "SL(2,3)-irreducible-gf2")
