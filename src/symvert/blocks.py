@@ -148,20 +148,22 @@ def _split_central(Z, e, s):
         return None
     for x in ker:
         z = combine(F, x, space.basis)
-        Mz = np.array([space.coords(Z.mul(z, b)) for b in space.basis]).T
-        fac = polys.factor(F, linalg.min_poly(F, Mz))
+        # z's minimal polynomial in the unital algebra e.Z, from the one
+        # sequence z^j.e (p(L_z) e = p(z)); u(z) reuses these powers
+        powers = [e]
+
+        def orbit():
+            while True:
+                yield space.coords(powers[-1])
+                powers.append(Z.mul(powers[-1], z))
+
+        fac = polys.factor(F, linalg._first_dependency(F, orbit()))
         if len(fac) <= 1:
             continue
         parts = []
         for u in polys.crt_idempotents(F, fac):
-            # evaluate u at z inside e.Z (constant term times e) and lift
-            w = F.vscale(u[0], e) if u[0] else np.zeros(Z.n, dtype=np.int64)
-            zp = e.copy()
-            for c in u[1:]:
-                zp = Z.mul(zp, z)
-                if c:
-                    w ^= F.vscale(int(c), zp)
-            f = Z.power(w, 1 << s)
+            # u is reduced modulo the minimal polynomial, so deg u < len(powers)
+            f = Z.power(combine(F, u, powers), 1 << s)
             f = Z.mul(f, e)
             if f.any():
                 parts.append(f)
@@ -303,7 +305,7 @@ def quadratic_type_pim(M: ModuleRep, B: GForm | None = None) -> QuadraticTypeRes
     acts = M.full_action()
     seen: set[int] = set()
     for t in G.involutions():
-        cls = min(G.conj(g, t) for g in range(G.order))
+        cls = G.class_of(t)
         if cls in seen:
             continue
         seen.add(cls)

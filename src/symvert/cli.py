@@ -168,11 +168,9 @@ def _verify_oracle_small(args) -> list[dict]:
         B = forms.standard_form(M)
         sigma = forms.Adjoint(B)
         E = rep.regular_end_algebra(G, F, M)
-        J = rep.group_algebra_radical(G, F)
-        jmats = np.array(
-            [rep.right_mult_matrix(G, v).ravel() for v in J.basis]
-        )
-        I = Subspace(F, M.dim**2, jmats)
+        # r(J(kG)) = J(E); a random subset-sum of a basis is uniform on it
+        J = rep.radical(E)
+        I = Subspace(F, M.dim**2, np.array([j.ravel() for j in J]))
         base = [np.zeros((M.dim, M.dim), dtype=np.int64),
                 np.eye(M.dim, dtype=np.int64)]
         for piece in forms.orth_decompose(B):
@@ -180,9 +178,9 @@ def _verify_oracle_small(args) -> list[dict]:
         for _ in range(20):
             e0 = base[rng.randrange(len(base))]
             n = np.zeros((M.dim, M.dim), dtype=np.int64)
-            for v in J.basis:
+            for j in J:
                 if rng.randrange(2):
-                    n ^= rep.right_mult_matrix(G, v)
+                    n ^= j
             e = forms.lift_selfadjoint_idempotent(E, sigma, I, e0 ^ n)
             if ((mat_mul(F, e, e) != e).any() or (sigma(e) != e).any()
                     or not I.contains((e ^ e0 ^ n).ravel())):

@@ -563,9 +563,17 @@ class Component:
 
 @dataclass
 class DecompositionCert:
+    """The summands of a module, grouped by isomorphism class.
+
+    `radical` is the basis of J(E) that `decompose` split modulo, as
+    matrices on the module.  For kG with E = `regular_end_algebra`, these
+    are the right multiplications r(a) for a in a basis of J(kG), and as
+    r(a) sends the identity (id 0) to a, column 0 of each reads a off."""
+
     module: ModuleRep
     components: list[Component]
     multiplicities: list[int]  # per iso class
+    radical: list[np.ndarray]
 
     def verify(self) -> bool:
         F = self.module.F
@@ -685,7 +693,8 @@ def decompose(
             amb_e = mat_mul(F, amb_e, outer_e)
             rec(Ec, Jc, amb_incl, amb_proj, amb_e, seed + 1)
 
-    rec(E, radical(E, seed), eye(M.dim), eye(M.dim), eye(M.dim), seed)
+    J = radical(E, seed)
+    rec(E, J, eye(M.dim), eye(M.dim), eye(M.dim), seed)
     del rec  # a self-referencing closure: free its data now, not at a full gc
     comps.sort(key=lambda c: (c.module.dim, c.subspace.basis.tobytes()))
     # group by isomorphism class
@@ -701,7 +710,7 @@ def decompose(
             c.iso_class = len(reps)
             reps.append(c.module)
             mults.append(1)
-    return DecompositionCert(M, comps, mults)
+    return DecompositionCert(M, comps, mults, J)
 
 
 def is_indecomposable(M: ModuleRep, endo: EndoAlgebra | None = None) -> bool:
@@ -780,36 +789,20 @@ class PimInfo:
 
 
 def pims(G: GroupTable, F: FieldCtx, seed: int = 0) -> list[PimInfo]:
+    """One PIM per isomorphism class of summands of kG, with its head.
+
+    kG is decomposed once; J(kG) is column 0 of the radical it split
+    modulo.  P = kG.e has rad P = J.kG.e = J.e, and c.proj applies e, so
+    the head P / rad P is a quotient by one product."""
     M = regular_module(G, F)
-    E = regular_end_algebra(G, F, M)
-    cert = decompose(M, seed=seed, endo=E)
-    J = group_algebra_radical(G, F, seed=seed)
-    # left-multiplication matrices for a basis of J
-    Jmats = [left_mult_matrix(G, v) for v in J.basis]
+    cert = decompose(M, seed=seed, endo=regular_end_algebra(G, F, M))
+    J = np.array([r[:, 0] for r in cert.radical]).reshape(-1, G.order)
     out: list[PimInfo] = []
-    seen: list[tuple[ModuleRep, int]] = []
-    for ci, c in enumerate(cert.components):
-        if c.iso_class in [s[1] for s in seen]:
-            continue
-        # head = P / J.P
-        radP_vecs = []
-        for L in Jmats:
-            img = mat_mul(F, L, c.incl)  # J * (basis of P)
-            radP_vecs.append(mat_mul(F, c.proj, img).T)
-        if radP_vecs:
-            radP = Subspace(F, c.module.dim, np.concatenate(radP_vecs, axis=0))
-        else:
-            radP = Subspace(F, c.module.dim, None)
+    for i, mult in enumerate(cert.multiplicities):
+        c = next(c for c in cert.components if c.iso_class == i)
+        radP = Subspace(F, c.module.dim, mat_mul(F, c.proj, J.T).T)
         head, _ = quotient_module(c.module, radP)
-        out.append(
-            PimInfo(
-                pim=c.module,
-                head=head,
-                multiplicity=cert.multiplicities[c.iso_class],
-                component=c,
-            )
-        )
-        seen.append((c.module, c.iso_class))
+        out.append(PimInfo(pim=c.module, head=head, multiplicity=mult, component=c))
     return out
 
 

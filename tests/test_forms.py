@@ -286,13 +286,15 @@ def test_involution_component_test():
     same = D12.class_of(s) == D12.class_of(t)
     ok, witness = forms.involution_component_test(D12, s, t)
     assert ok == same
-    # conjugate pair gives a witness
+    # each conjugate pair gives a witness w with w.u.w^-1 = s
+    pairs = 0
     for u in refl[1:]:
-        if D12.class_of(u) == D12.class_of(s) and u != s:
+        if D12.class_of(u) == D12.class_of(s):
             ok, w = forms.involution_component_test(D12, s, u)
             assert ok and w is not None
-            assert D12.mul(w, D12.mul(s, D12.inverse(w))) in (u,) or True
-            break
+            assert D12.mul(w, D12.mul(u, D12.inverse(w))) == s
+            pairs += 1
+    assert pairs == 2
 
 
 def test_extend_form_from_summand_round_trip():

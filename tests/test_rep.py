@@ -80,17 +80,67 @@ def test_decompose_regular_s3():
     assert (total == np.eye(6, dtype=np.int64)).all()
 
 
-def test_pims_s3():
+def count_chop_dims(monkeypatch) -> list[int]:
+    """Record the dimension of every `rep.chop`; fail on the irreducible
+    route to J(kG), which `pims` reads off its own decomposition instead."""
+    dims, real_chop = [], rep.chop
+
+    def chop(F, gens, dim, seed=0):
+        dims.append(dim)
+        return real_chop(F, gens, dim, seed=seed)
+
+    monkeypatch.setattr(rep, "chop", chop)
+    for name in ("group_algebra_radical", "irreducible_modules"):
+        monkeypatch.setattr(rep, name, lambda *a, name=name, **k: pytest.fail(name))
+    return dims
+
+
+def test_pims_s3(monkeypatch):
+    dims = count_chop_dims(monkeypatch)
     ps = rep.pims(S3, F2)
     got = sorted((p.pim.dim, p.head.dim, p.multiplicity) for p in ps)
     assert got == [(2, 1, 1), (2, 2, 2)]
     assert sum(p.pim.dim * p.multiplicity for p in ps) == 6
+    assert dims.count(S3.order) == 1  # kG is chopped once
 
 
-def test_pims_s4():
+def test_pims_s4(monkeypatch):
+    dims = count_chop_dims(monkeypatch)
     ps = rep.pims(S4, F2)
     got = sorted((p.pim.dim, p.head.dim, p.multiplicity) for p in ps)
     assert got == [(8, 1, 1), (8, 2, 2)]
+    assert dims.count(S4.order) == 1
+
+
+SMALL_GROUPS = [n for n in catalog.SUITE_NAMES if catalog.suite_group(n).order <= 24]
+
+
+@pytest.mark.parametrize("F", [F2, F4], ids=["GF2", "GF4"])
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_pims_heads_from_decomposition_radical(name, F):
+    G = catalog.suite_group(name)
+    J = rep.group_algebra_radical(G, F)
+    # J(kG) is column 0 of the radical the regular decomposition splits modulo
+    M = rep.regular_module(G, F)
+    cert = rep.decompose(M, endo=rep.regular_end_algebra(G, F, M))
+    col0 = np.array([r[:, 0] for r in cert.radical]).reshape(-1, G.order)
+    assert linalg.Subspace(F, G.order, col0) == J
+    # reference heads: P / J.P from every left multiplication by a basis of J
+    Jmats = [rep.left_mult_matrix(G, v) for v in J.basis]
+    for seed in (0, 20240401):
+        for p in rep.pims(G, F, seed=seed):
+            c = p.component
+            imgs = [
+                linalg.mat_mul(F, c.proj, linalg.mat_mul(F, L, c.incl)).T
+                for L in Jmats
+            ]
+            radP = linalg.Subspace(
+                F, c.module.dim, np.concatenate(imgs) if imgs else None
+            )
+            head, _ = rep.quotient_module(c.module, radP)
+            assert head.dim == p.head.dim, (name, seed)
+            for A, B in zip(head.gen_matrices, p.head.gen_matrices):
+                assert (A == B).all(), (name, seed)
 
 
 def test_induce_restrict_dims_and_mackey_size():
