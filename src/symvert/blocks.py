@@ -372,14 +372,13 @@ def build_theta(b: BlockInfo, bi: RegularBimodule) -> ThetaCert:
     n = G.order
     theta = zeros(n, n)
     choices: dict[int, int] = {}
-    eset = set(E.elements)
     paired: dict[int, int] = {}
     for i in b.support:
         cls = Z.classes[i]
         if i in paired:
             c = G.inverse(paired[i])
         else:
-            c = _choose_class_element(G, cls, eset)
+            c = _choose_class_element(G, cls, E)
             if cls.inverse_class != i:
                 paired[cls.inverse_class] = c
         choices[i] = c
@@ -398,15 +397,12 @@ def build_theta(b: BlockInfo, bi: RegularBimodule) -> ThetaCert:
     return ThetaCert(theta, sigma_ok, bool((full == reb).all()), choices)
 
 
-def _choose_class_element(G: GroupTable, cls, eset: set[int]) -> int:
+def _choose_class_element(G: GroupTable, cls, E: Subgroup) -> int:
     """An element c of the class whose centralizer meets E in a full Sylow
     2-subgroup of C_G(c), so that Delta D <= Delta E."""
-    target = None
     for c in cls.members:
-        C = G.centralizer(c)
-        full = G.sylow2(within=C).order
-        inE = Subgroup(G, tuple(x for x in C.elements if x in eset), None)
-        if G.sylow2(within=inE).order == full:
+        full = G.sylow2(within=G.centralizer(c)).order
+        if G.sylow2(within=G.centralizer(c, within=E)).order == full:
             return c
     raise AssertionError("no class element with defect group inside E")
 

@@ -368,12 +368,15 @@ def mackey_decompose(
     pieces: list[MackeyPiece] = []
     cols: list[np.ndarray] = []
     offset = 0
+    kpos = {x: i for i, x in enumerate(kelems)}
+    in_H = H.mask()
+    kel = np.array(kelems)
     for g in G.double_cosets(K, H):
         ginv = G.inverse(g)
-        inter_elems = [x for x in K.elements if H.contains(G.mul(ginv, G.mul(x, g)))]
+        # K cap gHg^-1: the x in K with g^-1 x g in H
+        inter_elems = kel[in_H[G.mult[G.mult[ginv, kel], g]]].tolist()
         Kg = Subgroup(G, tuple(inter_elems), None)
         # the same subgroup inside K's standalone table
-        kpos = {x: i for i, x in enumerate(kelems)}
         Kg_in_K = Subgroup(Kt, tuple(kpos[x] for x in inter_elems), None)
         KgT, kg_elems = rep.subgroup_table(Kg_in_K)
         # conjugated module gL over Kg: x acts as L(g^-1 x g)
@@ -583,10 +586,9 @@ def involution_component_test(
     for x in (s, t):
         if G.mul(x, x) != 0 or x == 0:
             raise ValueError("both elements must be involutions")
-    for g in range(G.order):
-        if G.mul(g, t) == G.mul(s, g):
-            return True, g
-    return False, None
+    # the least g with g.t == s.g: column t of the table against row s
+    hits = np.flatnonzero(G.mult[:, t] == G.mult[s])
+    return (True, int(hits[0])) if hits.size else (False, None)
 
 
 def paired_module(M: ModuleRep) -> tuple[ModuleRep, GForm]:

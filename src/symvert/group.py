@@ -3,7 +3,10 @@
 Groups are ingested from permutation generators (expanded by orbit
 enumeration, identity first) or from a raw table.  Element ids are small
 ints; id 0 is the identity.  Subgroups are id sets tied to a parent table.
-All queries are pure; tables are immutable after load.
+All queries are pure; tables are immutable after load.  Conjugacy, coset,
+order and class queries are numpy gathers over `mult` and `inv`, tested
+against boolean membership masks; `closure` is a set-based breadth-first
+search, which beats a gather per round on the small subgroups it builds.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# the largest group whose 2-subgroup lattice is walked
+TWO_SUBGROUPS_ORDER_BOUND = 10_000
 
 
 class GroupTable:
@@ -63,23 +69,39 @@ class GroupTable:
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
 
-    def conj(self, g: int, x: int) -> int:
-        """g x g^-1."""
-        return int(self.mult[self.mult[g, x], self.inv[g]])
+    def _conj(self, gs, xs) -> np.ndarray:
+        """g x g^-1 for each g in gs (rows) and x in xs (columns)."""
+        gs = np.asarray(gs, dtype=np.int64)[:, None]
+        return self.mult[self.mult[gs, np.asarray(xs, dtype=np.int64)], self.inv[gs]]
+
+    def _mask(self, elems) -> np.ndarray:
+        """Membership of `elems` as a boolean vector over the ids."""
+        # masks, not np.unique/np.setdiff1d/np.intersect1d: those import numpy.ma
+        mask = np.zeros(self.order, dtype=bool)
+        mask[list(elems)] = True
+        return mask
+
+    def _conjugating(self, xs, target: np.ndarray, within=None) -> np.ndarray:
+        """The g (of `within`, else of G) with g x g^-1 in `target` for all x
+        in xs, ascending."""
+        gs = np.arange(self.order) if within is None else np.array(within.elements)
+        return gs[target[self._conj(gs, xs)].all(axis=1)]
 
     def element_order(self, x: int) -> int:
-        t = x
-        n = 1
-        while t != 0:
-            t = self.mul(t, x)
-            n += 1
-        return n
+        return int(self.element_orders()[x])
 
     def element_orders(self) -> np.ndarray:
+        """The order of every element, from one walk x, x^2, ... over all x."""
         if self._orders is None:
-            self._orders = np.array(
-                [self.element_order(x) for x in range(self.order)], dtype=np.int64
-            )
+            ids = np.arange(self.order)
+            orders = np.where(ids == 0, 1, 0)
+            power = ids
+            for k in range(2, self.order + 1):
+                if orders.all():
+                    break
+                power = self.mult[power, ids]
+                orders[(power == 0) & (orders == 0)] = k
+            self._orders = orders
         return self._orders
 
     def exponent(self) -> int:
@@ -104,18 +126,18 @@ class GroupTable:
         seen = np.zeros(self.order, dtype=bool)
         classes: list[ConjClass] = []
         class_of = np.zeros(self.order, dtype=np.int64)
-        for x in range(self.order):
-            if seen[x]:
-                continue
-            orbit = sorted({self.conj(g, x) for g in range(self.order)})
-            for y in orbit:
-                seen[y] = True
-                class_of[y] = len(classes)
+        orders = self.element_orders()
+        while not seen.all():
+            x = int(np.argmin(seen))  # the least element of a new class
+            orbit = np.zeros(self.order, dtype=bool)
+            orbit[self.mult[self.mult[:, x], self.inv]] = True
+            seen |= orbit
+            class_of[orbit] = len(classes)
             classes.append(
                 ConjClass(
                     rep=x,
-                    members=tuple(orbit),
-                    is_2regular=self.element_order(x) % 2 == 1,
+                    members=tuple(np.flatnonzero(orbit).tolist()),
+                    is_2regular=bool(orders[x] % 2),
                     is_real=False,
                     inverse_class=-1,
                 )
@@ -133,7 +155,7 @@ class GroupTable:
         return int(self.class_ids[x])
 
     def involutions(self) -> list[int]:
-        return [x for x in range(1, self.order) if self.mul(x, x) == 0]
+        return np.flatnonzero(np.diagonal(self.mult) == 0)[1:].tolist()
 
     # -- subgroups --------------------------------------------------------
 
@@ -159,24 +181,19 @@ class GroupTable:
         return Subgroup(self, (0,), ())
 
     def centralizer(self, x: int, within: "Subgroup | None" = None) -> "Subgroup":
-        amb = range(self.order) if within is None else within.elements
-        elems = tuple(g for g in amb if self.conj(g, x) == x)
-        return Subgroup(self, elems, None)
+        gs = self._conjugating([x], self._mask([x]), within)
+        return Subgroup(self, tuple(gs.tolist()), None)
 
     def extended_centralizer(
         self, x: int, within: "Subgroup | None" = None
     ) -> "Subgroup":
         """Elements normalizing {x, x^-1} by conjugation."""
-        amb = range(self.order) if within is None else within.elements
-        xi = self.inverse(x)
-        elems = tuple(g for g in amb if self.conj(g, x) in (x, xi))
-        return Subgroup(self, elems, None)
+        gs = self._conjugating([x], self._mask([x, self.inverse(x)]), within)
+        return Subgroup(self, tuple(gs.tolist()), None)
 
     def normalizer(self, H: "Subgroup", within: "Subgroup | None" = None) -> "Subgroup":
-        amb = range(self.order) if within is None else within.elements
-        hs = set(H.elements)
-        out = tuple(g for g in amb if all(self.conj(g, h) in hs for h in H.elements))
-        return Subgroup(self, out, None)
+        gs = self._conjugating(H.gens or H.elements, H.mask(), within)
+        return Subgroup(self, tuple(gs.tolist()), None)
 
     def sylow2(self, within: "Subgroup | None" = None) -> "Subgroup":
         """A Sylow 2-subgroup (of `within` if given), grown via normalizers."""
@@ -229,13 +246,11 @@ class GroupTable:
             frontier = nxt
         return sorted(seen.values(), key=lambda h: (h.order, h.elements))
 
-    def two_subgroups_up_to_conjugacy(
-        self, bound: int = 10_000
-    ) -> list["Subgroup"]:
+    def two_subgroups_up_to_conjugacy(self) -> list["Subgroup"]:
         """Conjugacy-class representatives of 2-subgroups (incl. trivial)."""
-        if self.order > bound:
+        if self.order > TWO_SUBGROUPS_ORDER_BOUND:
             raise FeasibilityError(
-                f"group order {self.order} exceeds bound {bound}"
+                f"group order {self.order} exceeds bound {TWO_SUBGROUPS_ORDER_BOUND}"
             )
         P = self.sylow2()
         reps: list[Subgroup] = []
@@ -245,34 +260,21 @@ class GroupTable:
         return reps
 
     def conjugate_subgroup(self, g: int, H: "Subgroup") -> "Subgroup":
-        return Subgroup(
-            self, tuple(sorted(self.conj(g, h) for h in H.elements)), None
-        )
+        return Subgroup(self, tuple(self._conj([g], H.elements)[0].tolist()), None)
 
     def subgroup_conjugate(self, A: "Subgroup", B: "Subgroup") -> int | None:
-        """g with g A g^-1 = B, or None."""
-        if A.order != B.order:
-            return None
-        bset = set(B.elements)
-        gens = A.gens or A.elements
-        for g in range(self.order):
-            if all(self.conj(g, a) in bset for a in gens):
-                if all(self.conj(g, a) in bset for a in A.elements):
-                    return g
-        return None
+        """The least g with g A g^-1 = B, or None."""
+        return self.conjugate_into(A, B) if A.order == B.order else None
 
     def is_subgroup_of(self, A: "Subgroup", B: "Subgroup") -> bool:
         return set(A.elements) <= set(B.elements)
 
     def conjugate_into(self, A: "Subgroup", B: "Subgroup") -> int | None:
-        """g with g A g^-1 <= B, or None."""
+        """The least g with g A g^-1 <= B, or None."""
         if A.order > B.order:
             return None
-        bset = set(B.elements)
-        for g in range(self.order):
-            if all(self.conj(g, a) in bset for a in A.elements):
-                return g
-        return None
+        gs = self._conjugating(A.gens or A.elements, B.mask())
+        return int(gs[0]) if gs.size else None
 
     # -- cosets -----------------------------------------------------------
 
@@ -281,32 +283,20 @@ class GroupTable:
         first element of each coset in K's element order."""
         if K is not None and not self.is_subgroup_of(H, K):
             raise ValueError("H is not contained in K")
-        seen = np.zeros(self.order, dtype=bool)
-        reps = []
-        for g in range(self.order) if K is None else K.elements:
-            if not seen[g]:
-                reps.append(g)
-                for h in H.elements:
-                    seen[self.mul(g, h)] = True
-        return reps
+        gs = np.arange(self.order) if K is None else np.array(K.elements)
+        # g is its coset's first element iff g is the least of the row g.H
+        return gs[self.mult[gs[:, None], H.elements].min(axis=1) == gs].tolist()
 
     def double_cosets(self, K: "Subgroup", H: "Subgroup") -> list[int]:
+        """The least element of each double coset K g H, ascending."""
         seen = np.zeros(self.order, dtype=bool)
         reps = []
-        total = 0
-        for g in range(self.order):
-            if seen[g]:
-                continue
+        while not seen.all():
+            g = int(np.argmin(seen))
+            cell = self.mult[self.mult[K.elements, g][:, None], H.elements]
+            assert not seen[cell].any()  # double cosets are disjoint
+            seen[cell] = True
             reps.append(g)
-            coset = set()
-            for a in K.elements:
-                ag = self.mul(a, g)
-                for b in H.elements:
-                    coset.add(self.mul(ag, b))
-            for x in coset:
-                seen[x] = True
-            total += len(coset)
-        assert total == self.order
         return reps
 
     def __repr__(self) -> str:
@@ -356,19 +346,20 @@ class Subgroup:
         return len(self.elements)
 
     def contains(self, x: int) -> bool:
-        return x in set(self.elements)
+        return x in self.elements
+
+    def mask(self) -> np.ndarray:
+        """Membership as a boolean vector over the parent's ids."""
+        return self.parent._mask(self.elements)
 
     def as_table(self) -> tuple[GroupTable, list[int]]:
         """Standalone table for this subgroup plus the id-to-parent map."""
         G = self.parent
-        elems = [0] + [x for x in self.elements if x != 0]
-        idx = {x: i for i, x in enumerate(elems)}
-        n = len(elems)
-        mult = np.zeros((n, n), dtype=np.int64)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                mult[i, j] = idx[G.mul(a, b)]
-        gens = [idx[g] for g in (self.gens or self.elements)]
+        elems = list(self.elements)  # sorted, so the identity 0 comes first
+        idx = np.full(G.order, -1, dtype=np.int64)
+        idx[elems] = np.arange(len(elems))
+        mult = idx[G.mult[np.ix_(elems, elems)]]
+        gens = idx[list(self.gens or self.elements)].tolist()
         return GroupTable(mult, gens), elems
 
     def __eq__(self, other) -> bool:

@@ -1,6 +1,10 @@
 """Finite group tables: classes, subgroups, Sylow theory, transversals."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,8 @@ S3 = catalog.suite_group("S3")
 S4 = catalog.suite_group("S4")
 D12 = catalog.suite_group("D12")
 SL23 = catalog.suite_group("SL(2,3)")
+ALL = [catalog.suite_group(name) for name in catalog.SUITE_NAMES]
+by_group = pytest.mark.parametrize("name", catalog.SUITE_NAMES)
 
 
 def test_suite_group_orders():
@@ -39,7 +45,7 @@ def test_group_axioms_spot():
 
 
 def test_element_orders_divide_group_order():
-    for G in (S3, S4, SL23):
+    for G in ALL:
         for x in range(G.order):
             assert G.order % G.element_order(x) == 0
         assert G.element_order(0) == 1
@@ -105,9 +111,8 @@ def test_extended_centralizer_index():
             assert E.order % C.order == 0
             assert E.order // C.order in (1, 2)
             if G.element_order(x) > 2:
-                real = any(
-                    G.conj(g, x) == G.inverse(x) for g in range(G.order)
-                )
+                # g x g^-1 = x^-1 iff g x = x^-1 g
+                real = (G.mult[:, x] == G.mult[G.inverse(x)]).any()
                 assert (E.order == 2 * C.order) == real
 
 
@@ -186,6 +191,167 @@ def test_double_cosets_cover():
             for h in sorted(H.elements):
                 covered.add(S4.mul(k, S4.mul(g, h)))
     assert covered == set(range(24))
+
+
+# -- every catalogue group against brute-force loops over the table --------
+
+
+def _table(name):
+    G = catalog.suite_group(name)
+    return G, G.mult.tolist(), G.inv.tolist()
+
+
+def _conj(T, inv, g, x):
+    return T[T[g][x]][inv[g]]
+
+
+def _two_subgroups(G, T, inv):
+    """The 2-subgroup class representatives and their conjugates by the
+    last element, each built by closure."""
+    reps = G.two_subgroups_up_to_conjugacy()
+    g = G.order - 1
+    return reps + [G.closure([_conj(T, inv, g, a) for a in R.gens]) for R in reps]
+
+
+def _subgroups(G, T, inv):
+    """The 2-subgroups above and the cyclic subgroup of each class rep."""
+    cyclic = [G.closure([c.rep]) for c in G.conjugacy_classes()]
+    return _two_subgroups(G, T, inv) + cyclic
+
+
+@by_group
+def test_element_orders_and_involutions_match_the_table(name):
+    G, T, _ = _table(name)
+    for x in range(G.order):
+        t, k = x, 1
+        while t != 0:
+            t, k = T[t][x], k + 1
+        assert G.element_order(x) == G.element_orders()[x] == k
+    assert G.involutions() == [x for x in range(1, G.order) if T[x][x] == 0]
+
+
+@by_group
+def test_classes_partition_and_start_at_their_least_member(name):
+    G, T, inv = _table(name)
+    classes = G.conjugacy_classes()
+    assert sorted(x for c in classes for x in c.members) == list(range(G.order))
+    for i, c in enumerate(classes):
+        # the members are the orbit of the rep, so closed under conjugation
+        orbit = sorted({_conj(T, inv, g, c.rep) for g in range(G.order)})
+        assert list(c.members) == orbit and c.rep == orbit[0]
+        assert all(G.class_of(x) == i for x in c.members)
+        assert c.is_2regular == (G.element_order(c.rep) % 2 == 1)
+        assert inv[c.rep] in classes[c.inverse_class].members
+        assert c.is_real == (c.inverse_class == i)
+
+
+@by_group
+def test_centralizers_and_normalizers_match_their_definitions(name):
+    G, T, inv = _table(name)
+    P = G.sylow2()
+    for x in range(G.order):
+        image = [_conj(T, inv, g, x) for g in range(G.order)]
+        for within in (None, P):
+            amb = range(G.order) if within is None else within.elements
+            assert G.centralizer(x, within).elements == tuple(
+                g for g in amb if image[g] == x
+            )
+            assert G.extended_centralizer(x, within).elements == tuple(
+                g for g in amb if image[g] in (x, inv[x])
+            )
+    for H in _subgroups(G, T, inv):
+        hs = set(H.elements)
+        assert G.normalizer(H).elements == tuple(
+            g for g in range(G.order)
+            if all(_conj(T, inv, g, h) in hs for h in H.elements)
+        )
+
+
+@by_group
+def test_conjugation_witnesses_are_least(name):
+    G, T, inv = _table(name)
+    subs = _subgroups(G, T, inv)
+    for A in subs:
+        images = [{_conj(T, inv, g, a) for a in A.elements} for g in range(G.order)]
+        for B in subs:
+            bs = set(B.elements)
+            into = next((g for g, im in enumerate(images) if im <= bs), None)
+            onto = next((g for g, im in enumerate(images) if im == bs), None)
+            assert G.conjugate_into(A, B) == into
+            assert G.subgroup_conjugate(A, B) == onto
+
+
+@by_group
+def test_cosets_are_named_by_their_least_elements(name):
+    G, T, inv = _table(name)
+    P = G.sylow2()
+    odd = G.closure([c.rep for c in G.conjugacy_classes() if c.is_2regular][-1:])
+    subs = _two_subgroups(G, T, inv)
+    for H in subs:
+        least = {min(T[g][h] for h in H.elements) for g in range(G.order)}
+        assert G.left_transversal(H) == sorted(least)
+        if G.is_subgroup_of(H, P):
+            least = {min(T[g][h] for h in H.elements) for g in P.elements}
+            assert G.left_transversal(H, P) == sorted(least)
+    for K in (G.trivial_subgroup(), P, odd):
+        for H in subs:
+            covered, reps = set(), []
+            for g in range(G.order):
+                if g in covered:
+                    continue
+                cell = {T[T[k][g]][h] for k in K.elements for h in H.elements}
+                assert not cell & covered and min(cell) == g
+                covered |= cell
+                reps.append(g)
+            assert G.double_cosets(K, H) == reps
+
+
+@by_group
+def test_subgroup_tables_match_the_parent(name):
+    G, T, inv = _table(name)
+    for H in _subgroups(G, T, inv):
+        Ht, elems = H.as_table()
+        assert elems == list(H.elements)
+        assert Ht.mult.tolist() == [
+            [elems.index(T[a][b]) for b in elems] for a in elems
+        ]
+        assert [elems[g] for g in Ht.generators] == list(H.gens or H.elements)
+
+
+def test_group_queries_do_not_import_numpy_ma():
+    # numpy.ma adds about 2 MB to a fresh process; np.unique and friends
+    # import it on their first call
+    code = """
+import sys
+from symvert import catalog
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    raise SystemExit
+G = catalog.suite_group("GL(3,2):2")
+P = G.sylow2()
+G.exponent()
+G.involutions()
+for c in G.conjugacy_classes():
+    G.centralizer(c.rep)
+    G.extended_centralizer(c.rep)
+for H in G.two_subgroups_up_to_conjugacy():
+    G.normalizer(H)
+    G.conjugate_subgroup(G.conjugate_into(H, P), H)
+    G.subgroup_conjugate(H, H)
+    G.left_transversal(H)
+    G.double_cosets(P, H)
+    H.as_table()
+print("loaded" if "numpy.ma" in sys.modules else "clean")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    ).stdout.split()
+    if out == ["preloaded"]:
+        pytest.skip("numpy.ma is loaded before any group query")
+    assert out == ["clean"]
 
 
 def test_direct_product():
