@@ -654,62 +654,69 @@ def _compress_corner(F, mats, e: np.ndarray, incl, proj) -> list[np.ndarray]:
     return basis
 
 
+@dataclass
+class Corner:
+    """A summand f.M of a module M: its algebra fEf and radical fJf in the
+    summand's coordinates, incl into M's coordinates and proj back."""
+
+    algebra: EndoAlgebra
+    radical: list[np.ndarray]
+    incl: np.ndarray
+    proj: np.ndarray
+
+    @property
+    def idempotent(self) -> np.ndarray:
+        """f, the idempotent of E(M) projecting M onto the summand."""
+        return mat_mul(self.algebra.module.F, self.incl, self.proj)
+
+
+def split_corner(c: Corner, seed: int) -> tuple[Corner, Corner] | None:
+    """The corners of e and 1 - e for a nontrivial idempotent e of c's
+    algebra, or None when that algebra is local (the summand is
+    indecomposable)."""
+    E = c.algebra
+    F = E.module.F
+    e = _split_once(E, c.radical, seed)
+    if e is None:
+        return None
+    halves = []
+    for part in (e, e ^ eye(E.module.dim)):
+        comp_mod, incl, proj = sub_module(E.module, linalg.col_space(F, part))
+        # compression is not multiplicative, so compressed generators of
+        # E need not generate the corner algebra; the basis always does.
+        # J(eEe) = e J(E) e, so the corner's radical is compressed too
+        Ec = EndoAlgebra(comp_mod, _compress_corner(F, E.basis, part, incl, proj))
+        Jc = _compress_corner(F, c.radical, part, incl, proj)
+        amb_proj = mat_mul(F, proj, mat_mul(F, part, c.proj))
+        halves.append(Corner(Ec, Jc, mat_mul(F, c.incl, incl), amb_proj))
+    return halves[0], halves[1]
+
+
 def decompose(
     M: ModuleRep, seed: int = 0, endo: EndoAlgebra | None = None
 ) -> DecompositionCert:
     F = M.F
     E = endo if endo is not None else end_algebra(M)
     comps: list[Component] = []
-
-    def rec(E: EndoAlgebra, J, lift_incl, lift_proj, outer_e, seed: int):
-        # lift_incl/lift_proj: maps between component coords and ambient M;
-        # outer_e: the ambient idempotent projecting onto this component
-        e = _split_once(E, J, seed)
-        if e is None:
-            comps.append(
-                Component(
-                    subspace=linalg.col_space(F, mat_mul(F, outer_e, eye(M.dim))),
-                    idempotent=outer_e,
-                    module=E.module,
-                    incl=lift_incl,
-                    proj=lift_proj,
-                )
-            )
-            return
-        for part in (e, e ^ eye(E.module.dim)):
-            S = linalg.col_space(F, part)
-            comp_mod, incl, proj = sub_module(E.module, S)
-            # compression is not multiplicative, so compressed generators of
-            # E need not generate the corner algebra; the basis always does.
-            # J(eEe) = e J(E) e, so the corner's radical is compressed too
-            Ec = EndoAlgebra(comp_mod, _compress_corner(F, E.basis, part, incl, proj))
-            Jc = _compress_corner(F, J, part, incl, proj)
-            # ambient inclusion/projection/idempotent
-            amb_incl = mat_mul(F, lift_incl, incl)
-            amb_proj = mat_mul(F, proj, mat_mul(F, part, lift_proj))
-            amb_e = mat_mul(
-                F, lift_incl, mat_mul(F, part, lift_proj)
-            )
-            amb_e = mat_mul(F, amb_e, outer_e)
-            rec(Ec, Jc, amb_incl, amb_proj, amb_e, seed + 1)
-
     J = radical(E, seed)
-    rec(E, J, eye(M.dim), eye(M.dim), eye(M.dim), seed)
-    del rec  # a self-referencing closure: free its data now, not at a full gc
+    todo = [(Corner(E, J, eye(M.dim), eye(M.dim)), seed)]  # splits use seed + depth
+    while todo:
+        c, s = todo.pop()
+        halves = split_corner(c, s)
+        if halves is not None:
+            todo += [(half, s + 1) for half in halves]
+            continue
+        f = c.idempotent
+        S = linalg.col_space(F, f)
+        comps.append(Component(S, f, c.algebra.module, c.incl, c.proj))
     comps.sort(key=lambda c: (c.module.dim, c.subspace.basis.tobytes()))
-    # group by isomorphism class
-    mults: list[int] = []
-    reps: list[ModuleRep] = []
+    reps: list[ModuleRep] = []  # one module per isomorphism class
     for c in comps:
-        for i, r in enumerate(reps):
-            if module_iso(c.module, r) is not None:
-                c.iso_class = i
-                mults[i] += 1
-                break
-        else:
-            c.iso_class = len(reps)
+        iso = (i for i, r in enumerate(reps) if module_iso(c.module, r) is not None)
+        c.iso_class = next(iso, len(reps))
+        if c.iso_class == len(reps):
             reps.append(c.module)
-            mults.append(1)
+    mults = [sum(c.iso_class == i for c in comps) for i in range(len(reps))]
     return DecompositionCert(M, comps, mults, J)
 
 
@@ -768,16 +775,12 @@ def irreducible_modules(G: GroupTable, F: FieldCtx, seed: int = 0) -> list[Modul
 
 
 def group_algebra_radical(G: GroupTable, F: FieldCtx, seed: int = 0) -> Subspace:
-    """J(kG) as a subspace of kG (coordinates over the group-element basis)."""
+    """J(kG) as a subspace of kG (coordinates over the group-element basis):
+    the elements acting as zero on every irreducible module."""
     irreps = irreducible_modules(G, F, seed=seed)
-    cols = []
-    for x in range(G.order):
-        vecs = []
-        for S in irreps:
-            vecs.append(S.action(x).ravel())
-        cols.append(np.concatenate(vecs))
-    sys = np.array(cols).T
-    return Subspace(F, G.order, linalg.kernel(F, sys))
+    acts = [np.concatenate([S.action(x).ravel() for S in irreps])
+            for x in range(G.order)]
+    return Subspace(F, G.order, linalg.kernel(F, np.array(acts).T))
 
 
 @dataclass

@@ -60,6 +60,7 @@ def rel_trace_batch(
 class ProjectivityCert:
     projective: bool
     alpha: np.ndarray | None  # H-endomorphism with tr_H^G(alpha) = identity
+    endo_basis: list[np.ndarray] | None = None  # the basis of E_H(M) solved over
 
 
 def is_projective(M: ModuleRep, H: Subgroup) -> ProjectivityCert:
@@ -81,7 +82,7 @@ def is_projective(M: ModuleRep, H: Subgroup) -> ProjectivityCert:
     x, _ = linalg.solve(F, A, eye(M.dim).ravel())
     if x is None:
         return ProjectivityCert(False, None)
-    return ProjectivityCert(True, combine(F, x, basis))
+    return ProjectivityCert(True, combine(F, x, basis), basis)
 
 
 def is_summand(M: ModuleRep, N: ModuleRep) -> bool:
@@ -96,36 +97,14 @@ def is_summand(M: ModuleRep, N: ModuleRep) -> bool:
     if not phis or not psis:
         return False
     seen = linalg.Echelon(F, M.dim**2)
-    cols = []
     target = eye(M.dim).ravel()
     for p in psis:
         for q in phis:
             v = mat_mul(F, p, q).ravel()
             if v.any() and seen.insert(v):
-                cols.append(v)
                 if seen.contains(target):
                     return True
     return False
-
-
-def _is_summand_of_induced(M: ModuleRep, Z: ModuleRep, V: Subgroup) -> bool:
-    """Whether M is a direct summand of Ind_V^G Z, without building it.
-
-    By Frobenius reciprocity the maps M -> Ind Z -> M are the relative
-    traces tr_V^G(a b) with b: Res M -> Z and a: Z -> Res M, so the trace
-    ideal of Ind Z in E_G(M) is spanned by those traces; M is a summand
-    exactly when it contains the identity.
-    """
-    F = M.F
-    res = rep.restrict(M, V)
-    ups, downs = rep.hom_space(Z, res), rep.hom_space(res, Z)
-    if not ups or not downs:
-        return False
-    products = [mat_mul(F, a, b) for a in ups for b in downs]
-    traces = rel_trace_batch(M, products, V)
-    A = np.array([t.ravel() for t in traces]).T
-    x, _ = linalg.solve(F, A, eye(M.dim).ravel())
-    return x is not None
 
 
 def _is_orth_summand_of_induced(
@@ -191,9 +170,13 @@ class GreenVertexInfo:
 def green_vertex(
     M: ModuleRep, with_sources: bool = True, seed: int = 0
 ) -> GreenVertexInfo:
-    """The vertex of an indecomposable module: a minimal 2-subgroup H with
-    M relatively H-projective, found ascending the 2-subgroup classes.
-    Sources are the components Z of Res_V M with M a summand of Ind_V^G Z."""
+    """The vertex of an indecomposable module: a minimal 2-subgroup V with
+    M relatively V-projective, found ascending the 2-subgroup classes.
+
+    The sources, the indecomposable kV-modules Z with M | Ind_V^G Z, are
+    the N_G(V)-conjugates of one of them (Green): of f.Res_V M for the f
+    that `descend_to_source` reaches, the images of the V-endomorphisms
+    rho(t).f.rho(t)^-1 over t in N_G(V), one per isomorphism class."""
     G = M.group
     classes = sorted(G.two_subgroups_up_to_conjugacy(), key=lambda s: s.order)
     V = None
@@ -207,19 +190,47 @@ def green_vertex(
         raise AssertionError("module not projective relative to a Sylow 2-subgroup")
     sources: list[SourceInfo] = []
     if with_sources:
+        F = M.F
         res = rep.restrict(M, V)
-        dec = rep.decompose(res, seed=seed)
-        for i, mult in enumerate(dec.multiplicities):
-            Z = next(c.module for c in dec.components if c.iso_class == i)
-            if _is_summand_of_induced(M, Z, V):
-                sources.append(
-                    SourceInfo(
-                        Z,
-                        rep.module_iso(Z, rep.dual(Z)) is not None,
-                        forms.base_form(Z),
-                    )
-                )
+        E = rep.end_algebra(res, basis=cert.endo_basis)
+        f = descend_to_source(M, V, cert.alpha, E, seed).idempotent
+        gens = np.array(V.gens or V.elements, dtype=np.int64)
+        twists: dict[bytes, int] = {}  # t^-1 v t on V's gens fixes the conjugate
+        for t in G.left_transversal(V, G.normalizer(V)):
+            twists.setdefault(G.mult[G.mult[G.inverse(t), gens], t].tobytes(), t)
+        for t in twists.values():
+            ft = mat_mul(F, M.action(t), mat_mul(F, f, M.action(G.inverse(t))))
+            Z, _, _ = rep.sub_module(res, linalg.col_space(F, ft))
+            if all(rep.module_iso(Z, s.module) is None for s in sources):
+                sources.append(SourceInfo(Z, rep.is_selfdual(Z), forms.base_form(Z)))
     return GreenVertexInfo(V, cert, sources)
+
+
+def descend_to_source(
+    M: ModuleRep, V: Subgroup, alpha: np.ndarray, endo: rep.EndoAlgebra, seed: int
+) -> rep.Corner:
+    """The corner of Res_V M at a primitive idempotent f of E_V(M) = endo
+    with tr_V^G(f.alpha) a unit of E_G(M), given tr_V^G(alpha) = 1 and M
+    indecomposable: f.alpha factors through f.M, so by reciprocity the unit
+    factors through Ind_V^G(f.M), and f.Res_V M is a source.  Of the halves
+    of a split f = f1 + f2 one has a unit trace too, as the two traces sum
+    to a unit and E_G(M) is local; every trace followed is checked."""
+    F = M.F
+    d = M.dim
+    corner = rep.Corner(endo, rep.radical(endo, seed), eye(d), eye(d))
+    unit = rel_trace(M, alpha, V)
+    while True:
+        if not linalg.is_invertible(F, unit):
+            raise AssertionError("source descent lost the unit trace")
+        halves = rep.split_corner(corner, seed)
+        if halves is None:
+            return corner
+        first = rel_trace(M, mat_mul(F, halves[0].idempotent, alpha), V)
+        if linalg.is_invertible(F, first):
+            corner, unit = halves[0], first
+        else:  # the trace is linear: tr(f2.alpha) = tr(f.alpha) - tr(f1.alpha)
+            corner, unit = halves[1], unit ^ first
+        seed += 1
 
 
 # -- projectivity of forms ------------------------------------------------
@@ -292,18 +303,16 @@ def _build_form_isometry(B, theta, alpha, H, cert):
     ind, trans = rep.induce(Lmod, H)
     gram_ind = linalg.kron(F, eye(len(trans)), bhat)
     ind_form = GForm(ind, gram_ind, check=False)
-    blocks = [
-        mat_mul(F, proj, mat_mul(F, alpha, M.action(G.inverse(t))))
-        for t in trans
-    ]
-    phi = np.concatenate(blocks, axis=0)
-    ok = linalg.is_invertible(F, bhat)  # B-hat nondegenerate on alpha.M
-    for i, g in enumerate(G.generators):
-        if (mat_mul(F, phi, M.gen_matrices[i]) != mat_mul(F, ind.action(g), phi)).any():
-            ok = False
+    phi = np.concatenate(
+        [mat_mul(F, proj, mat_mul(F, alpha, M.action(G.inverse(t)))) for t in trans]
+    )
     pulled = mat_mul(F, phi.T, mat_mul(F, gram_ind, phi))
-    if (pulled != mat_mul(F, theta.T, B.gram)).any():
-        ok = False
+    ok = bool(
+        linalg.is_invertible(F, bhat)  # B-hat nondegenerate on alpha.M
+        and all((mat_mul(F, phi, A) == mat_mul(F, Ai, phi)).all()
+                for A, Ai in zip(M.gen_matrices, ind.gen_matrices))
+        and (pulled == mat_mul(F, theta.T, B.gram)).all()
+    )
     cert.isometry = phi
     cert.target_module = ind
     cert.target_form = ind_form
@@ -481,20 +490,17 @@ def scott_component(
     if B0 is None:
         raise ValueError("Z has no nondegenerate symmetric form")
     G = V.parent
-    F = Z.F
     ind, indB, _ = forms.induce_form(B0, V)
     dec = rep.decompose(ind, seed=seed)
-    vertexV: list[int] = []
-    for i in range(len(dec.multiplicities)):
-        comp = next(c for c in dec.components if c.iso_class == i)
-        gv = green_vertex(comp.module, with_sources=False)
-        if G.subgroup_conjugate(gv.vertex, V) is not None:
-            vertexV.append(i)
+    comps = [next(c for c in dec.components if c.iso_class == i)
+             for i in range(len(dec.multiplicities))]
+    vertexV = [i for i, c in enumerate(comps) if G.subgroup_conjugate(
+        green_vertex(c.module, with_sources=False).vertex, V) is not None]
     odd = [i for i in vertexV if dec.multiplicities[i] % 2 == 1]
     if len(odd) != 1:
         raise AssertionError("distinguished component is not unique")
     cls = odd[0]
-    comp = next(c for c in dec.components if c.iso_class == cls)
+    comp = comps[cls]
     M = comp.module
     checks = {
         "multiplicity_one": dec.multiplicities[cls] == 1,
@@ -503,30 +509,20 @@ def scott_component(
         ),
     }
     # (c): Z is a component of an orthogonal decomposition of Res_V M
-    BM = forms.base_form(M)
-    resM = rep.restrict(M, V)
-    resB = GForm(resM, BM.gram, check=False)
-    found = False
-    for piece in forms.orth_decompose(resB, seed=seed):
-        if (
-            piece.kind == "indecomposable"
-            and rep.module_iso(piece.modules[0], Z) is not None
-        ):
-            found = True
-            break
-    checks["source_is_form_component"] = found
+    resB = GForm(rep.restrict(M, V), forms.base_form(M).gram, check=False)
+    checks["source_is_form_component"] = any(
+        piece.kind == "indecomposable"
+        and rep.module_iso(piece.modules[0], Z) is not None
+        for piece in forms.orth_decompose(resB, seed=seed)
+    )
     # (d): nondegenerate V-projective forms are nondegenerate on the
     # M-component of the induced module
-    sigma = Adjoint(indB)
-    fixed = sigma_fixed_basis(ind, sigma, V)
-    traces = rel_trace_batch(ind, fixed, V)
-    comp_space = comp.subspace
-    ok = True
-    for t in traces:
-        Bt = forms.form_from_endo(indB, t)
-        if Bt.nondegenerate and not forms.is_nondegenerate_on(Bt, comp_space):
-            ok = False
-    checks["V_projective_forms_nondegenerate_on_component"] = ok
+    fixed = sigma_fixed_basis(ind, Adjoint(indB), V)
+    forms_V = [forms.form_from_endo(indB, t) for t in rel_trace_batch(ind, fixed, V)]
+    checks["V_projective_forms_nondegenerate_on_component"] = all(
+        forms.is_nondegenerate_on(Bt, comp.subspace)
+        for Bt in forms_V if Bt.nondegenerate
+    )
     return ScottComponentCert(M, dec, dec.multiplicities[cls], checks)
 
 

@@ -137,7 +137,7 @@ def test_decomposable_module_exit_code(tmp_path, s3_files, capsys):
 
 
 @pytest.mark.parametrize("layer, name, command", [
-    (rep, "decompose", "vertices"),
+    (vertex, "descend_to_source", "vertices"),
     (vertex, "green_vertex", "vertices"),
     (blocks, "block_decomposition", "blocks"),
 ])

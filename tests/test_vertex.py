@@ -272,24 +272,70 @@ def _one_per_class(G, F):
     return mods
 
 
-@pytest.mark.parametrize("name", ["S3", "D12", "A4", "S4"])
+def _source_signatures(sources):
+    return sorted((s.module.dim, s.self_dual, s.symmetric_type) for s in sources)
+
+
+def _reference_source_signatures(M, V):
+    """The sources by their definition: the components Z of Res_V M with
+    M | Ind_V^G Z, built and tested over G, one per isomorphism class."""
+    kept = []
+    for c in rep.decompose(rep.restrict(M, V)).components:
+        if vertex.is_summand(M, rep.induce(c.module, V)[0]) and all(
+            rep.module_iso(c.module, Z) is None for Z in kept
+        ):
+            kept.append(c.module)
+    return sorted(
+        (Z.dim, rep.is_selfdual(Z), forms.base_form(Z) is not None) for Z in kept
+    )
+
+
+@pytest.mark.parametrize("name", ["S3", "D12", "A4", "S4", "C3:C4"])
 @pytest.mark.parametrize("m", [1, 2])
 def test_sources_by_reciprocity_match_induced_summands(name, m):
-    # M | Ind_V^G Z, decided from Hom_V spaces and relative traces, agrees
-    # with building Ind_V^G Z and testing M | Ind Z over G; the trivial
-    # subgroup gives the negatives for the modules that are not projective
+    # the sources green_vertex reaches by descent and N_G(V)-conjugation
+    # match the components of Res_V M that are summands of the induced
+    # module, found by decomposing, inducing and testing over G
     G = catalog.suite_group(name)
-    F = make_field(m)
-    verdicts = set()
-    for M in _one_per_class(G, F):
-        green = vertex.green_vertex(M, with_sources=False).vertex
-        for V in (green, G.sylow2(), G.trivial_subgroup()):
-            for c in rep.decompose(rep.restrict(M, V)).components:
-                got = vertex._is_summand_of_induced(M, c.module, V)
-                ind, _ = rep.induce(c.module, V)
-                assert got == vertex.is_summand(M, ind)
-                verdicts.add(got)
-    assert verdicts == {True, False}
+    for M in _one_per_class(G, make_field(m)):
+        green = vertex.green_vertex(M)
+        want = _reference_source_signatures(M, green.vertex)
+        assert _source_signatures(green.sources) == want
+
+
+def test_two_sources_of_the_gl32_induced_module():
+    # the only catalogue module with two sources: the natural module of
+    # GL(3,2) and its dual, conjugate under N_G(V) but not under V
+    M, _ = catalog.gl32_induced_module(F2)
+    green = vertex.green_vertex(M)
+    assert len(green.sources) == 2
+    assert _source_signatures(green.sources) == _reference_source_signatures(
+        M, green.vertex
+    )
+    Z, W = (s.module for s in green.sources)
+    assert rep.module_iso(W, rep.dual(Z)) is not None
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_descent_follows_the_unit_trace_whichever_half_comes_first(monkeypatch, m):
+    # Res_V M = k + k + kV for the permutation module of S4 and |V| = 2,
+    # and kV is no source; with the halves of every split in either order
+    # the walk must end in a source, and never in kV
+    M = rep.permutation_module(S4, make_field(m))
+    green = vertex.green_vertex(M, with_sources=False)
+    V, cert = green.vertex, green.cert
+    E = rep.end_algebra(rep.restrict(M, V), basis=cert.endo_basis)
+    split = rep.split_corner
+    for order in (1, -1):
+        monkeypatch.setattr(
+            rep, "split_corner",
+            lambda c, s: None if (h := split(c, s)) is None else h[::order],
+        )
+        Z = vertex.descend_to_source(M, V, cert.alpha, E, 0).algebra.module
+        assert Z.dim == 1 and vertex.is_summand(M, rep.induce(Z, V)[0])
+    # an alpha whose trace is no unit certifies nothing
+    with pytest.raises(AssertionError, match="unit trace"):
+        vertex.descend_to_source(M, V, 0 * cert.alpha, E, 0)
 
 
 def _higman_alpha(M, H):
@@ -415,7 +461,8 @@ def case_references():
 
 def _case_invariants(r):
     return (r.case, r.green.vertex.order,
-            sorted(t.subgroup.order for t in r.sym_vertices))
+            sorted(t.subgroup.order for t in r.sym_vertices),
+            len(r.green.sources), _source_signatures(r.green.sources))
 
 
 @settings(max_examples=30, deadline=None)
