@@ -246,8 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+PARSER = build_parser()  # built once: `main` is called many times in-process
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except FeasibilityError as exc:

@@ -2,10 +2,13 @@
 
 A ModuleRep stores one invertible matrix per group generator; the action of
 arbitrary elements is built on demand by walking the multiplication table.
-The decomposition machinery splits the endomorphism algebra (idempotent
-style): compute its radical via a composition series of the underlying
-module, find a separating element of the semisimple quotient, lift an
-idempotent with the repeated-squaring device, and recurse on both summands.
+The decomposition machinery splits the endomorphism algebra E (idempotent
+style).  A composition series of the module under E gives E/J(E) directly:
+over the series' adapted basis every element of E is block triangular, and
+`Semisimple` reads an element modulo J(E) as its diagonal blocks.  Through
+that one map: find a separating element of E/J(E), lift an idempotent with
+the repeated-squaring device, and recurse on both summands, each corner
+reading its own quotient through the same map composed with its inclusion.
 """
 
 from __future__ import annotations
@@ -273,7 +276,6 @@ class EndoAlgebra:
     module: ModuleRep
     basis: list[np.ndarray]
     gens: list[np.ndarray] = field(default_factory=list)
-    subgroup: Subgroup | None = None
 
     def __post_init__(self):
         if not self.gens:
@@ -290,15 +292,8 @@ class EndoAlgebra:
         return combine(self.module.F, coeffs, self.basis)
 
 
-def end_algebra(
-    M: ModuleRep,
-    H: Subgroup | None = None,
-    basis: list[np.ndarray] | None = None,
-    gens: list[np.ndarray] | None = None,
-) -> EndoAlgebra:
-    if basis is None:
-        basis = hom_space(M, M, H)
-    return EndoAlgebra(M, basis, gens=gens or [], subgroup=H)
+def end_algebra(M: ModuleRep, basis: list[np.ndarray] | None = None) -> EndoAlgebra:
+    return EndoAlgebra(M, hom_space(M, M) if basis is None else basis)
 
 
 def regular_end_algebra(G: GroupTable, F: FieldCtx, M: ModuleRep) -> EndoAlgebra:
@@ -364,10 +359,12 @@ def spin(F: FieldCtx, vecs: np.ndarray, gens: list[np.ndarray]) -> Subspace:
 
 def chop(
     F: FieldCtx, gens: list[np.ndarray], dim: int, seed: int = 0
-) -> list[Subspace]:
-    """Composition series 0 < V_1 < ... < V_t = k^dim under the algebra
-    generated by gens; returned as the increasing chain (without 0)."""
-    chain: list[np.ndarray] = []  # bases of factors, lifted to the ambient
+) -> list[tuple[list[np.ndarray], np.ndarray]]:
+    """Composition factors of k^dim under the algebra generated by gens, in
+    order from the bottom: each factor's generator matrices and its basis
+    lifted to k^dim as rows.  Every prefix of the lifts spans a term of the
+    series, and the lifts together are a basis of k^dim."""
+    factors = []
 
     def rec(gens_c: list[np.ndarray], d: int, lift: np.ndarray, seed: int):
         # lift: d x dim matrix embedding current space into the ambient
@@ -375,7 +372,7 @@ def chop(
             return
         W = _proper_submodule(F, gens_c, d, seed)
         if W is None:
-            chain.append(lift)
+            factors.append((gens_c, lift))
             return
         sub = Subspace(F, d, W)
         subM, incl, proj = _compress_action(F, gens_c, sub)
@@ -385,13 +382,7 @@ def chop(
 
     rec(gens, dim, eye(dim), seed)
     del rec  # a self-referencing closure: free its data now, not at a full gc
-    out = []
-    acc = None
-    for piece in chain:
-        acc = piece if acc is None else np.concatenate([acc, piece], axis=0)
-        out.append(Subspace(F, dim, acc))
-    assert out[-1].dim == dim
-    return out
+    return factors
 
 
 def _compress_action(F, gens, sub: Subspace):
@@ -485,70 +476,64 @@ def _proper_submodule(
 # -- radical and decomposition --------------------------------------------
 
 
+@dataclass
+class Semisimple:
+    """E/J(E) read through one map: x -> the diagonal blocks of L.x.R.
+
+    At the top, R = Q has the lifts of a composition series of the module
+    under E as columns and L = Q^-1, so L.x.R is block upper triangular
+    for every x in E, its diagonal blocks are x on the factors, and J(E)
+    is exactly the set of x whose diagonal blocks are zero.  A corner's
+    map composes this with the corner's incl and proj into E's
+    coordinates; J(fEf) = f.J(E).f is then its kernel too."""
+
+    F: FieldCtx
+    L: np.ndarray
+    R: np.ndarray
+    mask: np.ndarray  # d x d, True on the diagonal blocks
+
+    @classmethod
+    def of(cls, E: EndoAlgebra, seed: int) -> Semisimple:
+        F = E.module.F
+        factors = chop(F, E.gens, E.module.dim, seed=seed)
+        Q = np.concatenate([lift for _, lift in factors]).T
+        sizes = [len(lift) for _, lift in factors]
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        return cls(F, linalg.inverse(F, Q), Q, block[:, None] == block)
+
+    def images(self, mats: list[np.ndarray]) -> np.ndarray:
+        """One row per matrix: its diagonal blocks, flattened."""
+        F, (d, c) = self.F, self.L.shape
+        right = mat_mul(F, np.concatenate(mats), self.R).reshape(len(mats), c, d)
+        both = mat_mul(F, self.L, right.transpose(1, 0, 2).reshape(c, -1))
+        both = both.reshape(d, len(mats), d)
+        return both.transpose(1, 0, 2)[:, self.mask]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.images([x])[0]
+
+    def corner(self, incl: np.ndarray, proj: np.ndarray) -> Semisimple:
+        """The map of a corner whose elements y sit in this one as incl.y.proj."""
+        F = self.F
+        L, R = mat_mul(F, self.L, incl), mat_mul(F, proj, self.R)
+        return Semisimple(F, L, R, self.mask)
+
+    def kernel(self, E: EndoAlgebra) -> list[np.ndarray]:
+        """J(E): the elements of E that the map sends to zero."""
+        return [E.element(c) for c in linalg.kernel(self.F, self.images(E.basis).T)]
+
+
 def radical(E: EndoAlgebra, seed: int = 0) -> list[np.ndarray]:
-    """Basis of the Jacobson radical of E (as matrices).
-
-    Uses a composition series of the module under E's action: the radical is
-    exactly the set of algebra elements pushing each term of the series into
-    the previous one.
-    """
-    F = E.module.F
-    d = E.module.dim
-    chain = chop(F, E.gens, d, seed=seed)
-    levels = []
-    prev: Subspace | None = None
-    for S in chain:
-        if prev is None:
-            new_vecs = S.basis
-        else:
-            prev_pivs = set(prev.pivots)
-            new_vecs = S.basis[[p not in prev_pivs for p in S.pivots]]
-        levels.append((new_vecs, prev))
-        prev = S
-    # unknowns: coordinates over E.basis; equations: each composition-series
-    # term must be pushed into the previous one
-    nb = len(E.basis)
-    stacked = np.concatenate(E.basis)
-    eqs = []
-    for new_vecs, below in levels:
-        # rows: the images of the lifted vectors under each basis element
-        img = mat_mul(F, stacked, new_vecs.T).reshape(nb, d, -1)
-        img = img.transpose(0, 2, 1).reshape(-1, d)
-        if below is not None:
-            img = linalg.reduce_mod(F, below, img)
-        eqs.append(img.reshape(nb, -1))
-    ker = linalg.kernel(F, np.concatenate(eqs, axis=1).T)
-    return [E.element(c) for c in ker]
+    """Basis of the Jacobson radical of E (as matrices): the elements acting
+    as zero on every factor of a composition series of the module under E."""
+    return Semisimple.of(E, seed).kernel(E)
 
 
-def semisimple_quotient(E: EndoAlgebra, J: list[np.ndarray]):
-    """Returns (lift basis matrices, coords map to E/J coordinates)."""
-    F = E.module.F
-    n2 = E.module.dim ** 2
-    jflat = np.array([j.ravel() for j in J]) if J else zeros(0, n2)
-    JS = Subspace(F, n2, jflat)
-    reduced = linalg.reduce_mod(F, JS, np.array([b.ravel() for b in E.basis]))
-    # echelon of the reduced lifts, each row carrying its coordinates over
-    # the lifts as trailing columns, so expressing a quotient element later
-    # is a single reduction pass
-    nb = len(E.basis)
-    ech = linalg.Echelon(F, n2)
-    lifts = []
-    for b, r in zip(E.basis, reduced):
-        w = np.concatenate([r, zeros(1, nb).ravel()])
-        w[n2 + len(lifts)] = 1
-        if ech.insert(w):
-            lifts.append(b)
-    r_dim = len(lifts)
-
-    def quo_coords(f: np.ndarray) -> np.ndarray:
-        v = linalg.reduce_mod(F, JS, f.ravel()).ravel()
-        w = ech.reduce(np.concatenate([v, zeros(1, nb).ravel()]))
-        if w[:n2].any():
-            raise ValueError("element not in the algebra")
-        return w[n2 : n2 + r_dim]
-
-    return lifts, quo_coords
+def semisimple_quotient(E: EndoAlgebra, ss: Semisimple) -> list[np.ndarray]:
+    """The first elements of E.basis that are independent modulo J(E), a
+    basis of E/J(E) read through the map ss."""
+    pivots = linalg.rref(E.module.F, ss.images(E.basis).T)[1]
+    return [E.basis[i] for i in pivots]
 
 
 @dataclass
@@ -565,10 +550,11 @@ class Component:
 class DecompositionCert:
     """The summands of a module, grouped by isomorphism class.
 
-    `radical` is the basis of J(E) that `decompose` split modulo, as
-    matrices on the module.  For kG with E = `regular_end_algebra`, these
-    are the right multiplications r(a) for a in a basis of J(kG), and as
-    r(a) sends the identity (id 0) to a, column 0 of each reads a off."""
+    `radical` is the basis of J(E), as matrices on the module: the kernel
+    of the map through which `decompose` read E/J(E).  For kG with E =
+    `regular_end_algebra`, these are the right multiplications r(a) for a
+    in a basis of J(kG), and as r(a) sends the identity (id 0) to a,
+    column 0 of each reads a off."""
 
     module: ModuleRep
     components: list[Component]
@@ -605,10 +591,11 @@ def lift_idempotent(F: FieldCtx, a: np.ndarray, s: int) -> np.ndarray:
     return e
 
 
-def _split_once(E: EndoAlgebra, J: list[np.ndarray], seed: int) -> np.ndarray | None:
-    """A nontrivial idempotent of E, or None when E is local (J = J(E))."""
+def _split_once(E: EndoAlgebra, ss: Semisimple, seed: int) -> np.ndarray | None:
+    """A nontrivial idempotent of E, or None when E is local (ss reads
+    E/J(E))."""
     F = E.module.F
-    lifts, quo_coords = semisimple_quotient(E, J)
+    lifts = semisimple_quotient(E, ss)
     r = len(lifts)
     if r == 1:
         return None
@@ -617,7 +604,7 @@ def _split_once(E: EndoAlgebra, J: list[np.ndarray], seed: int) -> np.ndarray | 
     draws = coefficient_vectors(F.q, r, rng, 0, 400 - r)
     cands = itertools.chain(lifts, (combine(F, c, lifts) for c in draws))
     for attempt, a in enumerate(cands):
-        mu = linalg.min_poly(F, a, quo_coords)  # a's minimal polynomial in E/J
+        mu = linalg.min_poly(F, a, ss)  # a's minimal polynomial in E/J
         fac = polys.factor(F, mu, seed=seed + attempt)
         sqfree = [p for p, _ in fac]
         if len(sqfree) < 2:
@@ -656,13 +643,20 @@ def _compress_corner(F, mats, e: np.ndarray, incl, proj) -> list[np.ndarray]:
 
 @dataclass
 class Corner:
-    """A summand f.M of a module M: its algebra fEf and radical fJf in the
-    summand's coordinates, incl into M's coordinates and proj back."""
+    """A summand f.M of a module M: its algebra fEf in the summand's
+    coordinates, the map reading fEf/J(fEf), incl into M's coordinates and
+    proj back."""
 
     algebra: EndoAlgebra
-    radical: list[np.ndarray]
+    quotient: Semisimple
     incl: np.ndarray
     proj: np.ndarray
+
+    @classmethod
+    def top(cls, E: EndoAlgebra, ss: Semisimple) -> Corner:
+        """The whole module, the corner of the identity."""
+        d = E.module.dim
+        return cls(E, ss, eye(d), eye(d))
 
     @property
     def idempotent(self) -> np.ndarray:
@@ -676,7 +670,7 @@ def split_corner(c: Corner, seed: int) -> tuple[Corner, Corner] | None:
     indecomposable)."""
     E = c.algebra
     F = E.module.F
-    e = _split_once(E, c.radical, seed)
+    e = _split_once(E, c.quotient, seed)
     if e is None:
         return None
     halves = []
@@ -684,11 +678,11 @@ def split_corner(c: Corner, seed: int) -> tuple[Corner, Corner] | None:
         comp_mod, incl, proj = sub_module(E.module, linalg.col_space(F, part))
         # compression is not multiplicative, so compressed generators of
         # E need not generate the corner algebra; the basis always does.
-        # J(eEe) = e J(E) e, so the corner's radical is compressed too
+        # y in the corner is incl.y.proj.part in E, as incl.proj.part = part
         Ec = EndoAlgebra(comp_mod, _compress_corner(F, E.basis, part, incl, proj))
-        Jc = _compress_corner(F, c.radical, part, incl, proj)
-        amb_proj = mat_mul(F, proj, mat_mul(F, part, c.proj))
-        halves.append(Corner(Ec, Jc, mat_mul(F, c.incl, incl), amb_proj))
+        back = mat_mul(F, proj, part)
+        amb_incl, amb_proj = mat_mul(F, c.incl, incl), mat_mul(F, back, c.proj)
+        halves.append(Corner(Ec, c.quotient.corner(incl, back), amb_incl, amb_proj))
     return halves[0], halves[1]
 
 
@@ -698,8 +692,8 @@ def decompose(
     F = M.F
     E = endo if endo is not None else end_algebra(M)
     comps: list[Component] = []
-    J = radical(E, seed)
-    todo = [(Corner(E, J, eye(M.dim), eye(M.dim)), seed)]  # splits use seed + depth
+    ss = Semisimple.of(E, seed)
+    todo = [(Corner.top(E, ss), seed)]  # splits use seed + depth
     while todo:
         c, s = todo.pop()
         halves = split_corner(c, s)
@@ -717,14 +711,14 @@ def decompose(
         if c.iso_class == len(reps):
             reps.append(c.module)
     mults = [sum(c.iso_class == i for c in comps) for i in range(len(reps))]
-    return DecompositionCert(M, comps, mults, J)
+    return DecompositionCert(M, comps, mults, ss.kernel(E))
 
 
 def is_indecomposable(M: ModuleRep, endo: EndoAlgebra | None = None) -> bool:
     E = endo if endo is not None else end_algebra(M)
     # indecomposable iff the endomorphism algebra is local, i.e. unsplittable
     # (the residue algebra may be a proper field extension of the base field)
-    return _split_once(E, radical(E, 0), 0) is None
+    return _split_once(E, Semisimple.of(E, 0), 0) is None
 
 
 # -- isomorphism ----------------------------------------------------------
@@ -752,24 +746,13 @@ def is_selfdual(M: ModuleRep) -> bool:
 
 
 def irreducible_modules(G: GroupTable, F: FieldCtx, seed: int = 0) -> list[ModuleRep]:
-    """All irreducible modules, from a composition series of the regular one."""
-    M = regular_module(G, F)
-    chain = chop(F, M.gen_matrices, G.order, seed=seed)
+    """All irreducible modules: the factors of a composition series of the
+    regular module, one per isomorphism class."""
     out: list[ModuleRep] = []
-    prev: Subspace | None = None
-    for S in chain:
-        if prev is None:
-            comp_mod, _, _ = sub_module(M, S)
-        else:
-            sub_m, incl, proj = sub_module(M, S)
-            # factor = S / prev: compress S then quotient by prev's image
-            prev_in_S = Subspace(
-                F, S.dim, np.array([mat_vec(F, proj, r) for r in prev.basis])
-            )
-            comp_mod, _ = quotient_module(sub_m, prev_in_S)
-        prev = S
-        if all(module_iso(comp_mod, r) is None for r in out):
-            out.append(comp_mod)
+    for mats, _ in chop(F, regular_module(G, F).gen_matrices, G.order, seed=seed):
+        S = ModuleRep(G, F, mats, check=False)
+        if all(module_iso(S, r) is None for r in out):
+            out.append(S)
     out.sort(key=lambda m: m.dim)
     return out
 

@@ -216,8 +216,7 @@ def descend_to_source(
     of a split f = f1 + f2 one has a unit trace too, as the two traces sum
     to a unit and E_G(M) is local; every trace followed is checked."""
     F = M.F
-    d = M.dim
-    corner = rep.Corner(endo, rep.radical(endo, seed), eye(d), eye(d))
+    corner = rep.Corner.top(endo, rep.Semisimple.of(endo, seed))
     unit = rel_trace(M, alpha, V)
     while True:
         if not linalg.is_invertible(F, unit):

@@ -1,5 +1,7 @@
 """2-blocks: central idempotents, defect groups, quadratic type, Theta."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from symvert import blocks, catalog, forms, linalg, rep
 from symvert.field import make_field
-from symvert.group import GroupTable
+from symvert.group import GroupTable, from_permutations
 from symvert.linalg import mat_mul
 
 F2 = make_field(1)
@@ -115,14 +117,28 @@ def test_blocks_sl23():
     assert b0.defect_group.order == 8  # quaternion Sylow
 
 
+C7 = from_permutations(7, [[2, 3, 4, 5, 6, 7, 1]])
+
+
 def test_central_character():
-    bl = blocks.block_decomposition(S3, F2)
-    for b in bl:
-        assert blocks.central_character(b, 0) == 1  # identity class
-        for i in b.support:
-            assert blocks.central_character(b, i) != 0 or i not in (
-                b.defect_class,
-            )
+    # reference: C_i+ acts on a simple module S of the block through the
+    # centre of End(S), a field, so omega_B(C_i+) != 0 exactly when that
+    # action is not zero.  Over C7 the characters lie in GF(8), off GF(2)
+    # and GF(4), but the test needs no splitting field
+    for G, m in itertools.product((S3, S4, D12, SL23, C7), (1, 2)):
+        F = make_field(m)
+        bl = blocks.block_decomposition(G, F)
+        seen = set()
+        for S in rep.irreducible_modules(G, F):
+            b = blocks.block_of_module(S, bl)
+            seen.add(id(b))
+            assert blocks.class_sum_is_unit(b, 0)  # the identity class
+            for i, c in enumerate(b.centre.classes):
+                acts = [S.action(x) for x in c.members]
+                act = linalg.combine(F, [1] * c.size, acts)
+                assert blocks.class_sum_is_unit(b, i) == bool(act.any())
+            assert blocks.class_sum_is_unit(b, b.defect_class)
+        assert len(seen) == len(bl)
 
 
 def test_principal_block_via_augmentation():

@@ -72,6 +72,19 @@ def test_blocks_field_degree_flag(s3_files, capsys):
     assert data["meta"]["modulus"] == 7  # x^2 + x + 1
 
 
+@pytest.mark.parametrize("degree", ["1", "2"])
+def test_blocks_of_c7_off_a_splitting_field(tmp_path, degree, capsys):
+    # the central characters of C7 lie in GF(8); the blocks need none of them
+    g = tmp_path / "c7.json"
+    g.write_text(json.dumps({"points": 7, "generators": [[2, 3, 4, 5, 6, 7, 1]]}))
+    code, out = run(["--json", "--field-degree", degree, "blocks", str(g)], capsys)
+    assert code == 0
+    data = json.loads(out)["blocks"]
+    assert len(data) == 3
+    assert all(b["defect_group"]["order"] == 1 for b in data)
+    assert [b["real"] for b in data] == [True, False, False]
+
+
 def test_parse_error_exit_code(s3_files, capsys):
     _, m = s3_files
     code = cli.main(["vertices", "/does/not/exist.json", m])

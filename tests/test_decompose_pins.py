@@ -1,0 +1,220 @@
+"""Byte-for-byte pins of the decompositions, PIMs and irreducibles.
+
+Each digest is a sha256 over the int64 bytes (and shapes) of a
+`DecompositionCert`'s idempotents, iso classes, multiplicities and
+`radical`, of the PIM and head generator matrices and multiplicity of
+each `pims` entry, or of the generator matrices of `irreducible_modules`.
+They were recorded while E/J(E) was still read by a reduction modulo a
+basis of J(E), and the irreducibles rebuilt as sub-quotients of kG.  They
+pin that reading E/J(E) off the composition series instead, and taking
+the irreducibles from `chop`'s factor matrices, moves no output."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from symvert import catalog, rep
+from symvert.field import make_field
+
+PINS = {
+    ("S3", "regular", 1, 0):
+        "4a1e1771989414fc680ee4cef698a147ecf94b69ef9cbba905608714f99e9bd0",
+    ("S3", "pims", 1, 0):
+        "dda2fc6df1b5b6065484c9146163c41d94356c34cf4bea43379117812840fe74",
+    ("D12", "regular", 1, 0):
+        "810df56b269131b40af67cfcec261c073bfacba940cf1f40f24d06007fe557ad",
+    ("D12", "pims", 1, 0):
+        "5d77a5fbe82461cd6f4fddd56da3ba6cc1fee7ee562283a0e075355fbeac9f2b",
+    ("A4", "regular", 1, 0):
+        "9e829cb59ed88780aacd3d816227a3978a768d53375666779df833ecf671192f",
+    ("A4", "pims", 1, 0):
+        "d5b6b603e5b7c2ff716244d6a5cd46d02570799eb882f1276041e2ec0a87a5d5",
+    ("C3:C4", "regular", 1, 0):
+        "e094338af303b7eb39450f95263b01684946efd9598fc42c9a5dc3fcd8af6261",
+    ("C3:C4", "pims", 1, 0):
+        "253238db1272822fec8dcf8784b8b8f869ebfb3a315c6f89567334be8acc6889",
+    ("S4", "regular", 1, 0):
+        "c3b704eeb215164a9046d74eabb449642093af5bfa6c9db1ed3b22973be9a964",
+    ("S4", "pims", 1, 0):
+        "d7a7dceecc416fb6349b260ac4d09443fcb4d96eb36c4ca99eba5b8bfecb051f",
+    ("SL(2,3)", "regular", 1, 0):
+        "ff5f4647f02da4203c2c3923e5a6f6a8aaa7bcd5127abbcb3c4993f5c3efb4a6",
+    ("SL(2,3)", "pims", 1, 0):
+        "e75ea7c89bcc7a83435e3533449d524014b2c254359231f61b08ec448ee32b46",
+    ("S4", "perm", 1, 0):
+        "93a36a19fefc97dae199b3c0bb57e7148001eb5c61ffb36587579fc67f8c226a",
+    ("S5", "perm", 1, 0):
+        "f8abe37885b4ee74f3d482f5de7a043b7dd06c63509558f60bfd2ce74dcc4173",
+    ("S3", "regular", 2, 0):
+        "9945c65bb59f8aa7b88b5892cdafc7dba64d43843545e3bd9e1e6fdd12a045f2",
+    ("S3", "pims", 2, 0):
+        "69c15e6ac1afaaebbd454d778d7759cd2631572220e4056fc46e1141698813ce",
+    ("D12", "regular", 2, 0):
+        "dcf36635c4083ba5981a2680fd2778df6cb55bf010411eac8b31a372b98e66be",
+    ("D12", "pims", 2, 0):
+        "2071715c6af802abbf29ce04fcc926f17e57caba792c1b8af65d8f3234992ff3",
+    ("A4", "regular", 2, 0):
+        "afb64ac511e354f0e6be6be3a1e359696830f894896fd6d34987ef9f78b0464e",
+    ("A4", "pims", 2, 0):
+        "1202e8173efec662c502bbcfa8a78e44041236ec7e41afcabc8c974a988b0673",
+    ("C3:C4", "regular", 2, 0):
+        "f4a8cf990bf079cee89da85f07992cb2cf4f0da34a8ec1cacd38b2fd97c22704",
+    ("C3:C4", "pims", 2, 0):
+        "0641c83a1c7811881732209e4363b7ca14d5f7741b53fee16c49e2cf6559d704",
+    ("S4", "regular", 2, 0):
+        "277d0085f2076b80178d4df75809f2dc4915de6e95c6ad9afdbc2bb44c4808ab",
+    ("S4", "pims", 2, 0):
+        "346605a35c542acbd54da99313f99e4ce95343aa555c947e5cbd2380f25e5895",
+    ("SL(2,3)", "regular", 2, 0):
+        "1111fe6c69f0e2ffdcae00f02435dbde1d3fbdbe836489b63784c081445d8a37",
+    ("SL(2,3)", "pims", 2, 0):
+        "5a5e2ab99494823015b1fb4c8863612ea06d8626e1078ce21cbe92d855fc1e15",
+    ("S4", "perm", 2, 0):
+        "93a36a19fefc97dae199b3c0bb57e7148001eb5c61ffb36587579fc67f8c226a",
+    ("S5", "perm", 2, 0):
+        "f8abe37885b4ee74f3d482f5de7a043b7dd06c63509558f60bfd2ce74dcc4173",
+    ("S3", "regular", 1, 20240401):
+        "4a1e1771989414fc680ee4cef698a147ecf94b69ef9cbba905608714f99e9bd0",
+    ("S3", "pims", 1, 20240401):
+        "dda2fc6df1b5b6065484c9146163c41d94356c34cf4bea43379117812840fe74",
+    ("D12", "regular", 1, 20240401):
+        "03b4fb8cfbacda0e3e6772696762296ba043aece16d79c3a3ea4804978629548",
+    ("D12", "pims", 1, 20240401):
+        "5d77a5fbe82461cd6f4fddd56da3ba6cc1fee7ee562283a0e075355fbeac9f2b",
+    ("A4", "regular", 1, 20240401):
+        "9e829cb59ed88780aacd3d816227a3978a768d53375666779df833ecf671192f",
+    ("A4", "pims", 1, 20240401):
+        "d5b6b603e5b7c2ff716244d6a5cd46d02570799eb882f1276041e2ec0a87a5d5",
+    ("C3:C4", "regular", 1, 20240401):
+        "8041eaf6202dccdaee80f1535224b6302686825b73f064bd61a2b77ec68031f3",
+    ("C3:C4", "pims", 1, 20240401):
+        "253238db1272822fec8dcf8784b8b8f869ebfb3a315c6f89567334be8acc6889",
+    ("S4", "regular", 1, 20240401):
+        "8f31672da521183c0073d73c1bd8a1dfb7ffaa6be7387346d2cd480acacb1a64",
+    ("S4", "pims", 1, 20240401):
+        "d7a7dceecc416fb6349b260ac4d09443fcb4d96eb36c4ca99eba5b8bfecb051f",
+    ("SL(2,3)", "regular", 1, 20240401):
+        "ff5f4647f02da4203c2c3923e5a6f6a8aaa7bcd5127abbcb3c4993f5c3efb4a6",
+    ("SL(2,3)", "pims", 1, 20240401):
+        "e75ea7c89bcc7a83435e3533449d524014b2c254359231f61b08ec448ee32b46",
+    ("S4", "perm", 1, 20240401):
+        "93a36a19fefc97dae199b3c0bb57e7148001eb5c61ffb36587579fc67f8c226a",
+    ("S5", "perm", 1, 20240401):
+        "f8abe37885b4ee74f3d482f5de7a043b7dd06c63509558f60bfd2ce74dcc4173",
+    ("S3", "regular", 2, 20240401):
+        "9945c65bb59f8aa7b88b5892cdafc7dba64d43843545e3bd9e1e6fdd12a045f2",
+    ("S3", "pims", 2, 20240401):
+        "69c15e6ac1afaaebbd454d778d7759cd2631572220e4056fc46e1141698813ce",
+    ("D12", "regular", 2, 20240401):
+        "dcf36635c4083ba5981a2680fd2778df6cb55bf010411eac8b31a372b98e66be",
+    ("D12", "pims", 2, 20240401):
+        "2071715c6af802abbf29ce04fcc926f17e57caba792c1b8af65d8f3234992ff3",
+    ("A4", "regular", 2, 20240401):
+        "afb64ac511e354f0e6be6be3a1e359696830f894896fd6d34987ef9f78b0464e",
+    ("A4", "pims", 2, 20240401):
+        "1202e8173efec662c502bbcfa8a78e44041236ec7e41afcabc8c974a988b0673",
+    ("C3:C4", "regular", 2, 20240401):
+        "f4a8cf990bf079cee89da85f07992cb2cf4f0da34a8ec1cacd38b2fd97c22704",
+    ("C3:C4", "pims", 2, 20240401):
+        "0641c83a1c7811881732209e4363b7ca14d5f7741b53fee16c49e2cf6559d704",
+    ("S4", "regular", 2, 20240401):
+        "277d0085f2076b80178d4df75809f2dc4915de6e95c6ad9afdbc2bb44c4808ab",
+    ("S4", "pims", 2, 20240401):
+        "346605a35c542acbd54da99313f99e4ce95343aa555c947e5cbd2380f25e5895",
+    ("SL(2,3)", "regular", 2, 20240401):
+        "1111fe6c69f0e2ffdcae00f02435dbde1d3fbdbe836489b63784c081445d8a37",
+    ("SL(2,3)", "pims", 2, 20240401):
+        "5a5e2ab99494823015b1fb4c8863612ea06d8626e1078ce21cbe92d855fc1e15",
+    ("S4", "perm", 2, 20240401):
+        "93a36a19fefc97dae199b3c0bb57e7148001eb5c61ffb36587579fc67f8c226a",
+    ("S5", "perm", 2, 20240401):
+        "f8abe37885b4ee74f3d482f5de7a043b7dd06c63509558f60bfd2ce74dcc4173",
+    ("S3", "irreducibles", 1, 0):
+        "e93b02bea5802215db73b0000f716feba044fd254ad8356f17a830c6952fe19a",
+    ("D12", "irreducibles", 1, 0):
+        "e9ea6926505cff28d3bf4983f1a92146f320849aa4b325d615b113e467db7c10",
+    ("A4", "irreducibles", 1, 0):
+        "f010bf3a3c0bccfb723c0773b1feccce9423c4824d1d7da26b6ec19fca805492",
+    ("C3:C4", "irreducibles", 1, 0):
+        "333099da0d3756f21016cfc6101b0111ab67e5fc2460fa2fb8394266fb707a65",
+    ("S4", "irreducibles", 1, 0):
+        "afe2d6919da8ad39261fe67012cc4108f6ce7bfb96ab1ebca32d7dbf8c3ddafb",
+    ("SL(2,3)", "irreducibles", 1, 0):
+        "f010bf3a3c0bccfb723c0773b1feccce9423c4824d1d7da26b6ec19fca805492",
+    ("S3", "irreducibles", 2, 0):
+        "e93b02bea5802215db73b0000f716feba044fd254ad8356f17a830c6952fe19a",
+    ("D12", "irreducibles", 2, 0):
+        "e9ea6926505cff28d3bf4983f1a92146f320849aa4b325d615b113e467db7c10",
+    ("A4", "irreducibles", 2, 0):
+        "af41dd155501629ccdc2720bb288ca2a545d241fa00abd8a19852115101fe91f",
+    ("C3:C4", "irreducibles", 2, 0):
+        "333099da0d3756f21016cfc6101b0111ab67e5fc2460fa2fb8394266fb707a65",
+    ("S4", "irreducibles", 2, 0):
+        "afe2d6919da8ad39261fe67012cc4108f6ce7bfb96ab1ebca32d7dbf8c3ddafb",
+    ("SL(2,3)", "irreducibles", 2, 0):
+        "af41dd155501629ccdc2720bb288ca2a545d241fa00abd8a19852115101fe91f",
+    ("S3", "irreducibles", 1, 20240401):
+        "78b673ec0eea868560263880835cc41ca9de6a6ebbebee32c3ef526010416b39",
+    ("D12", "irreducibles", 1, 20240401):
+        "8b819906b916b9d86d703d3e14c96368fb308d34a65bf89e5ae62ece49fc89d9",
+    ("A4", "irreducibles", 1, 20240401):
+        "f010bf3a3c0bccfb723c0773b1feccce9423c4824d1d7da26b6ec19fca805492",
+    ("C3:C4", "irreducibles", 1, 20240401):
+        "ef8e6dee7fbb847dc3d6bebf39dd5d335927999b1ae766ec8df488732f0d3c99",
+    ("S4", "irreducibles", 1, 20240401):
+        "ea5dd960123073d917ead0c7eec03480b048d746695f2baf4c6c7d0e75ee2d29",
+    ("SL(2,3)", "irreducibles", 1, 20240401):
+        "f010bf3a3c0bccfb723c0773b1feccce9423c4824d1d7da26b6ec19fca805492",
+    ("S3", "irreducibles", 2, 20240401):
+        "64fc7eeebc29adaa3d6ce1c38b97db356bd5ff3d9da3d838af134b39f8bb985e",
+    ("D12", "irreducibles", 2, 20240401):
+        "8b819906b916b9d86d703d3e14c96368fb308d34a65bf89e5ae62ece49fc89d9",
+    ("A4", "irreducibles", 2, 20240401):
+        "48de9f5df6c3b11985fa980d768a0d2acb1b6d59564b6eb275235673bdb22e00",
+    ("C3:C4", "irreducibles", 2, 20240401):
+        "ef8e6dee7fbb847dc3d6bebf39dd5d335927999b1ae766ec8df488732f0d3c99",
+    ("S4", "irreducibles", 2, 20240401):
+        "ea5dd960123073d917ead0c7eec03480b048d746695f2baf4c6c7d0e75ee2d29",
+    ("SL(2,3)", "irreducibles", 2, 20240401):
+        "48de9f5df6c3b11985fa980d768a0d2acb1b6d59564b6eb275235673bdb22e00",
+}
+
+
+def _feed(h, arrays):
+    for A in arrays:
+        A = np.asarray(A, dtype=np.int64)
+        h.update(repr(A.shape).encode())
+        h.update(A.tobytes())
+
+
+def cert_digest(cert: rep.DecompositionCert) -> str:
+    h = hashlib.sha256()
+    for c in cert.components:
+        _feed(h, [c.idempotent, [c.iso_class]])
+    _feed(h, [cert.multiplicities])
+    _feed(h, cert.radical)
+    return h.hexdigest()
+
+
+def pims_digest(ps: list[rep.PimInfo]) -> str:
+    h = hashlib.sha256()
+    for p in ps:
+        _feed(h, p.pim.gen_matrices + p.head.gen_matrices + [[p.multiplicity]])
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name, kind, m, seed", list(PINS))
+def test_decomposition_is_pinned(name, kind, m, seed):
+    G, F = catalog.suite_group(name), make_field(m)
+    if kind == "pims":
+        got = pims_digest(rep.pims(G, F, seed=seed))
+    elif kind == "irreducibles":
+        h = hashlib.sha256()
+        for S in rep.irreducible_modules(G, F, seed=seed):
+            _feed(h, S.gen_matrices)
+        got = h.hexdigest()
+    else:
+        module = rep.regular_module if kind == "regular" else rep.permutation_module
+        got = cert_digest(rep.decompose(module(G, F), seed=seed))
+    assert got == PINS[name, kind, m, seed]

@@ -449,29 +449,59 @@ def _corner_modules():
 
 @pytest.mark.parametrize("seed", [0, 20240401])
 def test_compressed_radical_is_the_corner_radical(seed):
-    # J(eEe) = e J(E) e: decompose compresses J(E) instead of re-chopping
+    # J(fEf) = f J(E) f: a corner reads fEf/J through E's map, composed with
+    # its incl and proj, instead of chopping its own module again
     split = 0
     for label, M in _corner_modules():
         assert M.dim <= 24
         F = M.F
         E = rep.end_algebra(M)
-        J = rep.radical(E, seed)
-        e = rep._split_once(E, J, seed)
-        if e is None:
+        halves = rep.split_corner(rep.Corner.top(E, rep.Semisimple.of(E, seed)), seed)
+        if halves is None:
             continue
         split += 1
-        for part in (e, e ^ linalg.eye(M.dim)):
-            comp, incl, proj = rep.sub_module(M, linalg.col_space(F, part))
-            basis = rep._compress_corner(F, E.basis, part, incl, proj)
-            Ec = rep.EndoAlgebra(comp, basis)
-            Jc = rep._compress_corner(F, J, part, incl, proj)
-            n2 = comp.dim**2
+        for c in halves:
+            n2 = c.algebra.module.dim**2
             got, want = (
                 linalg.Subspace(F, n2, np.array([x.ravel() for x in X]))
-                for X in (Jc, rep.radical(Ec, seed + 1))
+                for X in (c.quotient.kernel(c.algebra), rep.radical(c.algebra, seed + 1))
             )
             assert got == want, label
     assert split >= 10
+
+
+def _factor_is_irreducible(F, mats, c):
+    """Every nonzero vector of the factor spins to all of it."""
+    for v in itertools.product(range(F.q), repeat=c):
+        if any(v) and rep.spin(F, np.array([v]), mats).dim < c:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", [0, 20240401])
+@pytest.mark.parametrize("label, M", [
+    ("S4-regular-gf2", rep.regular_module(S4, F2)),
+    ("A4-regular-gf4", rep.regular_module(A4, F4)),
+    ("S5-perm-gf2", rep.permutation_module(catalog.suite_group("S5"), F2)),
+    ("D12-pim-gf2", catalog.d12_pim(F2)[0]),
+])
+def test_chop_factors_are_a_composition_series(label, M, seed):
+    F, gens, d = M.F, M.gen_matrices, M.dim
+    factors = rep.chop(F, gens, d, seed=seed)
+    lifts = np.concatenate([lift for _, lift in factors])
+    assert lifts.shape == (d, d) and linalg.is_invertible(F, lifts), label
+    below = linalg.Subspace(F, d, None)
+    for mats, lift in factors:
+        c = len(lift)
+        assert c**2 <= 16 and _factor_is_irreducible(F, mats, c), label
+        # the factor's matrices are the action on the lifts modulo the terms
+        # below, and the prefix up to this factor is gens-stable
+        for A, B in zip(gens, mats):
+            moved = linalg.mat_mul(F, A, lift.T) ^ linalg.mat_mul(F, lift.T, B)
+            assert not linalg.reduce_mod(F, below, moved.T).any(), label
+        below = below.add(linalg.Subspace(F, d, lift))
+        assert rep.spin(F, below.basis, gens) == below, label
+    assert below.dim == d
 
 
 def test_decompose_frees_its_recursion_without_gc():
@@ -503,16 +533,25 @@ def _split_cases():
 def test_quotient_min_poly_matches_left_multiplication(label, M, monkeypatch):
     F, seed = M.F, 3
     E = rep.end_algebra(M)
-    J = rep.radical(E, seed)
-    lifts, quo_coords = rep.semisimple_quotient(E, J)
+    ss = rep.Semisimple.of(E, seed)
+    lifts = rep.semisimple_quotient(E, ss)
     r = len(lifts)
+    assert r + len(ss.kernel(E)) == E.dim, label  # the lifts are a basis of E/J
+    # reference coordinates over the lifts in E/J, solved from their images
+    imgs = ss.images(lifts).T
+
+    def quo_coords(f):
+        x, _ = linalg.solve(F, imgs, ss(f))
+        assert x is not None, label
+        return x
+
     draws = linalg.coefficient_vectors(F.q, r, random.Random(seed), 0, 400 - r)
     cands = itertools.chain(lifts, (linalg.combine(F, c, lifts) for c in draws))
     degrees = set()
     for a in itertools.islice(cands, 20):
         # reference: the matrix of left multiplication by a on E/J
         La = np.array([quo_coords(linalg.mat_mul(F, a, b)) for b in lifts]).T
-        mu = linalg.min_poly(F, a, quo_coords)
+        mu = linalg.min_poly(F, a, ss)
         assert mu == linalg.min_poly(F, La), label
         degrees.add(polys.deg(mu))
     assert min(degrees) < r, label  # some La is not cyclic
@@ -527,7 +566,7 @@ def test_quotient_min_poly_matches_left_multiplication(label, M, monkeypatch):
         "factor",
         lambda *a, seed: attempts.append(seed) or real_factor(*a, seed=seed),
     )
-    e = rep._split_once(E, J, seed)
+    e = rep._split_once(E, ss, seed)
     assert attempts == list(range(seed, seed + len(attempts)))
     assert len(calls) == len(attempts) >= 1
     assert (e is None) == (label == "SL(2,3)-irreducible-gf2")
