@@ -1,14 +1,15 @@
 """2-blocks of a group algebra in characteristic 2.
 
 Blocks are the primitive idempotents of the centre Z(kG), computed on the
-class-sum basis: an idempotent e is split by the CRT idempotents of an
-element of the Berlekamp subalgebra {a : a^q = a} of e.Z, lifted with the
-repeated-squaring device, until that subalgebra is one-dimensional.  Every
+class-sum basis by splitting 1 with the GF(q)/GF(2) traces of elements of
+the Berlekamp subalgebra {a : a^q = a}, which are sums of blocks.  Every
 block idempotent is supported on 2-regular classes; a block is real when
 its coefficients are constant on inverse pairs of classes.  Each real block
 carries a defect group D (a Sylow 2-subgroup of the centralizer of a defect
 class element) and an extended defect group E (Sylow 2 of the extended
 centralizer of a real defect class element) with D <= E of index at most 2.
+Off a splitting field a real block may lack a real defect class; then
+`block_decomposition` raises FeasibilityError naming the degree needed.
 The module also houses the quadratic-type test for projective covers of
 self-dual irreducibles, and the verification harness realizing the block
 idempotent as a relative trace from the diagonal of the extended defect
@@ -21,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forms, linalg, polys, rep, vertex
-from .field import FieldCtx
+from . import forms, linalg, rep, vertex
+from .field import FieldCtx, splitting_degree
 from .forms import Adjoint, GForm
-from .group import GroupTable, Subgroup, direct_product
-from .linalg import Subspace, combine, eye, mat_mul, zeros
+from .group import FeasibilityError, GroupTable, Subgroup, direct_product
+from .linalg import combine, eye, mat_mul, zeros
 from .rep import ModuleRep
 
 
@@ -118,58 +119,27 @@ def block_decomposition(G: GroupTable, F: FieldCtx) -> list[BlockInfo]:
 
 
 def _primitive_idempotents(Z: CentreAlgebra) -> list[np.ndarray]:
-    s = rep.idempotent_power_exponent(Z.n)
-    done: list[np.ndarray] = []
-    work = [Z.unit.copy()]
-    while work:
-        e = work.pop()
-        split = _split_central(Z, e, s)
-        if split is None:
-            done.append(e)
-        else:
-            work.extend(split)
-    done.sort(key=lambda v: v.tobytes())
-    return done
-
-
-def _split_central(Z, e, s):
-    """Split the idempotent e of Z(kG), or return None if it is primitive.
-
-    e.Z is commutative over GF(q), so a -> a^q - a is GF(q)-linear on it
-    and its kernel, the Berlekamp subalgebra, is GF(q)^r with r the number
-    of primitive idempotents of e.Z (Eberly & Giesbrecht, J. Symbolic
-    Comput. 29, 2000).  So e is primitive iff the kernel has dim 1, and any
-    non-scalar kernel element splits it."""
+    """The block idempotents e_i.  The Berlekamp subalgebra B = {a : a^q =
+    a} of Z is the GF(q)-span of the e_i (Eberly & Giesbrecht, J. Symbolic
+    Comput. 29, 2000), so for b = sum l_i e_i in B and c in GF(q) the trace
+    t = sum_{j<m} (cb)^(2^j) = sum Tr(c l_i) e_i is an idempotent.  Each e
+    is replaced by e.t and e + e.t, for b over a basis of B and c = x^k: as
+    the trace form is nondegenerate, that separates every two blocks."""
     F = Z.F
-    space = Subspace(F, Z.n, np.array([Z.mul(e, b) for b in eye(Z.n)]))  # e.Z
-    frob = np.array([space.coords(Z.power(b, F.q) ^ b) for b in space.basis]).T
-    ker = linalg.kernel(F, frob)
-    if len(ker) == 1:
-        return None
-    for x in ker:
-        z = combine(F, x, space.basis)
-        # z's minimal polynomial in the unital algebra e.Z, from the one
-        # sequence z^j.e (p(L_z) e = p(z)); u(z) reuses these powers
-        powers = [e]
-
-        def orbit():
-            while True:
-                yield space.coords(powers[-1])
-                powers.append(Z.mul(powers[-1], z))
-
-        fac = polys.factor(F, linalg._first_dependency(F, orbit()))
-        if len(fac) <= 1:
-            continue
-        parts = []
-        for u in polys.crt_idempotents(F, fac):
-            # u is reduced modulo the minimal polynomial, so deg u < len(powers)
-            f = Z.power(combine(F, u, powers), 1 << s)
-            f = Z.mul(f, e)
-            if f.any():
-                parts.append(f)
-        if len(parts) > 1:
-            return parts
-    raise AssertionError("a Berlekamp element failed to split a central idempotent")
+    basis = linalg.kernel(F, np.array([Z.power(v, F.q) ^ v for v in eye(Z.n)]).T)
+    idems = [Z.unit]
+    for b in basis:
+        squares = [b]  # b^(2^j); (cb)^(2^j) = c^(2^j) b^(2^j)
+        for _ in range(F.m - 1):
+            squares.append(Z.mul(squares[-1], squares[-1]))
+        for k in range(F.m):
+            t = combine(F, [F.pow(1 << k, 1 << j) for j in range(F.m)], squares)
+            parts = [Z.mul(e, t) for e in idems]
+            idems = [f for e, et in zip(idems, parts) for f in (et, e ^ et) if f.any()]
+    if len(idems) != len(basis):  # r nonzero orthogonal parts of 1 are the blocks
+        raise AssertionError("trace splits did not separate the blocks")
+    idems.sort(key=lambda v: v.tobytes())
+    return idems
 
 
 def class_sum_is_unit(b: BlockInfo, i: int) -> bool:
@@ -206,6 +176,11 @@ def _fill_defect_groups(G: GroupTable, F: FieldCtx, b: BlockInfo) -> None:
     b.defect_group = Ds[0][1]
     if b.real:
         if not Es:
+            if F.m % splitting_degree(G):  # Murray's theorem needs a splitting field
+                raise FeasibilityError(
+                    "real block without a real defect class: GF(2^m) splits the"
+                    f" group for m divisible by {splitting_degree(G)}, not {F.m}"
+                )
             raise AssertionError("real block without a real defect class")
         for _, E in Es[1:]:
             if G.subgroup_conjugate(E, Es[0][1]) is None:
@@ -423,8 +398,6 @@ def verify_theorem_vertexBlock(
     part_ii = False
     for M in rep.irreducible_modules(G, F, seed=seed):
         if (block_of_module(M, blocks).idempotent != b.idempotent).any():
-            continue
-        if rep.module_iso(M, rep.dual(M)) is None:
             continue
         base = forms.base_form(M)
         if base is None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, polys, rep
+from . import linalg, rep
 from .group import GroupTable, Subgroup
 from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul, mat_vec, zeros
 from .rep import EndoAlgebra, ModuleRep
@@ -206,41 +206,28 @@ def orth_projection(B: GForm, L: Subspace) -> np.ndarray:
 def lift_selfadjoint_idempotent(
     E: EndoAlgebra, sigma: Adjoint, I: Subspace, a: np.ndarray
 ) -> np.ndarray:
-    """Given an ideal I of E with sigma(I) = I and a idempotent modulo I,
-    return a genuine idempotent e with sigma(e) = e and e = a mod I.
-
-    Construction: b = a.sigma(a) is sigma-invariant and congruent to a;
-    repeated squaring of b stabilizes to an idempotent because b^2 - b lies
-    in the commutative algebra k[b] intersected with I, where its powers
-    vanish by the exponent bound below.
-    """
+    """Given a nil ideal I of E with sigma(I) = I and a idempotent and
+    sigma-fixed modulo I, return an idempotent e = sigma(e) with e = a mod I:
+    b = a.sigma(a) is sigma-fixed and congruent to a, and b^2 - b lies in I,
+    so repeated squaring of b stabilizes at such an e.  ValueError when no
+    lift exists (a is not idempotent or not sigma-fixed modulo I);
+    AssertionError when the squares give no idempotent congruent to a,
+    which means I is not nil."""
     F = E.module.F
 
     def in_I(x: np.ndarray) -> bool:
         return I.contains(x.ravel())
 
-    a2 = mat_mul(F, a, a)
-    if not in_I(a2 ^ a):
+    if not in_I(mat_mul(F, a, a) ^ a):
         raise ValueError("element is not idempotent modulo the ideal")
-    b = mat_mul(F, a, sigma(a))
+    sa = sigma(a)
+    if not in_I(sa ^ a):
+        raise ValueError("element is not sigma-fixed modulo the ideal")
     s = rep.idempotent_power_exponent(E.dim)
-    e = rep.lift_idempotent(F, b, s)
-    if (mat_mul(F, e, e) == e).all() and in_I(e ^ a):
-        if (sigma(e) != e).any():
-            raise AssertionError("lifted idempotent is not self-adjoint")
-        return e
-    # repeated squaring cycles when the ideal is not nil on k[b]; fall back
-    # to the primary idempotents of k[b] and pick the sub-sum congruent to a
-    fac = polys.factor(F, linalg.min_poly(F, b))
-    prim = [
-        rep.lift_idempotent(F, polys.eval_matrix(F, u, b), s)
-        for u in polys.crt_idempotents(F, fac)
-    ]
-    for c in coefficient_vectors(2, len(prim), None, 2 ** len(prim), 0):
-        e = combine(F, c, prim)
-        if (mat_mul(F, e, e) == e).all() and in_I(e ^ a) and (sigma(e) == e).all():
-            return e
-    raise AssertionError("no self-adjoint idempotent lift found")
+    e = rep.lift_idempotent(F, mat_mul(F, a, sa), s)
+    if (mat_mul(F, e, e) != e).any() or not in_I(e ^ a):
+        raise AssertionError("no idempotent lift by squaring: the ideal is not nil")
+    return e
 
 
 # -- perfect pairings -----------------------------------------------------
@@ -539,7 +526,7 @@ def _seeded_automorphism(
     basis, or None."""
     F = M.F
     rng = random.Random(seed)
-    for c in coefficient_vectors(F.q, len(basis), rng, 0, 50):
+    for c in coefficient_vectors(F.q, len(basis), rng, 50):
         u = combine(F, c, basis)
         if linalg.is_invertible(F, u):
             return u

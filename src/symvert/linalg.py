@@ -31,20 +31,13 @@ def combine(F: FieldCtx, coeffs, mats) -> np.ndarray:
     return out
 
 
-def coefficient_vectors(q: int, h: int, rng, exhaustive_upto: int, draws: int):
-    """Coefficient vectors of length h for a combination search.  When
-    q^h <= exhaustive_upto: every nonzero vector, in little-endian mask
-    order (c_i = mask // q^i mod q); `lift_selfadjoint_idempotent` tries
-    its sub-sums this way.  Otherwise: `draws` vectors, each drawn entry by
-    entry with rng.randrange(q): the candidates of `_split_once`, which
-    raises when they run out, and of `_seeded_automorphism`, whose
-    transport is optional."""
-    if q**h <= exhaustive_upto:
-        for mask in range(1, q**h):
-            yield [mask // q**i % q for i in range(h)]
-    else:
-        for _ in range(draws):
-            yield [rng.randrange(q) for _ in range(h)]
+def coefficient_vectors(q: int, h: int, rng, draws: int):
+    """`draws` coefficient vectors of length h for a seeded combination
+    search, each drawn entry by entry with rng.randrange(q): the candidates
+    of `_split_once`, which raises when they run out, and of
+    `_seeded_automorphism`, whose transport is optional."""
+    for _ in range(draws):
+        yield [rng.randrange(q) for _ in range(h)]
 
 
 def mat_mul(F: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:

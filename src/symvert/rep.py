@@ -601,7 +601,7 @@ def _split_once(E: EndoAlgebra, ss: Semisimple, seed: int) -> np.ndarray | None:
         return None
     rng = random.Random(seed)
     s = idempotent_power_exponent(E.dim)
-    draws = coefficient_vectors(F.q, r, rng, 0, 400 - r)
+    draws = coefficient_vectors(F.q, r, rng, 400 - r)
     cands = itertools.chain(lifts, (combine(F, c, lifts) for c in draws))
     for attempt, a in enumerate(cands):
         mu = linalg.min_poly(F, a, ss)  # a's minimal polynomial in E/J

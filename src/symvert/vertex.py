@@ -202,7 +202,9 @@ def green_vertex(
             ft = mat_mul(F, M.action(t), mat_mul(F, f, M.action(G.inverse(t))))
             Z, _, _ = rep.sub_module(res, linalg.col_space(F, ft))
             if all(rep.module_iso(Z, s.module) is None for s in sources):
-                sources.append(SourceInfo(Z, rep.is_selfdual(Z), forms.base_form(Z)))
+                form = forms.base_form(Z)  # nondegenerate: an iso Z -> Z*
+                selfdual = form is not None or rep.is_selfdual(Z)
+                sources.append(SourceInfo(Z, selfdual, form))
     return GreenVertexInfo(V, cert, sources)
 
 

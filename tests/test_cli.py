@@ -85,6 +85,29 @@ def test_blocks_of_c7_off_a_splitting_field(tmp_path, degree, capsys):
     assert [b["real"] for b in data] == [True, False, False]
 
 
+@pytest.mark.parametrize(
+    "points, degree, code", [(3, 1, 3), (3, 2, 0), (5, 2, 3), (5, 4, 0)]
+)
+def test_blocks_of_a_cyclic_group_need_a_splitting_field(
+    tmp_path, points, degree, code, capsys
+):
+    # a real block of C3 over GF(2) (or of C5 over GF(4)) has no real defect
+    # class; GF(4) (or GF(16)) splits the group into |G| blocks of defect
+    # zero, of which only the principal one is real
+    g = tmp_path / "c.json"
+    cycle = list(range(2, points + 1)) + [1]
+    g.write_text(json.dumps({"points": points, "generators": [cycle]}))
+    assert cli.main(["--json", "--field-degree", str(degree), "blocks", str(g)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "divisible by %d" % (2 if points == 3 else 4) in captured.err
+    else:
+        data = json.loads(captured.out)["blocks"]
+        assert len(data) == points
+        assert all(b["defect_group"]["order"] == 1 for b in data)
+        assert [b["real"] for b in data] == [True] + [False] * (points - 1)
+
+
 def test_parse_error_exit_code(s3_files, capsys):
     _, m = s3_files
     code = cli.main(["vertices", "/does/not/exist.json", m])

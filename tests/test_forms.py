@@ -1,5 +1,7 @@
 """Invariant bilinear forms: slices, adjoints, decompositions, Mackey."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,47 @@ def test_mackey_decompose_verified():
     assert md.verified
     assert sum(p.module.dim for p in md.pieces) == md.res_module.dim == 3
     assert len(md.pieces) == len(S4.double_cosets(K, H))
+
+
+def test_lift_selfadjoint_idempotent_contract():
+    # every a = r(x), x in kS3, modulo I = r(J(kS3)): a lift exists exactly
+    # when a is idempotent and sigma-fixed modulo I, and ValueError otherwise
+    M = regular_s3()
+    B = forms.standard_form(M)
+    sigma = forms.Adjoint(B)
+    E = rep.regular_end_algebra(S3, F2, M)
+    J = rep.group_algebra_radical(S3, F2)
+    I = Subspace(
+        F2, 36, np.array([rep.right_mult_matrix(S3, v).ravel() for v in J.basis])
+    )
+    lifted = refused = 0
+    for bits in itertools.product(range(2), repeat=6):
+        a = rep.right_mult_matrix(S3, np.array(bits, dtype=np.int64))
+        idem = I.contains((mat_mul(F2, a, a) ^ a).ravel())
+        fixed = I.contains((sigma(a) ^ a).ravel())
+        if idem and fixed:
+            e = forms.lift_selfadjoint_idempotent(E, sigma, I, a)
+            assert (mat_mul(F2, e, e) == e).all() and (sigma(e) == e).all()
+            assert I.contains((e ^ a).ravel())
+            lifted += 1
+        else:
+            with pytest.raises(ValueError):
+                forms.lift_selfadjoint_idempotent(E, sigma, I, a)
+            refused += idem  # idempotent, but no self-adjoint lift
+    # kS3/J = k x M_2(k) has 16 idempotents; sigma fixes only the 4 with 0
+    # or 1 in the M_2(k) factor.  There sigma is the adjoint of a symplectic
+    # form on k^2, and a self-adjoint idempotent of rank 1 would need a line
+    # on which that form is nondegenerate
+    assert (lifted, refused) == (8, 24)
+    # an ideal that is not nil: I = E = M_2(k) on two trivial summands, where
+    # b = a.sigma(a) = [[1, 1], [1, 0]] has order 3 and squares to no idempotent
+    T = rep.ModuleRep(S3, F2, [np.eye(2, dtype=np.int64)] * len(S3.generators))
+    sigma = forms.Adjoint(forms.GForm(T, np.eye(2, dtype=np.int64)))
+    a = np.array([[1, 0], [1, 1]], dtype=np.int64)
+    with pytest.raises(AssertionError, match="not nil"):
+        forms.lift_selfadjoint_idempotent(
+            rep.end_algebra(T), sigma, linalg.full_space(F2, 4), a
+        )
 
 
 def test_paired_module_hyperbolic():

@@ -545,7 +545,7 @@ def test_quotient_min_poly_matches_left_multiplication(label, M, monkeypatch):
         assert x is not None, label
         return x
 
-    draws = linalg.coefficient_vectors(F.q, r, random.Random(seed), 0, 400 - r)
+    draws = linalg.coefficient_vectors(F.q, r, random.Random(seed), 400 - r)
     cands = itertools.chain(lifts, (linalg.combine(F, c, lifts) for c in draws))
     degrees = set()
     for a in itertools.islice(cands, 20):
