@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -86,18 +87,7 @@ def cmd_blocks(args) -> int:
     return EXIT_OK
 
 
-def _verify_paper_examples(args) -> list[dict]:
-    results = []
-
-    def record(name, fn):
-        try:
-            ok = bool(fn())
-        except Exception as exc:  # report, never crash the suite
-            ok = False
-            results.append({"name": name, "pass": False, "error": repr(exc)})
-            return
-        results.append({"name": name, "pass": ok})
-
+def _verify_paper_examples(args) -> list[tuple[str, Callable[[], bool]]]:
     F = make_field(1)
 
     def dihedral_two_vertices():
@@ -130,18 +120,18 @@ def _verify_paper_examples(args) -> list[dict]:
         bl = blocks_mod.block_decomposition(G, F)
         return len(bl) == 2 and all(b.real for b in bl)
 
-    record("dihedral-pim-two-symmetric-vertices", dihedral_two_vertices)
-    record("s5-specht-case-I", s5_case_one)
-    record("gl32-extension-case-III", gl32_case_three)
-    record("specht-row-reversal-quadratic-type", specht_quadratic)
-    record("s3-two-real-blocks", s3_blocks)
-    return results
+    return [
+        ("dihedral-pim-two-symmetric-vertices", dihedral_two_vertices),
+        ("s5-specht-case-I", s5_case_one),
+        ("gl32-extension-case-III", gl32_case_three),
+        ("specht-row-reversal-quadratic-type", specht_quadratic),
+        ("s3-two-real-blocks", s3_blocks),
+    ]
 
 
-def _verify_oracle_small(args) -> list[dict]:
+def _verify_oracle_small(args) -> list[tuple[str, Callable[[], bool]]]:
     import random
 
-    results = []
     F = make_field(1)
     rng = random.Random(args.seed)
 
@@ -187,10 +177,17 @@ def _verify_oracle_small(args) -> list[dict]:
                 return False
         return True
 
-    for name, fn in (
+    return [
         ("is-projective-brute-force-oracle", projectivity_oracle),
         ("selfadjoint-idempotent-lifting", lifting_oracle),
-    ):
+    ]
+
+
+def _run_checks(checks: list[tuple[str, Callable[[], bool]]]) -> list[dict]:
+    """Run a suite's named checks in order; an exception fails its check
+    with the error recorded and never stops the suite."""
+    results = []
+    for name, fn in checks:
         try:
             results.append({"name": name, "pass": bool(fn())})
         except Exception as exc:
@@ -209,7 +206,7 @@ def cmd_verify(args) -> int:
     import time
 
     t0 = time.time()
-    results = suites[args.suite](args)
+    results = _run_checks(suites[args.suite](args))
     out = {
         "meta": _meta(make_field(args.field_degree), args),
         "suite": args.suite,

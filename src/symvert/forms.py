@@ -275,12 +275,11 @@ def extend_form_from_summand(
     """
     F = B.F
     sigma = Adjoint(B)
-    cand = []
-    seen = linalg.Echelon(F, B.module.dim**2)
-    for f in rep.hom_space(B.module, B.module, H):
-        t = mat_mul(F, sigma(e), mat_mul(F, f, e))
-        if t.any() and seen.insert(t.ravel()):
-            cand.append(t)
+    # solve gives zero and dependent candidates the coefficient 0
+    cand = [
+        mat_mul(F, sigma(e), mat_mul(F, f, e))
+        for f in rep.hom_space(B.module, B.module, H)
+    ]
     # condition: incl^T theta^T gram incl = bhat, linear in the coefficients
     cols = []
     for t in cand:
@@ -430,92 +429,46 @@ def orth_decompose(B: GForm, seed: int = 0) -> list[OrthPiece]:
     """Orthogonal decomposition into B-nondegenerate pieces, each either an
     indecomposable summand or an indecomposable-plus-dual pair.
 
-    Greedy: split an indecomposable component off whenever B is nondegenerate
-    on it; otherwise pair it with a partner (which exists and is isomorphic
-    to its dual), then recurse on the orthogonal complement.
+    One Krull-Schmidt decomposition M = W_1 + ... + W_r, moved along a
+    seeded automorphism when seed != 0 (the summands of a module are unique
+    up to isomorphism, its internal decompositions are not).  Then greedy,
+    in the coordinates of M: the piece P is W_1 when B is nondegenerate on
+    it, else W_1 + W_j for the first partner W_j that makes B nondegenerate,
+    those isomorphic to the dual of W_1 first.  The projection 1 + e onto
+    P-perp, with e the orthogonal projection onto P, is a G-map with kernel
+    P, and P meets the sum of the other summands in 0, so their images are
+    a decomposition of P-perp into the same summands; the loop goes on with
+    those.
     """
     if not B.symmetric or not B.nondegenerate:
         raise ValueError("orthogonal decomposition needs a nondegenerate symmetric form")
-    F = B.F
+    F, M = B.F, B.module
+    E = rep.end_algebra(M)
+    cert = rep.decompose(M, seed=seed, endo=E)
+    comps = [(c.subspace, c.module) for c in cert.components]
+    move = _seeded_automorphism(M, E.basis, seed) if seed else None
     pieces: list[OrthPiece] = []
-    amb = B.module.dim
-
-    def rec(Mc: ModuleRep, gram: np.ndarray, incl: np.ndarray, seed: int):
-        # incl: amb x dim(Mc), images of Mc's basis in the original module
-        if Mc.dim == 0:
-            return
-        Bc = GForm(Mc, gram, check=False)
-        E = rep.end_algebra(Mc)
-        cert = rep.decompose(Mc, seed=seed, endo=E)
-        comps = cert.components
-        if seed:
-            # different seeds explore different internal direct-sum
-            # decompositions: transport the components along a seeded
-            # module automorphism (decompositions of a module are not
-            # unique even though the summands are, up to isomorphism)
-            u = _seeded_automorphism(Mc, E.basis, seed)
-            if u is not None:
-                comps = [
-                    rep.Component(
-                        Subspace(F, Mc.dim, mat_mul(F, c.subspace.basis, u.T)),
-                        c.idempotent,
-                        c.module,
-                        c.incl,
-                        c.proj,
-                        c.iso_class,
-                    )
-                    for c in comps
-                ]
-        c0 = comps[0]
-        S0 = c0.subspace
-        if is_nondegenerate_on(Bc, S0):
-            chosen = S0
-            kind = "indecomposable"
-            mods = [c0.module]
-        else:
-            chosen = None
-            # prefer partners isomorphic to the dual of the first component
-            dual0 = rep.dual(c0.module)
-            ranked = sorted(
-                range(1, len(comps)),
-                key=lambda j: (
-                    rep.module_iso(comps[j].module, dual0) is None,
-                    j,
-                ),
-            )
-            for j in ranked:
-                pair = S0.add(comps[j].subspace)
-                if pair.dim == S0.dim + comps[j].module.dim and is_nondegenerate_on(
-                    Bc, pair
-                ):
-                    chosen = pair
-                    kind = "dual-pair"
-                    mods = [c0.module, comps[j].module]
+    while comps:
+        if move is not None:
+            comps = [
+                (Subspace(F, M.dim, mat_mul(F, S.basis, move.T)), m) for S, m in comps
+            ]
+        (P, m0), rest = comps[0], comps[1:]
+        kind, mods = "indecomposable", [m0]
+        if not is_nondegenerate_on(B, P):
+            dual0 = rep.dual(m0)
+            no_iso = [rep.module_iso(m, dual0) is None for _, m in rest]
+            for j in sorted(range(len(rest)), key=no_iso.__getitem__):
+                pair = P.add(rest[j][0])
+                if is_nondegenerate_on(B, pair):
                     break
-            if chosen is None:
+            else:
                 raise AssertionError("no nondegenerate partner found")
-        amb_basis = mat_mul(F, chosen.basis, incl.T)
-        pieces.append(
-            OrthPiece(
-                Subspace(F, amb, amb_basis),
-                kind,
-                mods,
-                gram_on(Bc, chosen.basis),
-            )
-        )
-        perp = orth_complement(Bc, chosen)
-        if perp.dim == 0:
-            return
-        sub, incl2, _ = rep.sub_module(Mc, perp)
-        rec(
-            sub,
-            gram_on(Bc, perp.basis),
-            mat_mul(F, incl, incl2),
-            seed if seed == 0 else seed + 1,
-        )
-
-    rec(B.module, B.gram, eye(amb), seed)
-    del rec  # a self-referencing closure: free its data now, not at a full gc
+            P = pair
+            kind, mods = "dual-pair", [m0, rest.pop(j)[1]]
+        pieces.append(OrthPiece(P, kind, mods, gram_on(B, P.basis)))
+        comps = rest
+        move = eye(M.dim) ^ orth_projection(B, P) if rest else None
     return pieces
 
 

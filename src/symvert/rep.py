@@ -365,23 +365,24 @@ def chop(
     lifted to k^dim as rows.  Every prefix of the lifts spans a term of the
     series, and the lifts together are a basis of k^dim."""
     factors = []
-
-    def rec(gens_c: list[np.ndarray], d: int, lift: np.ndarray, seed: int):
-        # lift: d x dim matrix embedding current space into the ambient
+    # (generators, dim, lift to k^dim as rows, seed): the submodule is
+    # pushed last, so it pops first and the factors come from the bottom
+    todo = [(gens, dim, eye(dim), seed)]
+    while todo:
+        gens_c, d, lift, s = todo.pop()
         if d == 0:
-            return
-        W = _proper_submodule(F, gens_c, d, seed)
+            continue
+        W = _proper_submodule(F, gens_c, d, s)
         if W is None:
             factors.append((gens_c, lift))
-            return
+            continue
         sub = Subspace(F, d, W)
-        subM, incl, proj = _compress_action(F, gens_c, sub)
-        quoM, qproj, qincl = _quotient_action(F, gens_c, sub)
-        rec(subM, sub.dim, mat_mul(F, sub.basis, lift), seed + 1)
-        rec(quoM, d - sub.dim, mat_mul(F, qincl, lift), seed + 1)
-
-    rec(gens, dim, eye(dim), seed)
-    del rec  # a self-referencing closure: free its data now, not at a full gc
+        subM, _, _ = _compress_action(F, gens_c, sub)
+        quoM, _, qincl = _quotient_action(F, gens_c, sub)
+        todo += [
+            (quoM, d - sub.dim, mat_mul(F, qincl, lift), s + 1),
+            (subM, sub.dim, mat_mul(F, sub.basis, lift), s + 1),
+        ]
     return factors
 
 

@@ -34,29 +34,16 @@ def symmetric_group(n: int) -> GroupTable:
 
 
 def _tabloids(n: int, lam: tuple[int, ...]) -> list[tuple[frozenset, ...]]:
-    """All ordered partitions of {0..n-1} with row sizes lam."""
-    out: list[tuple[frozenset, ...]] = []
-
-    def build(rest: frozenset, rows: tuple):
-        if not rows and not rest:
-            out.append(rows)
-        i = len(rows)
-        if i == len(lam):
-            if not rest:
-                out.append(rows)
-            return
-        for combo in combinations(sorted(rest), lam[i]):
-            build(rest - set(combo), rows + (frozenset(combo),))
-
-    build(frozenset(range(n)), ())
-    # dedupe (build may append twice at the boundary)
-    seen = set()
-    uniq = []
-    for t in out:
-        if t not in seen:
-            seen.add(t)
-            uniq.append(t)
-    return uniq
+    """All ordered partitions of {0..n-1} with row sizes lam, in the
+    lexicographic order of the rows' combinations."""
+    out = [((), frozenset(range(n)))]
+    for size in lam:
+        out = [
+            (rows + (frozenset(c),), rest - set(c))
+            for rows, rest in out
+            for c in combinations(sorted(rest), size)
+        ]
+    return [rows for rows, rest in out if not rest]
 
 
 def _standard_tableaux(lam: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:

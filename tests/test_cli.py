@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symvert import blocks, catalog, cli, group, rep, vertex
+from symvert import blocks, catalog, cli, forms, group, rep, vertex
 from symvert.field import make_field
 from symvert.group import GroupTable, group_to_dict
 
@@ -227,6 +227,20 @@ def test_oracle_small_suite(capsys):
     data = json.loads(out)
     assert data["suite"] == "oracle-small"
     assert all(r["pass"] for r in data["results"])
+
+
+def test_verify_reports_a_raising_check_and_runs_on(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(forms, "orth_decompose", fail)
+    code, out = run(["--json", "verify", "oracle-small"], capsys)
+    assert code == 1
+    assert json.loads(out)["results"] == [
+        {"name": "is-projective-brute-force-oracle", "pass": True},
+        {"name": "selfadjoint-idempotent-lifting", "pass": False,
+         "error": "ValueError('boom')"},
+    ]
 
 
 S3_TABLE = catalog.suite_group("S3").mult.tolist()

@@ -215,19 +215,70 @@ def test_orth_decompose_regular_bt():
     ] * 3
 
 
+def _block_sum(base: forms.GForm, copies: int) -> forms.GForm:
+    """copies of (M, base) as one module with the block-diagonal form."""
+    gram = linalg.kron(base.F, np.eye(copies, dtype=np.int64), base.gram)
+    return forms.GForm(rep.direct_sum([base.module] * copies), gram)
+
+
+def _same_summands(mods, N) -> bool:
+    """N is the direct sum of the indecomposable modules mods, up to
+    isomorphism: its Krull-Schmidt summands match mods one to one."""
+    comps = [c.module for c in rep.decompose(N).components]
+    for m in mods:
+        iso = (i for i, c in enumerate(comps) if rep.module_iso(m, c) is not None)
+        k = next(iso, None)
+        if k is None:
+            return False
+        comps.pop(k)
+    return not comps
+
+
 def test_orth_decompose_seed_changes_shape_not_validity():
-    M = regular_s3()
-    base = forms.base_form(M)
-    three = rep.direct_sum([M] * 3)
-    gram = np.zeros((18, 18), dtype=np.int64)
-    for i in range(3):
-        gram[6 * i : 6 * i + 6, 6 * i : 6 * i + 6] = base.gram
-    B3 = forms.GForm(three, gram)
-    for seed in (0, 1, 2):
+    D12 = catalog.suite_group("D12")
+    inputs = [
+        _block_sum(forms.base_form(regular_s3()), 3),
+        _block_sum(forms.standard_form(rep.regular_module(D12, F4)), 2),
+    ]
+    for B in inputs:
+        M, n = B.module, B.module.dim
+        for seed in (0, 1, 2):
+            pieces = forms.orth_decompose(B, seed=seed)
+            assert sum(p.space.dim for p in pieces) == n
+            assert Subspace(
+                B.F, n, np.concatenate([p.space.basis for p in pieces])
+            ).dim == n
+            for i, p in enumerate(pieces):
+                assert forms.is_nondegenerate_on(B, p.space)
+                for q in pieces[i + 1 :]:
+                    vals = mat_mul(
+                        B.F, p.space.basis, mat_mul(B.F, B.gram, q.space.basis.T)
+                    )
+                    assert not vals.any()
+                # the labels describe the piece itself, also after the
+                # complement steps
+                assert len(p.modules) == (1 if p.kind == "indecomposable" else 2)
+                assert _same_summands(p.modules, rep.sub_module(M, p.space)[0])
+
+
+def test_orth_decompose_decomposes_once(monkeypatch):
+    # one decomposition of the whole module, not one per piece (6 pieces
+    # at seed 0, 5 at seed 1)
+    B3 = _block_sum(forms.standard_form(regular_s3()), 3)
+    for seed in (0, 1):
+        calls = {"decompose": 0, "end_algebra": 0}
+        for name in calls:
+            orig = getattr(rep, name)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(rep, name, counted)
         pieces = forms.orth_decompose(B3, seed=seed)
+        monkeypatch.undo()
         assert sum(p.space.dim for p in pieces) == 18
-        for p in pieces:
-            assert forms.is_nondegenerate_on(B3, p.space)
+        assert calls == {"decompose": 1, "end_algebra": 1}
 
 
 def test_perfect_pairing():
