@@ -203,6 +203,10 @@ def cmd_verify(args) -> int:
     if args.suite not in suites:
         print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
         return EXIT_PARSE
+    if args.field_degree != 1:
+        print("error: the verify suites run over fixed fields; "
+              "--field-degree must be 1", file=sys.stderr)
+        return EXIT_PARSE
     import time
 
     t0 = time.time()

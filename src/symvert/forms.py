@@ -434,7 +434,8 @@ def orth_decompose(B: GForm, seed: int = 0) -> list[OrthPiece]:
     up to isomorphism, its internal decompositions are not).  Then greedy,
     in the coordinates of M: the piece P is W_1 when B is nondegenerate on
     it, else W_1 + W_j for the first partner W_j that makes B nondegenerate,
-    those isomorphic to the dual of W_1 first.  The projection 1 + e onto
+    those isomorphic to the dual of W_1 first (one `rep.module_iso` per
+    isomorphism class of the decomposition).  The projection 1 + e onto
     P-perp, with e the orthogonal projection onto P, is a G-map with kernel
     P, and P meets the sum of the other summands in 0, so their images are
     a decomposition of P-perp into the same summands; the loop goes on with
@@ -445,20 +446,24 @@ def orth_decompose(B: GForm, seed: int = 0) -> list[OrthPiece]:
     F, M = B.F, B.module
     E = rep.end_algebra(M)
     cert = rep.decompose(M, seed=seed, endo=E)
-    comps = [(c.subspace, c.module) for c in cert.components]
+    comps = [(c.subspace, c.module, c.iso_class) for c in cert.components]
     move = _seeded_automorphism(M, E.basis, seed) if seed else None
     pieces: list[OrthPiece] = []
     while comps:
         if move is not None:
             comps = [
-                (Subspace(F, M.dim, mat_mul(F, S.basis, move.T)), m) for S, m in comps
+                (Subspace(F, M.dim, mat_mul(F, S.basis, move.T)), m, i)
+                for S, m, i in comps
             ]
-        (P, m0), rest = comps[0], comps[1:]
+        (P, m0, _), rest = comps[0], comps[1:]
         kind, mods = "indecomposable", [m0]
         if not is_nondegenerate_on(B, P):
             dual0 = rep.dual(m0)
-            no_iso = [rep.module_iso(m, dual0) is None for _, m in rest]
-            for j in sorted(range(len(rest)), key=no_iso.__getitem__):
+            iso: dict[int, bool] = {}  # one module_iso per isomorphism class
+            for _, m, i in rest:
+                if i not in iso:
+                    iso[i] = rep.module_iso(m, dual0) is not None
+            for j in sorted(range(len(rest)), key=lambda j: not iso[rest[j][2]]):
                 pair = P.add(rest[j][0])
                 if is_nondegenerate_on(B, pair):
                     break

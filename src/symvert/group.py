@@ -56,6 +56,9 @@ class GroupTable:
         self.perms = perms  # optional permutation labels, 0-based images
         self._orders: np.ndarray | None = None
         self._classes: list[ConjClass] | None = None
+        # (elements, gens) only: Subgroups refer back to the table, and a
+        # cycle would keep each table alive until the cyclic collector runs
+        self._two_subgroups: list[tuple[tuple[int, ...], tuple]] | None = None
         self.class_ids: np.ndarray | None = None  # class index of each element
         # standalone subgroup tables, keyed by element set; the first entry
         # wins, since its generators fix the element ids callers see
@@ -247,17 +250,19 @@ class GroupTable:
         return sorted(seen.values(), key=lambda h: (h.order, h.elements))
 
     def two_subgroups_up_to_conjugacy(self) -> list["Subgroup"]:
-        """Conjugacy-class representatives of 2-subgroups (incl. trivial)."""
+        """Conjugacy-class representatives of 2-subgroups (incl. trivial),
+        enumerated once per table."""
         if self.order > TWO_SUBGROUPS_ORDER_BOUND:
             raise FeasibilityError(
                 f"group order {self.order} exceeds bound {TWO_SUBGROUPS_ORDER_BOUND}"
             )
-        P = self.sylow2()
-        reps: list[Subgroup] = []
-        for H in self.all_subgroups_of(P):
-            if all(self.subgroup_conjugate(H, R) is None for R in reps):
-                reps.append(H)
-        return reps
+        if self._two_subgroups is None:
+            reps: list[Subgroup] = []
+            for H in self.all_subgroups_of(self.sylow2()):
+                if all(self.subgroup_conjugate(H, R) is None for R in reps):
+                    reps.append(H)
+            self._two_subgroups = [(R.elements, R.gens) for R in reps]
+        return [Subgroup(self, e, g) for e, g in self._two_subgroups]
 
     def conjugate_subgroup(self, g: int, H: "Subgroup") -> "Subgroup":
         return Subgroup(self, tuple(self._conj([g], H.elements)[0].tolist()), None)

@@ -33,24 +33,35 @@ def rel_trace(
     return rel_trace_batch(M, [f], H, K)[0]
 
 
+# entries of one chunk's stacked products in `rel_trace_batch`: s h d^2 for
+# s transversal elements.  A fixed budget, so that stacking allocates no
+# more than one element at a time did once h d^2 >= 2^16, and at most 2^16
+# entries below that
+TRACE_CHUNK_ENTRIES = 1 << 16
+
+
 def rel_trace_batch(
     M: ModuleRep, fs: list[np.ndarray], H: Subgroup, K: Subgroup | None = None
 ) -> list[np.ndarray]:
-    """Relative traces of several endomorphisms at once (shared transversal)."""
+    """Relative traces of several endomorphisms at once (shared transversal),
+    two products per chunk of s transversal elements: Y = vstack(rho(t)).C
+    for C = hstack(f_j), then Y rearranged to rows (j, a) and columns
+    (t, b) times vstack(rho(t)^-1), which sums over t inside the product."""
     G = M.group
     F = M.F
     trans = G.left_transversal(H, K)
     d = M.dim
     h = len(fs)
     C = np.concatenate(fs, axis=1)  # d x (h d)
-    acc = zeros(d, h * d)
-    for t in trans:
-        X = mat_mul(F, M.action(t), C)
-        # right-multiply each d-column block by rho(t)^-1
-        X = X.reshape(d, h, d).transpose(1, 0, 2).reshape(h * d, d)
-        X = mat_mul(F, X, M.action(G.inverse(t)))
-        acc ^= X.reshape(h, d, d).transpose(1, 0, 2).reshape(d, h * d)
-    return [acc[:, i * d : (i + 1) * d].copy() for i in range(h)]
+    acc = zeros(h * d, d)  # rows (j, a): the traces stacked
+    step = max(1, TRACE_CHUNK_ENTRIES // (h * d * d))
+    for i in range(0, len(trans), step):
+        ts = trans[i : i + step]
+        s = len(ts)
+        Y = mat_mul(F, np.concatenate([M.action(t) for t in ts]), C)
+        Y = Y.reshape(s, d, h, d).transpose(2, 1, 0, 3).reshape(h * d, s * d)
+        acc ^= mat_mul(F, Y, np.concatenate([M.action_inv(t) for t in ts]))
+    return list(acc.reshape(h, d, d))
 
 
 # -- relative projectivity ------------------------------------------------
@@ -176,7 +187,10 @@ def green_vertex(
     The sources, the indecomposable kV-modules Z with M | Ind_V^G Z, are
     the N_G(V)-conjugates of one of them (Green): of f.Res_V M for the f
     that `descend_to_source` reaches, the images of the V-endomorphisms
-    rho(t).f.rho(t)^-1 over t in N_G(V), one per isomorphism class."""
+    rho(t).f.rho(t)^-1 over t in N_G(V), one per isomorphism class.  A
+    trivial V makes M projective, and its one source is the trivial module
+    of the trivial group: no descent is needed, and cert.alpha is still
+    returned."""
     G = M.group
     classes = sorted(G.two_subgroups_up_to_conjugacy(), key=lambda s: s.order)
     V = None
@@ -189,7 +203,10 @@ def green_vertex(
     if V is None:
         raise AssertionError("module not projective relative to a Sylow 2-subgroup")
     sources: list[SourceInfo] = []
-    if with_sources:
+    if with_sources and V.order == 1:
+        Z = rep.trivial_module(rep.subgroup_table(V)[0], M.F)
+        sources.append(SourceInfo(Z, True, forms.base_form(Z)))
+    elif with_sources:
         F = M.F
         res = rep.restrict(M, V)
         E = rep.end_algebra(res, basis=cert.endo_basis)
@@ -238,11 +255,13 @@ def descend_to_source(
 
 
 def sigma_fixed_basis(
-    M: ModuleRep, sigma: Adjoint, H: Subgroup | None
+    M: ModuleRep, sigma: Adjoint, H: Subgroup | None,
+    endo_basis: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
-    """Basis of the self-adjoint part of E_H(M)."""
+    """Basis of the self-adjoint part of E_H(M), from `endo_basis` when it
+    is given: the basis `rep.hom_space(M, M, H)` returns, solved already."""
     F = M.F
-    basis = rep.hom_space(M, M, H)
+    basis = rep.hom_space(M, M, H) if endo_basis is None else endo_basis
     if not basis:
         return []
     cols = [(b ^ sigma(b)).ravel() for b in basis]
@@ -332,20 +351,22 @@ class SymProjectivityCert:
 
 
 def is_sym_projective(
-    M: ModuleRep, H: Subgroup, base: GForm | None = None
+    M: ModuleRep, H: Subgroup, base: GForm | None = None,
+    endo_basis: list[np.ndarray] | None = None,
 ) -> SymProjectivityCert:
     """Whether M is symmetrically H-projective: tr_H^G of the self-adjoint
     part of E_H(M) contains a unit of E_G(M).
 
     Requires M indecomposable.  Then E_G(M) is local: its non-units form
     the radical, a subspace, so the traced subspace contains a unit exactly
-    when one of the basis traces is a unit.
+    when one of the basis traces is a unit.  `endo_basis`, when given, is
+    the basis of E_H(M) that `rep.hom_space(M, M, H)` returns.
     """
     if base is None:
         base = forms.base_form(M)
         if base is None:
             raise ValueError("module has no nondegenerate symmetric form")
-    fixed = sigma_fixed_basis(M, Adjoint(base), H)
+    fixed = sigma_fixed_basis(M, Adjoint(base), H, endo_basis)
     if fixed:
         for u, t in zip(fixed, rel_trace_batch(M, fixed, H)):
             if linalg.is_invertible(M.F, t):
@@ -371,7 +392,8 @@ def symmetric_vertices(
 
     Every such class contains a conjugate of the Green vertex V with index
     at most 2, so only V-conjugates and their index-2 overgroups inside a
-    fixed Sylow 2-subgroup are searched.
+    fixed Sylow 2-subgroup are searched.  At T = V the basis of E_V(M)
+    that `is_projective` solved over is used again.
     """
     G = M.group
     if green is None:
@@ -385,7 +407,8 @@ def symmetric_vertices(
     ]
     hits = []
     for T in cands:
-        c = is_sym_projective(M, T, base)
+        same = T.elements == V.elements
+        c = is_sym_projective(M, T, base, green.cert.endo_basis if same else None)
         if c.projective:
             hits.append(SymVertexClass(T, c))
     out = []

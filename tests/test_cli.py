@@ -27,6 +27,16 @@ def s3_files(tmp_path_factory):
     return str(gpath), str(mpath)
 
 
+@pytest.fixture(scope="module")
+def s3_trivial_file(tmp_path_factory):
+    # the trivial kS3 module: its vertex C2 is not trivial, so the source
+    # descent runs (the 2-dim simple module is projective and skips it)
+    path = tmp_path_factory.mktemp("cli") / "k.json"
+    k = rep.trivial_module(catalog.suite_group("S3"), make_field(1))
+    path.write_text(json.dumps(rep.module_to_dict(k)))
+    return str(path)
+
+
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr().out
@@ -49,6 +59,17 @@ def test_vertices_deterministic(s3_files, capsys):
     _, out1 = run(["--json", "vertices", g, m], capsys)
     _, out2 = run(["--json", "vertices", g, m], capsys)
     assert out1 == out2
+
+
+def test_vertices_enumerates_the_2_subgroup_classes_once(monkeypatch, s3_files):
+    # green_vertex and symmetric_vertices share the table's one enumeration
+    calls = []
+    enumerate_in = GroupTable.all_subgroups_of
+    monkeypatch.setattr(GroupTable, "all_subgroups_of",
+                        lambda G, P: calls.append(1) or enumerate_in(G, P))
+    g, m = s3_files
+    assert _quiet_main(["--json", "vertices", g, m]) == (0, "")
+    assert len(calls) == 1
 
 
 def test_blocks_command(s3_files, capsys):
@@ -178,14 +199,15 @@ def test_decomposable_module_exit_code(tmp_path, s3_files, capsys):
     (blocks, "block_decomposition", "blocks"),
 ])
 def test_internal_certificate_failure_exit_code(
-    monkeypatch, s3_files, capsys, layer, name, command
+    monkeypatch, s3_files, s3_trivial_file, capsys, layer, name, command
 ):
     def fail(*args, **kwargs):
         raise AssertionError("chop failed to make progress")
 
     monkeypatch.setattr(layer, name, fail)
-    g, m = s3_files
-    argv = ["--json", command, g] + ([m] if command == "vertices" else [])
+    g, _ = s3_files
+    m = [s3_trivial_file] if command == "vertices" else []
+    argv = ["--json", command, g] + m
     assert cli.main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -227,6 +249,17 @@ def test_oracle_small_suite(capsys):
     data = json.loads(out)
     assert data["suite"] == "oracle-small"
     assert all(r["pass"] for r in data["results"])
+
+
+def test_verify_rejects_a_field_degree_it_would_not_use(capsys):
+    # both suites compute over fixed fields, so --field-degree 3 would be
+    # reported in meta but never used
+    assert cli.main(["--json", "--field-degree", "3", "verify", "oracle-small"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the verify suites run over fixed fields; --field-degree must be 1\n"
+    )
 
 
 def test_verify_reports_a_raising_check_and_runs_on(monkeypatch, capsys):

@@ -263,10 +263,11 @@ def test_orth_decompose_seed_changes_shape_not_validity():
 
 def test_orth_decompose_decomposes_once(monkeypatch):
     # one decomposition of the whole module, not one per piece (6 pieces
-    # at seed 0, 5 at seed 1)
+    # at seed 0, 5 at seed 1), and partners ranked by one module_iso per
+    # isomorphism class, not per summand (25 and 27 calls before)
     B3 = _block_sum(forms.standard_form(regular_s3()), 3)
-    for seed in (0, 1):
-        calls = {"decompose": 0, "end_algebra": 0}
+    for seed, isos in ((0, 16), (1, 17)):
+        calls = {"decompose": 0, "end_algebra": 0, "module_iso": 0}
         for name in calls:
             orig = getattr(rep, name)
 
@@ -278,7 +279,7 @@ def test_orth_decompose_decomposes_once(monkeypatch):
         pieces = forms.orth_decompose(B3, seed=seed)
         monkeypatch.undo()
         assert sum(p.space.dim for p in pieces) == 18
-        assert calls == {"decompose": 1, "end_algebra": 1}
+        assert calls == {"decompose": 1, "end_algebra": 1, "module_iso": isos}
 
 
 def test_perfect_pairing():

@@ -45,6 +45,47 @@ def test_rel_trace_frobenius_identity():
             assert (lhs == rhs).all()
 
 
+def _rel_trace_by_element(M, fs, H, K):
+    """tr_H^K of each f, one transversal element at a time: rho(t).f_j side
+    by side, then stacked and multiplied by rho(t)^-1."""
+    F, G, h = M.F, M.group, len(fs)
+    acc = np.zeros((h * M.dim, M.dim), dtype=np.int64)
+    for t in G.left_transversal(H, K):
+        left = mat_mul(F, M.action(t), np.concatenate(fs, axis=1))
+        acc ^= mat_mul(F, np.concatenate(np.split(left, h, axis=1)),
+                       M.action(G.inverse(t)))
+    return np.split(acc, h)
+
+
+S5 = catalog.suite_group("S5")
+_P = S5.sylow2()
+_OVER_P = next(K for x in range(S5.order)
+               if _P.order < (K := S5.closure(list(_P.gens) + [x])).order < S5.order)
+_INVOLUTION = next(x for x in _P.elements if S5.element_order(x) == 2)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("H, K", [
+    (S5.trivial_subgroup(), None), (S5.trivial_subgroup(), _P),
+    (S5.closure([_INVOLUTION]), None), (S5.closure([_INVOLUTION]), _P),
+    (_P, None), (_P, _OVER_P),
+], ids=["1-G", "1-P", "2-G", "2-P", "P-G", "P-S4"])
+@pytest.mark.parametrize("h", [600, 1400])
+def test_rel_trace_batch_matches_the_per_element_sum(m, H, K, h):
+    # on the 5-dim permutation module of S5, h = 600 and 1400 endomorphisms
+    # make chunks of 4 transversal elements (the last one short for |G:P| =
+    # 15) and of 1
+    F = make_field(m)
+    M = rep.permutation_module(S5, F)
+    rng = np.random.default_rng(h)
+    fs = list(rng.integers(0, F.q, size=(h, M.dim, M.dim)))
+    assert vertex.TRACE_CHUNK_ENTRIES // (h * M.dim**2) == (4 if h == 600 else 1)
+    got = vertex.rel_trace_batch(M, fs, H, K)
+    want = _rel_trace_by_element(M, fs, H, K)
+    assert len(got) == h
+    assert all((g == w).all() for g, w in zip(got, want))
+
+
 def test_is_projective_trivial_module():
     k = rep.trivial_module(S3, F2)
     assert not vertex.is_projective(k, S3.trivial_subgroup()).projective
@@ -301,6 +342,51 @@ def test_sources_by_reciprocity_match_induced_summands(name, m):
         green = vertex.green_vertex(M)
         want = _reference_source_signatures(M, green.vertex)
         assert _source_signatures(green.sources) == want
+
+
+@pytest.mark.parametrize("name", ["S4", "SL(2,3)"])
+def test_one_algebra_per_vertices_query(monkeypatch, name):
+    # a projective module (trivial vertex) has the trivial module of the
+    # trivial group as its one source, with no descent; at T = V the
+    # symmetric vertex search reuses the basis of E_V(M) that is_projective
+    # solved over, so sigma_fixed_basis makes no Hom solve there
+    mods = _one_per_class(catalog.suite_group(name), F2)
+    refs = [_reference_source_signatures(
+        M, vertex.green_vertex(M, with_sources=False).vertex) for M in mods]
+    descents, homs, fixed = [], [], []
+    descend, hom_space = vertex.descend_to_source, rep.hom_space
+    sigma_fixed_basis = vertex.sigma_fixed_basis
+
+    def counted_fixed(M, sigma, H, *rest):
+        before = len(homs)
+        out = sigma_fixed_basis(M, sigma, H, *rest)
+        fixed.append((H.elements, len(homs) - before))
+        return out
+
+    monkeypatch.setattr(vertex, "descend_to_source",
+                        lambda *a: descents.append(1) or descend(*a))
+    monkeypatch.setattr(rep, "hom_space",
+                        lambda *a, **k: homs.append(1) or hom_space(*a, **k))
+    monkeypatch.setattr(vertex, "sigma_fixed_basis", counted_fixed)
+    projective = reused = 0
+    for M, ref in zip(mods, refs):
+        descents.clear()
+        green = vertex.green_vertex(M)
+        V = green.vertex
+        assert _source_signatures(green.sources) == ref
+        assert len(descents) == (V.order > 1)
+        if V.order == 1:
+            projective += 1
+            assert ref == [(1, True, True)]
+        base = forms.base_form(M)
+        if base is None:
+            continue
+        fixed.clear()
+        vertex.symmetric_vertices(M, base, green)
+        assert [n for e, n in fixed if e == V.elements] == [0]
+        assert all(n == 1 for e, n in fixed if e != V.elements)
+        reused += 1
+    assert projective >= 2 and reused >= 2
 
 
 def test_two_sources_of_the_gl32_induced_module():
