@@ -58,7 +58,7 @@ class GroupTable:
         self._classes: list[ConjClass] | None = None
         # (elements, gens) only: Subgroups refer back to the table, and a
         # cycle would keep each table alive until the cyclic collector runs
-        self._two_subgroups: list[tuple[tuple[int, ...], tuple]] | None = None
+        self._two_subgroups: list[tuple[tuple[int, ...], ...]] | None = None
         self.class_ids: np.ndarray | None = None  # class index of each element
         # standalone subgroup tables, keyed by element set; the first entry
         # wins, since its generators fix the element ids callers see

@@ -61,7 +61,7 @@ def rel_trace_batch(
         Y = mat_mul(F, np.concatenate([M.action(t) for t in ts]), C)
         Y = Y.reshape(s, d, h, d).transpose(2, 1, 0, 3).reshape(h * d, s * d)
         acc ^= mat_mul(F, Y, np.concatenate([M.action_inv(t) for t in ts]))
-    return list(acc.reshape(h, d, d))
+    return [t.copy() for t in acc.reshape(h, d, d)]
 
 
 # -- relative projectivity ------------------------------------------------
