@@ -3,11 +3,15 @@
 A ModuleRep stores one invertible matrix per group generator; the action of
 arbitrary elements is built on demand by walking the multiplication table.
 The decomposition machinery splits the endomorphism algebra E (idempotent
-style).  A composition series of the module under E gives E/J(E) directly:
-over the series' adapted basis every element of E is block triangular, and
-`Semisimple` reads an element modulo J(E) as its diagonal blocks.  Through
-that one map: find a separating element of E/J(E), lift an idempotent with
-the repeated-squaring device, and recurse on both summands, each corner
+style) and reads E/J(E) through one linear map `Semisimple` whose kernel
+is J(E).  For a general module that map comes from a composition series of
+the module under E: over the series' adapted basis every element of E is
+block triangular, and an element modulo J(E) is its diagonal blocks.  For
+kG, `regular_end_algebra` carries the map through the irreducibles'
+actions instead, with the irreducibles found by tensor closure from a
+faithful module, so kG itself is never chopped.  Through that one map:
+find a separating element of E/J(E), lift an idempotent with the
+repeated-squaring device, and recurse on both summands, each corner
 reading its own quotient through the same map composed with its inclusion.
 """
 
@@ -271,11 +275,15 @@ def hom_space(
 
 @dataclass
 class EndoAlgebra:
-    """Endomorphism algebra of a module (over a subgroup's action)."""
+    """Endomorphism algebra of a module (over a subgroup's action).
+
+    `quotient`, when set, is the map reading E/J(E) that `Semisimple.of`
+    returns instead of chopping the module; it lives on this instance."""
 
     module: ModuleRep
     basis: list[np.ndarray]
     gens: list[np.ndarray] = field(default_factory=list)
+    quotient: Semisimple | None = None
 
     def __post_init__(self):
         if not self.gens:
@@ -297,10 +305,15 @@ def end_algebra(M: ModuleRep, basis: list[np.ndarray] | None = None) -> EndoAlge
 
 
 def regular_end_algebra(G: GroupTable, F: FieldCtx, M: ModuleRep) -> EndoAlgebra:
-    """E_G(kG) = all right multiplications r(x): v -> v.x (basis for free)."""
+    """E_G(kG) = all right multiplications r(x): v -> v.x (basis for free),
+    with its map onto E/J(E) through the irreducibles: r(a) sends the
+    identity (id 0) to a, and A.a, A from `_irreducible_actions`, is the
+    action of a on the irreducibles, zero exactly for a in J(kG)."""
     basis = [right_mult_matrix(G, e) for e in eye(G.order)]
     gens = [basis[g] for g in G.generators]
-    return EndoAlgebra(M, basis, gens=gens)
+    A, e0 = _irreducible_actions(G, F), eye(G.order)[:, :1]
+    ss = Semisimple(F, A, e0, np.ones((len(A), 1), dtype=bool))
+    return EndoAlgebra(M, basis, gens=gens, quotient=ss)
 
 
 # kG multiplies on the group-element basis through the table: the
@@ -479,22 +492,28 @@ def _proper_submodule(
 
 @dataclass
 class Semisimple:
-    """E/J(E) read through one map: x -> the diagonal blocks of L.x.R.
+    """E/J(E) read through one map: x -> the masked entries of L.x.R, a
+    linear map whose kernel is J(E).
 
-    At the top, R = Q has the lifts of a composition series of the module
-    under E as columns and L = Q^-1, so L.x.R is block upper triangular
-    for every x in E, its diagonal blocks are x on the factors, and J(E)
-    is exactly the set of x whose diagonal blocks are zero.  A corner's
-    map composes this with the corner's incl and proj into E's
-    coordinates; J(fEf) = f.J(E).f is then its kernel too."""
+    Through a composition series (`of`): R = Q has the lifts of a
+    composition series of the module under E as columns and L = Q^-1, so
+    L.x.R is block upper triangular for every x in E, its diagonal blocks
+    (the mask) are x on the factors, and J(E) is exactly the set of x whose
+    diagonal blocks are zero.  For kG (`regular_end_algebra`), L is the
+    irreducibles' actions and R the identity's unit column, all read.  A
+    corner's map composes this with the corner's incl and proj into E's
+    coordinates; J(fEf) = f.J(E).f is then its kernel too.  Callers use
+    only that kernel, so either map gives the same outputs."""
 
     F: FieldCtx
-    L: np.ndarray
-    R: np.ndarray
-    mask: np.ndarray  # d x d, True on the diagonal blocks
+    L: np.ndarray  # p x c
+    R: np.ndarray  # c x q
+    mask: np.ndarray  # p x q, True on the entries read
 
     @classmethod
     def of(cls, E: EndoAlgebra, seed: int) -> Semisimple:
+        if E.quotient is not None:
+            return E.quotient
         F = E.module.F
         factors = chop(F, E.gens, E.module.dim, seed=seed)
         Q = np.concatenate([lift for _, lift in factors]).T
@@ -503,11 +522,11 @@ class Semisimple:
         return cls(F, linalg.inverse(F, Q), Q, block[:, None] == block)
 
     def images(self, mats: list[np.ndarray]) -> np.ndarray:
-        """One row per matrix: its diagonal blocks, flattened."""
-        F, (d, c) = self.F, self.L.shape
-        right = mat_mul(F, np.concatenate(mats), self.R).reshape(len(mats), c, d)
+        """One row per matrix: its masked entries, flattened."""
+        F, (p, c), q = self.F, self.L.shape, self.R.shape[1]
+        right = mat_mul(F, np.concatenate(mats), self.R).reshape(len(mats), c, q)
         both = mat_mul(F, self.L, right.transpose(1, 0, 2).reshape(c, -1))
-        both = both.reshape(d, len(mats), d)
+        both = both.reshape(p, len(mats), q)
         return both.transpose(1, 0, 2)[:, self.mask]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -758,13 +777,67 @@ def irreducible_modules(G: GroupTable, F: FieldCtx, seed: int = 0) -> list[Modul
     return out
 
 
-def group_algebra_radical(G: GroupTable, F: FieldCtx, seed: int = 0) -> Subspace:
+def simple_module_count(G: GroupTable, F: FieldCtx) -> int:
+    """The number of irreducible kG-modules over k = GF(q): the orbits of
+    x -> x^q on the 2-regular conjugacy classes (Lux & Pahlings,
+    Representations of Groups, 2010)."""
+    classes = G.conjugacy_classes()
+    seen, orbits = set(), 0
+    for i, c in enumerate(classes):
+        if c.is_2regular and i not in seen:
+            orbits += 1
+            while i not in seen:
+                seen.add(i)
+                i = G.class_of(G.power(classes[i].rep, F.q))
+    return orbits
+
+
+def _irreducibles_by_tensors(G: GroupTable, F: FieldCtx) -> list[ModuleRep]:
+    """One module per isomorphism class of irreducibles, without chopping
+    kG: the composition factors of the permutation module (faithful; kG
+    itself for a group without permutation labels), then of S (x) T for
+    pairs of non-trivial ones found so far.  Every irreducible is a factor
+    of some tensor power of a faithful module (Burnside, Brauer; Steinberg,
+    Proc. AMS 13, 1962), so the pairs reach them all; the search stops at
+    `simple_module_count`, and running out of pairs short of it is a bug."""
+    count = simple_module_count(G, F)
+    found: list[ModuleRep] = []
+
+    def keep(gens: list[np.ndarray], dim: int) -> None:
+        for mats, _ in chop(F, gens, dim):
+            S = ModuleRep(G, F, mats, check=False)
+            if len(found) < count and all(module_iso(S, T) is None for T in found):
+                found.append(S)
+
+    V = permutation_module(G, F) if G.perms is not None else regular_module(G, F)
+    keep(V.gen_matrices, V.dim)
+    for j, T in enumerate(found):  # found grows while it is walked
+        for S in found[: j + 1]:
+            if len(found) < count and not (_is_trivial(S) or _is_trivial(T)):
+                pairs = zip(S.gen_matrices, T.gen_matrices)
+                keep([linalg.kron(F, A, B) for A, B in pairs], S.dim * T.dim)
+    if len(found) < count:
+        raise AssertionError(f"tensor closure found {len(found)} of {count} irreducibles")
+    return found
+
+
+def _is_trivial(S: ModuleRep) -> bool:
+    return S.dim == 1 and all(A[0, 0] == 1 for A in S.gen_matrices)
+
+
+def _irreducible_actions(G: GroupTable, F: FieldCtx) -> np.ndarray:
+    """The sum(dim S^2) x |G| matrix whose column x holds the actions of x
+    on the irreducibles, flattened: its kernel is J(kG)."""
+    return np.concatenate([
+        np.array([S.action(x) for x in range(G.order)]).reshape(G.order, -1).T
+        for S in _irreducibles_by_tensors(G, F)
+    ])
+
+
+def group_algebra_radical(G: GroupTable, F: FieldCtx) -> Subspace:
     """J(kG) as a subspace of kG (coordinates over the group-element basis):
     the elements acting as zero on every irreducible module."""
-    irreps = irreducible_modules(G, F, seed=seed)
-    acts = [np.concatenate([S.action(x).ravel() for S in irreps])
-            for x in range(G.order)]
-    return Subspace(F, G.order, linalg.kernel(F, np.array(acts).T))
+    return Subspace(F, G.order, linalg.kernel(F, _irreducible_actions(G, F)))
 
 
 @dataclass

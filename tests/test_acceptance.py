@@ -12,7 +12,7 @@ from symvert import blocks, catalog, forms, linalg, rep, specht, vertex
 from symvert.field import make_field
 from symvert.linalg import Subspace, mat_mul
 
-from conftest import record_criterion
+from conftest import kg_radical_by_chop, record_criterion
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -529,7 +529,7 @@ def test_criterion_11_oracles():
         B = forms.standard_form(M)
         sigma = forms.Adjoint(B)
         E = rep.regular_end_algebra(G, F2, M)
-        J = rep.group_algebra_radical(G, F2)
+        J = kg_radical_by_chop(G, F2)
         I = Subspace(
             F2,
             M.dim**2,

@@ -9,6 +9,8 @@ from symvert import catalog, forms, linalg, rep
 from symvert.field import make_field
 from symvert.linalg import Subspace, mat_mul
 
+from conftest import kg_radical_by_chop
+
 F2 = make_field(1)
 F4 = make_field(2)
 S3 = catalog.suite_group("S3")
@@ -329,7 +331,7 @@ def test_lift_selfadjoint_idempotent_contract():
     B = forms.standard_form(M)
     sigma = forms.Adjoint(B)
     E = rep.regular_end_algebra(S3, F2, M)
-    J = rep.group_algebra_radical(S3, F2)
+    J = kg_radical_by_chop(S3, F2)
     I = Subspace(
         F2, 36, np.array([rep.right_mult_matrix(S3, v).ravel() for v in J.basis])
     )

@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symvert import catalog, linalg, polys, rep
-from symvert.field import make_field
+from symvert.field import make_field, splitting_degree
 from symvert.group import GroupTable, from_permutations
+
+from conftest import kg_radical_by_chop
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -80,9 +82,8 @@ def test_decompose_regular_s3():
     assert (total == np.eye(6, dtype=np.int64)).all()
 
 
-def count_chop_dims(monkeypatch) -> list[int]:
-    """Record the dimension of every `rep.chop`; fail on the irreducible
-    route to J(kG), which `pims` reads off its own decomposition instead."""
+def record_chop_dims(monkeypatch) -> list[int]:
+    """Record the dimension of every `rep.chop`."""
     dims, real_chop = [], rep.chop
 
     def chop(F, gens, dim, seed=0):
@@ -90,6 +91,14 @@ def count_chop_dims(monkeypatch) -> list[int]:
         return real_chop(F, gens, dim, seed=seed)
 
     monkeypatch.setattr(rep, "chop", chop)
+    return dims
+
+
+def count_chop_dims(monkeypatch) -> list[int]:
+    """`record_chop_dims`, failing on the public routes to the irreducibles
+    and J(kG): `pims` reads J(kG) off its own decomposition, through the
+    map `regular_end_algebra` carries."""
+    dims = record_chop_dims(monkeypatch)
     for name in ("group_algebra_radical", "irreducible_modules"):
         monkeypatch.setattr(rep, name, lambda *a, name=name, **k: pytest.fail(name))
     return dims
@@ -101,7 +110,7 @@ def test_pims_s3(monkeypatch):
     got = sorted((p.pim.dim, p.head.dim, p.multiplicity) for p in ps)
     assert got == [(2, 1, 1), (2, 2, 2)]
     assert sum(p.pim.dim * p.multiplicity for p in ps) == 6
-    assert dims.count(S3.order) == 1  # kG is chopped once
+    assert dims.count(S3.order) == 0  # kG is never chopped
 
 
 def test_pims_s4(monkeypatch):
@@ -109,7 +118,7 @@ def test_pims_s4(monkeypatch):
     ps = rep.pims(S4, F2)
     got = sorted((p.pim.dim, p.head.dim, p.multiplicity) for p in ps)
     assert got == [(8, 1, 1), (8, 2, 2)]
-    assert dims.count(S4.order) == 1
+    assert dims.count(S4.order) == 0
 
 
 SMALL_GROUPS = [n for n in catalog.SUITE_NAMES if catalog.suite_group(n).order <= 24]
@@ -119,7 +128,7 @@ SMALL_GROUPS = [n for n in catalog.SUITE_NAMES if catalog.suite_group(n).order <
 @pytest.mark.parametrize("name", SMALL_GROUPS)
 def test_pims_heads_from_decomposition_radical(name, F):
     G = catalog.suite_group(name)
-    J = rep.group_algebra_radical(G, F)
+    J = kg_radical_by_chop(G, F)
     # J(kG) is column 0 of the radical the regular decomposition splits modulo
     M = rep.regular_module(G, F)
     cert = rep.decompose(M, endo=rep.regular_end_algebra(G, F, M))
@@ -141,6 +150,85 @@ def test_pims_heads_from_decomposition_radical(name, F):
             assert head.dim == p.head.dim, (name, seed)
             for A, B in zip(head.gen_matrices, p.head.gen_matrices):
                 assert (A == B).all(), (name, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 20240401])
+@pytest.mark.parametrize("F", [F2, F4], ids=["GF2", "GF4"])
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_regular_quotient_matches_the_composition_series_map(name, F, seed):
+    # the map through the irreducibles that regular_end_algebra carries and
+    # the composition-series map of a bare algebra of the same basis have
+    # the same kernel, so the decompositions agree to the byte
+    G = catalog.suite_group(name)
+    M = rep.regular_module(G, F)
+    E = rep.regular_end_algebra(G, F, M)
+    bare = rep.EndoAlgebra(M, E.basis, gens=E.gens)
+    assert bare.quotient is None and rep.Semisimple.of(E, seed) is E.quotient
+    got = rep.decompose(M, seed=seed, endo=E)
+    want = rep.decompose(M, seed=seed, endo=bare)
+    assert len(got.radical) == G.order - linalg.rank(F, E.quotient.L)
+    for a, b in zip(got.radical, want.radical, strict=True):
+        assert (a == b).all()
+    assert got.multiplicities == want.multiplicities
+    for a, b in zip(got.components, want.components, strict=True):
+        assert (a.idempotent == b.idempotent).all() and a.iso_class == b.iso_class
+
+
+CLOSURE_CASES = [
+    (name, m)
+    for name in catalog.SUITE_NAMES
+    if catalog.suite_group(name).order <= 120
+    for m in sorted({1, 2, splitting_degree(catalog.suite_group(name))})
+]
+
+
+@pytest.mark.parametrize("name,m", CLOSURE_CASES)
+def test_tensor_closure_finds_the_irreducibles_of_kG(monkeypatch, name, m):
+    # reference: the factors of a composition series of kG
+    G, F = catalog.suite_group(name), make_field(m)
+    ref = rep.irreducible_modules(G, F)
+    assert rep.simple_module_count(G, F) == len(ref)
+    dims = record_chop_dims(monkeypatch)
+    got = rep._irreducibles_by_tensors(G, F)
+    # kG is chopped only where the permutation module is kG (C2, V4)
+    assert G.order not in dims or len(G.perms[0]) == G.order
+    assert len(got) == len(ref)
+    for S in got:
+        assert sum(rep.module_iso(S, R) is not None for R in ref) == 1, (name, m)
+
+
+@pytest.mark.parametrize("m", [1, splitting_degree(catalog.suite_group("GL(3,2):2"))])
+def test_tensor_closure_gl32_2(monkeypatch, m):
+    # kG has 336 dimensions (its chop takes 9 s over GF(2)): count and dims only
+    G, F = catalog.suite_group("GL(3,2):2"), make_field(m)
+    dims = record_chop_dims(monkeypatch)
+    got = rep._irreducibles_by_tensors(G, F)
+    assert rep.simple_module_count(G, F) == 3
+    assert sorted(S.dim for S in got) == [1, 6, 8]
+    assert max(dims) <= 64
+
+
+def test_tensor_closure_on_a_table_without_permutations():
+    # no permutation labels: the faithful module is kG itself
+    G = GroupTable(S4.mult, S4.generators)
+    assert G.perms is None
+    got = rep._irreducibles_by_tensors(G, F4)
+    ref = rep.irreducible_modules(G, F4)
+    assert len(got) == len(ref) == 2
+    assert all(any(rep.module_iso(S, R) is not None for R in ref) for S in got)
+
+
+@pytest.mark.parametrize("name", ["S3", "A4", "S5"])
+def test_tensor_closure_short_of_the_count_raises(monkeypatch, name):
+    # a count one too large: the pairs run out, and that is a bug (exit 4)
+    G = catalog.suite_group(name)
+    real = rep.simple_module_count
+    monkeypatch.setattr(rep, "simple_module_count", lambda G, F: real(G, F) + 1)
+    with pytest.raises(AssertionError, match="tensor closure"):
+        rep._irreducibles_by_tensors(G, F2)
+    M = rep.regular_module(G, F2)
+    with pytest.raises(AssertionError, match="tensor closure"):
+        rep.regular_end_algebra(G, F2, M)
 
 
 def test_induce_restrict_dims_and_mackey_size():
