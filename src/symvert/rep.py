@@ -13,6 +13,8 @@ faithful module, so kG itself is never chopped.  Through that one map:
 find a separating element of E/J(E), lift an idempotent with the
 repeated-squaring device, and recurse on both summands, each corner
 reading its own quotient through the same map composed with its inclusion.
+`local_quotient` decides whether E is local from one simple E-submodule,
+and then that submodule's map reads E/J(E).
 """
 
 from __future__ import annotations
@@ -734,11 +736,45 @@ def decompose(
     return DecompositionCert(M, comps, mults, ss.kernel(E))
 
 
+def local_quotient(E: EndoAlgebra) -> Semisimple | None:
+    """psi(x) = proj_S.x.incl_S, x on one simple E-submodule S of the
+    module, when E is local; None when it is not.  Then ker psi = J(E), so
+    psi reads E/J(E) for every caller that uses only the kernel, and x is a
+    unit exactly when psi(x) is nonzero.
+
+    S comes from the submodule branch of `chop` alone: `_proper_submodule`
+    on the current submodule until it returns None.  N = ker psi = ann_E(S)
+    contains J(E), and E is local exactly when dim E/N = dim S and N is
+    nilpotent.  Proof: if E is local, E/J is a field K, N = J and S = K.
+    Conversely a nilpotent N lies in J, so N = J, and E/J acts faithfully
+    and irreducibly on S: E/J = Mat_n(D) with dim S = n dim D and
+    dim E/J = n^2 dim D, equal only for n = 1, when E/J is a field."""
+    F, d = E.module.F, E.module.dim
+    gens, incl, proj, seed = E.gens, eye(d), eye(d), 0
+    while (W := _proper_submodule(F, gens, len(proj), seed)) is not None:
+        gens, i, p = _compress_action(F, gens, Subspace(F, len(proj), W))
+        incl, proj, seed = mat_mul(F, incl, i), mat_mul(F, p, proj), seed + 1
+    s = len(proj)
+    psi = Semisimple(F, proj, incl, np.ones((s, s), dtype=bool))
+    N = psi.kernel(E)
+    if E.dim - len(N) != s:
+        return None
+    # N^j k^d shrinks to 0 exactly when N is nilpotent; a step that keeps
+    # its dimension has reached a nonzero N-stable space
+    stack, V = np.concatenate(N + [zeros(0, d)]), eye(d)
+    while len(V):
+        NV = mat_mul(F, stack, V.T).reshape(len(N), d, len(V))
+        R, pivots, _ = linalg.rref(F, NV.transpose(0, 2, 1).reshape(-1, d))
+        if len(pivots) == len(V):
+            return None
+        V = R[: len(pivots)]
+    return psi
+
+
 def is_indecomposable(M: ModuleRep, endo: EndoAlgebra | None = None) -> bool:
-    E = endo if endo is not None else end_algebra(M)
-    # indecomposable iff the endomorphism algebra is local, i.e. unsplittable
-    # (the residue algebra may be a proper field extension of the base field)
-    return _split_once(E, Semisimple.of(E, 0), 0) is None
+    # indecomposable iff the endomorphism algebra is local (its residue
+    # algebra may be a proper field extension of the base field)
+    return local_quotient(endo if endo is not None else end_algebra(M)) is not None
 
 
 # -- isomorphism ----------------------------------------------------------

@@ -9,6 +9,13 @@ unit.  Symmetric vertices — minimal subgroups for the latter — always
 contain a Green vertex with index at most two, which prunes their search,
 and the way they sit over the Green vertex splits into three cases driven
 by the self-duality and symmetric type of the sources.
+
+Every "is some trace a unit?" question runs through one map: for
+indecomposable M, E_G(M) is local, and `rep.local_quotient` gives
+psi(x) = P.x.R0, x on one simple E_G(M)-submodule, nonzero exactly on the
+units.  psi(tr_H^G f) is linear in f, so one dual trace (`first_unit`)
+finds the first basis element with a unit trace u, and alpha = b.u^-1 is
+the projectivity certificate, tr_H^G(alpha) = 1.
 """
 
 from __future__ import annotations
@@ -74,12 +81,47 @@ class ProjectivityCert:
     endo_basis: list[np.ndarray] | None = None  # the basis of E_H(M) solved over
 
 
-def is_projective(M: ModuleRep, H: Subgroup) -> ProjectivityCert:
-    """Whether M is H-projective: identity in tr_H^G(E_H(M)).
+def first_unit(
+    M: ModuleRep, unit: rep.Semisimple, fs: list[np.ndarray], H: Subgroup
+) -> int | None:
+    """The first i with tr_H^G(fs[i]) a unit of E_G(M), by one dual trace.
+    unit is the map psi = P.x.R0 of `rep.local_quotient`: E_G(M) is local,
+    and x is a unit exactly when psi(x) != 0.  Entry (a, b) of psi(tr(f)) is
+    <W_ab, f>, where W_ab sums (P.rho(t))[a, :]^T (rho(t)^-1.R0)[:, b] over
+    the transversal: one product gives the s^2 matrices W_ab, and each f
+    costs one row of another."""
+    F, d, s = M.F, M.dim, len(unit.L)
+    trans = M.group.left_transversal(H)
+    n = len(trans)
+    U = mat_mul(F, unit.L, np.concatenate([M.action(t) for t in trans], axis=1))
+    V = mat_mul(F, np.concatenate([M.action_inv(t) for t in trans]), unit.R)
+    W = mat_mul(F, U.reshape(s, n, d).transpose(0, 2, 1).reshape(s * d, n),
+                V.reshape(n, d * s))  # rows (a, i), columns (j, b)
+    W = W.reshape(s, d, d, s).transpose(1, 2, 0, 3).reshape(d * d, s * s)
+    hits = mat_mul(F, np.reshape(fs, (len(fs), d * d)), W).any(axis=1).nonzero()[0]
+    return int(hits[0]) if len(hits) else None
 
-    The trace image is a two-sided ideal of E_G(M), so it contains a unit
-    exactly when it contains the identity — a linear system.  It has no
-    solution when |G:H|_2 does not divide dim M (Green): by linearity M is
+
+def _local_map(M: ModuleRep, unit: rep.Semisimple | None) -> rep.Semisimple:
+    """unit, or the map of `rep.local_quotient` for E_G(M) when it is None."""
+    unit = unit or rep.local_quotient(rep.end_algebra(M))
+    if unit is None:
+        raise ValueError("module is decomposable")
+    return unit
+
+
+def is_projective(
+    M: ModuleRep, H: Subgroup, unit: rep.Semisimple | None = None
+) -> ProjectivityCert:
+    """Whether M is H-projective: alpha in E_H(M) with tr_H^G(alpha) = 1.
+
+    The trace image is an ideal of E_G(M), so it holds 1 exactly when it
+    holds a unit.  unit is the map psi of `rep.local_quotient` for E_G(M)
+    (computed when not given).  For indecomposable M, `first_unit` finds
+    a basis element b with u = tr(b) a unit, and alpha = b.u^-1: as u^-1
+    commutes with G, tr(alpha) = tr(b).u^-1 = 1.  For decomposable M (psi is
+    None) a solve on the traces of the whole basis finds alpha.  There is
+    no alpha when |G:H|_2 does not divide dim M (Green): by linearity M is
     H-projective over the algebraic closure too, where each indecomposable
     summand X has a vertex Q <=_G H, and |G:Q|_2 divides dim X.
     """
@@ -88,12 +130,16 @@ def is_projective(M: ModuleRep, H: Subgroup) -> ProjectivityCert:
     basis = [] if M.dim % (index & -index) else rep.hom_space(M, M, H)
     if not basis:
         return ProjectivityCert(False, None)
-    traces = rel_trace_batch(M, basis, H)
-    A = np.array([t.ravel() for t in traces]).T
-    x, _ = linalg.solve(F, A, eye(M.dim).ravel())
-    if x is None:
-        return ProjectivityCert(False, None)
-    return ProjectivityCert(True, combine(F, x, basis), basis)
+    unit = unit or rep.local_quotient(rep.end_algebra(M))
+    if unit is None:
+        A = np.array([t.ravel() for t in rel_trace_batch(M, basis, H)]).T
+        x, _ = linalg.solve(F, A, eye(M.dim).ravel())
+        alpha = None if x is None else combine(F, x, basis)
+    elif (i := first_unit(M, unit, basis, H)) is not None:
+        alpha = mat_mul(F, basis[i], linalg.inverse(F, rel_trace(M, basis[i], H)))
+    else:
+        alpha = None
+    return ProjectivityCert(alpha is not None, alpha, basis)
 
 
 def is_summand(M: ModuleRep, N: ModuleRep) -> bool:
@@ -119,7 +165,8 @@ def is_summand(M: ModuleRep, N: ModuleRep) -> bool:
 
 
 def _is_orth_summand_of_induced(
-    M: ModuleRep, base: GForm, Z: ModuleRep, BZ: GForm, V: Subgroup
+    M: ModuleRep, base: GForm, Z: ModuleRep, BZ: GForm, V: Subgroup,
+    unit: rep.Semisimple | None = None,
 ) -> np.ndarray | None:
     """A b in Hom_V(Res_V M, Z) whose reciprocity map phi_b: M -> Ind_V^G Z,
     m -> sum over t of t (x) b(t^-1 m), pulls the induced form of BZ back
@@ -133,9 +180,13 @@ def _is_orth_summand_of_induced(
     is a polynomial over a field of degree < q in each variable (over
     GF(2), c^2 = c makes it multilinear), so it takes a unit value exactly
     when some theta is a unit.  b_i is a witness for a unit theta_ii, and
-    b_i + b_j for a unit theta_ij once no theta_ii is one.
+    b_i + b_j for a unit theta_ij once no theta_ii is one.  The first unit
+    theta is found by one dual trace through `unit`, the map psi of
+    `rep.local_quotient` for E_G(M) (computed when not given): theta is a
+    unit exactly when psi(theta) != 0, so no theta itself is traced.
     """
     F = M.F
+    unit = _local_map(M, unit)
     downs = rep.hom_space(rep.restrict(M, V), Z)
     if not downs:
         return None
@@ -151,10 +202,11 @@ def _is_orth_summand_of_induced(
     pairs = [(i, i) for i in range(len(downs))]
     pairs += list(itertools.combinations(range(len(downs)), 2))
     ends = [block(i, i) if i == j else block(i, j) ^ block(j, i) for i, j in pairs]
-    for (i, j), theta in zip(pairs, rel_trace_batch(M, ends, V)):
-        if linalg.is_invertible(F, theta):
-            return downs[i] if i == j else downs[i] ^ downs[j]
-    return None
+    k = first_unit(M, unit, ends, V)
+    if k is None:
+        return None
+    i, j = pairs[k]
+    return downs[i] if i == j else downs[i] ^ downs[j]
 
 
 # -- Green vertices and sources -------------------------------------------
@@ -176,10 +228,12 @@ class GreenVertexInfo:
     vertex: Subgroup
     cert: ProjectivityCert
     sources: list[SourceInfo]
+    unit: rep.Semisimple  # psi of `rep.local_quotient` for E_G(M)
 
 
 def green_vertex(
-    M: ModuleRep, with_sources: bool = True, seed: int = 0
+    M: ModuleRep, with_sources: bool = True, seed: int = 0,
+    unit: rep.Semisimple | None = None,
 ) -> GreenVertexInfo:
     """The vertex of an indecomposable module: a minimal 2-subgroup V with
     M relatively V-projective, found ascending the 2-subgroup classes.
@@ -190,13 +244,15 @@ def green_vertex(
     rho(t).f.rho(t)^-1 over t in N_G(V), one per isomorphism class.  A
     trivial V makes M projective, and its one source is the trivial module
     of the trivial group: no descent is needed, and cert.alpha is still
-    returned."""
+    returned.  `unit` is the map psi of `rep.local_quotient` for E_G(M),
+    computed when not given; a decomposable M raises ValueError."""
     G = M.group
+    unit = _local_map(M, unit)
     classes = sorted(G.two_subgroups_up_to_conjugacy(), key=lambda s: s.order)
     V = None
     cert = None
     for H in classes:
-        c = is_projective(M, H)
+        c = is_projective(M, H, unit)
         if c.projective:
             V, cert = H, c
             break
@@ -222,7 +278,7 @@ def green_vertex(
                 form = forms.base_form(Z)  # nondegenerate: an iso Z -> Z*
                 selfdual = form is not None or rep.is_selfdual(Z)
                 sources.append(SourceInfo(Z, selfdual, form))
-    return GreenVertexInfo(V, cert, sources)
+    return GreenVertexInfo(V, cert, sources, unit)
 
 
 def descend_to_source(
@@ -259,13 +315,28 @@ def sigma_fixed_basis(
     endo_basis: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Basis of the self-adjoint part of E_H(M), from `endo_basis` when it
-    is given: the basis `rep.hom_space(M, M, H)` returns, solved already."""
-    F = M.F
+    is given: the basis `rep.hom_space(M, M, H)` returns, solved already.
+    sigma(b) = P^-1 b^T P for the whole basis in two stacked products, and
+    the fixed elements as one product of the kernel with the basis."""
+    F, d = M.F, M.dim
     basis = rep.hom_space(M, M, H) if endo_basis is None else endo_basis
     if not basis:
         return []
-    cols = [(b ^ sigma(b)).ravel() for b in basis]
-    return [combine(F, c, basis) for c in linalg.kernel(F, np.array(cols).T)]
+    B = np.array(basis)
+    sig = _left(F, sigma.gram_inv, _right(F, B.transpose(0, 2, 1), sigma.gram))
+    flat = B.reshape(len(B), d * d)
+    K = linalg.kernel(F, (flat ^ sig.reshape(flat.shape)).T)
+    return list(mat_mul(F, K, flat).reshape(len(K), d, d))
+
+
+def _right(F, X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X_i.B for every matrix of the stack X, in one product."""
+    return mat_mul(F, X.reshape(-1, X.shape[2]), B).reshape(len(X), X.shape[1], -1)
+
+
+def _left(F, A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A.X_i for every matrix of the stack X, in one product: (X_i^T A^T)^T."""
+    return _right(F, X.transpose(0, 2, 1), A.T).transpose(0, 2, 1)
 
 
 @dataclass
@@ -353,25 +424,30 @@ class SymProjectivityCert:
 def is_sym_projective(
     M: ModuleRep, H: Subgroup, base: GForm | None = None,
     endo_basis: list[np.ndarray] | None = None,
+    unit: rep.Semisimple | None = None,
 ) -> SymProjectivityCert:
     """Whether M is symmetrically H-projective: tr_H^G of the self-adjoint
     part of E_H(M) contains a unit of E_G(M).
 
-    Requires M indecomposable.  Then E_G(M) is local: its non-units form
-    the radical, a subspace, so the traced subspace contains a unit exactly
-    when one of the basis traces is a unit.  `endo_basis`, when given, is
-    the basis of E_H(M) that `rep.hom_space(M, M, H)` returns.
+    Requires M indecomposable (ValueError otherwise).  Then E_G(M) is
+    local: its non-units form the radical, a subspace, so the traced
+    subspace contains a unit exactly when one of the basis traces is a
+    unit, that is, has a nonzero image under `unit`, the map psi of
+    `rep.local_quotient` for E_G(M) (computed when not given).  One dual
+    trace finds the first such basis element, and one trace gives theta.
+    `endo_basis`, when given, is the basis of E_H(M) that
+    `rep.hom_space(M, M, H)` returns.
     """
     if base is None:
         base = forms.base_form(M)
         if base is None:
             raise ValueError("module has no nondegenerate symmetric form")
+    unit = _local_map(M, unit)
     fixed = sigma_fixed_basis(M, Adjoint(base), H, endo_basis)
-    if fixed:
-        for u, t in zip(fixed, rel_trace_batch(M, fixed, H)):
-            if linalg.is_invertible(M.F, t):
-                return SymProjectivityCert(True, u, t, base)
-    return SymProjectivityCert(False, base=base)
+    i = first_unit(M, unit, fixed, H)
+    if i is None:
+        return SymProjectivityCert(False, base=base)
+    return SymProjectivityCert(True, fixed[i], rel_trace(M, fixed[i], H), base)
 
 
 @dataclass
@@ -392,8 +468,9 @@ def symmetric_vertices(
 
     Every such class contains a conjugate of the Green vertex V with index
     at most 2, so only V-conjugates and their index-2 overgroups inside a
-    fixed Sylow 2-subgroup are searched.  At T = V the basis of E_V(M)
-    that `is_projective` solved over is used again.
+    fixed Sylow 2-subgroup are searched.  Each E_T(M) comes from the basis
+    of E_V(M) that `is_projective` solved over (`_endo_basis_over`), with
+    no Hom solve, and every unit test goes through green.unit.
     """
     G = M.group
     if green is None:
@@ -407,8 +484,8 @@ def symmetric_vertices(
     ]
     hits = []
     for T in cands:
-        same = T.elements == V.elements
-        c = is_sym_projective(M, T, base, green.cert.endo_basis if same else None)
+        basis = _endo_basis_over(M, V, green.cert.endo_basis, T)
+        c = is_sym_projective(M, T, base, basis, green.unit)
         if c.projective:
             hits.append(SymVertexClass(T, c))
     out = []
@@ -421,6 +498,28 @@ def symmetric_vertices(
         if not dominated:
             out.append(t)
     return out
+
+
+def _endo_basis_over(
+    M: ModuleRep, V: Subgroup, endo: list[np.ndarray], T: Subgroup
+) -> list[np.ndarray]:
+    """E_T(M) from endo, the basis of E_V(M), for T containing gVg^-1 with
+    index at most 2: E_gVg^-1(M) = rho(g).E_V(M).rho(g)^-1, and when the
+    index is 2, E_T(M) is its kernel of x -> x.rho(t) + rho(t).x for one t
+    in T outside gVg^-1.  `linalg.reverse_rref` makes the basis the one
+    `rep.hom_space(M, M, T)` returns, byte for byte."""
+    if T.elements == V.elements:
+        return endo
+    G, F, d = M.group, M.F, M.dim
+    g = G.conjugate_into(V, T)
+    X = _left(F, M.action(g), _right(F, np.array(endo), M.action_inv(g)))
+    flat = X.reshape(len(X), d * d)
+    if T.order > V.order:
+        inner = set(G.mult[G.mult[g, V.elements], G.inverse(g)].tolist())
+        A = M.action(next(t for t in T.elements if t not in inner))
+        comm = (_right(F, X, A) ^ _left(F, A, X)).reshape(flat.shape)
+        flat = mat_mul(F, linalg.kernel(F, comm.T), flat)
+    return list(linalg.reverse_rref(F, flat).reshape(-1, d, d))
 
 
 # -- the case classification ----------------------------------------------
@@ -438,7 +537,7 @@ class VertexReport:
 
 def classify_case(
     M: ModuleRep, base: GForm | None = None, seed: int = 0,
-    check_principal: bool = True,
+    check_principal: bool = True, unit: rep.Semisimple | None = None,
 ) -> VertexReport:
     """How the symmetric vertices of M sit over its Green vertex V:
     case III when the sources are not self-dual; case I when a source Z has
@@ -453,13 +552,13 @@ def classify_case(
     induced form pulls back along phi_b to Gram P.tr_V^G(P^-1 b^T B0 b);
     M is a nondegenerate component exactly when some phi_b pulls it back
     to a nondegenerate form, as phi_b(M) then splits off with its
-    orthogonal complement."""
+    orthogonal complement.  `unit` is passed to `green_vertex`."""
     G = M.group
     if base is None:
         base = forms.base_form(M)
         if base is None:
             raise ValueError("module has no nondegenerate symmetric form")
-    green = green_vertex(M, seed=seed)
+    green = green_vertex(M, seed=seed, unit=unit)
     sym = symmetric_vertices(M, base, green)
     V = green.vertex
     src = green.sources[0]
@@ -467,7 +566,7 @@ def classify_case(
     if not src.self_dual:
         case = "III"
     elif src.symmetric_type and _is_orth_summand_of_induced(
-        M, base, src.module, src.form, V
+        M, base, src.module, src.form, V, green.unit
     ) is not None:
         case = "I"
     else:

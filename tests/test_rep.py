@@ -501,6 +501,71 @@ def test_is_indecomposable():
     assert hit
 
 
+def _is_local_by_chop(E):
+    """The reference verdict: E is local when `_split_once` finds no
+    idempotent through the whole composition series map of the module."""
+    return rep._split_once(E, rep.Semisimple.of(E, 0), 0) is None
+
+
+def _local_quotient_sweep(name, F):
+    """Irreducibles, PIMs, kG, the permutation module, Ind_H^G k of dim
+    <= 24 and the pairwise sums of irreducibles."""
+    G = catalog.suite_group(name)
+    irr = rep.irreducible_modules(G, F)
+    kG = rep.regular_module(G, F)
+    mods = irr + [kG, rep.permutation_module(G, F)]
+    mods += [c.module for c in rep.decompose(kG).components]
+    mods += [rep.induce(rep.trivial_module(rep.subgroup_table(H)[0], F), H)[0]
+             for H in G.two_subgroups_up_to_conjugacy() if G.order // H.order <= 24]
+    return mods + [rep.direct_sum([a, b]) for a, b in
+                   itertools.combinations_with_replacement(irr, 2)]
+
+
+@pytest.mark.parametrize("F", [F2, F4], ids=["GF2", "GF4"])
+@pytest.mark.parametrize("name", ["S3", "D12", "A4", "S4", "SL(2,3)", "C3:C4"])
+def test_local_quotient_matches_the_chop_route(name, F):
+    # the verdict of one simple E-submodule equals the whole composition
+    # series', and for local E the map's kernel is the radical
+    locals_ = 0
+    for M in _local_quotient_sweep(name, F):
+        E = rep.end_algebra(M)
+        psi = rep.local_quotient(E)
+        assert (psi is not None) == _is_local_by_chop(E), (name, M.dim)
+        if psi is None:
+            continue
+        locals_ += 1
+        flat = [x.ravel() for x in psi.kernel(E)]
+        want = [x.ravel() for x in rep.radical(E)]
+        n = M.dim**2
+        assert linalg.Subspace(F, n, flat) == linalg.Subspace(F, n, want)
+    assert locals_ >= 3
+
+
+def test_local_quotient_rejects_by_each_test():
+    # S3's permutation module k + D over GF(2): E = k x k, and a simple
+    # E-submodule S of dim 1 has dim E/ann(S) = 1, so only the nilpotency
+    # test rejects it.  k + k: E = Mat_2(k) has S = k^2 and ann(S) = 0,
+    # nilpotent, so only the dimension test (4 != 2) rejects it
+    perm = rep.permutation_module(S3, F2)
+    k = rep.trivial_module(S3, F2)
+    for M in (perm, rep.direct_sum([k, k])):
+        assert not _is_local_by_chop(rep.end_algebra(M))
+        assert rep.local_quotient(rep.end_algebra(M)) is None
+        assert not rep.is_indecomposable(M)
+
+
+def test_local_quotient_over_a_residue_field_extension():
+    # the 2-dim irreducible of SL(2,3) over GF(2) has E = E/J = GF(4): S is
+    # the whole module, and the map reads s = 2 rows
+    SL23 = catalog.suite_group("SL(2,3)")
+    M = next(S for S in rep.irreducible_modules(SL23, F2) if S.dim == 2)
+    E = rep.end_algebra(M)
+    psi = rep.local_quotient(E)
+    assert E.dim == 2 and psi is not None and psi.L.shape == (2, 2)
+    assert psi.kernel(E) == []
+    assert all(psi(x).any() for x in E.basis)
+
+
 def test_module_serialization_round_trip(tmp_path):
     M = [m for m in rep.irreducible_modules(S3, F2) if m.dim == 2][0]
     d = rep.module_to_dict(M)

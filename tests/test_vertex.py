@@ -346,9 +346,9 @@ def test_sources_by_reciprocity_match_induced_summands(name, m):
 @pytest.mark.parametrize("name", ["S4", "SL(2,3)"])
 def test_one_algebra_per_vertices_query(monkeypatch, name):
     # a projective module (trivial vertex) has the trivial module of the
-    # trivial group as its one source, with no descent; at T = V the
-    # symmetric vertex search reuses the basis of E_V(M) that is_projective
-    # solved over, so sigma_fixed_basis makes no Hom solve there
+    # trivial group as its one source, with no descent; the symmetric vertex
+    # search reads every E_T(M) off the basis of E_V(M) that is_projective
+    # solved over, so sigma_fixed_basis makes no Hom solve at any candidate
     mods = _one_per_class(catalog.suite_group(name), F2)
     descents, homs, fixed = [], [], []
     descend, hom_space = vertex.descend_to_source, rep.hom_space
@@ -381,7 +381,7 @@ def test_one_algebra_per_vertices_query(monkeypatch, name):
         fixed.clear()
         vertex.symmetric_vertices(M, base, green)
         assert [n for e, n in fixed if e == V.elements] == [0]
-        assert all(n == 1 for e, n in fixed if e != V.elements)
+        assert fixed and all(n == 0 for _, n in fixed)
         reused += 1
     assert projective >= 2 and reused >= 2
 
@@ -462,6 +462,104 @@ def test_dimension_bound_rejects_only_what_higman_rejects():
     assert rejected > 0
 
 
+def _first_unit_by_tracing_all(M, fs, H):
+    """The reference for `vertex.first_unit`: every f traced, and each
+    trace tested for invertibility."""
+    traces = vertex.rel_trace_batch(M, fs, H) if fs else []
+    return next((i for i, t in enumerate(traces) if linalg.is_invertible(M.F, t)),
+                None)
+
+
+def _orth_summand_by_tracing_all(M, base, Z, BZ, V):
+    """The reference case-I witness: every theta_ij traced, in the order
+    `vertex._is_orth_summand_of_induced` takes them."""
+    F = M.F
+    downs = rep.hom_space(rep.restrict(M, V), Z)
+    Pinv = linalg.inverse(F, base.gram)
+
+    def end(i, j):  # P^-1 b_i^T B0 b_j
+        return mat_mul(F, Pinv, mat_mul(F, downs[i].T, mat_mul(F, BZ.gram, downs[j])))
+
+    pairs = [(i, i) for i in range(len(downs))]
+    pairs += list(itertools.combinations(range(len(downs)), 2))
+    for i, j in pairs:
+        theta = vertex.rel_trace(M, end(i, i) if i == j else end(i, j) ^ end(j, i), V)
+        if linalg.is_invertible(F, theta):
+            return downs[i] if i == j else downs[i] ^ downs[j]
+    return None
+
+
+def _dual_trace_modules(name):
+    """One module per class: the trivial module, the regular and
+    permutation components, and the irreducibles (2-dim ones over GF(2)
+    with E/J = GF(4) among them)."""
+    G = catalog.suite_group(name)
+    mods = _one_per_class(G, F2)
+    for S in rep.irreducible_modules(G, F2):
+        if all(rep.module_iso(S, X) is None for X in mods if X.dim == S.dim):
+            mods.append(S)
+    return mods
+
+
+@pytest.mark.parametrize("name", ["C2", "V4", "S3", "D12", "A4", "S4", "SL(2,3)",
+                                  "C3:C4"])
+def test_dual_trace_matches_tracing_every_basis_element(name):
+    # over every module class and 2-subgroup class: the first basis element
+    # with a unit trace, the projectivity verdict with tr(alpha) = 1, the
+    # symmetric one with its theta, and the case-I witness all equal the
+    # route that traces every basis element
+    G = catalog.suite_group(name)
+    extension = 0
+    for M in _dual_trace_modules(name):
+        psi = rep.local_quotient(rep.end_algebra(M))
+        extension += len(psi.L) > 1
+        base = forms.base_form(M)
+        one = np.eye(M.dim, dtype=np.int64)
+        for H in G.two_subgroups_up_to_conjugacy():
+            basis = rep.hom_space(M, M, H)
+            i = _first_unit_by_tracing_all(M, basis, H)
+            assert vertex.first_unit(M, psi, basis, H) == i
+            cert = vertex.is_projective(M, H, psi)
+            assert cert.projective == (i is not None)
+            if cert.projective:
+                assert (vertex.rel_trace(M, cert.alpha, H) == one).all()
+            if base is None:
+                continue
+            fixed = vertex.sigma_fixed_basis(M, forms.Adjoint(base), H)
+            j = _first_unit_by_tracing_all(M, fixed, H)
+            c = vertex.is_sym_projective(M, H, base, unit=psi)
+            assert c.projective == (j is not None)
+            if c.projective:
+                assert (c.alpha == fixed[j]).all()
+                assert (c.theta == vertex.rel_trace(M, fixed[j], H)).all()
+        green = vertex.green_vertex(M, unit=psi)
+        src = green.sources[0]
+        if base is None or not src.symmetric_type:
+            continue
+        args = (M, base, src.module, src.form, green.vertex)
+        want = _orth_summand_by_tracing_all(*args)
+        got = vertex._is_orth_summand_of_induced(*args, psi)
+        assert (got is None) == (want is None)
+        assert got is None or (got == want).all()
+    assert extension or name not in ("A4", "SL(2,3)")  # E/J = GF(4), s = 2
+
+
+def test_is_projective_routes_by_the_local_quotient(monkeypatch):
+    # a decomposable module (no local quotient) is decided by the solve on
+    # every trace, an indecomposable one by one dual trace and no solve
+    solves = []
+    solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+    perm = rep.permutation_module(S3, F2)  # k + D
+    cert = vertex.is_projective(perm, S3.sylow2())
+    assert cert.projective and solves == [1]
+    assert (vertex.rel_trace(perm, cert.alpha, S3.sylow2()) == np.eye(3)).all()
+    cert = vertex.is_projective(two_dim_simple(S3), S3.trivial_subgroup())
+    assert cert.projective and solves == [1]
+    with pytest.raises(ValueError, match="decomposable"):
+        vertex.green_vertex(perm)
+
+
 def _symmetric_gf2_modules():
     """Small catalogue modules over GF(2) with a nondegenerate symmetric
     form."""
@@ -531,8 +629,9 @@ def test_orth_summand_criterion_uses_the_cross_terms(monkeypatch):
     seen = linalg.Echelon(F2, M.dim * Z.dim)
     isotropic = [b for b in span if not unit(b) and seen.insert(b.ravel())]
     assert len(isotropic) == len(downs) and any(unit(b) for b in span)
+    psi = rep.local_quotient(rep.end_algebra(M))  # before hom_space is patched
     monkeypatch.setattr(rep, "hom_space", lambda *args, **kwargs: isotropic)
-    b = vertex._is_orth_summand_of_induced(M, base, Z, BZ, V)
+    b = vertex._is_orth_summand_of_induced(M, base, Z, BZ, V, psi)
     assert b is not None and unit(b)
 
 
