@@ -63,6 +63,9 @@ class GroupTable:
         # standalone subgroup tables, keyed by element set; the first entry
         # wins, since its generators fix the element ids callers see
         self.subgroup_tables: dict[tuple[int, ...], tuple] = {}
+        # the irreducibles' actions per field, keyed by (m, modulus), read
+        # only: arrays alone, since modules refer back to the table
+        self.irreducible_actions: dict[tuple[int, int], np.ndarray] = {}
 
     # -- basic queries ----------------------------------------------------
 

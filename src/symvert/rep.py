@@ -298,9 +298,6 @@ class EndoAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def element(self, coeffs: np.ndarray) -> np.ndarray:
-        return combine(self.module.F, coeffs, self.basis)
-
 
 def end_algebra(M: ModuleRep, basis: list[np.ndarray] | None = None) -> EndoAlgebra:
     return EndoAlgebra(M, hom_space(M, M) if basis is None else basis)
@@ -541,8 +538,19 @@ class Semisimple:
         return Semisimple(F, L, R, self.mask)
 
     def kernel(self, E: EndoAlgebra) -> list[np.ndarray]:
-        """J(E): the elements of E that the map sends to zero."""
-        return [E.element(c) for c in linalg.kernel(self.F, self.images(E.basis).T)]
+        """J(E): the elements of E that the map sends to zero, as the
+        products of its coefficient vectors with E's flattened basis.  The
+        product runs over bands of rows, about 2^18 basis entries a band,
+        so no flattened copy of the whole basis is made."""
+        coeffs = linalg.kernel(self.F, self.images(E.basis).T)
+        d, e = E.basis[0].shape
+        out = np.empty((len(coeffs), d, e), dtype=np.int64)
+        rows = max(1, (1 << 18) // (E.dim * e))
+        for r in range(0, d, rows):
+            band = np.stack([x[r : r + rows] for x in E.basis]).reshape(E.dim, -1)
+            part = out[:, r : r + rows]
+            part[...] = mat_mul(self.F, coeffs, band).reshape(part.shape)
+        return list(out)
 
 
 def radical(E: EndoAlgebra, seed: int = 0) -> list[np.ndarray]:
@@ -863,11 +871,17 @@ def _is_trivial(S: ModuleRep) -> bool:
 
 def _irreducible_actions(G: GroupTable, F: FieldCtx) -> np.ndarray:
     """The sum(dim S^2) x |G| matrix whose column x holds the actions of x
-    on the irreducibles, flattened: its kernel is J(kG)."""
-    return np.concatenate([
-        np.array([S.action(x) for x in range(G.order)]).reshape(G.order, -1).T
-        for S in _irreducibles_by_tensors(G, F)
-    ])
+    on the irreducibles, flattened: its kernel is J(kG).  Built once per
+    table and field, and kept read-only on the table."""
+    key = (F.m, F.modulus)
+    if key not in G.irreducible_actions:
+        A = np.concatenate([
+            np.array([S.action(x) for x in range(G.order)]).reshape(G.order, -1).T
+            for S in _irreducibles_by_tensors(G, F)
+        ])
+        A.setflags(write=False)
+        G.irreducible_actions[key] = A
+    return G.irreducible_actions[key]
 
 
 def group_algebra_radical(G: GroupTable, F: FieldCtx) -> Subspace:

@@ -4,12 +4,14 @@ import contextlib
 import copy
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symvert import __main__ as entry
 from symvert import blocks, catalog, cli, forms, group, rep, vertex
 from symvert.field import make_field
 from symvert.group import GroupTable, group_to_dict
@@ -386,3 +388,31 @@ def test_field_degree_flag_out_of_range_is_a_usage_error(s3_files, capsys):
             cli.main(["--field-degree", degree, "blocks", g])
         assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def _unset_thread_env(monkeypatch):
+    # set, then delete, so that monkeypatch restores every variable,
+    # including those entry.main() sets
+    for name in entry.THREAD_ENV:
+        monkeypatch.setenv(name, "")
+        monkeypatch.delenv(name)
+    monkeypatch.setattr(cli, "main", lambda: 7)
+
+
+def test_entry_point_sets_one_blas_thread_when_none_is_set(monkeypatch):
+    _unset_thread_env(monkeypatch)
+    assert entry.main() == 7
+    for name in entry.THREAD_ENV:
+        assert os.environ[name] == "1", name
+
+
+@pytest.mark.parametrize("preset", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_entry_point_leaves_a_preset_thread_count_alone(monkeypatch, preset):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS, so a
+    # user's OMP_NUM_THREADS holds only if the others stay unset too
+    _unset_thread_env(monkeypatch)
+    monkeypatch.setenv(preset, "3")
+    assert entry.main() == 7
+    assert os.environ[preset] == "3"
+    for name in set(entry.THREAD_ENV) - {preset}:
+        assert name not in os.environ, name

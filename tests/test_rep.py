@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from symvert import catalog, linalg, polys, rep
 from symvert.field import make_field, splitting_degree
-from symvert.group import GroupTable, from_permutations
+from symvert.group import GroupTable, from_permutations, load_group
 
 from conftest import kg_radical_by_chop
 
@@ -220,8 +221,10 @@ def test_tensor_closure_on_a_table_without_permutations():
 
 @pytest.mark.parametrize("name", ["S3", "A4", "S5"])
 def test_tensor_closure_short_of_the_count_raises(monkeypatch, name):
-    # a count one too large: the pairs run out, and that is a bug (exit 4)
+    # a count one too large: the pairs run out, and that is a bug (exit 4);
+    # a fresh table, as the catalogue's may already hold its irreducibles' actions
     G = catalog.suite_group(name)
+    G = GroupTable(G.mult, G.generators, perms=G.perms)
     real = rep.simple_module_count
     monkeypatch.setattr(rep, "simple_module_count", lambda G, F: real(G, F) + 1)
     with pytest.raises(AssertionError, match="tensor closure"):
@@ -229,6 +232,51 @@ def test_tensor_closure_short_of_the_count_raises(monkeypatch, name):
     M = rep.regular_module(G, F2)
     with pytest.raises(AssertionError, match="tensor closure"):
         rep.regular_end_algebra(G, F2, M)
+
+
+def test_tensor_closure_runs_once_per_table_and_field(monkeypatch):
+    G = GroupTable(S4.mult, S4.generators, perms=S4.perms)
+    dims = record_chop_dims(monkeypatch)
+    for F in (F2, F4):
+        rep.group_algebra_radical(G, F)
+        assert dims, F  # the first use over each field runs the closure
+        dims.clear()
+        rep.pims(G, F)
+        rep.regular_end_algebra(G, F, rep.regular_module(G, F))
+        rep.group_algebra_radical(G, F)
+        assert dims == [], F
+    assert sorted(G.irreducible_actions) == [(1, F2.modulus), (2, F4.modulus)]
+
+
+def test_a_fresh_table_computes_its_own_irreducible_actions(monkeypatch):
+    A = rep._irreducible_actions(S3, F2)
+    G = GroupTable(S3.mult, S3.generators, perms=S3.perms)
+    dims = record_chop_dims(monkeypatch)
+    B = rep._irreducible_actions(G, F2)
+    assert dims and B is not A and (B == A).all()
+
+
+def test_stored_irreducible_actions_are_read_only():
+    A = rep._irreducible_actions(S3, F2)
+    assert A is S3.irreducible_actions[1, F2.modulus]
+    with pytest.raises(ValueError, match="read-only"):
+        A[0, 0] ^= 1
+
+
+def test_irreducible_actions_keep_no_cycle_through_the_table():
+    # the table stores arrays only: were a module kept there, it would refer
+    # back to the table and keep it alive until the cyclic collector runs
+    gc.disable()
+    try:
+        G = load_group(str(Path(rep.__file__).parent / "data" / "sl23.json"))
+        M = rep.regular_module(G, F2)
+        rep.regular_end_algebra(G, F2, M)
+        assert G.irreducible_actions
+        ref = weakref.ref(G)
+        del G, M
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_induce_restrict_dims_and_mackey_size():
