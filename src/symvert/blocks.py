@@ -360,19 +360,21 @@ class VertexBlockReport:
     details: dict
 
 
+THETA_ORDER_BOUND = 24  # part (iii) works over G x G, a group of order |G|^2
+
+
 def verify_theorem_vertexBlock(
     G: GroupTable,
     F: FieldCtx,
     b: BlockInfo,
     sample_modules: list[ModuleRep],
-    bound: int = 60,
-    seed: int = 0,
 ) -> VertexBlockReport:
     """(i) symmetric vertices of indecomposable modules in the block lie in
     the extended defect group E; (ii) some self-dual irreducible in the
     block has symmetric vertex exactly E; (iii) on kG as a G x G-module the
     orthonormal form is nondegenerate on the block summand and Delta E-
-    projective, certified by the explicit Theta."""
+    projective, certified by the explicit Theta (None when |G| exceeds
+    THETA_ORDER_BOUND)."""
     if not b.real or b.extended_defect_group is None:
         raise ValueError("theorem applies to real blocks")
     E = b.extended_defect_group
@@ -396,7 +398,7 @@ def verify_theorem_vertexBlock(
         raise ValueError("no symmetric-type sample module lies in the block")
 
     part_ii = False
-    for M in rep.irreducible_modules(G, F, seed=seed):
+    for M in rep.irreducible_modules(G, F):
         if (block_of_module(M, blocks).idempotent != b.idempotent).any():
             continue
         base = forms.base_form(M)
@@ -409,7 +411,7 @@ def verify_theorem_vertexBlock(
 
     part_iii = None
     theta_cert = None
-    if G.order <= bound:
+    if G.order <= THETA_ORDER_BOUND:
         bi = regular_bimodule(G, F)
         S = linalg.col_space(
             F, rep.right_mult_matrix(G, b.group_algebra_vector)

@@ -68,13 +68,13 @@ def nonabelian_order6_subgroups(G: GroupTable) -> list[Subgroup]:
     return out
 
 
-def d12_pim(F: FieldCtx, which: int = 0) -> tuple[ModuleRep, Subgroup]:
+def d12_pim(F: FieldCtx) -> tuple[ModuleRep, Subgroup]:
     """The projective cover of the 2-dimensional irreducible of the order-12
     dihedral group, obtained by inducing that irreducible from one of the
     two nonabelian order-6 subgroups.  Returns (module, subgroup used)."""
     G = suite_group("D12")
     subs = nonabelian_order6_subgroups(G)
-    H = subs[which % len(subs)]
+    H = subs[0]
     Ht, _ = rep.subgroup_table(H)
     two = [m for m in rep.irreducible_modules(Ht, F) if m.dim == 2][0]
     P, _ = rep.induce(two, H)

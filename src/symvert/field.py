@@ -83,14 +83,12 @@ class FieldCtx:
     Immutable after construction; safe to share.
     """
 
-    def __init__(self, m: int, modulus: int | None = None):
+    def __init__(self, m: int):
         if not 1 <= m <= MAX_DEGREE:
             raise ValueError(f"field degree must be between 1 and {MAX_DEGREE}")
         self.m = m
         self.q = 1 << m
-        self.modulus = default_modulus(m) if modulus is None else modulus
-        if not _is_irreducible_gf2(self.modulus, m):
-            raise ValueError("modulus is reducible")
+        self.modulus = default_modulus(m)
         # discrete log tables over a generator of the multiplicative group
         exp = np.zeros(2 * self.q, dtype=np.int64)
         log = np.zeros(self.q, dtype=np.int64)

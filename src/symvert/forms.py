@@ -4,11 +4,11 @@ A form is stored as a Gram matrix tied to its module.  The central dictionary
 is form <-> endomorphism: for a fixed nondegenerate base form B with Gram g,
 every invariant form is B_f(x, y) = B(f x, y) with Gram f^T.g, and the adjoint
 anti-automorphism sigma(f) = g^-1.f^T.g turns the endomorphism algebra into an
-involutary algebra.  On top of that sit orthogonal complements/projections,
-perfect pairings between theta.M and sigma(theta).M, self-adjoint idempotent
-lifting, induced forms with their Mackey decomposition, and the greedy
-orthogonal decomposition into nondegenerate pieces (indecomposable summands or
-dual pairs).
+involutary algebra.  On top of that sit nondegeneracy on subspaces (by the
+restricted Gram) and orthogonal projections, perfect pairings between theta.M
+and sigma(theta).M, self-adjoint idempotent lifting, induced forms with their
+Mackey decomposition, and the greedy orthogonal decomposition into
+nondegenerate pieces (indecomposable summands or dual pairs).
 """
 
 from __future__ import annotations
@@ -61,13 +61,6 @@ class GForm:
         if self._nondeg is None:
             self._nondeg = linalg.is_invertible(self.F, self.gram)
         return self._nondeg
-
-    def value(self, x: np.ndarray, y: np.ndarray) -> int:
-        v = mat_vec(self.F, self.gram, np.asarray(y, dtype=np.int64))
-        acc = 0
-        for a, b in zip(np.asarray(x, dtype=np.int64), v):
-            acc ^= self.F.mul(int(a), int(b))
-        return acc
 
     def __repr__(self) -> str:
         tags = []
@@ -164,17 +157,10 @@ def base_form(M: ModuleRep) -> GForm | None:
 # -- orthogonality --------------------------------------------------------
 
 
-def orth_complement(B: GForm, L: Subspace) -> Subspace:
-    """{m : B(L, m) = 0}."""
-    if L.dim == 0:
-        return linalg.full_space(B.F, B.module.dim)
-    return Subspace(
-        B.F, B.module.dim, linalg.kernel(B.F, mat_mul(B.F, L.basis, B.gram))
-    )
-
-
 def is_nondegenerate_on(B: GForm, L: Subspace) -> bool:
-    return L.intersect(orth_complement(B, L)).dim == 0
+    """Whether no nonzero x in L has B(L, x) = 0: the restricted Gram is
+    invertible (for any bilinear form, symmetric or not)."""
+    return linalg.is_invertible(B.F, gram_on(B, L.basis))
 
 
 def gram_on(B: GForm, basis: np.ndarray) -> np.ndarray:
@@ -189,10 +175,11 @@ def orth_projection(B: GForm, L: Subspace) -> np.ndarray:
     """
     F = B.F
     U = L.basis
-    GL = gram_on(B, U)
-    if not linalg.is_invertible(F, GL):
-        raise ValueError("form is degenerate on the subspace")
-    e = mat_mul(F, U.T, mat_mul(F, linalg.inverse(F, GL), mat_mul(F, U, B.gram)))
+    try:
+        GL_inv = linalg.inverse(F, gram_on(B, U))
+    except ValueError:
+        raise ValueError("form is degenerate on the subspace") from None
+    e = mat_mul(F, U.T, mat_mul(F, GL_inv, mat_mul(F, U, B.gram)))
     # G-invariance holds when L is a submodule; verify rather than assume
     for A in B.module.gen_matrices:
         if (mat_mul(F, e, A) != mat_mul(F, A, e)).any():
@@ -265,8 +252,7 @@ def perfect_pairing(B: GForm, theta: np.ndarray) -> PairingCert:
 
 
 def extend_form_from_summand(
-    B: GForm, e: np.ndarray, incl: np.ndarray, bhat: np.ndarray,
-    H: Subgroup | None = None,
+    B: GForm, e: np.ndarray, incl: np.ndarray, bhat: np.ndarray
 ) -> tuple[np.ndarray, GForm]:
     """Find theta in sigma(e).E(M).e whose form restricts to bhat on e.M.
 
@@ -278,7 +264,7 @@ def extend_form_from_summand(
     # solve gives zero and dependent candidates the coefficient 0
     cand = [
         mat_mul(F, sigma(e), mat_mul(F, f, e))
-        for f in rep.hom_space(B.module, B.module, H)
+        for f in rep.hom_space(B.module, B.module)
     ]
     # condition: incl^T theta^T gram incl = bhat, linear in the coefficients
     cols = []
@@ -287,7 +273,7 @@ def extend_form_from_summand(
         cols.append(r.ravel())
     x, _ = linalg.solve(F, np.array(cols).T, bhat.ravel())
     if x is None:
-        raise AssertionError("no extension exists; form not H-invariant?")
+        raise AssertionError("no extension exists; form not invariant?")
     theta = combine(F, x, cand)
     return theta, form_from_endo(B, theta)
 

@@ -73,17 +73,12 @@ def mat_vec(F: FieldCtx, A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mat_mul(F, A, np.asarray(v, dtype=np.int64).reshape(-1, 1)).ravel()
 
 
-def vec_mat(F: FieldCtx, v: np.ndarray, A: np.ndarray) -> np.ndarray:
-    return mat_mul(F, np.asarray(v, dtype=np.int64).reshape(1, -1), A).ravel()
-
-
-def rref(
-    F: FieldCtx, A: np.ndarray, record_transform: bool = False
-) -> tuple[np.ndarray, list[int], np.ndarray | None]:
-    """Reduced row echelon form; optionally the transform T with T A = R."""
+def rref(F: FieldCtx, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form R of A and its pivot columns: the library's
+    one batch elimination (`Echelon` is the incremental one).  The rows of
+    R past the pivots are zero."""
     R = np.array(A, dtype=np.int64, copy=True)
     rows, cols = R.shape
-    T = eye(rows) if record_transform else None
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -95,24 +90,17 @@ def rref(
         p = r + int(nz[0])
         if p != r:
             R[[r, p]] = R[[p, r]]
-            if T is not None:
-                T[[r, p]] = T[[p, r]]
         pv = int(R[r, c])
         if pv != 1:
-            s = F.inv(pv)
-            R[r] = F.vscale(s, R[r])
-            if T is not None:
-                T[r] = F.vscale(s, T[r])
+            R[r] = F.vscale(F.inv(pv), R[r])
         fac = R[:, c].copy()
         fac[r] = 0
         touch = np.nonzero(fac)[0]
         if touch.size:
             R[touch] ^= F.vmul(fac[touch, None], R[r][None, :])
-            if T is not None:
-                T[touch] ^= F.vmul(fac[touch, None], T[r][None, :])
         pivots.append(c)
         r += 1
-    return R, pivots, T
+    return R, pivots
 
 
 def rank(F: FieldCtx, A: np.ndarray) -> int:
@@ -121,16 +109,21 @@ def rank(F: FieldCtx, A: np.ndarray) -> int:
 
 def kernel(F: FieldCtx, A: np.ndarray) -> np.ndarray:
     """Right null space: rows of the result v satisfy A v = 0."""
-    rows, cols = A.shape
     if F.m == 1 and A.size >= 1 << 16:
         return _kernel_gf2_packed(A)
-    R, pivots, _ = rref(F, A)
-    free = [c for c in range(cols) if c not in pivots]
+    return _kernel_from_rref(*rref(F, A), A.shape[1])
+
+
+def _kernel_from_rref(R: np.ndarray, pivots: list[int], cols: int) -> np.ndarray:
+    """The null space basis read off a reduced echelon form: one row per
+    free column f, with 1 at f and R[i, f] at the i-th pivot (char 2:
+    -x = x), in increasing order of f."""
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
     basis = zeros(len(free), cols)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = int(R[r, fc])  # char 2: -x = x
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = R[: len(pivots)][:, free].T
     return basis
 
 
@@ -138,7 +131,7 @@ def reverse_rref(F: FieldCtx, A: np.ndarray) -> np.ndarray:
     """The basis of A's row space in the form `kernel` returns: each row
     has 1 at its own last nonzero column and 0 at the others' last columns,
     in increasing order of that column (an rref over reversed columns)."""
-    R, pivots, _ = rref(F, np.asarray(A)[:, ::-1])
+    R, pivots = rref(F, np.asarray(A)[:, ::-1])
     return R[: len(pivots)][::-1, ::-1].copy()
 
 
@@ -150,10 +143,12 @@ def _kernel_gf2_packed(A: np.ndarray) -> np.ndarray:
 
 
 def kernel_gf2_stream(row_ints, cols: int) -> np.ndarray:
-    """GF(2) null space from an iterable of bit-packed constraint rows.
+    """GF(2) null space from an iterable of bit-packed constraint rows, the
+    same basis `kernel` returns.
 
-    Never materializes a dense matrix, so callers can stream very wide
-    systems (e.g. equivariance constraints on large modules).
+    Never materializes a dense matrix of the constraints, so callers can
+    stream very wide systems (e.g. equivariance constraints on large
+    modules); only the reduced pivot rows are unpacked.
     """
     piv: dict[int, int] = {}
     for cur in row_ints:
@@ -166,7 +161,8 @@ def kernel_gf2_stream(row_ints, cols: int) -> np.ndarray:
                 piv[c] = cur
                 break
     # back-reduce to rref
-    for c in sorted(piv, reverse=True):
+    pivots = sorted(piv)
+    for c in reversed(pivots):
         row = piv[c]
         x = row & ~(1 << c)
         while x:
@@ -176,43 +172,32 @@ def kernel_gf2_stream(row_ints, cols: int) -> np.ndarray:
                 row ^= piv[c2]
             x ^= lb
         piv[c] = row
-    free = [c for c in range(cols) if c not in piv]
-    basis = zeros(len(free), cols)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for pc, prow in piv.items():
-            if prow >> fc & 1:
-                basis[i, pc] = 1
-    return basis
+    nbytes = (cols + 7) // 8
+    packed = b"".join(piv[c].to_bytes(nbytes, "little") for c in pivots)
+    R = np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8).reshape(len(pivots), nbytes),
+        axis=1, count=cols, bitorder="little",
+    )
+    return _kernel_from_rref(R, pivots, cols)
 
 
 def solve(
     F: FieldCtx, A: np.ndarray, b: np.ndarray, certificate: bool = False
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Solve A x = b.  Returns (x, None) or (None, y) with yA=0, y.b != 0.
-
-    The inconsistency certificate y is only computed when requested (it
-    needs the full row transform, which is expensive for tall systems).
-    """
+    """Solve A x = b.  Returns (x, None), or (None, y) when b is not in A's
+    column space: y is None unless a certificate is asked for, and then the
+    first row of the left kernel with y.b != 0, so yA = 0 (Fredholm: such
+    a row exists exactly when the system is inconsistent)."""
     b = np.asarray(b, dtype=np.int64).ravel()
     n = A.shape[1]
-    if certificate:
-        R, pivots, T = rref(F, A, record_transform=True)
-        tb = mat_vec(F, T, b)
-        for r in range(len(pivots), A.shape[0]):
-            if tb[r] != 0:
-                return None, T[r]
-        x = zeros(1, n).ravel()
-        for r, c in enumerate(pivots):
-            x[c] = int(tb[r])
-        return x, None
-    aug = np.concatenate([A, b.reshape(-1, 1)], axis=1)
-    R, pivots, _ = rref(F, aug)
+    R, pivots = rref(F, np.concatenate([A, b.reshape(-1, 1)], axis=1))
     if pivots and pivots[-1] == n:
-        return None, None
+        if not certificate:
+            return None, None
+        Y = kernel(F, A.T)
+        return None, Y[np.flatnonzero(mat_vec(F, Y, b))[0]]
     x = zeros(1, n).ravel()
-    for r, c in enumerate(pivots):
-        x[c] = int(R[r, n])
+    x[pivots] = R[: len(pivots), n]
     return x, None
 
 
@@ -220,8 +205,7 @@ def inverse(F: FieldCtx, A: np.ndarray) -> np.ndarray:
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError("inverse of non-square matrix")
-    aug = np.concatenate([A, eye(n)], axis=1)
-    R, pivots, _ = rref(F, aug)
+    R, pivots = rref(F, np.concatenate([A, eye(n)], axis=1))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return R[:, n:]
@@ -299,7 +283,7 @@ class Subspace:
             self.pivots: list[int] = []
         else:
             vv = np.asarray(vectors, dtype=np.int64).reshape(-1, ambient)
-            R, self.pivots, _ = rref(F, vv)
+            R, self.pivots = rref(F, vv)
             self.basis = R[: len(self.pivots)]
 
     @property
@@ -309,38 +293,10 @@ class Subspace:
     def contains(self, v: np.ndarray) -> bool:
         return not reduce_mod(self.F, self, v).any()
 
-    def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis)
-
     def add(self, other: "Subspace") -> "Subspace":
         return Subspace(
             self.F, self.ambient, np.concatenate([self.basis, other.basis], axis=0)
         )
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        # Zassenhaus block trick
-        F, n = self.F, self.ambient
-        U, W = self.basis, other.basis
-        if U.shape[0] == 0 or W.shape[0] == 0:
-            return Subspace(F, n, None)
-        top = np.concatenate([U, U], axis=1)
-        bot = np.concatenate([W, zeros(W.shape[0], n)], axis=1)
-        R, pivots, _ = rref(F, np.concatenate([top, bot], axis=0))
-        rows = []
-        for r, c in enumerate(pivots):
-            if c >= n:
-                rows.append(R[r, n:])
-        # also rows beyond pivot count are zero; rows with pivot in right half
-        return Subspace(F, n, np.array(rows) if rows else None)
-
-    def complement_basis(self) -> np.ndarray:
-        """Unit vectors, in index order, completing the basis to the full
-        ambient space."""
-        ech = Echelon(self.F, self.ambient)
-        for row in self.basis:
-            ech.append(row)  # rref rows are already reduced
-        out = [e for e in eye(self.ambient) if ech.insert(e)]
-        return np.array(out) if out else zeros(0, self.ambient)
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         """Coordinates of v in the canonical basis (v must lie in the space)."""
@@ -432,10 +388,6 @@ def pivot_complement(S: Subspace) -> np.ndarray:
     coordinates.
     """
     return eye(S.ambient)[free_columns(S)]
-
-
-def full_space(F: FieldCtx, n: int) -> Subspace:
-    return Subspace(F, n, eye(n))
 
 
 def col_space(F: FieldCtx, A: np.ndarray) -> Subspace:

@@ -337,8 +337,9 @@ def spin(F: FieldCtx, vecs: np.ndarray, gens: list[np.ndarray]) -> Subspace:
     """Smallest gens-stable subspace containing the given row vectors.
 
     Frontier spin: one product clears the pivots of the fully reduced basis
-    from a whole frontier, and the images of the rows then added make the
-    next one, from one product with the generators side by side."""
+    from a whole frontier, `rref` turns what is left into the new basis
+    rows, and their images make the next frontier, from one product with
+    the generators side by side."""
     front = np.atleast_2d(np.asarray(vecs, dtype=np.int64))
     n = front.shape[1]
     side = np.hstack([A.T for A in gens]) if gens else zeros(n, 0)
@@ -346,17 +347,10 @@ def spin(F: FieldCtx, vecs: np.ndarray, gens: list[np.ndarray]) -> Subspace:
     while len(front):
         if pivots:
             front = front ^ mat_mul(F, front[:, pivots], basis)
-        front, new, new_pivots = front[front.any(axis=1)], [], []
-        while len(front):
-            v, front = front[0], front[1:]
-            p = int(v.nonzero()[0][0])
-            v = v if v[p] == 1 else F.vscale(F.inv(int(v[p])), v)
-            new = [w ^ F.vscale(int(w[p]), v) if w[p] else w for w in new] + [v]
-            new_pivots.append(p)
-            if len(front):
-                front = front ^ F.vmul(front[:, p, None], v)
-                front = front[front.any(axis=1)]
-        new = np.array(new).reshape(-1, n)
+        R, new_pivots = linalg.rref(F, front)
+        if not new_pivots:
+            break
+        new = R[: len(new_pivots)]
         if pivots:  # clear the new pivot columns from the old rows
             basis ^= mat_mul(F, basis[:, new_pivots], new)
         basis, pivots = np.vstack([basis, new]), pivots + new_pivots
@@ -772,17 +766,17 @@ def local_quotient(E: EndoAlgebra) -> Semisimple | None:
     stack, V = np.concatenate(N + [zeros(0, d)]), eye(d)
     while len(V):
         NV = mat_mul(F, stack, V.T).reshape(len(N), d, len(V))
-        R, pivots, _ = linalg.rref(F, NV.transpose(0, 2, 1).reshape(-1, d))
+        R, pivots = linalg.rref(F, NV.transpose(0, 2, 1).reshape(-1, d))
         if len(pivots) == len(V):
             return None
         V = R[: len(pivots)]
     return psi
 
 
-def is_indecomposable(M: ModuleRep, endo: EndoAlgebra | None = None) -> bool:
+def is_indecomposable(M: ModuleRep) -> bool:
     # indecomposable iff the endomorphism algebra is local (its residue
     # algebra may be a proper field extension of the base field)
-    return local_quotient(endo if endo is not None else end_algebra(M)) is not None
+    return local_quotient(end_algebra(M)) is not None
 
 
 # -- isomorphism ----------------------------------------------------------

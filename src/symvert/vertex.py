@@ -422,7 +422,7 @@ class SymProjectivityCert:
 
 
 def is_sym_projective(
-    M: ModuleRep, H: Subgroup, base: GForm | None = None,
+    M: ModuleRep, H: Subgroup, base: GForm,
     endo_basis: list[np.ndarray] | None = None,
     unit: rep.Semisimple | None = None,
 ) -> SymProjectivityCert:
@@ -438,10 +438,6 @@ def is_sym_projective(
     `endo_basis`, when given, is the basis of E_H(M) that
     `rep.hom_space(M, M, H)` returns.
     """
-    if base is None:
-        base = forms.base_form(M)
-        if base is None:
-            raise ValueError("module has no nondegenerate symmetric form")
     unit = _local_map(M, unit)
     fixed = sigma_fixed_basis(M, Adjoint(base), H, endo_basis)
     i = first_unit(M, unit, fixed, H)
@@ -462,7 +458,7 @@ class SymVertexClass:
 
 
 def symmetric_vertices(
-    M: ModuleRep, base: GForm | None = None, green: GreenVertexInfo | None = None
+    M: ModuleRep, base: GForm, green: GreenVertexInfo | None = None
 ) -> list[SymVertexClass]:
     """All minimal classes of subgroups T with M symmetrically T-projective.
 
@@ -599,9 +595,7 @@ class ScottComponentCert:
     checks: dict[str, bool]
 
 
-def scott_component(
-    V: Subgroup, Z: ModuleRep, seed: int = 0
-) -> ScottComponentCert:
+def scott_component(V: Subgroup, Z: ModuleRep) -> ScottComponentCert:
     """The unique vertex-V component M of Ind_V^G Z with odd multiplicity
     (for Z indecomposable with vertex V and symmetric type), certified:
     (a) the multiplicity is 1; (b) all other vertex-V components occur with
@@ -614,7 +608,7 @@ def scott_component(
         raise ValueError("Z has no nondegenerate symmetric form")
     G = V.parent
     ind, indB, _ = forms.induce_form(B0, V)
-    dec = rep.decompose(ind, seed=seed)
+    dec = rep.decompose(ind)
     comps = [next(c for c in dec.components if c.iso_class == i)
              for i in range(len(dec.multiplicities))]
     vertexV = [i for i, c in enumerate(comps) if G.subgroup_conjugate(
@@ -636,7 +630,7 @@ def scott_component(
     checks["source_is_form_component"] = any(
         piece.kind == "indecomposable"
         and rep.module_iso(piece.modules[0], Z) is not None
-        for piece in forms.orth_decompose(resB, seed=seed)
+        for piece in forms.orth_decompose(resB)
     )
     # (d): nondegenerate V-projective forms are nondegenerate on the
     # M-component of the induced module

@@ -430,7 +430,7 @@ def test_criterion_09_block_theorem():
         for b in blocks.block_decomposition(G, F2):
             if not b.real:
                 continue
-            r = blocks.verify_theorem_vertexBlock(G, F2, b, sample, bound=24)
+            r = blocks.verify_theorem_vertexBlock(G, F2, b, sample)
             assert r.part_i, (name, "part i")
             assert r.part_ii, (name, "part ii")
             assert r.part_iii, (name, "part iii")

@@ -234,7 +234,7 @@ def test_verify_theorem_vertexBlock_s3():
     bl = blocks.block_decomposition(S3, F2)
     mods = rep.irreducible_modules(S3, F2)
     for b in bl:
-        r = blocks.verify_theorem_vertexBlock(S3, F2, b, mods, bound=24)
+        r = blocks.verify_theorem_vertexBlock(S3, F2, b, mods)
         assert r.part_i and r.part_ii and r.part_iii
         assert r.theta is not None and r.theta.trace_is_block
 

@@ -162,15 +162,6 @@ def test_base_form_none_when_no_symmetric_form():
     assert forms.base_form(m) is None
 
 
-def test_orth_complement_dimension_law():
-    M = regular_s3()
-    B = forms.standard_form(M)
-    for rows in ([0], [0, 1], [0, 1, 2, 3]):
-        L = Subspace(F2, 6, np.eye(6, dtype=np.int64)[rows])
-        C = forms.orth_complement(B, L)
-        assert L.dim + C.dim == 6
-
-
 def test_orth_projection():
     M = regular_s3()
     B = forms.standard_form(M)
@@ -191,6 +182,35 @@ def test_orth_projection():
         pytest.skip("chosen line not isotropic for this table")
     with pytest.raises((ValueError, np.linalg.LinAlgError)):
         forms.orth_projection(Bt, iso)
+
+
+def _radical_by_enumeration(F, gram, basis):
+    """Whether some nonzero x in the row span of basis has B(l_i, x) = 0
+    for every basis row l_i, by running through every coefficient vector."""
+    for c in itertools.product(range(F.q), repeat=len(basis)):
+        if any(c):  # the basis rows are independent, so x != 0
+            x = linalg.combine(F, c, list(basis)).reshape(-1, 1)
+            if not mat_mul(F, basis, mat_mul(F, gram, x)).any():
+                return True
+    return False
+
+
+@pytest.mark.parametrize("m, n, max_dim", [(1, 7, 6), (2, 4, 3)])
+def test_is_nondegenerate_on_matches_enumeration(m, n, max_dim):
+    F = make_field(m)
+    T = rep.ModuleRep(S3, F, [linalg.eye(n)] * len(S3.generators))
+    rng = np.random.default_rng(n)
+    seen = set()
+    for _ in range(60):
+        gram = rng.integers(0, F.q, (n, n))  # any Gram is invariant here
+        if rng.integers(2):
+            gram = gram ^ gram.T  # also symmetric ones, with a zero diagonal
+        B = forms.GForm(T, gram)
+        L = Subspace(F, n, rng.integers(0, F.q, (int(rng.integers(0, max_dim + 1)), n)))
+        want = not _radical_by_enumeration(F, B.gram, L.basis)
+        assert forms.is_nondegenerate_on(B, L) == want
+        seen.add((want, L.dim > 0))
+    assert seen == {(True, True), (False, True), (True, False)}
 
 
 def test_orth_decompose_regular_b1():
@@ -361,7 +381,7 @@ def test_lift_selfadjoint_idempotent_contract():
     a = np.array([[1, 0], [1, 1]], dtype=np.int64)
     with pytest.raises(AssertionError, match="not nil"):
         forms.lift_selfadjoint_idempotent(
-            rep.end_algebra(T), sigma, linalg.full_space(F2, 4), a
+            rep.end_algebra(T), sigma, Subspace(F2, 4, linalg.eye(4)), a
         )
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symvert import catalog, linalg, polys, rep
@@ -457,14 +457,23 @@ def spin_cases(draw):
     return M.F, seeds, gens
 
 
+def all_ones_case(m):
+    """The all-ones vector of kS3: every generator fixes it, so the second
+    frontier reduces to nothing."""
+    gens = rep.regular_module(S3, make_field(m)).gen_matrices
+    return make_field(m), np.ones((1, S3.order), dtype=np.int64), gens
+
+
 @settings(max_examples=80, deadline=None)
 @given(spin_cases())
+@example(all_ones_case(1))
+@example(all_ones_case(2))
 def test_spin_matches_one_vector_at_a_time(case):
     F, seeds, gens = case
     got = rep.spin(F, seeds, gens)
     want = spin_reference(F, seeds, gens)
     assert got.pivots == want.pivots
-    assert got.basis.shape == want.basis.shape
+    assert got.basis.dtype == np.int64 and got.basis.shape == want.basis.shape
     assert (got.basis == want.basis).all()
 
 
