@@ -173,13 +173,26 @@ def orth_projection(B: GForm, L: Subspace) -> np.ndarray:
 
     Requires L to be a submodule on which B is nondegenerate.
     """
-    F = B.F
-    U = L.basis
+    found = _gram_and_inverse(B, L)
+    if found is None:
+        raise ValueError("form is degenerate on the subspace")
+    return _projection(B, L, found[1])
+
+
+def _gram_and_inverse(B: GForm, L: Subspace) -> tuple[np.ndarray, np.ndarray] | None:
+    """The restricted Gram of B on L and its inverse, or None when B is
+    degenerate on L (`inverse` raises exactly when the Gram is singular)."""
+    gram = gram_on(B, L.basis)
     try:
-        GL_inv = linalg.inverse(F, gram_on(B, U))
+        return gram, linalg.inverse(B.F, gram)
     except ValueError:
-        raise ValueError("form is degenerate on the subspace") from None
-    e = mat_mul(F, U.T, mat_mul(F, GL_inv, mat_mul(F, U, B.gram)))
+        return None
+
+
+def _projection(B: GForm, L: Subspace, gram_inv: np.ndarray) -> np.ndarray:
+    """`orth_projection` from the inverse of the restricted Gram."""
+    F, U = B.F, L.basis
+    e = mat_mul(F, U.T, mat_mul(F, gram_inv, mat_mul(F, U, B.gram)))
     # G-invariance holds when L is a submodule; verify rather than assume
     for A in B.module.gen_matrices:
         if (mat_mul(F, e, A) != mat_mul(F, A, e)).any():
@@ -443,7 +456,8 @@ def orth_decompose(B: GForm, seed: int = 0) -> list[OrthPiece]:
             ]
         (P, m0, _), rest = comps[0], comps[1:]
         kind, mods = "indecomposable", [m0]
-        if not is_nondegenerate_on(B, P):
+        found = _gram_and_inverse(B, P)
+        if found is None:
             dual0 = rep.dual(m0)
             iso: dict[int, bool] = {}  # one module_iso per isomorphism class
             for _, m, i in rest:
@@ -451,15 +465,17 @@ def orth_decompose(B: GForm, seed: int = 0) -> list[OrthPiece]:
                     iso[i] = rep.module_iso(m, dual0) is not None
             for j in sorted(range(len(rest)), key=lambda j: not iso[rest[j][2]]):
                 pair = P.add(rest[j][0])
-                if is_nondegenerate_on(B, pair):
+                found = _gram_and_inverse(B, pair)
+                if found is not None:
                     break
             else:
                 raise AssertionError("no nondegenerate partner found")
             P = pair
             kind, mods = "dual-pair", [m0, rest.pop(j)[1]]
-        pieces.append(OrthPiece(P, kind, mods, gram_on(B, P.basis)))
+        gram, gram_inv = found
+        pieces.append(OrthPiece(P, kind, mods, gram))
         comps = rest
-        move = eye(M.dim) ^ orth_projection(B, P) if rest else None
+        move = eye(M.dim) ^ _projection(B, P, gram_inv) if rest else None
     return pieces
 
 

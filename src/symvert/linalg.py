@@ -41,17 +41,58 @@ def coefficient_vectors(q: int, h: int, rng, draws: int):
 
 
 def mat_mul(F: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product.  GF(2): one float BLAS product mod 2, as numpy has no
-    integer BLAS; sums of k products of 0/1 are exact in float32 while
-    k < 2^24, and in float64 beyond.  GF(2^m): bit-sliced onto exact float64
-    BLAS products (after Albrecht's M4RIE).  Bit i of each element sits at
-    bit s*i, so a product of A with a group of B's bit planes counts each
-    carry-less plane t in its own s-bit field, whose low bit is that
+    """Matrix product, by one of three exact routes; each returns int64.
+
+    A product of at most `small_product_macs(F.m)` multiply-adds (a*k*b):
+    4096 over GF(2) and 1024*m over GF(2^m) for 2 <= m <= 8, the crossover
+    measured on a 2-core Xeon with one BLAS thread, takes `_mat_mul_small`
+    with no floating point and no BLAS call: over GF(2), numpy's integer
+    product mod 2; over GF(2^m), one gather from ``F.mul_table`` and an
+    XOR reduction.  Every other product, and every product for m > 8 (no
+    table), takes `_mat_mul_blas`: over GF(2) one float BLAS product mod
+    2, over GF(2^m) bit-sliced exact float64 BLAS products."""
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    if A.shape[0] * A.shape[1] * B.shape[1] <= small_product_macs(F.m):
+        return _mat_mul_small(F, A, B)
+    return _mat_mul_blas(F, A, B)
+
+
+def small_product_macs(m: int) -> int:
+    """The crossover of `mat_mul` over GF(2^m), in multiply-adds: 4096 at
+    GF(2), 1024*m for 2 <= m <= 8, and -1 above, where no product takes
+    the small route (there is no ``mul_table``).  Measured on a 2-core
+    Xeon with one BLAS thread, per call, on cubic and one-column shapes of
+    512 to 32768 multiply-adds: the small route stops winning near 4096 at
+    m = 1, 2048 at m = 2, 4096 at m = 3 and 4, 8192 at m = 5 and 6, and
+    16384 at m = 8, as the bit-sliced cost grows with the planes; the
+    rule stays at or below each."""
+    if m == 1:
+        return 4096
+    return 1024 * m if m <= 8 else -1
+
+
+def _mat_mul_small(F: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Products with few multiply-adds.  GF(2): the int64 product mod 2,
+    exact while k < 2^63.  GF(2^m): C[i, j] = XOR over t of
+    mul_table[A[i, t], B[t, j]], one a x k x b gather."""
+    if F.m == 1:
+        return (A @ B) & 1
+    if A.shape[1] != B.shape[0]:  # the gather would broadcast a length 1
+        raise ValueError(f"mat_mul: shapes {A.shape} and {B.shape} do not match")
+    return np.bitwise_xor.reduce(F.mul_table[A[:, :, None], B], axis=1)
+
+
+def _mat_mul_blas(F: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Products through BLAS.  GF(2): one float BLAS product mod 2, as numpy
+    has no integer BLAS; sums of k products of 0/1 are exact in float32
+    while k < 2^24, and in float64 beyond.  GF(2^m): bit-sliced onto exact
+    float64 BLAS products (after Albrecht's M4RIE).  Bit i of each element
+    sits at bit s*i, so a product of A with a group of B's bit planes counts
+    each carry-less plane t in its own s-bit field, whose low bit is that
     plane's parity; ``red_masks`` folds the 2m-1 parities back.
     ``FieldCtx.mat_mul_plans`` sizes the inner chunks so that every partial
     sum stays below 2^53; the plan with the fewest products wins."""
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
     m, k = F.m, A.shape[1]
     if m == 1:
         t = np.float32 if k < 1 << 24 else np.float64

@@ -43,11 +43,16 @@ def _scalar_mat_mul(F, A, B):
     return C
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 9])
 def test_mat_mul_matches_scalar_reference(m):
     F = make_field(m)
     rng = np.random.default_rng(m)
     shapes = [(3, k, 4) for k in (0, 1, 2, 9)] + [(1, 9, 1), (5, 1, 1)]
+    # at the small route's crossover and one multiply-add past it
+    T = linalg.small_product_macs(m)
+    shapes += [(1, max(T, 0), 1), (1, T + 1, 1), (T + 1, 1, 1), (4, 1, 5)]
+    if T >= 256:
+        shapes.append((16, T // 256, 16))
     if m > 1:
         # wider than the inner chunk of the plan with the most planes
         shapes.append((1, F.mat_mul_plans[0][2] + 1, 1))
@@ -67,7 +72,8 @@ def test_mat_mul_matches_scalar_reference(m):
 def test_gf2_mat_mul_float_path_is_exact():
     # the float BLAS product against the integer one it replaced
     rng = np.random.default_rng(2)
-    for r, k, c in [(3, 0, 4), (1, 40, 1), (200, 7, 3), (3, 7, 200), (336, 336, 336)]:
+    for r, k, c in [(3, 0, 4), (1, 40, 1), (200, 7, 3), (3, 7, 200), (336, 336, 336),
+                    (17, 17, 17)]:
         A, B = rng.integers(0, 2, (r, k)), rng.integers(0, 2, (k, c))
         got = linalg.mat_mul(F2, A, B)
         assert got.dtype == np.int64 and (got == (A @ B) & 1).all(), (r, k, c)
@@ -75,6 +81,60 @@ def test_gf2_mat_mul_float_path_is_exact():
     k = 100_001
     got = linalg.mat_mul(F2, np.ones((2, k), np.int64), np.ones((k, 3), np.int64))
     assert (got == 1).all()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+def test_mat_mul_kernels_agree(m):
+    # the BLAS kernel keeps coverage at the small shapes mat_mul no longer
+    # sends it
+    F = make_field(m)
+    rng = np.random.default_rng(100 + m)
+    for r, k, c in [(3, 0, 4), (1, 1, 1), (1, 40, 1), (7, 5, 1), (4, 1, 6), (8, 8, 8), (13, 9, 2)]:
+        A, B = rng.integers(0, F.q, (r, k)), rng.integers(0, F.q, (k, c))
+        small = linalg._mat_mul_small(F, A, B)
+        blas = linalg._mat_mul_blas(F, A, B)
+        assert small.dtype == blas.dtype == np.int64
+        assert small.shape == blas.shape == (r, c)
+        assert (small == blas).all(), (r, k, c)
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 9])
+def test_mat_mul_takes_one_route(m, monkeypatch):
+    F = make_field(m)
+    T = linalg.small_product_macs(m)
+    routes = []
+    for name in ("_mat_mul_small", "_mat_mul_blas"):
+        orig = getattr(linalg, name)
+        monkeypatch.setattr(
+            linalg, name,
+            lambda F, A, B, _orig=orig, _name=name: routes.append(_name) or _orig(F, A, B),
+        )
+    for r, k, c in [(1, max(T, 0), 1), (1, T + 1, 1), (T + 1, 1, 1), (2, 0, 3)]:
+        routes.clear()
+        linalg.mat_mul(F, np.ones((r, k), np.int64), np.ones((k, c), np.int64))
+        want = "_mat_mul_small" if r * k * c <= T else "_mat_mul_blas"
+        assert routes == [want], (r, k, c)
+
+
+def test_mat_mul_small_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        linalg.mat_mul(F4, np.ones((2, 1), np.int64), np.ones((3, 2), np.int64))
+
+
+def test_gf2_small_products_raise_no_warning():
+    # the shapes that once raised a stray RuntimeWarning from the float32
+    # product (7x5 by 5x1, and one-row by one-column) under pyproject's
+    # filterwarnings = ["error"]; each against a pure-Python parity
+    rng = np.random.default_rng(7)
+    cases = [(7, 5, 1)] * 2000 + [(1, k, 1) for k in range(41) for _ in range(50)]
+    for r, k, c in cases:
+        A, B = rng.integers(0, 2, (r, k)), rng.integers(0, 2, (k, c))
+        want = [
+            [sum(int(a) * int(b) for a, b in zip(row, col)) & 1 for col in B.T]
+            for row in A
+        ]
+        got = linalg.mat_mul(F2, A, B)
+        assert got.dtype == np.int64 and got.tolist() == want, (r, k, c)
 
 
 @pytest.mark.parametrize("seed", [0, 20240401])
