@@ -13,7 +13,7 @@ Off a splitting field a real block may lack a real defect class; then
 The module also houses the quadratic-type test for projective covers of
 self-dual irreducibles, and the verification harness realizing the block
 idempotent as a relative trace from the diagonal of the extended defect
-group acting on kG as a G x G-module.
+group on kG as a G x G-module, read off G's table from Theta's entries.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import numpy as np
 
 from . import forms, linalg, rep, vertex
 from .field import FieldCtx, splitting_degree
-from .forms import Adjoint, GForm
-from .group import FeasibilityError, GroupTable, Subgroup, direct_product
-from .linalg import combine, eye, mat_mul, zeros
+from .forms import GForm
+from .group import FeasibilityError, GroupTable, Subgroup
+from .linalg import combine, eye, mat_mul
 from .rep import ModuleRep
 
 
@@ -207,16 +207,18 @@ def _fill_defect_groups(G: GroupTable, F: FieldCtx, b: BlockInfo) -> None:
 
 def block_of_module(M: ModuleRep, blocks: list[BlockInfo] | None = None) -> BlockInfo:
     """The unique block whose idempotent acts as the identity on M."""
-    G = M.group
-    F = M.F
     if blocks is None:
-        blocks = block_decomposition(G, F)
-    acts = [M.action(g) for g in range(G.order)]
+        blocks = block_decomposition(M.group, M.F)
     for b in blocks:
-        A = combine(F, b.group_algebra_vector, acts)
-        if (A == eye(M.dim)).all():
+        if _lies_in(M, b):
             return b
     raise ValueError("no block acts as the identity (module not indecomposable?)")
+
+
+def _lies_in(M: ModuleRep, b: BlockInfo) -> bool:
+    """Whether the block idempotent acts as the identity on M."""
+    acts = [M.action(g) for g in range(M.group.order)]
+    return bool((combine(M.F, b.group_algebra_vector, acts) == eye(M.dim)).all())
 
 
 # -- quadratic type -------------------------------------------------------
@@ -261,60 +263,31 @@ def quadratic_type_pim(M: ModuleRep, B: GForm | None = None) -> QuadraticTypeRes
     return QuadraticTypeResult(False, None, None, B)
 
 
-# -- kG as a G x G module and the Theta construction ----------------------
-
-
-@dataclass
-class RegularBimodule:
-    module: ModuleRep  # kG over G x G
-    product: GroupTable
-    pair: callable  # (a, b) -> element of G x G
-    form: GForm  # the orthonormal-basis form, G x G-invariant
-
-
-def regular_bimodule(G: GroupTable, F: FieldCtx) -> RegularBimodule:
-    """kG as a G x G-module: (g1, g2).x = g1.x.g2^-1, with the form making
-    the group-element basis orthonormal."""
-    GG, maps = direct_product(G, G)
-    n = G.order
-    mats = []
-    for gen in GG.generators:
-        a, b = maps.split(gen)
-        # column x holds a 1 in row a.x.b^-1
-        mats.append(eye(n)[:, G.mult[a, G.mult[:, G.inv[b]]]])
-    M = ModuleRep(GG, F, mats, check=False)
-    B = GForm(M, eye(n))
-    return RegularBimodule(M, GG, maps.pair, B)
-
-
-def diagonal_subgroup(bi: RegularBimodule, H: Subgroup) -> Subgroup:
-    """Delta H = {(h, h)} inside G x G."""
-    return Subgroup(bi.product, tuple(bi.pair(h, h) for h in H.elements), None)
+# -- the Theta construction ------------------------------------------------
 
 
 @dataclass
 class ThetaCert:
-    theta: np.ndarray  # endomorphism of kG, sigma-fixed, in E_{Delta E}(kG)
+    entries: dict[tuple[int, int], int]  # (v, w) -> coefficient of e_w -> e_v
     sigma_fixed: bool
     trace_is_block: bool
     choices: dict[int, int]  # class index -> chosen element
 
 
-def build_theta(b: BlockInfo, bi: RegularBimodule) -> ThetaCert:
-    """The explicit self-adjoint Delta-E-endomorphism of kG whose relative
-    trace to G x G is the block idempotent: the sum over the support classes
-    of alpha_i times the Delta-D_i-to-Delta-E trace of d_i (x) d_i^-1,
-    where d_i is the square root of the class element inside its cyclic
-    group and D_i a Sylow 2-subgroup of its centralizer lying inside E."""
+def build_theta(b: BlockInfo) -> ThetaCert:
+    """The explicit self-adjoint Delta E-endomorphism Theta of kG, with
+    (g1, g2).x = g1.x.g2^-1, whose relative trace to G x G is the block
+    idempotent: the sum over the support classes of alpha_i times the
+    Delta D-to-Delta E trace of d (x) d^-1, for d the square root of the
+    chosen class element c inside <c> and D = C_E(c).  Theta is kept as its
+    entries e_w -> e_v: (v, v^-1) with coefficient alpha_i for v = t.d.t^-1,
+    t over E/D.  They are distinct: v^2 = t.c.t^-1 fixes the class and tD."""
     Z = b.centre
     G = Z.G
-    F = Z.F
     E = b.extended_defect_group
     if E is None:
         raise ValueError("extended defect group required (real block)")
-    dE = diagonal_subgroup(bi, E)
-    n = G.order
-    theta = zeros(n, n)
+    entries: dict[tuple[int, int], int] = {}
     choices: dict[int, int] = {}
     paired: dict[int, int] = {}
     for i in b.support:
@@ -326,101 +299,97 @@ def build_theta(b: BlockInfo, bi: RegularBimodule) -> ThetaCert:
             if cls.inverse_class != i:
                 paired[cls.inverse_class] = c
         choices[i] = c
-        o = G.element_order(c)
-        d = G.power(c, (o + 1) // 2)  # the square root of c in <c>
-        Dsub = G.sylow2(within=G.centralizer(c, within=E))
-        dD = diagonal_subgroup(bi, Dsub)
-        f = zeros(n, n)
-        f[d, G.inverse(d)] = 1  # d (x) d^-1 as rank-one endomorphism
-        tr = vertex.rel_trace(bi.module, f, dD, dE)
-        theta ^= F.vscale(int(b.idempotent[i]), tr)
-    sigma = Adjoint(bi.form)
-    sigma_ok = bool((sigma(theta) == theta).all())
-    full = vertex.rel_trace(bi.module, theta, dE)
-    reb = rep.right_mult_matrix(G, b.group_algebra_vector)
-    return ThetaCert(theta, sigma_ok, bool((full == reb).all()), choices)
+        d = G.power(c, (G.element_order(c) + 1) // 2)  # the square root of c in <c>
+        ts = np.array(G.left_transversal(G.centralizer(c, within=E), E))
+        for v in G.mult[G.mult[ts, d], G.inv[ts]].tolist():
+            entries[v, G.inverse(v)] = int(b.idempotent[i])
+    return ThetaCert(entries, *theta_verdicts(b, entries), choices)
+
+
+def theta_verdicts(b: BlockInfo, entries: dict) -> tuple[bool, bool]:
+    """Whether the endomorphism with these entries is sigma-fixed, and
+    whether its Delta E-to-G x G trace is the block idempotent b.  The
+    orthonormal form's adjoint sigma is the transpose, so sigma-fixed means
+    the entries, with their coefficients, are closed under swapping v and w.
+    Over the transversal (g, t) of Delta E, g in G and t over G/E, the trace
+    is right multiplication by psi = sum_t t.chi.t^-1, where chi sums
+    alpha.w^-1.v over the entries: |G:E| gathers of length |G|."""
+    G = b.centre.G
+    sigma_ok = all(entries.get((w, v), 0) == a for (v, w), a in entries.items())
+    chi = np.zeros(G.order, dtype=np.int64)
+    for (v, w), a in entries.items():
+        chi[G.mult[G.inv[w], v]] ^= a
+    psi = np.zeros(G.order, dtype=np.int64)
+    for t in G.left_transversal(b.extended_defect_group):
+        psi ^= chi[G.mult[G.mult[G.inv[t]], t]]  # psi(g) += chi(t^-1.g.t)
+    return sigma_ok, bool((psi == b.group_algebra_vector).all())
 
 
 def _choose_class_element(G: GroupTable, cls, E: Subgroup) -> int:
-    """An element c of the class whose centralizer meets E in a full Sylow
-    2-subgroup of C_G(c), so that Delta D <= Delta E."""
+    """An element c of the class whose extended centralizer C*_G(c) meets E
+    in a Sylow 2-subgroup P of C*_G(c), compared by orders.  C_G(c) is
+    normal of index at most 2 in C*_G(c), so P meets it in a Sylow
+    2-subgroup D = C_E(c) of C_G(c), and Delta D <= Delta E.  For a real
+    class with c != c^-1 the index is 2 and some s in P inverts c, hence d:
+    conjugating by s carries the entry (d, d^-1) of Theta to its transpose,
+    so Theta is sigma-fixed.  Asking only for a Sylow 2-subgroup of C_G(c)
+    inside E can pick a c that E does not invert (S5's 5-cycles)."""
     for c in cls.members:
-        full = G.sylow2(within=G.centralizer(c)).order
-        if G.sylow2(within=G.centralizer(c, within=E)).order == full:
+        full = G.sylow2(within=G.extended_centralizer(c)).order
+        if G.extended_centralizer(c, within=E).order == full:
             return c
-    raise AssertionError("no class element with defect group inside E")
+    raise AssertionError("no class element with extended centralizer Sylow in E")
 
 
 @dataclass
 class VertexBlockReport:
-    part_i: bool | None
-    part_ii: bool | None
-    part_iii: bool | None
-    theta: ThetaCert | None
+    part_i: bool
+    part_ii: bool
+    part_iii: bool
+    theta: ThetaCert
     details: dict
 
 
-THETA_ORDER_BOUND = 24  # part (iii) works over G x G, a group of order |G|^2
-
-
 def verify_theorem_vertexBlock(
-    G: GroupTable,
-    F: FieldCtx,
-    b: BlockInfo,
-    sample_modules: list[ModuleRep],
+    G: GroupTable, F: FieldCtx, b: BlockInfo, sample_modules: list[ModuleRep]
 ) -> VertexBlockReport:
     """(i) symmetric vertices of indecomposable modules in the block lie in
     the extended defect group E; (ii) some self-dual irreducible in the
     block has symmetric vertex exactly E; (iii) on kG as a G x G-module the
-    orthonormal form is nondegenerate on the block summand and Delta E-
-    projective, certified by the explicit Theta (None when |G| exceeds
-    THETA_ORDER_BOUND)."""
+    orthonormal form is nondegenerate on the block summand kG.b and
+    Delta E-projective, certified by the explicit Theta."""
     if not b.real or b.extended_defect_group is None:
         raise ValueError("theorem applies to real blocks")
     E = b.extended_defect_group
-    details: dict = {}
-    blocks = block_decomposition(G, F)
-
-    part_i = True
-    checked = 0
-    for M in sample_modules:
-        base = forms.base_form(M)
-        if base is None:
-            continue
-        if (block_of_module(M, blocks).idempotent != b.idempotent).any():
-            continue
-        checked += 1
-        for t in vertex.symmetric_vertices(M, base):
-            if G.conjugate_into(t.subgroup, E) is None:
-                part_i = False
-    details["part_i_modules_checked"] = checked
-    if checked == 0:
+    sampled = [_block_vertices(M, b) for M in sample_modules]
+    sampled = [vs for vs in sampled if vs is not None]
+    if not sampled:
         raise ValueError("no symmetric-type sample module lies in the block")
-
-    part_ii = False
-    for M in rep.irreducible_modules(G, F):
-        if (block_of_module(M, blocks).idempotent != b.idempotent).any():
-            continue
-        base = forms.base_form(M)
-        if base is None:
-            continue
-        classes = vertex.symmetric_vertices(M, base)
-        if any(G.subgroup_conjugate(t.subgroup, E) is not None for t in classes):
-            part_ii = True
-            break
-
-    part_iii = None
-    theta_cert = None
-    if G.order <= THETA_ORDER_BOUND:
-        bi = regular_bimodule(G, F)
-        S = linalg.col_space(
-            F, rep.right_mult_matrix(G, b.group_algebra_vector)
-        )
-        nondeg = forms.is_nondegenerate_on(bi.form, S)
-        details["B1_nondegenerate_on_block"] = nondeg
-        theta_cert = build_theta(b, bi)
-        part_iii = nondeg and theta_cert.sigma_fixed and theta_cert.trace_is_block
+    part_i = all(
+        G.conjugate_into(t.subgroup, E) is not None for vs in sampled for t in vs
+    )
+    irreducibles = rep._irreducibles_by_tensors(G, F)  # one per isomorphism class
+    part_ii = any(
+        G.subgroup_conjugate(t.subgroup, E) is not None
+        for vs in (_block_vertices(M, b) for M in irreducibles) if vs is not None
+        for t in vs
+    )
+    # permutation matrices preserve the orthonormal form: no invariance check
+    orthonormal = GForm(rep.regular_module(G, F), eye(G.order), check=False)
+    S = linalg.col_space(F, rep.right_mult_matrix(G, b.group_algebra_vector))
+    nondeg = forms.is_nondegenerate_on(orthonormal, S)
+    details = {"part_i_modules_checked": len(sampled)}
+    details["B1_nondegenerate_on_block"] = nondeg
+    theta_cert = build_theta(b)
+    part_iii = nondeg and theta_cert.sigma_fixed and theta_cert.trace_is_block
     return VertexBlockReport(part_i, part_ii, part_iii, theta_cert, details)
+
+
+def _block_vertices(M: ModuleRep, b: BlockInfo) -> list | None:
+    """M's symmetric vertex classes, or None unless M lies in the block and
+    has a base form."""
+    base = forms.base_form(M) if _lies_in(M, b) else None
+    return None if base is None else vertex.symmetric_vertices(M, base)
 
 
 # -- serialization --------------------------------------------------------

@@ -437,30 +437,6 @@ def from_permutations(
     return GroupTable(np.ascontiguousarray(cols.T), gen_ids, perms=elems)
 
 
-def direct_product(G: GroupTable, H: GroupTable) -> tuple[GroupTable, "ProductMaps"]:
-    """G x H with id (a,b) -> a*|H| + b."""
-    nG, nH = G.order, H.order
-    a = np.repeat(np.arange(nG), nH)
-    b = np.tile(np.arange(nH), nG)
-    mult = (
-        G.mult[a[:, None], a[None, :]] * nH + H.mult[b[:, None], b[None, :]]
-    )
-    gens = [g * nH for g in G.generators] + list(H.generators)
-    P = GroupTable(mult, gens)
-    return P, ProductMaps(nH)
-
-
-@dataclass
-class ProductMaps:
-    right_order: int
-
-    def pair(self, a: int, b: int) -> int:
-        return a * self.right_order + b
-
-    def split(self, x: int) -> tuple[int, int]:
-        return divmod(x, self.right_order)
-
-
 # -- serialization --------------------------------------------------------
 
 

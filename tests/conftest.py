@@ -1,9 +1,12 @@
-"""Shared fixtures, the reference route to J(kG) and the
-acceptance-criterion reporting hook."""
+"""Shared fixtures, the reference routes to J(kG) and to Theta on kG as a
+G x G-module, and the acceptance-criterion reporting hook."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from symvert import linalg, rep
+from symvert import forms, linalg, rep, vertex
+from symvert.group import GroupTable, Subgroup
 
 _ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
 
@@ -20,6 +23,96 @@ def kg_radical_by_chop(G, F) -> linalg.Subspace:
     acts = [np.concatenate([S.action(x).ravel() for S in irreps])
             for x in range(G.order)]
     return linalg.Subspace(F, G.order, linalg.kernel(F, np.array(acts).T))
+
+
+def direct_product(G: GroupTable, H: GroupTable) -> tuple[GroupTable, "ProductMaps"]:
+    """G x H with id (a,b) -> a*|H| + b."""
+    nG, nH = G.order, H.order
+    a = np.repeat(np.arange(nG), nH)
+    b = np.tile(np.arange(nH), nG)
+    mult = (
+        G.mult[a[:, None], a[None, :]] * nH + H.mult[b[:, None], b[None, :]]
+    )
+    gens = [g * nH for g in G.generators] + list(H.generators)
+    P = GroupTable(mult, gens)
+    return P, ProductMaps(nH)
+
+
+@dataclass
+class ProductMaps:
+    right_order: int
+
+    def pair(self, a: int, b: int) -> int:
+        return a * self.right_order + b
+
+    def split(self, x: int) -> tuple[int, int]:
+        return divmod(x, self.right_order)
+
+
+@dataclass
+class RegularBimodule:
+    module: rep.ModuleRep  # kG over G x G
+    product: GroupTable
+    pair: callable  # (a, b) -> element of G x G
+    form: forms.GForm  # the orthonormal-basis form, G x G-invariant
+
+
+def regular_bimodule(G: GroupTable, F) -> RegularBimodule:
+    """kG as a G x G-module: (g1, g2).x = g1.x.g2^-1, with the form making
+    the group-element basis orthonormal.  Its table has |G|^4 entries, so
+    it serves as the reference for small groups only."""
+    GG, maps = direct_product(G, G)
+    n = G.order
+    mats = []
+    for gen in GG.generators:
+        a, b = maps.split(gen)
+        # column x holds a 1 in row a.x.b^-1
+        mats.append(linalg.eye(n)[:, G.mult[a, G.mult[:, G.inv[b]]]])
+    M = rep.ModuleRep(GG, F, mats, check=False)
+    B = forms.GForm(M, linalg.eye(n))
+    return RegularBimodule(M, GG, maps.pair, B)
+
+
+def diagonal_subgroup(bi: RegularBimodule, H: Subgroup) -> Subgroup:
+    """Delta H = {(h, h)} inside G x G."""
+    return Subgroup(bi.product, tuple(bi.pair(h, h) for h in H.elements), None)
+
+
+def dense_theta(G: GroupTable, entries: dict) -> np.ndarray:
+    """Theta's n x n matrix from its entries (v, w) -> coefficient."""
+    theta = linalg.zeros(G.order, G.order)
+    for (v, w), a in entries.items():
+        theta[v, w] = a
+    return theta
+
+
+def theta_reference(b, bi: RegularBimodule, choices: dict[int, int]) -> np.ndarray:
+    """Theta on the G x G-module: for each support class, alpha_i times the
+    Delta D-to-Delta E trace of the rank-one d (x) d^-1, d the square root
+    of the chosen class element c and D a Sylow 2-subgroup of C_E(c)."""
+    G, F = b.centre.G, b.centre.F
+    E = b.extended_defect_group
+    dE = diagonal_subgroup(bi, E)
+    theta = linalg.zeros(G.order, G.order)
+    for i, c in choices.items():
+        d = G.power(c, (G.element_order(c) + 1) // 2)
+        dD = diagonal_subgroup(bi, G.sylow2(within=G.centralizer(c, within=E)))
+        f = linalg.zeros(G.order, G.order)
+        f[d, G.inverse(d)] = 1
+        tr = vertex.rel_trace(bi.module, f, dD, dE)
+        theta ^= F.vscale(int(b.idempotent[i]), tr)
+    return theta
+
+
+def theta_verdicts_reference(b, bi: RegularBimodule, theta) -> tuple[bool, bool]:
+    """Whether Theta is fixed by the adjoint of the orthonormal form, and
+    whether its Delta E-to-G x G trace is right multiplication by b."""
+    G = b.centre.G
+    sigma = forms.Adjoint(bi.form)
+    dE = diagonal_subgroup(bi, b.extended_defect_group)
+    full = vertex.rel_trace(bi.module, theta, dE)
+    reb = rep.right_mult_matrix(G, b.group_algebra_vector)
+    return bool((sigma(theta) == theta).all()), bool((full == reb).all())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -422,11 +422,14 @@ def test_criterion_08_quadratic_type():
 
 @criterion(9, "extended defect groups govern symmetric vertices")
 def test_criterion_09_block_theorem():
-    for name in ("S3", "D12", "SL(2,3)", "S4"):
+    for name in ("S3", "D12", "SL(2,3)", "S4", "S5", "GL(3,2):2"):
         G = catalog.suite_group(name)
-        sample = list(rep.irreducible_modules(G, F2)) + [
-            p.pim for p in group_pims(name)
-        ]
+        if name == "GL(3,2):2":  # its PIMs take seconds: the irreducibles alone
+            sample = rep._irreducibles_by_tensors(G, F2)
+        else:
+            sample = list(rep.irreducible_modules(G, F2)) + [
+                p.pim for p in group_pims(name)
+            ]
         for b in blocks.block_decomposition(G, F2):
             if not b.real:
                 continue

@@ -8,15 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symvert import blocks, catalog, forms, linalg, rep
-from symvert.field import make_field
+from symvert.field import make_field, splitting_degree
 from symvert.group import GroupTable, from_permutations
 from symvert.linalg import mat_mul
+
+from conftest import (
+    dense_theta,
+    regular_bimodule,
+    theta_reference,
+    theta_verdicts_reference,
+)
 
 F2 = make_field(1)
 S3 = catalog.suite_group("S3")
 S4 = catalog.suite_group("S4")
 D12 = catalog.suite_group("D12")
 SL23 = catalog.suite_group("SL(2,3)")
+SMALL = [name for name in catalog.SUITE_NAMES if catalog.suite_group(name).order <= 24]
 
 
 def test_centre_algebra_structure():
@@ -198,7 +206,7 @@ def test_quadratic_type_false_for_c3c4():
 
 
 def test_regular_bimodule():
-    bi = blocks.regular_bimodule(S3, F2)
+    bi = regular_bimodule(S3, F2)
     assert bi.module.dim == 6 and bi.product.order == 36
     assert bi.form.symmetric and bi.form.nondegenerate
     # (g, g) fixes the identity basis vector
@@ -214,20 +222,25 @@ def test_regular_bimodule():
 
 def test_build_theta_s3_principal():
     bl = blocks.block_decomposition(S3, F2)
-    bi = blocks.regular_bimodule(S3, F2)
+    bi = regular_bimodule(S3, F2)
     b0 = [b for b in bl if b.principal][0]
-    cert = blocks.build_theta(b0, bi)
+    cert = blocks.build_theta(b0)
     assert cert.sigma_fixed and cert.trace_is_block
+    theta = dense_theta(S3, cert.entries)
+    assert (theta == theta_reference(b0, bi, cert.choices)).all()
     sigma = forms.Adjoint(bi.form)
-    assert (sigma(cert.theta) == cert.theta).all()
+    assert (sigma(theta) == theta).all()
 
 
 def test_build_theta_defect_zero():
     bl = blocks.block_decomposition(S3, F2)
-    bi = blocks.regular_bimodule(S3, F2)
+    bi = regular_bimodule(S3, F2)
     dz = [b for b in bl if not b.principal][0]
-    cert = blocks.build_theta(dz, bi)
+    cert = blocks.build_theta(dz)
     assert cert.sigma_fixed and cert.trace_is_block
+    theta = dense_theta(S3, cert.entries)
+    assert (theta == theta_reference(dz, bi, cert.choices)).all()
+    assert theta_verdicts_reference(dz, bi, theta) == (True, True)
 
 
 def test_verify_theorem_vertexBlock_s3():
@@ -239,6 +252,67 @@ def test_verify_theorem_vertexBlock_s3():
         assert r.theta is not None and r.theta.trace_is_block
 
 
+def _real_blocks(name, m):
+    G = catalog.suite_group(name)
+    F = make_field(m)
+    return G, F, [b for b in blocks.block_decomposition(G, F) if b.real]
+
+
+FIELDS = [(name, m) for name in catalog.SUITE_NAMES
+          for m in sorted({1, splitting_degree(catalog.suite_group(name))})]
+
+
+@pytest.mark.parametrize("name,m", FIELDS)
+def test_vertex_block_theorem_on_every_real_block(name, m):
+    G, F, bl = _real_blocks(name, m)
+    irreps = rep._irreducibles_by_tensors(G, F)
+    for b in bl:
+        r = blocks.verify_theorem_vertexBlock(G, F, b, irreps)
+        assert r.part_i and r.part_ii and r.part_iii is True
+        assert r.details["B1_nondegenerate_on_block"]
+        assert r.theta.sigma_fixed and r.theta.trace_is_block
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_centralizer_only_choice_breaks_sigma(monkeypatch, m):
+    # asking only that E hold a Sylow 2-subgroup of C_G(c) picks a 5-cycle
+    # that E does not invert: Theta's trace is still the block, but Theta
+    # is not fixed by the adjoint
+    def centralizer_only(G, cls, E):
+        for c in cls.members:
+            full = G.sylow2(within=G.centralizer(c)).order
+            if G.sylow2(within=G.centralizer(c, within=E)).order == full:
+                return c
+        raise AssertionError("no class element with defect group inside E")
+
+    _, _, bl = _real_blocks("S5", m)
+    (b,) = [b for b in bl if b.extended_defect_group.order == 4]
+    assert blocks.build_theta(b).sigma_fixed
+    monkeypatch.setattr(blocks, "_choose_class_element", centralizer_only)
+    cert = blocks.build_theta(b)
+    assert cert.trace_is_block and not cert.sigma_fixed
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", SMALL)
+def test_theta_matches_the_bimodule_reference(name, m):
+    # Theta from G's table against Theta built by relative traces on kG as
+    # a G x G-module; the verdicts also agree once any one entry is dropped
+    G, F, bl = _real_blocks(name, m)
+    bi = regular_bimodule(G, F)
+    for b in bl:
+        cert = blocks.build_theta(b)
+        theta = dense_theta(G, cert.entries)
+        assert (theta == theta_reference(b, bi, cert.choices)).all()
+        verdicts = (cert.sigma_fixed, cert.trace_is_block)
+        assert verdicts == theta_verdicts_reference(b, bi, theta) == (True, True)
+        for key in cert.entries:
+            dropped = {k: a for k, a in cert.entries.items() if k != key}
+            assert blocks.theta_verdicts(b, dropped) == theta_verdicts_reference(
+                b, bi, dense_theta(G, dropped)
+            )
+
+
 def test_block_to_dict_shape():
     bl = blocks.block_decomposition(S3, F2)
     d = blocks.block_to_dict(bl[0])
@@ -246,9 +320,6 @@ def test_block_to_dict_shape():
         "coefficients", "support_class_reps", "real", "principal",
         "defect_group", "extended_defect_group",
     }
-
-
-SMALL = [name for name in catalog.SUITE_NAMES if catalog.suite_group(name).order <= 24]
 
 
 def _block_invariants(G, F, relabel):

@@ -12,11 +12,12 @@ from symvert import catalog
 from symvert.group import (
     FeasibilityError,
     GroupTable,
-    direct_product,
     from_permutations,
     group_from_dict,
     group_to_dict,
 )
+
+from conftest import direct_product
 
 S3 = catalog.suite_group("S3")
 S4 = catalog.suite_group("S4")

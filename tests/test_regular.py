@@ -8,6 +8,8 @@ from symvert import blocks, catalog, forms, rep
 from symvert.field import make_field
 from symvert.linalg import zeros
 
+from conftest import regular_bimodule
+
 F4 = make_field(2)
 GROUPS = ["S3", "D12", "A4", "C3:C4", "S4"]
 
@@ -153,7 +155,7 @@ def test_regular_gathers_match_the_reference_loops(name):
         assert (rep.left_mult_matrix(G, a) == left_mult_reference(G, a)).all()
         gram = forms.regular_form(M, a).gram
         assert (gram == regular_gram_reference(G, a)).all()
-    bi = blocks.regular_bimodule(G, F4)
+    bi = regular_bimodule(G, F4)
     ref = bimodule_reference(G, bi.product)
     for ours, want in zip(bi.module.gen_matrices, ref, strict=True):
         assert (ours == want).all()
