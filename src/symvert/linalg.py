@@ -3,7 +3,10 @@
 Matrices are numpy int64 arrays of field elements (column-vector
 convention: a matrix acts on the left of a column vector).  Subspaces carry
 a canonical reduced-row-echelon basis, so equality of subspaces is equality
-of representations.
+of representations.  The reduced row echelon form of a matrix is unique:
+`rref` eliminates on bit-packed rows over GF(2) and by a dense column loop
+over GF(2^m), and since both compute that one form, neither route changes
+an answer read off it (rank, inverse, solve, kernel, subspaces).
 """
 
 from __future__ import annotations
@@ -116,10 +119,20 @@ def mat_vec(F: FieldCtx, A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def rref(F: FieldCtx, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form R of A and its pivot columns: the library's
-    one batch elimination (`Echelon` is the incremental one).  The rows of
-    R past the pivots are zero."""
-    R = np.array(A, dtype=np.int64, copy=True)
+    one batch elimination (`Echelon` is the incremental one).  R is an int64
+    array of A's shape whose rows past the pivots are zero.
+
+    Over GF(2) the rows are packed into Python ints and reduced by
+    `_rref_gf2_packed`; over GF(2^m), m > 1, a dense loop eliminates one
+    column at a time.  The reduced echelon form of a matrix is unique, so
+    both give the same R and pivots for the same input."""
+    R = np.array(A, dtype=np.int64)
     rows, cols = R.shape
+    if F.m == 1:
+        pivots, packed = _rref_gf2_packed(_pack_gf2(R), cols)
+        R[:] = 0
+        R[: len(pivots)] = _unpack_gf2(packed, cols)
+        return R, pivots
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -144,14 +157,67 @@ def rref(F: FieldCtx, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return R, pivots
 
 
+def _pack_gf2(A: np.ndarray) -> list[int]:
+    """The rows of a 0/1 matrix as Python ints, bit c holding column c
+    (after M4RI's one word per row).  Up to 62 columns one int64 product
+    with the powers of two packs every row at once."""
+    cols = A.shape[1]
+    if cols <= 62:
+        return (A @ (1 << np.arange(cols, dtype=np.int64))).tolist()
+    packed = np.packbits(A.astype(np.uint8), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _unpack_gf2(rows: list[int], cols: int) -> np.ndarray:
+    """The uint8 0/1 matrix whose row i has the bits of rows[i]."""
+    nbytes = (cols + 7) // 8
+    packed = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+    return np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8).reshape(len(rows), nbytes),
+        axis=1, count=cols, bitorder="little",
+    )
+
+
+def _rref_gf2_packed(row_ints, cols: int) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan over GF(2) on bit-packed rows (bit c = column c) of
+    `cols` columns: the pivot columns in increasing order and the reduced
+    pivot rows, one per pivot.  A forward pass reduces each row by its
+    lowest set bit against the pivot rows found so far, and stops once
+    every column has a pivot; the back pass, from the last pivot down,
+    clears each pivot row at the later pivot columns only, whose rows are
+    already reduced and so touch no other pivot column."""
+    piv: dict[int, int] = {}
+    for cur in row_ints:
+        if len(piv) == cols:
+            break
+        cur = int(cur)
+        while cur:
+            c = (cur & -cur).bit_length() - 1
+            row = piv.get(c)
+            if row is None:
+                piv[c] = cur
+                break
+            cur ^= row
+    pivots = sorted(piv)
+    later = 0
+    for c in reversed(pivots):
+        row = piv[c]
+        x = row & later
+        while x:
+            low = x & -x
+            row ^= piv[low.bit_length() - 1]
+            x ^= low
+        piv[c] = row
+        later |= 1 << c
+    return pivots, [piv[c] for c in pivots]
+
+
 def rank(F: FieldCtx, A: np.ndarray) -> int:
     return len(rref(F, A)[1])
 
 
 def kernel(F: FieldCtx, A: np.ndarray) -> np.ndarray:
     """Right null space: rows of the result v satisfy A v = 0."""
-    if F.m == 1 and A.size >= 1 << 16:
-        return _kernel_gf2_packed(A)
     return _kernel_from_rref(*rref(F, A), A.shape[1])
 
 
@@ -176,50 +242,16 @@ def reverse_rref(F: FieldCtx, A: np.ndarray) -> np.ndarray:
     return R[: len(pivots)][::-1, ::-1].copy()
 
 
-def _kernel_gf2_packed(A: np.ndarray) -> np.ndarray:
-    """GF(2) null space with rows packed into Python ints (fast path)."""
-    packed = np.packbits((A & 1).astype(np.uint8), axis=1, bitorder="little")
-    rows = (int.from_bytes(packed[i].tobytes(), "little") for i in range(A.shape[0]))
-    return kernel_gf2_stream(rows, A.shape[1])
-
-
 def kernel_gf2_stream(row_ints, cols: int) -> np.ndarray:
-    """GF(2) null space from an iterable of bit-packed constraint rows, the
-    same basis `kernel` returns.
+    """GF(2) null space from an iterable of bit-packed constraint rows (bit
+    c = column c), the same basis `kernel` returns.
 
     Never materializes a dense matrix of the constraints, so callers can
     stream very wide systems (e.g. equivariance constraints on large
     modules); only the reduced pivot rows are unpacked.
     """
-    piv: dict[int, int] = {}
-    for cur in row_ints:
-        cur = int(cur)
-        while cur:
-            c = (cur & -cur).bit_length() - 1
-            if c in piv:
-                cur ^= piv[c]
-            else:
-                piv[c] = cur
-                break
-    # back-reduce to rref
-    pivots = sorted(piv)
-    for c in reversed(pivots):
-        row = piv[c]
-        x = row & ~(1 << c)
-        while x:
-            lb = x & -x
-            c2 = lb.bit_length() - 1
-            if c2 in piv:
-                row ^= piv[c2]
-            x ^= lb
-        piv[c] = row
-    nbytes = (cols + 7) // 8
-    packed = b"".join(piv[c].to_bytes(nbytes, "little") for c in pivots)
-    R = np.unpackbits(
-        np.frombuffer(packed, dtype=np.uint8).reshape(len(pivots), nbytes),
-        axis=1, count=cols, bitorder="little",
-    )
-    return _kernel_from_rref(R, pivots, cols)
+    pivots, packed = _rref_gf2_packed(row_ints, cols)
+    return _kernel_from_rref(_unpack_gf2(packed, cols), pivots, cols)
 
 
 def solve(

@@ -1,5 +1,6 @@
-"""Shared fixtures, the reference routes to J(kG) and to Theta on kG as a
-G x G-module, and the acceptance-criterion reporting hook."""
+"""Shared fixtures, the reference routes (the dense GF(2) rref, Light's
+test by right multiplication, J(kG) by chop, Theta on kG as a
+G x G-module), and the acceptance-criterion reporting hook."""
 
 from dataclasses import dataclass
 
@@ -13,6 +14,45 @@ _ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
 
 def record_criterion(n: int, name: str, passed: bool) -> None:
     _ACCEPTANCE_RESULTS[n] = (name, passed)
+
+
+def rref_dense_reference(A) -> tuple[np.ndarray, list[int]]:
+    """GF(2) reduced row echelon form by the dense column loop that
+    `linalg.rref` runs over GF(2^m), the reference for its packed GF(2)
+    engine: per pivot column, a row swap and one XOR of the pivot row into
+    every other row with a 1 there (over GF(2) each pivot is 1 and needs
+    no scaling)."""
+    R = np.array(A, dtype=np.int64, copy=True)
+    rows, cols = R.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        nz = np.nonzero(R[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+        touch = np.nonzero(R[:, c])[0]
+        touch = touch[touch != r]
+        if touch.size:
+            R[touch] ^= R[r]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def associative_by_right_light(mult, generators) -> bool:
+    """Light's test with the generator on the right: (x g) y = x (g y) for
+    every generator g and all x, y, by one column gather of the whole
+    table per generator; with every element as a generator it checks
+    associativity outright."""
+    mult = np.asarray(mult, dtype=np.int64)
+    return all(
+        (mult[mult[:, g]] == mult[:, mult[g]]).all() for g in generators
+    )
 
 
 def kg_radical_by_chop(G, F) -> linalg.Subspace:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from symvert import catalog
@@ -17,7 +18,7 @@ from symvert.group import (
     group_to_dict,
 )
 
-from conftest import direct_product
+from conftest import associative_by_right_light, direct_product
 
 S3 = catalog.suite_group("S3")
 S4 = catalog.suite_group("S4")
@@ -429,6 +430,61 @@ def test_table_validation_is_exact():
     with pytest.raises(ValueError, match="do not generate"):
         GroupTable(S3.mult, [S3.involutions()[0]])
     assert GroupTable(S3.mult, None).closure(S3.generators).order == 6
+
+
+def _intercalate_mutants(G, rows):
+    """The Latin squares with identity 0 made from G's table by swapping
+    the entries of one intercalate: rows a < b from `rows` and columns
+    0 < x < y with a x = b y and a y = b x."""
+    m, ids = G.mult, np.arange(G.order)
+    for a in rows:
+        for b in rows:
+            ys = m[G.inv[b], m[a]]  # b y = a x
+            hit = (a < b) & (ids > 0) & (ys > ids) & (m[a, ys] == m[b])
+            for x, y in zip(ids[hit], ys[hit]):
+                M = m.copy()
+                M[[a, b], x], M[[a, b], y] = m[[a, b], y], m[[a, b], x]
+                yield M
+
+
+def _light_verdict(mult, gens) -> bool:
+    try:
+        GroupTable(mult, gens)
+    except ValueError as e:
+        assert "not associative" in str(e)
+        return False
+    return True
+
+
+def test_light_by_left_multiplication_matches_the_reference():
+    for G in ALL:
+        assert _light_verdict(G.mult, G.generators)
+        assert associative_by_right_light(G.mult, G.generators)
+    # the order-5 loop and generator sets of test_table_validation_is_exact
+    loop5 = np.array([
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ])
+    for gens in (None, [1, 2], [1, 2, 3, 4]):
+        ref = associative_by_right_light(loop5, gens or range(5))
+        assert _light_verdict(loop5, gens) is ref is False
+    verdicts = []
+    for name in ("V4", "S3", "D12", "A4", "C3:C4"):
+        G = catalog.suite_group(name)
+        for M in _intercalate_mutants(G, range(1, G.order)):
+            ref = associative_by_right_light(M, range(G.order))
+            assert _light_verdict(M, None) is ref
+            assert _light_verdict(M, list(range(1, G.order))) is ref
+            verdicts.append(ref)
+    assert set(verdicts) == {True, False}
+    # order 336 takes two row blocks; mutants in its last rows
+    G = catalog.suite_group("GL(3,2):2")
+    for _, M in zip(range(2), _intercalate_mutants(G, range(330, 336))):
+        assert associative_by_right_light(M, range(G.order)) is False
+        assert _light_verdict(M, G.generators) is False
 
 
 def test_table_generators_are_derived_greedily():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from symvert import linalg, polys
 from symvert.field import make_field
 
+from conftest import rref_dense_reference
+
 F2 = make_field(1)
 F4 = make_field(2)
 
@@ -268,7 +270,7 @@ def test_echelon_incremental():
 
 
 def test_kernel_gf2_stream_matches_dense():
-    # both routes return the same basis, byte for byte
+    # the streamed basis is the dense reference's, byte for byte
     rng = np.random.default_rng(5)
     shapes = [(10, 17), (1, 1), (5, 3), (3, 9), (12, 64), (7, 70)]
     cases = [rng.integers(0, 2, size=s) for s in shapes]
@@ -279,12 +281,88 @@ def test_kernel_gf2_stream_matches_dense():
     ]
     for A in cases:
         A = A.astype(np.int64)
-        dense = linalg.kernel(F2, A)
+        dense = linalg._kernel_from_rref(*rref_dense_reference(A), A.shape[1])
         ints = [int("".join(str(b) for b in row[::-1]), 2) for row in A]
         stream = linalg.kernel_gf2_stream(iter(ints), A.shape[1])
         assert stream.dtype == dense.dtype == np.int64
         assert stream.shape == dense.shape and stream.tobytes() == dense.tobytes(), A.shape
         assert not linalg.mat_mul(F2, A, stream.T).any()
+
+
+def _assert_rref_is_the_reference(A):
+    R, pivots = linalg.rref(F2, A)
+    R0, pivots0 = rref_dense_reference(A)
+    assert pivots == pivots0
+    assert R.dtype == R0.dtype == np.int64 and R.shape == R0.shape
+    assert R.tobytes() == R0.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 80),
+    st.integers(0, 600),
+    st.floats(0, 1),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["int64", "duplicated", "reversed", "bool", "uint8"]),
+)
+def test_rref_gf2_matches_the_dense_reference(rows, cols, density, seed, kind):
+    # widths on both sides of the 62-column bound of the one-product
+    # packing; the reduced echelon form is unique, so R matches byte for byte
+    A = (np.random.default_rng(seed).random((rows, cols)) < density).astype(np.int64)
+    if kind == "duplicated" and rows:
+        A = A[np.arange(2 * rows) % rows]
+    elif kind == "reversed":
+        A = A[:, ::-1]  # a view, as `reverse_rref` passes it
+    elif kind in ("bool", "uint8"):
+        A = A.astype(kind)
+    _assert_rref_is_the_reference(A)
+
+
+@pytest.mark.parametrize("cols", [0, 1, 8, 62, 63, 64, 65, 130])
+def test_rref_gf2_edge_cases(cols):
+    rng = np.random.default_rng(cols)
+    A = rng.integers(0, 2, size=(cols + 3, cols))
+    for case in (
+        np.zeros((5, cols), dtype=np.int64),
+        np.zeros((0, cols), dtype=np.int64),
+        linalg.eye(cols),
+        linalg.eye(cols)[::-1],
+        np.vstack([A, A]),  # every row twice
+        np.vstack([A[:1]] * 4),
+        A[:, ::-1],
+        A.T,
+        A.astype(bool),
+        A.astype(np.uint8),
+    ):
+        _assert_rref_is_the_reference(case)
+
+
+@pytest.mark.parametrize("rows", [255, 256])
+def test_kernel_takes_one_rref(rows, monkeypatch):
+    # both sides of 2^16 entries: one rref call, the reference basis
+    A = np.random.default_rng(rows).integers(0, 2, size=(rows, 256))
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda F, M: calls.append(F.m) or rref(F, M))
+    K = linalg.kernel(F2, A)
+    assert calls == [1]
+    K0 = linalg._kernel_from_rref(*rref_dense_reference(A), 256)
+    assert K.dtype == K0.dtype and K.shape == K0.shape and K.tobytes() == K0.tobytes()
+
+
+def test_rref_packs_rows_over_gf2_only(monkeypatch):
+    packed = []
+    engine = linalg._rref_gf2_packed
+    monkeypatch.setattr(
+        linalg, "_rref_gf2_packed", lambda rows, cols: packed.append(cols) or engine(rows, cols)
+    )
+    A = np.random.default_rng(4).integers(0, 4, size=(20, 30))
+    K = linalg.kernel(F4, A)
+    assert packed == [] and K.shape == (10, 30)
+    assert not linalg.mat_mul(F4, A, K.T).any()
+    assert linalg.Subspace(F4, 30, K).dim == 10
+    linalg.kernel(F2, A & 1)
+    assert packed == [30]
 
 
 @given(matrices(F4, 4, 7), matrices(F4, 3, 3))
