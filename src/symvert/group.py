@@ -74,9 +74,10 @@ class GroupTable:
         # standalone subgroup tables, keyed by element set; the first entry
         # wins, since its generators fix the element ids callers see
         self.subgroup_tables: dict[tuple[int, ...], tuple] = {}
-        # the irreducibles' actions per field, keyed by (m, modulus), read
-        # only: arrays alone, since modules refer back to the table
-        self.irreducible_actions: dict[tuple[int, int], np.ndarray] = {}
+        # the irreducibles' actions and each row's irreducible, per field,
+        # keyed by (m, modulus), read only: arrays alone, since modules
+        # refer back to the table
+        self.irreducible_actions: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -349,13 +350,19 @@ class Subgroup:
             self.gens = self._find_gens()
 
     def _find_gens(self) -> tuple[int, ...]:
+        # each closure grows the last: the new generator over the closed
+        # set, then every generator over what is new; being closed under
+        # right multiplication by the generators, the result is <gens>
         G = self.parent
         gens: list[int] = []
         have = {0}
         for x in self.elements:
             if x not in have:
                 gens.append(x)
-                have = set(G.closure(gens).elements)
+                new = {G.mul(h, x) for h in have} - have
+                while new:
+                    have |= new
+                    new = {G.mul(y, g) for y in new for g in gens} - have
                 if len(have) == len(self.elements):
                     break
         return tuple(gens)

@@ -302,15 +302,16 @@ def is_nilpotent(F: FieldCtx, A: np.ndarray) -> bool:
 
 def min_poly(F: FieldCtx, A: np.ndarray, coords=None) -> list[int]:
     """Monic minimal polynomial (coefficient list, index = power): the lcm
-    of the unit vectors' local polynomials under A.  With ``coords``, A's
-    minimal polynomial in the unital algebra that ``coords`` maps onto
-    coordinates (a quotient, say): as p(L_A) 1 = p(A), that is the local
-    polynomial of the identity, from the one sequence coords(A^j)."""
+    of the unit vectors' local polynomials under A.  With ``coords = (R,
+    read)``, A's minimal polynomial in the unital algebra that x ->
+    read(x.R) maps linearly onto coordinates (a quotient, say): as
+    p(L_A) 1 = p(A), the local polynomial of the identity, from the one
+    sequence read(A^j.R), built by products of A with R's columns."""
     from . import polys
 
     if coords is not None:
-        powers = _orbit(lambda P: mat_mul(F, A, P), eye(A.shape[0]))
-        return _first_dependency(F, map(coords, powers))
+        R, read = coords
+        return _first_dependency(F, map(read, _orbit(lambda P: mat_mul(F, A, P), R)))
     n = A.shape[0]
     mu = [1]
     for v in eye(n):

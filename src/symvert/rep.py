@@ -29,7 +29,7 @@ import numpy as np
 from . import linalg, polys
 from .field import FieldCtx, make_field
 from .group import GroupTable, Subgroup
-from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul, mat_vec, zeros
+from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul, zeros
 
 
 class ModuleRep:
@@ -231,6 +231,9 @@ def hom_space(
         Ht, elems = subgroup_table(H)
         gens = [(M.action(elems[g]), N.action(elems[g])) for g in Ht.generators]
     dm, dn = M.dim, N.dim
+    # a new vector's images under all generators: v.[A_g^T] and [B_g].W
+    side = np.hstack([A.T for A, _ in gens])
+    stacked = np.concatenate([B for _, B in gens])
     # spun vectors carry their coordinates over the spun basis as trailing
     # columns, so a vector already in the span reduces to its relation
     ech = linalg.Echelon(F, dm)
@@ -239,6 +242,8 @@ def hom_space(
     rels = []  # (c, B_g W_i, seed of b_i) for A_g b_i = sum c_k b_k
     r = 0
     for e in eye(dm):
+        if len(spun) == dm:
+            break
         if not ech.reduce(np.concatenate([e, pad]))[:dm].any():
             continue
         todo = [(e, eye(dn))]
@@ -251,7 +256,8 @@ def hom_space(
                 spun.append(v)
                 words.append(W)
                 seeds.append(r)
-                todo += [(mat_vec(F, A, v), mat_mul(F, B, W)) for A, B in gens]
+                todo += zip(mat_mul(F, v[None], side).reshape(-1, dm),
+                            mat_mul(F, stacked, W).reshape(-1, dn, dn))
             else:
                 rels.append((w[dm:], W, r))
         r += 1
@@ -307,11 +313,12 @@ def regular_end_algebra(G: GroupTable, F: FieldCtx, M: ModuleRep) -> EndoAlgebra
     """E_G(kG) = all right multiplications r(x): v -> v.x (basis for free),
     with its map onto E/J(E) through the irreducibles: r(a) sends the
     identity (id 0) to a, and A.a, A from `_irreducible_actions`, is the
-    action of a on the irreducibles, zero exactly for a in J(kG)."""
+    action of a on the irreducibles, zero exactly for a in J(kG).  Each
+    row of A is labelled by its irreducible."""
     basis = [right_mult_matrix(G, e) for e in eye(G.order)]
     gens = [basis[g] for g in G.generators]
-    A, e0 = _irreducible_actions(G, F), eye(G.order)[:, :1]
-    ss = Semisimple(F, A, e0, np.ones((len(A), 1), dtype=bool))
+    (A, heads), e0 = _irreducible_actions(G, F), eye(G.order)[:, :1]
+    ss = Semisimple(F, A, e0, np.ones((len(A), 1), dtype=bool), heads)
     return EndoAlgebra(M, basis, gens=gens, quotient=ss)
 
 
@@ -496,12 +503,18 @@ class Semisimple:
     irreducibles' actions and R the identity's unit column, all read.  A
     corner's map composes this with the corner's incl and proj into E's
     coordinates; J(fEf) = f.J(E).f is then its kernel too.  Callers use
-    only that kernel, so either map gives the same outputs."""
+    only that kernel and `heads_of`, so either map gives the same outputs.
+
+    `heads` labels each row of L by the simple E-module it reads (the
+    factor, or kG's irreducible).  A primitive f acts as nonzero on just
+    the simples isomorphic to the head of E.f, and M is faithful, so
+    f.M = f'.M exactly when f and f' have the same first label."""
 
     F: FieldCtx
     L: np.ndarray  # p x c
     R: np.ndarray  # c x q
     mask: np.ndarray  # p x q, True on the entries read
+    heads: np.ndarray  # p, the label of the simple module each row reads
 
     @classmethod
     def of(cls, E: EndoAlgebra, seed: int) -> Semisimple:
@@ -512,7 +525,7 @@ class Semisimple:
         Q = np.concatenate([lift for _, lift in factors]).T
         sizes = [len(lift) for _, lift in factors]
         block = np.repeat(np.arange(len(sizes)), sizes)
-        return cls(F, linalg.inverse(F, Q), Q, block[:, None] == block)
+        return cls(F, linalg.inverse(F, Q), Q, block[:, None] == block, block)
 
     def images(self, mats: list[np.ndarray]) -> np.ndarray:
         """One row per matrix: its masked entries, flattened."""
@@ -522,21 +535,31 @@ class Semisimple:
         both = both.reshape(p, len(mats), q)
         return both.transpose(1, 0, 2)[:, self.mask]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.images([x])[0]
+    def read(self, Y: np.ndarray) -> np.ndarray:
+        """x's image from Y = x.R alone: the masked entries of L.Y."""
+        return mat_mul(self.F, self.L, Y)[self.mask]
+
+    def heads_of(self, mats: list[np.ndarray]) -> np.ndarray:
+        """Each matrix's label: the head of the first row of L at which its
+        image is nonzero.  No matrix may lie in the kernel."""
+        rows = np.nonzero(self.mask)[0]
+        return self.heads[rows[(self.images(mats) != 0).argmax(axis=1)]]
 
     def corner(self, incl: np.ndarray, proj: np.ndarray) -> Semisimple:
         """The map of a corner whose elements y sit in this one as incl.y.proj."""
         F = self.F
         L, R = mat_mul(F, self.L, incl), mat_mul(F, proj, self.R)
-        return Semisimple(F, L, R, self.mask)
+        return Semisimple(F, L, R, self.mask, self.heads)
 
-    def kernel(self, E: EndoAlgebra) -> list[np.ndarray]:
-        """J(E): the elements of E that the map sends to zero, as the
-        products of its coefficient vectors with E's flattened basis.  The
-        product runs over bands of rows, about 2^18 basis entries a band,
-        so no flattened copy of the whole basis is made."""
-        coeffs = linalg.kernel(self.F, self.images(E.basis).T)
+    def kernel(self, E: EndoAlgebra, echelon=None) -> list[np.ndarray]:
+        """J(E): the elements of E that the map sends to zero (`echelon`:
+        the rref of images(E.basis).T, if read already), as the products
+        of its coefficient vectors with E's flattened basis.  The product
+        runs over bands of rows, about 2^18 basis entries a band, so no
+        flattened copy of the whole basis is made."""
+        if echelon is None:
+            echelon = linalg.rref(self.F, self.images(E.basis).T)
+        coeffs = linalg._kernel_from_rref(*echelon, E.dim)
         d, e = E.basis[0].shape
         out = np.empty((len(coeffs), d, e), dtype=np.int64)
         rows = max(1, (1 << 18) // (E.dim * e))
@@ -615,11 +638,13 @@ def lift_idempotent(F: FieldCtx, a: np.ndarray, s: int) -> np.ndarray:
     return e
 
 
-def _split_once(E: EndoAlgebra, ss: Semisimple, seed: int) -> np.ndarray | None:
+def _split_once(
+    E: EndoAlgebra, ss: Semisimple, seed: int, lifts: list[np.ndarray] | None = None
+) -> np.ndarray | None:
     """A nontrivial idempotent of E, or None when E is local (ss reads
-    E/J(E))."""
+    E/J(E); `lifts`, when given, is its `semisimple_quotient`)."""
     F = E.module.F
-    lifts = semisimple_quotient(E, ss)
+    lifts = semisimple_quotient(E, ss) if lifts is None else lifts
     r = len(lifts)
     if r == 1:
         return None
@@ -628,7 +653,7 @@ def _split_once(E: EndoAlgebra, ss: Semisimple, seed: int) -> np.ndarray | None:
     draws = coefficient_vectors(F.q, r, rng, 400 - r)
     cands = itertools.chain(lifts, (combine(F, c, lifts) for c in draws))
     for attempt, a in enumerate(cands):
-        mu = linalg.min_poly(F, a, ss)  # a's minimal polynomial in E/J
+        mu = linalg.min_poly(F, a, (ss.R, ss.read))  # a's minimal polynomial in E/J
         fac = polys.factor(F, mu, seed=seed + attempt)
         sqfree = [p for p, _ in fac]
         if len(sqfree) < 2:
@@ -651,36 +676,36 @@ def _split_once(E: EndoAlgebra, ss: Semisimple, seed: int) -> np.ndarray | None:
 
 def _compress_corner(F, mats, e: np.ndarray, incl, proj) -> list[np.ndarray]:
     """A basis of the span of e X e over X in mats, in the component's
-    coordinates: the independent nonzero compressions, in order."""
+    coordinates: the independent nonzero compressions, in order, as the
+    pivots of one rref with the compressions as columns."""
     if not mats:
         return []
+    k, (d, c) = len(mats), incl.shape
     # X e incl for all X stacked, then proj e times all of them side by side
-    right = np.split(mat_mul(F, np.concatenate(mats), mat_mul(F, e, incl)), len(mats))
-    both = mat_mul(F, mat_mul(F, proj, e), np.hstack(right))
-    seen = linalg.Echelon(F, incl.shape[1] ** 2)
-    basis = []
-    for x in np.hsplit(both, len(mats)):
-        if x.any() and seen.insert(x.ravel()):
-            basis.append(x.copy())
-    return basis
+    right = mat_mul(F, np.concatenate(mats), mat_mul(F, e, incl))
+    right = right.reshape(k, d, c).transpose(1, 0, 2).reshape(d, k * c)
+    both = mat_mul(F, mat_mul(F, proj, e), right)
+    flat = both.reshape(c, k, c).transpose(1, 0, 2).reshape(k, c * c)
+    return [flat[i].reshape(c, c) for i in linalg.rref(F, flat.T)[1]]
 
 
 @dataclass
 class Corner:
     """A summand f.M of a module M: its algebra fEf in the summand's
     coordinates, the map reading fEf/J(fEf), incl into M's coordinates and
-    proj back."""
+    proj back, and the algebra's `semisimple_quotient` when already read."""
 
     algebra: EndoAlgebra
     quotient: Semisimple
     incl: np.ndarray
     proj: np.ndarray
+    lifts: list[np.ndarray] | None = None
 
     @classmethod
-    def top(cls, E: EndoAlgebra, ss: Semisimple) -> Corner:
+    def top(cls, E: EndoAlgebra, ss: Semisimple, lifts: list | None = None) -> Corner:
         """The whole module, the corner of the identity."""
         d = E.module.dim
-        return cls(E, ss, eye(d), eye(d))
+        return cls(E, ss, eye(d), eye(d), lifts)
 
     @property
     def idempotent(self) -> np.ndarray:
@@ -694,7 +719,7 @@ def split_corner(c: Corner, seed: int) -> tuple[Corner, Corner] | None:
     indecomposable)."""
     E = c.algebra
     F = E.module.F
-    e = _split_once(E, c.quotient, seed)
+    e = _split_once(E, c.quotient, seed, c.lifts)
     if e is None:
         return None
     halves = []
@@ -717,7 +742,11 @@ def decompose(
     E = endo if endo is not None else end_algebra(M)
     comps: list[Component] = []
     ss = Semisimple.of(E, seed)
-    todo = [(Corner.top(E, ss), seed)]  # splits use seed + depth
+    # one rref of E.basis' images: its pivots lift E/J(E) for the first
+    # split, and its kernel is J(E)
+    echelon = linalg.rref(F, ss.images(E.basis).T)
+    lifts = [E.basis[i] for i in echelon[1]]
+    todo = [(Corner.top(E, ss, lifts), seed)]  # splits use seed + depth
     while todo:
         c, s = todo.pop()
         halves = split_corner(c, s)
@@ -728,14 +757,13 @@ def decompose(
         S = linalg.col_space(F, f)
         comps.append(Component(S, f, c.algebra.module, c.incl, c.proj))
     comps.sort(key=lambda c: (c.module.dim, c.subspace.basis.tobytes()))
-    reps: list[ModuleRep] = []  # one module per isomorphism class
-    for c in comps:
-        iso = (i for i, r in enumerate(reps) if module_iso(c.module, r) is not None)
-        c.iso_class = next(iso, len(reps))
-        if c.iso_class == len(reps):
-            reps.append(c.module)
-    mults = [sum(c.iso_class == i for c in comps) for i in range(len(reps))]
-    return DecompositionCert(M, comps, mults, ss.kernel(E))
+    # classes by head, numbered in order of first appearance
+    heads = ss.heads_of([c.idempotent for c in comps]).tolist()
+    classes = list(dict.fromkeys(heads))
+    for c, h in zip(comps, heads):
+        c.iso_class = classes.index(h)
+    mults = [heads.count(h) for h in classes]
+    return DecompositionCert(M, comps, mults, ss.kernel(E, echelon))
 
 
 def local_quotient(E: EndoAlgebra) -> Semisimple | None:
@@ -757,7 +785,7 @@ def local_quotient(E: EndoAlgebra) -> Semisimple | None:
         gens, i, p = _compress_action(F, gens, Subspace(F, len(proj), W))
         incl, proj, seed = mat_mul(F, incl, i), mat_mul(F, p, proj), seed + 1
     s = len(proj)
-    psi = Semisimple(F, proj, incl, np.ones((s, s), dtype=bool))
+    psi = Semisimple(F, proj, incl, np.ones((s, s), dtype=bool), np.zeros(s, dtype=int))
     N = psi.kernel(E)
     if E.dim - len(N) != s:
         return None
@@ -863,25 +891,29 @@ def _is_trivial(S: ModuleRep) -> bool:
     return S.dim == 1 and all(A[0, 0] == 1 for A in S.gen_matrices)
 
 
-def _irreducible_actions(G: GroupTable, F: FieldCtx) -> np.ndarray:
+def _irreducible_actions(G: GroupTable, F: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
     """The sum(dim S^2) x |G| matrix whose column x holds the actions of x
-    on the irreducibles, flattened: its kernel is J(kG).  Built once per
-    table and field, and kept read-only on the table."""
+    on the irreducibles, flattened: its kernel is J(kG); and each row's
+    irreducible, by index.  Built once per table and field, and kept
+    read-only on the table."""
     key = (F.m, F.modulus)
     if key not in G.irreducible_actions:
+        irr = _irreducibles_by_tensors(G, F)
         A = np.concatenate([
             np.array([S.action(x) for x in range(G.order)]).reshape(G.order, -1).T
-            for S in _irreducibles_by_tensors(G, F)
+            for S in irr
         ])
-        A.setflags(write=False)
-        G.irreducible_actions[key] = A
+        heads = np.repeat(np.arange(len(irr)), [S.dim**2 for S in irr])
+        for a in (A, heads):
+            a.setflags(write=False)
+        G.irreducible_actions[key] = A, heads
     return G.irreducible_actions[key]
 
 
 def group_algebra_radical(G: GroupTable, F: FieldCtx) -> Subspace:
     """J(kG) as a subspace of kG (coordinates over the group-element basis):
     the elements acting as zero on every irreducible module."""
-    return Subspace(F, G.order, linalg.kernel(F, _irreducible_actions(G, F)))
+    return Subspace(F, G.order, linalg.kernel(F, _irreducible_actions(G, F)[0]))
 
 
 @dataclass

@@ -1,6 +1,8 @@
 """Shared fixtures, the reference routes (the dense GF(2) rref, Light's
-test by right multiplication, J(kG) by chop, Theta on kG as a
-G x G-module), and the acceptance-criterion reporting hook."""
+test by right multiplication, J(kG) by chop, summand classes by
+module_iso, corner bases by Echelon, subgroup generators by fresh
+closures, Theta on kG as a G x G-module), and the acceptance-criterion
+reporting hook."""
 
 from dataclasses import dataclass
 
@@ -63,6 +65,46 @@ def kg_radical_by_chop(G, F) -> linalg.Subspace:
     acts = [np.concatenate([S.action(x).ravel() for S in irreps])
             for x in range(G.order)]
     return linalg.Subspace(F, G.order, linalg.kernel(F, np.array(acts).T))
+
+
+def iso_classes_by_module_iso(modules) -> tuple[list[int], list[int]]:
+    """Each summand's class and each class's multiplicity, numbered in
+    order of first appearance by one `rep.module_iso` against each class
+    found so far: the reference for `rep.decompose`'s classes by head."""
+    reps, classes = [], []
+    for m in modules:
+        iso = (i for i, r in enumerate(reps) if rep.module_iso(m, r) is not None)
+        classes.append(next(iso, len(reps)))
+        if classes[-1] == len(reps):
+            reps.append(m)
+    return classes, [classes.count(i) for i in range(len(reps))]
+
+
+def compress_corner_by_echelon(F, mats, e, incl, proj) -> list[np.ndarray]:
+    """The span of e X e over X in mats in the component's coordinates, by
+    the greedy `Echelon` selection: each nonzero compression that is
+    independent of those kept before it.  The reference for
+    `rep._compress_corner`, which reads the same ones off one rref."""
+    seen, basis = linalg.Echelon(F, incl.shape[1] ** 2), []
+    for X in mats:
+        x = linalg.mat_mul(F, linalg.mat_mul(F, proj, e), linalg.mat_mul(
+            F, X, linalg.mat_mul(F, e, incl)))
+        if x.any() and seen.insert(x.ravel()):
+            basis.append(x)
+    return basis
+
+
+def gens_by_fresh_closure(G: GroupTable, elements) -> tuple[int, ...]:
+    """`Subgroup._find_gens` with the closure recomputed from scratch after
+    each generator it adds: the reference for its incremental closure."""
+    gens, have = [], {0}
+    for x in sorted(elements):
+        if x not in have:
+            gens.append(x)
+            have = set(G.closure(gens).elements)
+            if len(have) == len(elements):
+                break
+    return tuple(gens)
 
 
 def direct_product(G: GroupTable, H: GroupTable) -> tuple[GroupTable, "ProductMaps"]:

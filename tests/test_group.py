@@ -13,12 +13,13 @@ from symvert import catalog
 from symvert.group import (
     FeasibilityError,
     GroupTable,
+    Subgroup,
     from_permutations,
     group_from_dict,
     group_to_dict,
 )
 
-from conftest import associative_by_right_light, direct_product
+from conftest import associative_by_right_light, direct_product, gens_by_fresh_closure
 
 S3 = catalog.suite_group("S3")
 S4 = catalog.suite_group("S4")
@@ -510,3 +511,19 @@ def test_serialization_round_trip(tmp_path):
 
 def test_feasibility_error_type():
     assert issubclass(FeasibilityError, Exception)
+
+
+@pytest.mark.parametrize("name", catalog.SUITE_NAMES)
+def test_find_gens_matches_the_fresh_closure(name):
+    # the generators fix the element ids of subgroup tables, so the grown
+    # closure must pick the same ones as a closure recomputed per generator
+    G = catalog.suite_group(name)
+    P = G.sylow2()
+    subs = [G.full_subgroup(), P, *G.all_subgroups_of(P)]
+    subs += [G.normalizer(H) for H in G.two_subgroups_up_to_conjugacy()]
+    subs += [G.centralizer(c.rep) for c in G.conjugacy_classes()]
+    subs += [G.extended_centralizer(c.rep) for c in G.conjugacy_classes()]
+    for H in subs:
+        gens = Subgroup(G, H.elements, None).gens
+        assert gens == gens_by_fresh_closure(G, H.elements), (name, H.order)
+        assert G.closure(list(gens)).elements == H.elements

@@ -17,7 +17,11 @@ from symvert import catalog, linalg, polys, rep
 from symvert.field import make_field, splitting_degree
 from symvert.group import GroupTable, from_permutations, load_group
 
-from conftest import kg_radical_by_chop
+from conftest import (
+    compress_corner_by_echelon,
+    iso_classes_by_module_iso,
+    kg_radical_by_chop,
+)
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -249,18 +253,24 @@ def test_tensor_closure_runs_once_per_table_and_field(monkeypatch):
 
 
 def test_a_fresh_table_computes_its_own_irreducible_actions(monkeypatch):
-    A = rep._irreducible_actions(S3, F2)
+    A, heads = rep._irreducible_actions(S3, F2)
     G = GroupTable(S3.mult, S3.generators, perms=S3.perms)
     dims = record_chop_dims(monkeypatch)
-    B = rep._irreducible_actions(G, F2)
+    B, labels = rep._irreducible_actions(G, F2)
     assert dims and B is not A and (B == A).all()
+    assert labels is not heads and (labels == heads).all()
 
 
 def test_stored_irreducible_actions_are_read_only():
-    A = rep._irreducible_actions(S3, F2)
-    assert A is S3.irreducible_actions[1, F2.modulus]
+    A, heads = stored = rep._irreducible_actions(S3, F2)
+    assert stored is S3.irreducible_actions[1, F2.modulus]
+    # one head label per row: the irreducible's index, dim S^2 rows each
+    # (the 2-dim irreducible comes first, from the permutation module)
+    assert heads.tolist() == [0, 0, 0, 0, 1]
     with pytest.raises(ValueError, match="read-only"):
         A[0, 0] ^= 1
+    with pytest.raises(ValueError, match="read-only"):
+        heads[0] = 1
 
 
 def test_irreducible_actions_keep_no_cycle_through_the_table():
@@ -620,7 +630,7 @@ def test_local_quotient_over_a_residue_field_extension():
     psi = rep.local_quotient(E)
     assert E.dim == 2 and psi is not None and psi.L.shape == (2, 2)
     assert psi.kernel(E) == []
-    assert all(psi(x).any() for x in E.basis)
+    assert psi.images(E.basis).any(axis=1).all()
 
 
 def test_module_serialization_round_trip(tmp_path):
@@ -751,7 +761,7 @@ def test_quotient_min_poly_matches_left_multiplication(label, M, monkeypatch):
     imgs = ss.images(lifts).T
 
     def quo_coords(f):
-        x, _ = linalg.solve(F, imgs, ss(f))
+        x, _ = linalg.solve(F, imgs, ss.images([f])[0])
         assert x is not None, label
         return x
 
@@ -761,7 +771,7 @@ def test_quotient_min_poly_matches_left_multiplication(label, M, monkeypatch):
     for a in itertools.islice(cands, 20):
         # reference: the matrix of left multiplication by a on E/J
         La = np.array([quo_coords(linalg.mat_mul(F, a, b)) for b in lifts]).T
-        mu = linalg.min_poly(F, a, ss)
+        mu = linalg.min_poly(F, a, (ss.R, ss.read))
         assert mu == linalg.min_poly(F, La), label
         degrees.add(polys.deg(mu))
     assert min(degrees) < r, label  # some La is not cyclic
@@ -780,3 +790,143 @@ def test_quotient_min_poly_matches_left_multiplication(label, M, monkeypatch):
     assert attempts == list(range(seed, seed + len(attempts)))
     assert len(calls) == len(attempts) >= 1
     assert (e is None) == (label == "SL(2,3)-irreducible-gf2")
+
+
+# -- classes by head ------------------------------------------------------
+
+
+def _class_cases():
+    # direct sums of catalogue modules, with repeated summands so that a
+    # primitive idempotent acts on several composition factors, and kG
+    # through regular_end_algebra's map
+    for F in (F2, F4):
+        for name in ("S3", "A4", "S4", "SL(2,3)"):
+            G = catalog.suite_group(name)
+            P, k = rep.permutation_module(G, F), rep.trivial_module(G, F)
+            irr = rep.irreducible_modules(G, F)
+            yield f"{name}-perm+perm+k-gf{F.q}", rep.direct_sum([P, P, k]), None
+            yield f"{name}-irr+irr-gf{F.q}", rep.direct_sum(irr + irr[::-1]), None
+            M = rep.regular_module(G, F)
+            yield f"{name}-regular-gf{F.q}", M, rep.regular_end_algebra(G, F, M)
+
+
+@pytest.mark.parametrize("seed", [0, 20240401])
+@pytest.mark.parametrize("label, M, endo", list(_class_cases()))
+def test_classes_by_head_match_module_iso(label, M, endo, seed):
+    cert = rep.decompose(M, seed=seed, endo=endo)
+    classes, mults = iso_classes_by_module_iso([c.module for c in cert.components])
+    assert [c.iso_class for c in cert.components] == classes, label
+    assert cert.multiplicities == mults, label
+
+
+def _nonzero_factors(ss, x) -> list[int]:
+    """The labels of the rows of L at which x's image is nonzero."""
+    Y = linalg.mat_mul(ss.F, ss.L, linalg.mat_mul(ss.F, x, ss.R))
+    return sorted({int(ss.heads[i]) for i in range(len(Y)) if Y[i][ss.mask[i]].any()})
+
+
+def _label_cases():
+    # S3's 2-dim irreducible and k, twice each: E = M_2(k) x M_2(k), and
+    # each 2-dim summand acts on both factors of its copy's kind; and S4's
+    # permutation module twice over GF(4)
+    S = [m for m in rep.irreducible_modules(S3, F2) if m.dim == 2][0]
+    k = rep.trivial_module(S3, F2)
+    for M in (rep.direct_sum([S, k, S, k]),
+              rep.direct_sum([rep.permutation_module(S4, F4)] * 2)):
+        E = rep.end_algebra(M)
+        ss = rep.Semisimple.of(E, 0)
+        cert = rep.decompose(M, endo=E)
+        rng = random.Random(1)
+        J = linalg.Subspace(M.F, M.dim**2, np.array([x.ravel() for x in cert.radical]))
+        xs = [linalg.combine(M.F, [rng.randrange(M.F.q) for _ in E.basis], E.basis)
+              for _ in range(20)]
+        xs = [x for x in xs if not J.contains(x.ravel())]
+        yield ss, cert, xs
+
+
+def _labels_are_first_factors(heads_of) -> bool:
+    for ss, cert, xs in _label_cases():
+        mats = [c.idempotent for c in cert.components] + xs
+        if heads_of(ss, mats).tolist() != [_nonzero_factors(ss, x)[0] for x in mats]:
+            return False
+    return True
+
+
+def test_heads_of_reads_the_first_nonzero_factor():
+    assert _labels_are_first_factors(rep.Semisimple.heads_of)
+    for ss, cert, xs in _label_cases():
+        # the factors each summand acts on: those isomorphic to its head,
+        # the same for every summand of a class, and a partition of them
+        seen = {}
+        for c in cert.components:
+            on = _nonzero_factors(ss, c.idempotent)
+            assert seen.setdefault(c.iso_class, on) == on
+        covered = sorted(t for on in seen.values() for t in on)
+        assert covered == sorted(set(ss.heads.tolist()))
+        assert max(len(on) for on in seen.values()) > 1  # first != last somewhere
+        assert len(xs) >= 10
+
+
+def test_a_last_nonzero_factor_mutant_fails():
+    # both the first and the last nonzero factor name the head, so classes
+    # alone cannot tell them apart; the labels themselves can
+    def last(ss, mats):
+        rows = np.nonzero(ss.mask)[0]
+        nz = ss.images(mats) != 0
+        return ss.heads[rows[nz.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)]]
+
+    assert not _labels_are_first_factors(last)
+
+
+def _power_cases():
+    # kG's map through the irreducibles, a chop map, and their corners'
+    M = rep.regular_module(S4, F2)
+    N = rep.direct_sum([rep.permutation_module(A4, F4)] * 2)
+    for label, E in (("S4-regular-gf2", rep.regular_end_algebra(S4, F2, M)),
+                     ("A4-perm+perm-gf4", rep.end_algebra(N))):
+        ss = rep.Semisimple.of(E, 0)
+        yield label, E, ss
+        halves = rep.split_corner(rep.Corner.top(E, ss), 0)
+        for c in halves:
+            yield label + "-corner", c.algebra, c.quotient
+
+
+@pytest.mark.parametrize("label, E, ss", list(_power_cases()))
+def test_right_built_power_images_match_explicit_powers(label, E, ss):
+    F, d = E.module.F, E.module.dim
+    rng = random.Random(2)
+    for _ in range(4):
+        a = linalg.combine(F, [rng.randrange(F.q) for _ in E.basis], E.basis)
+        powers, Y = [linalg.eye(d)], ss.R
+        for j in range(d + 1):
+            assert (ss.read(Y) == ss.images([powers[-1]])[0]).all(), (label, j)
+            powers.append(linalg.mat_mul(F, a, powers[-1]))
+            Y = linalg.mat_mul(F, a, Y)
+        # the minimal polynomial in E/J: the first dependency of the images
+        # of the explicit powers, as before
+        want = linalg._first_dependency(F, ss.images(powers))
+        assert linalg.min_poly(F, a, (ss.R, ss.read)) == want, label
+
+
+@pytest.mark.parametrize("seed", [0, 20240401])
+def test_compress_corner_matches_the_echelon_greedy(seed):
+    compared = 0
+    for label, M in _corner_modules():
+        F = M.F
+        E = rep.end_algebra(M)
+        e = rep._split_once(E, rep.Semisimple.of(E, seed), seed)
+        if e is None:
+            continue
+        # zero and repeated compressions, which the greedy skips, in an
+        # order that is no palindrome
+        mats = [linalg.zeros(M.dim, M.dim)] + E.basis[::-1] + E.basis[1::2]
+        for part in (e, e ^ linalg.eye(M.dim)):
+            _, incl, proj = rep.sub_module(M, linalg.col_space(F, part))
+            got = rep._compress_corner(F, mats, part, incl, proj)
+            want = compress_corner_by_echelon(F, mats, part, incl, proj)
+            assert len(got) == len(want), label
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and x.shape == y.shape, label
+                assert x.tobytes() == y.tobytes(), label
+            compared += 1
+    assert compared >= 20
