@@ -217,7 +217,7 @@ def block_of_module(M: ModuleRep, blocks: list[BlockInfo] | None = None) -> Bloc
 
 def _lies_in(M: ModuleRep, b: BlockInfo) -> bool:
     """Whether the block idempotent acts as the identity on M."""
-    acts = [M.action(g) for g in range(M.group.order)]
+    acts = M.full_action()
     return bool((combine(M.F, b.group_algebra_vector, acts) == eye(M.dim)).all())
 
 

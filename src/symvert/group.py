@@ -6,7 +6,8 @@ ints; id 0 is the identity.  Subgroups are id sets tied to a parent table.
 All queries are pure; tables are immutable after load.  Conjugacy, coset,
 order and class queries are numpy gathers over `mult` and `inv`, tested
 against boolean membership masks; `closure` is a set-based breadth-first
-search, which beats a gather per round on the small subgroups it builds.
+search over lists of the generators' columns, which beats a gather per
+round on the small subgroups it builds.
 """
 
 from __future__ import annotations
@@ -181,11 +182,12 @@ class GroupTable:
         elems = {0}
         frontier = [0]
         gens = [g for g in gens if g != 0]
+        cols = [self.mult[:, g].tolist() for g in gens]  # x -> x g
         while frontier:
             nxt = []
             for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
+                for col in cols:
+                    y = col[x]
                     if y not in elems:
                         elems.add(y)
                         nxt.append(y)
@@ -221,6 +223,7 @@ class GroupTable:
             target //= 2
         target = amb.order // target  # 2-part
         P = self.trivial_subgroup()
+        squares = np.diagonal(self.mult).tolist()
         while P.order < target:
             N = self.normalizer(P, within=amb)
             ps = set(P.elements)
@@ -235,7 +238,7 @@ class GroupTable:
                     if t in ps:
                         ok = True
                         break
-                    t = self.mul(t, t)
+                    t = squares[t]
                 if not ok:
                     continue
                 cand = self.closure(list(P.gens or P.elements) + [x])
@@ -248,15 +251,19 @@ class GroupTable:
         return P
 
     def all_subgroups_of(self, P: "Subgroup") -> list["Subgroup"]:
-        """Every subgroup of P (brute-force lattice walk; P small)."""
+        """Every subgroup of P (brute-force lattice walk; P small).  Each
+        H grows by one x per left coset x H, its first element in P's
+        order, as <H, x> = <H, y> for every y in x H."""
         seen: dict[tuple, Subgroup] = {(0,): self.trivial_subgroup()}
         frontier = [self.trivial_subgroup()]
         while frontier:
             nxt = []
             for H in frontier:
+                done = H.mask()  # the cosets x H walked so far, H itself first
                 for x in P.elements:
-                    if x in H.elements:
+                    if done[x]:
                         continue
+                    done[self.mult[x, H.elements]] = True
                     K = self.closure(list(H.gens or H.elements) + [x])
                     if K.elements not in seen:
                         seen[K.elements] = K
@@ -355,14 +362,16 @@ class Subgroup:
         # right multiplication by the generators, the result is <gens>
         G = self.parent
         gens: list[int] = []
+        cols: list[list[int]] = []  # y -> y g for each generator g
         have = {0}
         for x in self.elements:
             if x not in have:
                 gens.append(x)
-                new = {G.mul(h, x) for h in have} - have
+                cols.append(G.mult[:, x].tolist())
+                new = {cols[-1][h] for h in have} - have
                 while new:
                     have |= new
-                    new = {G.mul(y, g) for y in new for g in gens} - have
+                    new = {col[y] for y in new for col in cols} - have
                 if len(have) == len(self.elements):
                     break
         return tuple(gens)

@@ -60,14 +60,15 @@ def rel_trace_batch(
     d = M.dim
     h = len(fs)
     C = np.concatenate(fs, axis=1)  # d x (h d)
+    acts = M.full_action()
     acc = zeros(h * d, d)  # rows (j, a): the traces stacked
     step = max(1, TRACE_CHUNK_ENTRIES // (h * d * d))
     for i in range(0, len(trans), step):
         ts = trans[i : i + step]
         s = len(ts)
-        Y = mat_mul(F, np.concatenate([M.action(t) for t in ts]), C)
+        Y = mat_mul(F, acts[ts].reshape(s * d, d), C)
         Y = Y.reshape(s, d, h, d).transpose(2, 1, 0, 3).reshape(h * d, s * d)
-        acc ^= mat_mul(F, Y, np.concatenate([M.action_inv(t) for t in ts]))
+        acc ^= mat_mul(F, Y, acts[G.inv[ts]].reshape(s * d, d))
     return [t.copy() for t in acc.reshape(h, d, d)]
 
 
@@ -92,9 +93,9 @@ def first_unit(
     costs one row of another."""
     F, d, s = M.F, M.dim, len(unit.L)
     trans = M.group.left_transversal(H)
-    n = len(trans)
-    U = mat_mul(F, unit.L, np.concatenate([M.action(t) for t in trans], axis=1))
-    V = mat_mul(F, np.concatenate([M.action_inv(t) for t in trans]), unit.R)
+    n, acts = len(trans), M.full_action()
+    U = mat_mul(F, unit.L, acts[trans].transpose(1, 0, 2).reshape(d, n * d))
+    V = mat_mul(F, acts[M.group.inv[trans]].reshape(n * d, d), unit.R)
     W = mat_mul(F, U.reshape(s, n, d).transpose(0, 2, 1).reshape(s * d, n),
                 V.reshape(n, d * s))  # rows (a, i), columns (j, b)
     W = W.reshape(s, d, d, s).transpose(1, 2, 0, 3).reshape(d * d, s * s)

@@ -1,8 +1,9 @@
 """Shared fixtures, the reference routes (the dense GF(2) rref, Light's
 test by right multiplication, J(kG) by chop, summand classes by
 module_iso, corner bases by Echelon, subgroup generators by fresh
-closures, Theta on kG as a G x G-module), and the acceptance-criterion
-reporting hook."""
+closures, subgroup lattices by every element, a module's whole-group
+action one element at a time, Theta on kG as a G x G-module), and the
+acceptance-criterion reporting hook."""
 
 from dataclasses import dataclass
 
@@ -105,6 +106,44 @@ def gens_by_fresh_closure(G: GroupTable, elements) -> tuple[int, ...]:
             if len(have) == len(elements):
                 break
     return tuple(gens)
+
+
+def all_subgroups_by_every_element(G: GroupTable, P: Subgroup) -> list[Subgroup]:
+    """`GroupTable.all_subgroups_of` with one closure per element x of P
+    outside H, not one per left coset x H: the reference for its coset
+    walk."""
+    seen = {(0,): G.trivial_subgroup()}
+    frontier = [G.trivial_subgroup()]
+    while frontier:
+        nxt = []
+        for H in frontier:
+            for x in P.elements:
+                if x not in H.elements:
+                    K = G.closure(list(H.gens or H.elements) + [x])
+                    if K.elements not in seen:
+                        seen[K.elements] = K
+                        nxt.append(K)
+        frontier = nxt
+    return sorted(seen.values(), key=lambda h: (h.order, h.elements))
+
+
+def full_action_by_elements(M: rep.ModuleRep) -> dict[int, np.ndarray]:
+    """rho(x) for every x, one `mat_mul` per element on the breadth-first
+    tree of the Cayley graph: the reference for `ModuleRep.full_action`,
+    which takes one stacked product per generator per level."""
+    G = M.group
+    act = {0: linalg.eye(M.dim)}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g, A in zip(G.generators, M.gen_matrices):
+                y = G.mul(x, g)
+                if y not in act:
+                    act[y] = linalg.mat_mul(M.F, act[x], A)
+                    nxt.append(y)
+        frontier = nxt
+    return act
 
 
 def direct_product(G: GroupTable, H: GroupTable) -> tuple[GroupTable, "ProductMaps"]:

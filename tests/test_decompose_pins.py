@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from symvert import catalog, rep
+from symvert import catalog, linalg, rep
 from symvert.field import make_field
 
 PINS = {
@@ -204,17 +204,39 @@ def pims_digest(ps: list[rep.PimInfo]) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("name, kind, m, seed", list(PINS))
-def test_decomposition_is_pinned(name, kind, m, seed):
+def pinned_digest(name, kind, m, seed) -> str:
     G, F = catalog.suite_group(name), make_field(m)
     if kind == "pims":
-        got = pims_digest(rep.pims(G, F, seed=seed))
-    elif kind == "irreducibles":
+        return pims_digest(rep.pims(G, F, seed=seed))
+    if kind == "irreducibles":
         h = hashlib.sha256()
         for S in rep.irreducible_modules(G, F, seed=seed):
             _feed(h, S.gen_matrices)
-        got = h.hexdigest()
-    else:
-        module = rep.regular_module if kind == "regular" else rep.permutation_module
-        got = cert_digest(rep.decompose(module(G, F), seed=seed))
-    assert got == PINS[name, kind, m, seed]
+        return h.hexdigest()
+    module = rep.regular_module if kind == "regular" else rep.permutation_module
+    return cert_digest(rep.decompose(module(G, F), seed=seed))
+
+
+@pytest.mark.parametrize("name, kind, m, seed", list(PINS))
+def test_decomposition_is_pinned(name, kind, m, seed):
+    assert pinned_digest(name, kind, m, seed) == PINS[name, kind, m, seed]
+
+
+@pytest.mark.parametrize(
+    "name, kind, m, seed", [k for k in PINS if k[1] != "irreducibles"]
+)
+def test_corner_bases_have_full_rank(name, kind, m, seed, monkeypatch):
+    # `split_corner` skips the rank check of its corner algebras, whose
+    # bases are the pivots of one rref; rank each basis it builds here
+    bases, compress = [], rep._compress_corner
+
+    def recording(*args):
+        bases.append(compress(*args))
+        return bases[-1]
+
+    monkeypatch.setattr(rep, "_compress_corner", recording)
+    assert pinned_digest(name, kind, m, seed) == PINS[name, kind, m, seed]
+    F = make_field(m)  # S4's permutation module is indecomposable: no corners
+    for basis in bases:
+        flat = np.array([b.ravel() for b in basis])
+        assert linalg.rank(F, flat) == len(basis)

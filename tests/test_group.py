@@ -19,7 +19,12 @@ from symvert.group import (
     group_to_dict,
 )
 
-from conftest import associative_by_right_light, direct_product, gens_by_fresh_closure
+from conftest import (
+    all_subgroups_by_every_element,
+    associative_by_right_light,
+    direct_product,
+    gens_by_fresh_closure,
+)
 
 S3 = catalog.suite_group("S3")
 S4 = catalog.suite_group("S4")
@@ -527,3 +532,14 @@ def test_find_gens_matches_the_fresh_closure(name):
         gens = Subgroup(G, H.elements, None).gens
         assert gens == gens_by_fresh_closure(G, H.elements), (name, H.order)
         assert G.closure(list(gens)).elements == H.elements
+
+
+@pytest.mark.parametrize("name", catalog.SUITE_NAMES)
+def test_subgroup_lattice_by_cosets_matches_every_element(name):
+    # one closure per left coset x H finds each subgroup first from the
+    # same x, so elements and generators match the walk over every x
+    G = catalog.suite_group(name)
+    P = G.sylow2()
+    got = G.all_subgroups_of(P)
+    want = all_subgroups_by_every_element(G, P)
+    assert [(H.elements, H.gens) for H in got] == [(H.elements, H.gens) for H in want]

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symvert import linalg, polys
@@ -372,6 +372,38 @@ def test_reverse_rref_gives_the_kernel_basis(A, T):
     # any spanning set of the null space is brought to the same basis
     spanning = np.vstack([linalg.mat_mul(F4, T, K[:3]), K[::-1]])
     assert (linalg.reverse_rref(F4, spanning) == K).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([F2, F4]),
+    st.integers(0, 70),
+    st.integers(0, 80),
+    st.sampled_from(["random", "sparse", "zero", "full-rank"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(F2, 0, 0, "zero", 0)
+@example(F2, 63, 0, "random", 0)  # empty
+@example(F2, 62, 5, "zero", 0)
+@example(F2, 64, 70, "random", 1)
+@example(F4, 65, 3, "full-rank", 2)
+def test_kernel_is_a_fixed_point_of_reverse_rref(F, cols, rows, kind, seed):
+    # the Kronecker Hom route returns `kernel`'s basis as `reverse_rref`
+    # would bring it, with no second elimination; columns cross the 62 and
+    # 64 of one packed GF(2) word
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        A = linalg.zeros(rows, cols)
+    elif kind == "full-rank":  # a trivial kernel, and an empty one to bring
+        A = np.vstack([linalg.eye(cols), rng.integers(0, F.q, size=(rows, cols))])
+    else:
+        A = rng.integers(0, F.q, size=(rows, cols))
+        if kind == "sparse":
+            A *= rng.random((rows, cols)) < 0.1
+    K = linalg.kernel(F, A)
+    assert K.shape == (cols - linalg.rank(F, A), cols)
+    assert not linalg.mat_mul(F, A, K.T).any()
+    assert (linalg.reverse_rref(F, K) == K).all()
 
 
 @given(matrices(F4, 2, 2), matrices(F4, 2, 2), matrices(F4, 2, 2), matrices(F4, 2, 2))

@@ -19,6 +19,7 @@ from symvert.group import GroupTable, from_permutations, load_group
 
 from conftest import (
     compress_corner_by_echelon,
+    full_action_by_elements,
     iso_classes_by_module_iso,
     kg_radical_by_chop,
 )
@@ -45,6 +46,48 @@ def test_regular_module_is_faithful_action():
         for b in range(6):
             lhs = linalg.mat_mul(F2, M.action(a), M.action(b))
             assert (lhs == M.action(S3.mul(a, b))).all()
+
+
+def action_cases():
+    # kG of GL(3,2):2 would hold 336^3 entries twice over
+    for name, m in itertools.product(catalog.SUITE_NAMES, (1, 2)):
+        yield name, m, "perm"
+        if catalog.suite_group(name).order <= 120:
+            yield name, m, "regular"
+
+
+@pytest.mark.parametrize("name, m, kind", list(action_cases()))
+def test_full_action_matches_the_element_reference(name, m, kind):
+    G, F = catalog.suite_group(name), make_field(m)
+    build = rep.permutation_module if kind == "perm" else rep.regular_module
+    M = build(G, F)
+    acts, want = M.full_action(), full_action_by_elements(M)
+    assert acts.shape == (G.order, M.dim, M.dim) and acts.dtype == np.int64
+    for x in range(G.order):
+        assert acts[x].tobytes() == want[x].tobytes()
+        assert M.action(x).tobytes() == want[x].tobytes()
+        assert M.action_inv(x).tobytes() == want[G.inverse(x)].tobytes()
+
+
+def test_full_action_is_read_only():
+    M = rep.regular_module(S3, F2)
+    for view in (M.action(1), M.action_inv(1), M.full_action()):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] ^= 1
+    assert (M.action(0) == np.eye(6, dtype=np.int64)).all()
+
+
+def test_checked_module_rejects_broken_actions():
+    P = rep.permutation_module(S3, F2).gen_matrices
+    with pytest.raises(ValueError, match="do not satisfy the group relations"):
+        rep.ModuleRep(S3, F2, [P[0], P[0]])  # the first matrix for both
+    # a table whose generator list is cut to one of its generators
+    for cut in ([S3.generators[0]], [S3.generators[1]]):
+        G = GroupTable(S3.mult, S3.generators)
+        G.generators = cut
+        A = rep.regular_module(S3, F2).action(cut[0])
+        with pytest.raises(ValueError, match="generators do not generate the group"):
+            rep.ModuleRep(G, F2, [A])
 
 
 def test_permutation_module_column_sums():
@@ -359,10 +402,12 @@ def test_hom_space_frobenius_reciprocity():
     assert lhs == rhs
 
 
-def test_hom_space_streaming_path_matches_small_path():
-    # three copies of the regular module crosses the bit-packed threshold
+def test_hom_space_of_kg_cubed_is_its_commutant():
+    # 72^2 = 5,184 unknowns, far above the Kronecker route's bound: the
+    # spin route
     M3 = rep.direct_sum([rep.regular_module(S4, F2)] * 3)
     assert M3.dim * M3.dim >= 4096
+    assert M3.dim * M3.dim > rep.HOM_KRON_UNKNOWNS
     basis = rep.hom_space(M3, M3)
     assert len(basis) == 9 * S4.order  # End(kG^3) = M_3(End(kG))
     for X in basis[:5]:
@@ -430,6 +475,14 @@ def test_hom_space_matches_kronecker_reference(case):
     for X, Y in zip(got, want):
         assert X.shape == (N.dim, M.dim)
         assert (X == Y).all()
+    # both routes on every case, so the spin route stays tested below the
+    # bound and the Kronecker route above it
+    pairs = rep._hom_pairs(M, N, H)
+    for route in (rep._hom_by_kron, rep._hom_by_spin):
+        basis = route(M.F, pairs)
+        assert [(X.dtype, X.shape, X.tobytes()) for X in basis] == [
+            (Y.dtype, Y.shape, Y.tobytes()) for Y in got
+        ]
 
 
 def spin_reference(F, vecs, gens):
