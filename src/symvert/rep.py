@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from dataclasses import InitVar, dataclass, field
 
@@ -901,14 +902,16 @@ def is_selfdual(M: ModuleRep) -> bool:
 # -- irreducibles, PIMs ---------------------------------------------------
 
 
-def irreducible_modules(G: GroupTable, F: FieldCtx, seed: int = 0) -> list[ModuleRep]:
-    """All irreducible modules: the factors of a composition series of the
-    regular module, one per isomorphism class."""
-    out: list[ModuleRep] = []
-    for mats, _ in chop(F, regular_module(G, F).gen_matrices, G.order, seed=seed):
-        S = ModuleRep(G, F, mats, check=False)
-        if all(module_iso(S, r) is None for r in out):
-            out.append(S)
+def irreducible_modules(G: GroupTable, F: FieldCtx) -> list[ModuleRep]:
+    """One module per isomorphism class of irreducibles, read back from
+    `_irreducible_actions`: irreducible i's rows, each generator's column
+    reshaped d x d.  Sorted stably by dimension."""
+    A, heads = _irreducible_actions(G, F)
+    out = []
+    for i, n in enumerate(np.bincount(heads)):
+        rows, d = A[heads == i], math.isqrt(int(n))
+        mats = [rows[:, g].reshape(d, d) for g in G.generators]
+        out.append(ModuleRep(G, F, mats, check=False))
     out.sort(key=lambda m: m.dim)
     return out
 
@@ -928,14 +931,20 @@ def simple_module_count(G: GroupTable, F: FieldCtx) -> int:
     return orbits
 
 
-def _irreducibles_by_tensors(G: GroupTable, F: FieldCtx) -> list[ModuleRep]:
-    """One module per isomorphism class of irreducibles, without chopping
-    kG: the composition factors of the permutation module (faithful; kG
-    itself for a group without permutation labels), then of S (x) T for
-    pairs of non-trivial ones found so far.  Every irreducible is a factor
-    of some tensor power of a faithful module (Burnside, Brauer; Steinberg,
-    Proc. AMS 13, 1962), so the pairs reach them all; the search stops at
+def _irreducible_actions(G: GroupTable, F: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
+    """The sum(dim S^2) x |G| matrix whose column x holds the actions of x
+    on the irreducibles, flattened (its kernel is J(kG)), and each row's
+    irreducible, by index; built once per table and field and kept
+    read-only on the table, with no module.  The irreducibles are the
+    composition factors of the permutation module (faithful; kG for a
+    group without permutation labels), then of S (x) T for pairs of
+    non-trivial ones found so far.  Every irreducible is a factor of some
+    tensor power of a faithful module (Burnside, Brauer; Steinberg, Proc.
+    AMS 13, 1962), so the pairs reach them all; the search stops at
     `simple_module_count`, and running out of pairs short of it is a bug."""
+    key = (F.m, F.modulus)
+    if key in G.irreducible_actions:
+        return G.irreducible_actions[key]
     count = simple_module_count(G, F)
     found: list[ModuleRep] = []
 
@@ -954,27 +963,16 @@ def _irreducibles_by_tensors(G: GroupTable, F: FieldCtx) -> list[ModuleRep]:
                 keep([linalg.kron(F, A, B) for A, B in pairs], S.dim * T.dim)
     if len(found) < count:
         raise AssertionError(f"tensor closure found {len(found)} of {count} irreducibles")
-    return found
+    A = np.concatenate([S.full_action().reshape(G.order, -1).T for S in found])
+    heads = np.repeat(np.arange(len(found)), [S.dim**2 for S in found])
+    for a in (A, heads):
+        a.setflags(write=False)
+    G.irreducible_actions[key] = A, heads
+    return A, heads
 
 
 def _is_trivial(S: ModuleRep) -> bool:
     return S.dim == 1 and all(A[0, 0] == 1 for A in S.gen_matrices)
-
-
-def _irreducible_actions(G: GroupTable, F: FieldCtx) -> tuple[np.ndarray, np.ndarray]:
-    """The sum(dim S^2) x |G| matrix whose column x holds the actions of x
-    on the irreducibles, flattened: its kernel is J(kG); and each row's
-    irreducible, by index.  Built once per table and field, and kept
-    read-only on the table."""
-    key = (F.m, F.modulus)
-    if key not in G.irreducible_actions:
-        irr = _irreducibles_by_tensors(G, F)
-        A = np.concatenate([S.full_action().reshape(G.order, -1).T for S in irr])
-        heads = np.repeat(np.arange(len(irr)), [S.dim**2 for S in irr])
-        for a in (A, heads):
-            a.setflags(write=False)
-        G.irreducible_actions[key] = A, heads
-    return G.irreducible_actions[key]
 
 
 def group_algebra_radical(G: GroupTable, F: FieldCtx) -> Subspace:

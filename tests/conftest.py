@@ -1,9 +1,10 @@
 """Shared fixtures, the reference routes (the dense GF(2) rref, Light's
-test by right multiplication, J(kG) by chop, summand classes by
-module_iso, corner bases by Echelon, subgroup generators by fresh
-closures, subgroup lattices by every element, a module's whole-group
-action one element at a time, Theta on kG as a G x G-module), and the
-acceptance-criterion reporting hook."""
+test by right multiplication, the irreducibles and J(kG) by chopping kG,
+summand classes by module_iso, corner bases by Echelon, subgroup
+generators by fresh closures, subgroup lattices by every element, a
+module's whole-group action one element at a time, Theta on kG as a
+G x G-module, a block's nondegeneracy through the regular module), and
+the acceptance-criterion reporting hook."""
 
 from dataclasses import dataclass
 
@@ -58,14 +59,46 @@ def associative_by_right_light(mult, generators) -> bool:
     )
 
 
+def irreducibles_by_chop(G, F, seed=0) -> list[rep.ModuleRep]:
+    """All irreducible modules: the factors of a composition series of the
+    regular module, one per isomorphism class.  The reference for
+    `rep.irreducible_modules`, which reads them off the tensor closure."""
+    out: list[rep.ModuleRep] = []
+    kG = rep.regular_module(G, F)
+    for mats, _ in rep.chop(F, kG.gen_matrices, G.order, seed=seed):
+        S = rep.ModuleRep(G, F, mats, check=False)
+        if all(rep.module_iso(S, r) is None for r in out):
+            out.append(S)
+    out.sort(key=lambda m: m.dim)
+    return out
+
+
 def kg_radical_by_chop(G, F) -> linalg.Subspace:
-    """J(kG) through `rep.irreducible_modules`, the factors of a composition
+    """J(kG) through `irreducibles_by_chop`, the factors of a composition
     series of kG: the reference that the tests compare the library's J(kG)
     against, which comes from the irreducibles found by tensor closure."""
-    irreps = rep.irreducible_modules(G, F)
+    irreps = irreducibles_by_chop(G, F)
     acts = [np.concatenate([S.action(x).ravel() for S in irreps])
             for x in range(G.order)]
     return linalg.Subspace(F, G.order, linalg.kernel(F, np.array(acts).T))
+
+
+def block_nondegenerate_reference(G, F, b) -> bool:
+    """Whether the orthonormal form on kG is nondegenerate on kG.b, with
+    kG.b the column space of right multiplication by b in the regular
+    module: the reference for `blocks.verify_theorem_vertexBlock`'s test
+    of b's |G|-vector."""
+    # permutation matrices preserve the orthonormal form: no invariance check
+    kG = rep.regular_module(G, F)
+    orthonormal = forms.GForm(kG, linalg.eye(G.order), check=False)
+    S = linalg.col_space(F, rep.right_mult_matrix(G, b.group_algebra_vector))
+    return forms.is_nondegenerate_on(orthonormal, S)
+
+
+def fresh_table(G: GroupTable) -> GroupTable:
+    """G's table again, with nothing cached on it: the first use of its
+    irreducibles over a field runs the tensor closure anew."""
+    return GroupTable(G.mult, G.generators, perms=G.perms)
 
 
 def iso_classes_by_module_iso(modules) -> tuple[list[int], list[int]]:

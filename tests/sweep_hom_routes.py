@@ -28,7 +28,7 @@ def pool(G, F):
     yield "perm", rep.permutation_module(G, F)
     if G.order <= 24:
         yield "regular", rep.regular_module(G, F)
-    for i, S in enumerate(rep._irreducibles_by_tensors(G, F)):
+    for i, S in enumerate(rep.irreducible_modules(G, F)):
         yield f"irr{i}", S
 
 

@@ -425,7 +425,7 @@ def test_criterion_09_block_theorem():
     for name in ("S3", "D12", "SL(2,3)", "S4", "S5", "GL(3,2):2"):
         G = catalog.suite_group(name)
         if name == "GL(3,2):2":  # its PIMs take seconds: the irreducibles alone
-            sample = rep._irreducibles_by_tensors(G, F2)
+            sample = rep.irreducible_modules(G, F2)
         else:
             sample = list(rep.irreducible_modules(G, F2)) + [
                 p.pim for p in group_pims(name)

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from symvert import blocks, catalog, forms, linalg, rep
 from symvert.field import make_field, splitting_degree
-from symvert.group import GroupTable, from_permutations
+from symvert.group import GroupTable, group_from_dict
 from symvert.linalg import mat_mul
 
 from conftest import (
+    block_nondegenerate_reference,
     dense_theta,
     regular_bimodule,
     theta_reference,
@@ -125,7 +126,9 @@ def test_blocks_sl23():
     assert b0.defect_group.order == 8  # quaternion Sylow
 
 
-C7 = from_permutations(7, [[2, 3, 4, 5, 6, 7, 1]])
+# built from a group file's data, as the CLI builds them
+C3 = group_from_dict({"points": 3, "generators": [[2, 3, 1]]})
+C7 = group_from_dict({"points": 7, "generators": [[2, 3, 4, 5, 6, 7, 1]]})
 
 
 def test_central_character():
@@ -265,12 +268,50 @@ FIELDS = [(name, m) for name in catalog.SUITE_NAMES
 @pytest.mark.parametrize("name,m", FIELDS)
 def test_vertex_block_theorem_on_every_real_block(name, m):
     G, F, bl = _real_blocks(name, m)
-    irreps = rep._irreducibles_by_tensors(G, F)
+    irreps = rep.irreducible_modules(G, F)
     for b in bl:
         r = blocks.verify_theorem_vertexBlock(G, F, b, irreps)
         assert r.part_i and r.part_ii and r.part_iii is True
         assert r.details["B1_nondegenerate_on_block"]
         assert r.theta.sigma_fixed and r.theta.trace_is_block
+
+
+NONDEG_GROUPS = {name: catalog.suite_group(name) for name in catalog.SUITE_NAMES}
+NONDEG_GROUPS.update(C3=C3, C7=C7)
+NONDEG_CASES = [(name, m) for name in catalog.SUITE_NAMES for m in (1, 2)]
+NONDEG_CASES += [("C3", 2), ("C7", 3)]
+
+
+@pytest.mark.parametrize("name,m", NONDEG_CASES)
+def test_block_nondegeneracy_is_reality(name, m):
+    # the orthonormal form on kG.b through the regular module, b.real, and
+    # sigma(b) = b on b's |G|-vector agree on every block; the catalogue's
+    # blocks are all real, C3 over GF(4) and C7 over GF(8) have non-real ones
+    G, F = NONDEG_GROUPS[name], make_field(m)
+    bl = blocks.block_decomposition(G, F)
+    for b in bl:
+        v = b.group_algebra_vector
+        fixed = bool((v[G.inv] == v).all())
+        assert block_nondegenerate_reference(G, F, b) == b.real == fixed, name
+        if not b.real:
+            with pytest.raises(ValueError, match="real blocks"):
+                blocks.verify_theorem_vertexBlock(G, F, b, [])
+    assert all(b.real for b in bl) == (name not in ("C3", "C7")), name
+
+
+def test_vertex_block_theorem_on_s6():
+    # beyond the catalogue: S6 from (1 2) and (1 2 3 4 5 6), both real
+    # blocks over GF(2), its irreducibles as the sample modules
+    G = group_from_dict({"points": 6, "generators": [[2, 1, 3, 4, 5, 6],
+                                                     [2, 3, 4, 5, 6, 1]]})
+    assert G.order == 720
+    irreps = rep.irreducible_modules(G, F2)
+    real = [b for b in blocks.block_decomposition(G, F2) if b.real]
+    assert len(real) == 2
+    for b in real:
+        r = blocks.verify_theorem_vertexBlock(G, F2, b, irreps)
+        assert r.part_i and r.part_ii and r.part_iii is True
+        assert r.details["B1_nondegenerate_on_block"]
 
 
 @pytest.mark.parametrize("m", [1, 4])

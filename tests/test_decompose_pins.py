@@ -3,11 +3,15 @@
 Each digest is a sha256 over the int64 bytes (and shapes) of a
 `DecompositionCert`'s idempotents, iso classes, multiplicities and
 `radical`, of the PIM and head generator matrices and multiplicity of
-each `pims` entry, or of the generator matrices of `irreducible_modules`.
-They were recorded while E/J(E) was still read by a reduction modulo a
-basis of J(E), and the irreducibles rebuilt as sub-quotients of kG.  They
-pin that reading E/J(E) off the composition series instead, and taking
-the irreducibles from `chop`'s factor matrices, moves no output."""
+each `pims` entry, or of the generator matrices of a list of
+irreducibles: kind `irreducibles` for conftest's `irreducibles_by_chop`
+(the factors of a composition series of kG, at each seed), kind
+`irreducible_modules` for `rep.irreducible_modules` (read off the tensor
+closure, no seed).  They were recorded while E/J(E) was still read by a
+reduction modulo a basis of J(E), and the irreducibles rebuilt as
+sub-quotients of kG.  They pin that reading E/J(E) off the composition
+series instead, and taking the irreducibles from `chop`'s factor
+matrices, moves no output."""
 
 import hashlib
 
@@ -16,6 +20,8 @@ import pytest
 
 from symvert import catalog, linalg, rep
 from symvert.field import make_field
+
+from conftest import irreducibles_by_chop
 
 PINS = {
     ("S3", "regular", 1, 0):
@@ -178,6 +184,30 @@ PINS = {
         "ea5dd960123073d917ead0c7eec03480b048d746695f2baf4c6c7d0e75ee2d29",
     ("SL(2,3)", "irreducibles", 2, 20240401):
         "48de9f5df6c3b11985fa980d768a0d2acb1b6d59564b6eb275235673bdb22e00",
+    ("S3", "irreducible_modules", 1, None):
+        "3b6b354afe1ae778c7d1f1f84a4f8231bab8e3920cfd9f4dc974b875ec5e4503",
+    ("S3", "irreducible_modules", 2, None):
+        "3b6b354afe1ae778c7d1f1f84a4f8231bab8e3920cfd9f4dc974b875ec5e4503",
+    ("D12", "irreducible_modules", 1, None):
+        "e9ea6926505cff28d3bf4983f1a92146f320849aa4b325d615b113e467db7c10",
+    ("D12", "irreducible_modules", 2, None):
+        "e9ea6926505cff28d3bf4983f1a92146f320849aa4b325d615b113e467db7c10",
+    ("A4", "irreducible_modules", 1, None):
+        "610ff64b61517eae5dab1497c706b204ed6b2daa61b70c3da48c85bd92b4fce6",
+    ("A4", "irreducible_modules", 2, None):
+        "48de9f5df6c3b11985fa980d768a0d2acb1b6d59564b6eb275235673bdb22e00",
+    ("C3:C4", "irreducible_modules", 1, None):
+        "e9ea6926505cff28d3bf4983f1a92146f320849aa4b325d615b113e467db7c10",
+    ("C3:C4", "irreducible_modules", 2, None):
+        "e9ea6926505cff28d3bf4983f1a92146f320849aa4b325d615b113e467db7c10",
+    ("S4", "irreducible_modules", 1, None):
+        "acc4a5b4708bc2f5bceb4d7d1b6c2b0c5ab601258fb047112aaedd4f4295f23e",
+    ("S4", "irreducible_modules", 2, None):
+        "acc4a5b4708bc2f5bceb4d7d1b6c2b0c5ab601258fb047112aaedd4f4295f23e",
+    ("SL(2,3)", "irreducible_modules", 1, None):
+        "610ff64b61517eae5dab1497c706b204ed6b2daa61b70c3da48c85bd92b4fce6",
+    ("SL(2,3)", "irreducible_modules", 2, None):
+        "af41dd155501629ccdc2720bb288ca2a545d241fa00abd8a19852115101fe91f",
 }
 
 
@@ -208,9 +238,11 @@ def pinned_digest(name, kind, m, seed) -> str:
     G, F = catalog.suite_group(name), make_field(m)
     if kind == "pims":
         return pims_digest(rep.pims(G, F, seed=seed))
-    if kind == "irreducibles":
+    if kind in ("irreducibles", "irreducible_modules"):
         h = hashlib.sha256()
-        for S in rep.irreducible_modules(G, F, seed=seed):
+        irr = (irreducibles_by_chop(G, F, seed) if kind == "irreducibles"
+               else rep.irreducible_modules(G, F))
+        for S in irr:
             _feed(h, S.gen_matrices)
         return h.hexdigest()
     module = rep.regular_module if kind == "regular" else rep.permutation_module
@@ -223,7 +255,7 @@ def test_decomposition_is_pinned(name, kind, m, seed):
 
 
 @pytest.mark.parametrize(
-    "name, kind, m, seed", [k for k in PINS if k[1] != "irreducibles"]
+    "name, kind, m, seed", [k for k in PINS if not k[1].startswith("irreducible")]
 )
 def test_corner_bases_have_full_rank(name, kind, m, seed, monkeypatch):
     # `split_corner` skips the rank check of its corner algebras, whose

@@ -13,13 +13,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symvert import catalog, linalg, polys, rep
+from symvert import blocks, catalog, linalg, polys, rep
 from symvert.field import make_field, splitting_degree
 from symvert.group import GroupTable, from_permutations, load_group
 
 from conftest import (
     compress_corner_by_echelon,
+    fresh_table,
     full_action_by_elements,
+    irreducibles_by_chop,
     iso_classes_by_module_iso,
     kg_radical_by_chop,
 )
@@ -232,25 +234,27 @@ CLOSURE_CASES = [
 
 @pytest.mark.parametrize("name,m", CLOSURE_CASES)
 def test_tensor_closure_finds_the_irreducibles_of_kG(monkeypatch, name, m):
-    # reference: the factors of a composition series of kG
-    G, F = catalog.suite_group(name), make_field(m)
-    ref = rep.irreducible_modules(G, F)
+    # reference: the factors of a composition series of kG; a fresh table,
+    # as the catalogue's may already hold its irreducibles' actions
+    G, F = fresh_table(catalog.suite_group(name)), make_field(m)
+    ref = irreducibles_by_chop(G, F)
     assert rep.simple_module_count(G, F) == len(ref)
     dims = record_chop_dims(monkeypatch)
-    got = rep._irreducibles_by_tensors(G, F)
+    got = rep.irreducible_modules(G, F)
     # kG is chopped only where the permutation module is kG (C2, V4)
     assert G.order not in dims or len(G.perms[0]) == G.order
     assert len(got) == len(ref)
     for S in got:
+        S._validate()  # read back from the stored actions, checked exactly
         assert sum(rep.module_iso(S, R) is not None for R in ref) == 1, (name, m)
 
 
 @pytest.mark.parametrize("m", [1, splitting_degree(catalog.suite_group("GL(3,2):2"))])
 def test_tensor_closure_gl32_2(monkeypatch, m):
     # kG has 336 dimensions (its chop takes 9 s over GF(2)): count and dims only
-    G, F = catalog.suite_group("GL(3,2):2"), make_field(m)
+    G, F = fresh_table(catalog.suite_group("GL(3,2):2")), make_field(m)
     dims = record_chop_dims(monkeypatch)
-    got = rep._irreducibles_by_tensors(G, F)
+    got = rep.irreducible_modules(G, F)
     assert rep.simple_module_count(G, F) == 3
     assert sorted(S.dim for S in got) == [1, 6, 8]
     assert max(dims) <= 64
@@ -260,8 +264,8 @@ def test_tensor_closure_on_a_table_without_permutations():
     # no permutation labels: the faithful module is kG itself
     G = GroupTable(S4.mult, S4.generators)
     assert G.perms is None
-    got = rep._irreducibles_by_tensors(G, F4)
-    ref = rep.irreducible_modules(G, F4)
+    got = rep.irreducible_modules(G, F4)
+    ref = irreducibles_by_chop(G, F4)
     assert len(got) == len(ref) == 2
     assert all(any(rep.module_iso(S, R) is not None for R in ref) for S in got)
 
@@ -270,19 +274,18 @@ def test_tensor_closure_on_a_table_without_permutations():
 def test_tensor_closure_short_of_the_count_raises(monkeypatch, name):
     # a count one too large: the pairs run out, and that is a bug (exit 4);
     # a fresh table, as the catalogue's may already hold its irreducibles' actions
-    G = catalog.suite_group(name)
-    G = GroupTable(G.mult, G.generators, perms=G.perms)
+    G = fresh_table(catalog.suite_group(name))
     real = rep.simple_module_count
     monkeypatch.setattr(rep, "simple_module_count", lambda G, F: real(G, F) + 1)
     with pytest.raises(AssertionError, match="tensor closure"):
-        rep._irreducibles_by_tensors(G, F2)
+        rep.irreducible_modules(G, F2)
     M = rep.regular_module(G, F2)
     with pytest.raises(AssertionError, match="tensor closure"):
         rep.regular_end_algebra(G, F2, M)
 
 
 def test_tensor_closure_runs_once_per_table_and_field(monkeypatch):
-    G = GroupTable(S4.mult, S4.generators, perms=S4.perms)
+    G = fresh_table(S4)
     dims = record_chop_dims(monkeypatch)
     for F in (F2, F4):
         rep.group_algebra_radical(G, F)
@@ -291,13 +294,18 @@ def test_tensor_closure_runs_once_per_table_and_field(monkeypatch):
         rep.pims(G, F)
         rep.regular_end_algebra(G, F, rep.regular_module(G, F))
         rep.group_algebra_radical(G, F)
+        irr = rep.irreducible_modules(G, F)
+        real = [b for b in blocks.block_decomposition(G, F) if b.real]
+        assert real, F
+        for b in real:
+            assert blocks.verify_theorem_vertexBlock(G, F, b, irr).part_ii, F
         assert dims == [], F
     assert sorted(G.irreducible_actions) == [(1, F2.modulus), (2, F4.modulus)]
 
 
 def test_a_fresh_table_computes_its_own_irreducible_actions(monkeypatch):
     A, heads = rep._irreducible_actions(S3, F2)
-    G = GroupTable(S3.mult, S3.generators, perms=S3.perms)
+    G = fresh_table(S3)
     dims = record_chop_dims(monkeypatch)
     B, labels = rep._irreducible_actions(G, F2)
     assert dims and B is not A and (B == A).all()
