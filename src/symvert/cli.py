@@ -55,8 +55,7 @@ def cmd_vertices(args) -> int:
     if M.dim > args.bound_dim:
         print("error: input exceeds feasibility bounds", file=sys.stderr)
         return EXIT_INFEASIBLE
-    unit = rep.local_quotient(rep.end_algebra(M))
-    if unit is None:
+    if M.unit_map is None:
         print("error: module is decomposable", file=sys.stderr)
         return EXIT_PARSE
     F = M.F
@@ -66,7 +65,7 @@ def cmd_vertices(args) -> int:
                "reason": "module has no nondegenerate invariant symmetric form"}
         _emit(out, args)
         return EXIT_OK
-    report = vertex.classify_case(M, base, seed=args.seed, unit=unit)
+    report = vertex.classify_case(M, base, seed=args.seed)
     out = {"meta": _meta(F, args), **vertex.report_to_dict(report)}
     _emit(out, args)
     return EXIT_OK
@@ -143,9 +142,8 @@ def _verify_oracle_small(args) -> list[tuple[str, Callable[[], bool]]]:
                 m for m in rep.irreducible_modules(G, F) if m.dim <= 8
             ]
             for M in mods:
-                unit = rep.local_quotient(rep.end_algebra(M))
                 for H in G.two_subgroups_up_to_conjugacy():
-                    got = vertex.is_projective(M, H, unit).projective
+                    got = vertex.is_projective(M, H).projective
                     ind, _ = rep.induce(rep.restrict(M, H), H)
                     want = vertex.is_summand(M, ind)
                     if got != want:

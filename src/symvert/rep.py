@@ -17,11 +17,13 @@ find a separating element of E/J(E), lift an idempotent with the
 repeated-squaring device, and recurse on both summands, each corner
 reading its own quotient through the same map composed with its inclusion.
 `local_quotient` decides whether E is local from one simple E-submodule,
-and then that submodule's map reads E/J(E).
+and then that submodule's map reads E/J(E); a module keeps its own as
+`ModuleRep.unit_map`, read at most once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -105,6 +107,13 @@ class ModuleRep:
             acts.setflags(write=False)
             self._action = acts
         return self._action
+
+    @functools.cached_property
+    def unit_map(self) -> Semisimple | None:
+        """psi of `local_quotient` for E_G(M), read once and kept: nonzero
+        exactly on the units of the local algebra E_G(M); None when M is
+        decomposable."""
+        return local_quotient(end_algebra(self))
 
     def action(self, x: int) -> np.ndarray:
         return self.full_action()[x]
@@ -875,7 +884,7 @@ def local_quotient(E: EndoAlgebra) -> Semisimple | None:
 def is_indecomposable(M: ModuleRep) -> bool:
     # indecomposable iff the endomorphism algebra is local (its residue
     # algebra may be a proper field extension of the base field)
-    return local_quotient(end_algebra(M)) is not None
+    return M.unit_map is not None
 
 
 # -- isomorphism ----------------------------------------------------------
@@ -904,14 +913,19 @@ def is_selfdual(M: ModuleRep) -> bool:
 
 def irreducible_modules(G: GroupTable, F: FieldCtx) -> list[ModuleRep]:
     """One module per isomorphism class of irreducibles, read back from
-    `_irreducible_actions`: irreducible i's rows, each generator's column
-    reshaped d x d.  Sorted stably by dimension."""
+    `_irreducible_actions`: irreducible i's rows, transposed and reshaped
+    to the (|G|, d, d) whole-group action, kept read-only on the module,
+    with each generator's matrix copied out of it.  Sorted stably by
+    dimension."""
     A, heads = _irreducible_actions(G, F)
     out = []
     for i, n in enumerate(np.bincount(heads)):
-        rows, d = A[heads == i], math.isqrt(int(n))
-        mats = [rows[:, g].reshape(d, d) for g in G.generators]
-        out.append(ModuleRep(G, F, mats, check=False))
+        d = math.isqrt(int(n))
+        acts = A[heads == i].T.reshape(G.order, d, d)
+        acts.setflags(write=False)
+        S = ModuleRep(G, F, [acts[g].copy() for g in G.generators], check=False)
+        S._action = acts
+        out.append(S)
     out.sort(key=lambda m: m.dim)
     return out
 

@@ -11,11 +11,14 @@ and the way they sit over the Green vertex splits into three cases driven
 by the self-duality and symmetric type of the sources.
 
 Every "is some trace a unit?" question runs through one map: for
-indecomposable M, E_G(M) is local, and `rep.local_quotient` gives
-psi(x) = P.x.R0, x on one simple E_G(M)-submodule, nonzero exactly on the
-units.  psi(tr_H^G f) is linear in f, so one dual trace (`first_unit`)
-finds the first basis element with a unit trace u, and alpha = b.u^-1 is
-the projectivity certificate, tr_H^G(alpha) = 1.
+indecomposable M, E_G(M) is local, and `ModuleRep.unit_map`, read once
+per module by `rep.local_quotient`, is psi(x) = P.x.R0, x on one simple
+E_G(M)-submodule, nonzero exactly on the units.  psi(tr_H^G f) is linear
+in f, so one dual trace (`first_unit`) finds the first f with a unit
+trace: the basis element b of the projectivity certificate alpha =
+b.tr(b)^-1, tr_H^G(alpha) = 1; the self-adjoint element of a symmetric
+vertex; the case-I witness; and the component f of Res_V M with
+tr_V^G(f.alpha) a unit, whose image is a source.
 """
 
 from __future__ import annotations
@@ -82,20 +85,19 @@ class ProjectivityCert:
     endo_basis: list[np.ndarray] | None = None  # the basis of E_H(M) solved over
 
 
-def first_unit(
-    M: ModuleRep, unit: rep.Semisimple, fs: list[np.ndarray], H: Subgroup
-) -> int | None:
-    """The first i with tr_H^G(fs[i]) a unit of E_G(M), by one dual trace.
-    unit is the map psi = P.x.R0 of `rep.local_quotient`: E_G(M) is local,
-    and x is a unit exactly when psi(x) != 0.  Entry (a, b) of psi(tr(f)) is
-    <W_ab, f>, where W_ab sums (P.rho(t))[a, :]^T (rho(t)^-1.R0)[:, b] over
-    the transversal: one product gives the s^2 matrices W_ab, and each f
-    costs one row of another."""
-    F, d, s = M.F, M.dim, len(unit.L)
+def first_unit(M: ModuleRep, fs: list[np.ndarray], H: Subgroup) -> int | None:
+    """The first i with tr_H^G(fs[i]) a unit of E_G(M), by one dual trace;
+    ValueError for decomposable M.  psi = P.x.R0 is `M.unit_map`: E_G(M)
+    is local, and x is a unit exactly when psi(x) != 0.  Entry (a, b) of
+    psi(tr(f)) is <W_ab, f>, where W_ab sums (P.rho(t))[a, :]^T
+    (rho(t)^-1.R0)[:, b] over the transversal: one product gives the s^2
+    matrices W_ab, and each f costs one row of another."""
+    psi = _local_map(M)
+    F, d, s = M.F, M.dim, len(psi.L)
     trans = M.group.left_transversal(H)
     n, acts = len(trans), M.full_action()
-    U = mat_mul(F, unit.L, acts[trans].transpose(1, 0, 2).reshape(d, n * d))
-    V = mat_mul(F, acts[M.group.inv[trans]].reshape(n * d, d), unit.R)
+    U = mat_mul(F, psi.L, acts[trans].transpose(1, 0, 2).reshape(d, n * d))
+    V = mat_mul(F, acts[M.group.inv[trans]].reshape(n * d, d), psi.R)
     W = mat_mul(F, U.reshape(s, n, d).transpose(0, 2, 1).reshape(s * d, n),
                 V.reshape(n, d * s))  # rows (a, i), columns (j, b)
     W = W.reshape(s, d, d, s).transpose(1, 2, 0, 3).reshape(d * d, s * s)
@@ -103,25 +105,21 @@ def first_unit(
     return int(hits[0]) if len(hits) else None
 
 
-def _local_map(M: ModuleRep, unit: rep.Semisimple | None) -> rep.Semisimple:
-    """unit, or the map of `rep.local_quotient` for E_G(M) when it is None."""
-    unit = unit or rep.local_quotient(rep.end_algebra(M))
-    if unit is None:
+def _local_map(M: ModuleRep) -> rep.Semisimple:
+    """`M.unit_map`; ValueError when M is decomposable."""
+    if M.unit_map is None:
         raise ValueError("module is decomposable")
-    return unit
+    return M.unit_map
 
 
-def is_projective(
-    M: ModuleRep, H: Subgroup, unit: rep.Semisimple | None = None
-) -> ProjectivityCert:
+def is_projective(M: ModuleRep, H: Subgroup) -> ProjectivityCert:
     """Whether M is H-projective: alpha in E_H(M) with tr_H^G(alpha) = 1.
 
     The trace image is an ideal of E_G(M), so it holds 1 exactly when it
-    holds a unit.  unit is the map psi of `rep.local_quotient` for E_G(M)
-    (computed when not given).  For indecomposable M, `first_unit` finds
-    a basis element b with u = tr(b) a unit, and alpha = b.u^-1: as u^-1
-    commutes with G, tr(alpha) = tr(b).u^-1 = 1.  For decomposable M (psi is
-    None) a solve on the traces of the whole basis finds alpha.  There is
+    holds a unit.  For indecomposable M, `first_unit` finds a basis element
+    b with u = tr(b) a unit, and alpha = b.u^-1: as u^-1 commutes with G,
+    tr(alpha) = tr(b).u^-1 = 1.  For decomposable M (`M.unit_map` is None)
+    a solve on the traces of the whole basis finds alpha.  There is
     no alpha when |G:H|_2 does not divide dim M (Green): by linearity M is
     H-projective over the algebraic closure too, where each indecomposable
     summand X has a vertex Q <=_G H, and |G:Q|_2 divides dim X.
@@ -131,12 +129,11 @@ def is_projective(
     basis = [] if M.dim % (index & -index) else rep.hom_space(M, M, H)
     if not basis:
         return ProjectivityCert(False, None)
-    unit = unit or rep.local_quotient(rep.end_algebra(M))
-    if unit is None:
+    if M.unit_map is None:
         A = np.array([t.ravel() for t in rel_trace_batch(M, basis, H)]).T
         x, _ = linalg.solve(F, A, eye(M.dim).ravel())
         alpha = None if x is None else combine(F, x, basis)
-    elif (i := first_unit(M, unit, basis, H)) is not None:
+    elif (i := first_unit(M, basis, H)) is not None:
         alpha = mat_mul(F, basis[i], linalg.inverse(F, rel_trace(M, basis[i], H)))
     else:
         alpha = None
@@ -166,8 +163,7 @@ def is_summand(M: ModuleRep, N: ModuleRep) -> bool:
 
 
 def _is_orth_summand_of_induced(
-    M: ModuleRep, base: GForm, Z: ModuleRep, BZ: GForm, V: Subgroup,
-    unit: rep.Semisimple | None = None,
+    M: ModuleRep, base: GForm, Z: ModuleRep, BZ: GForm, V: Subgroup
 ) -> np.ndarray | None:
     """A b in Hom_V(Res_V M, Z) whose reciprocity map phi_b: M -> Ind_V^G Z,
     m -> sum over t of t (x) b(t^-1 m), pulls the induced form of BZ back
@@ -182,12 +178,10 @@ def _is_orth_summand_of_induced(
     GF(2), c^2 = c makes it multilinear), so it takes a unit value exactly
     when some theta is a unit.  b_i is a witness for a unit theta_ii, and
     b_i + b_j for a unit theta_ij once no theta_ii is one.  The first unit
-    theta is found by one dual trace through `unit`, the map psi of
-    `rep.local_quotient` for E_G(M) (computed when not given): theta is a
+    theta is found by one dual trace through `M.unit_map`: theta is a
     unit exactly when psi(theta) != 0, so no theta itself is traced.
     """
     F = M.F
-    unit = _local_map(M, unit)
     downs = rep.hom_space(rep.restrict(M, V), Z)
     if not downs:
         return None
@@ -203,7 +197,7 @@ def _is_orth_summand_of_induced(
     pairs = [(i, i) for i in range(len(downs))]
     pairs += list(itertools.combinations(range(len(downs)), 2))
     ends = [block(i, i) if i == j else block(i, j) ^ block(j, i) for i, j in pairs]
-    k = first_unit(M, unit, ends, V)
+    k = first_unit(M, ends, V)
     if k is None:
         return None
     i, j = pairs[k]
@@ -229,31 +223,33 @@ class GreenVertexInfo:
     vertex: Subgroup
     cert: ProjectivityCert
     sources: list[SourceInfo]
-    unit: rep.Semisimple  # psi of `rep.local_quotient` for E_G(M)
 
 
 def green_vertex(
-    M: ModuleRep, with_sources: bool = True, seed: int = 0,
-    unit: rep.Semisimple | None = None,
+    M: ModuleRep, with_sources: bool = True, seed: int = 0
 ) -> GreenVertexInfo:
     """The vertex of an indecomposable module: a minimal 2-subgroup V with
     M relatively V-projective, found ascending the 2-subgroup classes.
 
     The sources, the indecomposable kV-modules Z with M | Ind_V^G Z, are
-    the N_G(V)-conjugates of one of them (Green): of f.Res_V M for the f
-    that `descend_to_source` reaches, the images of the V-endomorphisms
-    rho(t).f.rho(t)^-1 over t in N_G(V), one per isomorphism class.  A
-    trivial V makes M projective, and its one source is the trivial module
-    of the trivial group: no descent is needed, and cert.alpha is still
-    returned.  `unit` is the map psi of `rep.local_quotient` for E_G(M),
-    computed when not given; a decomposable M raises ValueError."""
+    the N_G(V)-conjugates of one of them (Green): f.Res_V M for the first
+    component f of `rep.decompose(Res_V M)` over the basis of E_V(M) that
+    `is_projective` solved over with tr_V^G(f.alpha) a unit of E_G(M),
+    tr_V^G(alpha) = 1.  The components' traces sum to tr(alpha) = 1 and
+    E_G(M) is local, so one of them is a unit; f.alpha factors through
+    f.M, so by reciprocity the unit factors through Ind_V^G(f.M).  The
+    others are the images of the V-endomorphisms rho(t).f.rho(t)^-1 over
+    t in N_G(V), one per isomorphism class.  A trivial V makes M
+    projective, and its one source is the trivial module of the trivial
+    group: nothing is decomposed, and cert.alpha is still returned.  A
+    decomposable M raises ValueError."""
     G = M.group
-    unit = _local_map(M, unit)
+    _local_map(M)
     classes = sorted(G.two_subgroups_up_to_conjugacy(), key=lambda s: s.order)
     V = None
     cert = None
     for H in classes:
-        c = is_projective(M, H, unit)
+        c = is_projective(M, H)
         if c.projective:
             V, cert = H, c
             break
@@ -267,7 +263,11 @@ def green_vertex(
         F = M.F
         res = rep.restrict(M, V)
         E = rep.end_algebra(res, basis=cert.endo_basis)
-        f = descend_to_source(M, V, cert.alpha, E, seed).idempotent
+        fs = [c.idempotent for c in rep.decompose(res, seed, endo=E).components]
+        i = first_unit(M, [mat_mul(F, f, cert.alpha) for f in fs], V)
+        if i is None:
+            raise AssertionError("no component of Res_V M has a unit trace")
+        f = fs[i]
         gens = np.array(V.gens or V.elements, dtype=np.int64)
         twists: dict[bytes, int] = {}  # t^-1 v t on V's gens fixes the conjugate
         for t in G.left_transversal(V, G.normalizer(V)):
@@ -279,33 +279,7 @@ def green_vertex(
                 form = forms.base_form(Z)  # nondegenerate: an iso Z -> Z*
                 selfdual = form is not None or rep.is_selfdual(Z)
                 sources.append(SourceInfo(Z, selfdual, form))
-    return GreenVertexInfo(V, cert, sources, unit)
-
-
-def descend_to_source(
-    M: ModuleRep, V: Subgroup, alpha: np.ndarray, endo: rep.EndoAlgebra, seed: int
-) -> rep.Corner:
-    """The corner of Res_V M at a primitive idempotent f of E_V(M) = endo
-    with tr_V^G(f.alpha) a unit of E_G(M), given tr_V^G(alpha) = 1 and M
-    indecomposable: f.alpha factors through f.M, so by reciprocity the unit
-    factors through Ind_V^G(f.M), and f.Res_V M is a source.  Of the halves
-    of a split f = f1 + f2 one has a unit trace too, as the two traces sum
-    to a unit and E_G(M) is local; every trace followed is checked."""
-    F = M.F
-    corner = rep.Corner.top(endo, rep.Semisimple.of(endo, seed))
-    unit = rel_trace(M, alpha, V)
-    while True:
-        if not linalg.is_invertible(F, unit):
-            raise AssertionError("source descent lost the unit trace")
-        halves = rep.split_corner(corner, seed)
-        if halves is None:
-            return corner
-        first = rel_trace(M, mat_mul(F, halves[0].idempotent, alpha), V)
-        if linalg.is_invertible(F, first):
-            corner, unit = halves[0], first
-        else:  # the trace is linear: tr(f2.alpha) = tr(f.alpha) - tr(f1.alpha)
-            corner, unit = halves[1], unit ^ first
-        seed += 1
+    return GreenVertexInfo(V, cert, sources)
 
 
 # -- projectivity of forms ------------------------------------------------
@@ -425,7 +399,6 @@ class SymProjectivityCert:
 def is_sym_projective(
     M: ModuleRep, H: Subgroup, base: GForm,
     endo_basis: list[np.ndarray] | None = None,
-    unit: rep.Semisimple | None = None,
 ) -> SymProjectivityCert:
     """Whether M is symmetrically H-projective: tr_H^G of the self-adjoint
     part of E_H(M) contains a unit of E_G(M).
@@ -433,15 +406,13 @@ def is_sym_projective(
     Requires M indecomposable (ValueError otherwise).  Then E_G(M) is
     local: its non-units form the radical, a subspace, so the traced
     subspace contains a unit exactly when one of the basis traces is a
-    unit, that is, has a nonzero image under `unit`, the map psi of
-    `rep.local_quotient` for E_G(M) (computed when not given).  One dual
+    unit, that is, has a nonzero image under psi, `M.unit_map`.  One dual
     trace finds the first such basis element, and one trace gives theta.
     `endo_basis`, when given, is the basis of E_H(M) that
     `rep.hom_space(M, M, H)` returns.
     """
-    unit = _local_map(M, unit)
     fixed = sigma_fixed_basis(M, Adjoint(base), H, endo_basis)
-    i = first_unit(M, unit, fixed, H)
+    i = first_unit(M, fixed, H)
     if i is None:
         return SymProjectivityCert(False, base=base)
     return SymProjectivityCert(True, fixed[i], rel_trace(M, fixed[i], H), base)
@@ -467,7 +438,7 @@ def symmetric_vertices(
     at most 2, so only V-conjugates and their index-2 overgroups inside a
     fixed Sylow 2-subgroup are searched.  Each E_T(M) comes from the basis
     of E_V(M) that `is_projective` solved over (`_endo_basis_over`), with
-    no Hom solve, and every unit test goes through green.unit.
+    no Hom solve, and every unit test goes through `M.unit_map`.
     """
     G = M.group
     if green is None:
@@ -482,7 +453,7 @@ def symmetric_vertices(
     hits = []
     for T in cands:
         basis = _endo_basis_over(M, V, green.cert.endo_basis, T)
-        c = is_sym_projective(M, T, base, basis, green.unit)
+        c = is_sym_projective(M, T, base, basis)
         if c.projective:
             hits.append(SymVertexClass(T, c))
     out = []
@@ -534,7 +505,7 @@ class VertexReport:
 
 def classify_case(
     M: ModuleRep, base: GForm | None = None, seed: int = 0,
-    check_principal: bool = True, unit: rep.Semisimple | None = None,
+    check_principal: bool = True,
 ) -> VertexReport:
     """How the symmetric vertices of M sit over its Green vertex V:
     case III when the sources are not self-dual; case I when a source Z has
@@ -549,13 +520,13 @@ def classify_case(
     induced form pulls back along phi_b to Gram P.tr_V^G(P^-1 b^T B0 b);
     M is a nondegenerate component exactly when some phi_b pulls it back
     to a nondegenerate form, as phi_b(M) then splits off with its
-    orthogonal complement.  `unit` is passed to `green_vertex`."""
+    orthogonal complement."""
     G = M.group
     if base is None:
         base = forms.base_form(M)
         if base is None:
             raise ValueError("module has no nondegenerate symmetric form")
-    green = green_vertex(M, seed=seed, unit=unit)
+    green = green_vertex(M, seed=seed)
     sym = symmetric_vertices(M, base, green)
     V = green.vertex
     src = green.sources[0]
@@ -563,7 +534,7 @@ def classify_case(
     if not src.self_dual:
         case = "III"
     elif src.symmetric_type and _is_orth_summand_of_induced(
-        M, base, src.module, src.form, V, green.unit
+        M, base, src.module, src.form, V
     ) is not None:
         case = "I"
     else:

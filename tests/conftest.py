@@ -86,13 +86,34 @@ def kg_radical_by_chop(G, F) -> linalg.Subspace:
 def block_nondegenerate_reference(G, F, b) -> bool:
     """Whether the orthonormal form on kG is nondegenerate on kG.b, with
     kG.b the column space of right multiplication by b in the regular
-    module: the reference for `blocks.verify_theorem_vertexBlock`'s test
-    of b's |G|-vector."""
+    module: the reference for `b.real`, which
+    `blocks.verify_theorem_vertexBlock` reports as that nondegeneracy."""
     # permutation matrices preserve the orthonormal form: no invariance check
     kG = rep.regular_module(G, F)
     orthonormal = forms.GForm(kG, linalg.eye(G.order), check=False)
     S = linalg.col_space(F, rep.right_mult_matrix(G, b.group_algebra_vector))
     return forms.is_nondegenerate_on(orthonormal, S)
+
+
+def centre_mul_by_loop(Z, u, v) -> np.ndarray:
+    """u.v in Z(kG), one pair of nonzero class-sum coefficients at a time:
+    the reference for `blocks.CentreAlgebra.mul`."""
+    F = Z.F
+    out = np.zeros(Z.n, dtype=np.int64)
+    for i in np.nonzero(u)[0]:
+        for j in np.nonzero(v)[0]:
+            c = F.mul(int(u[i]), int(v[j]))
+            out ^= F.vscale(c, Z.struct[i, j])
+    return out
+
+
+def contragredient_by_loop(Z, u) -> np.ndarray:
+    """u with each class's coefficient written to its inverse class, one
+    class at a time: the reference for `blocks.CentreAlgebra.contragredient`."""
+    out = np.zeros_like(u)
+    for i, c in enumerate(Z.classes):
+        out[c.inverse_class] = u[i]
+    return out
 
 
 def fresh_table(G: GroupTable) -> GroupTable:

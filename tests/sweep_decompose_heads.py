@@ -3,23 +3,30 @@
 For every catalogue group of order at most 24, and for S5's permutation
 module, at GF(2) and GF(4) and at program seeds 0 and 20240401, decompose
 kG (through `regular_end_algebra` and through its full endomorphism
-algebra), the permutation module, P + P + k and the irreducibles twice,
-and compare each summand's class and each class's multiplicity with the
-numbering by one `module_iso` per class found so far.  Too slow for the
-Tier-1 suite; run it as a script:
+algebra), the permutation module, P + P + k and the irreducibles twice;
+decompose Res_V M over the basis of E_V(M) in the projectivity
+certificate, V the Green vertex, as `vertex.green_vertex` does for the
+source, for every indecomposable benchmark module and every catalogue
+irreducible at GF(2) and GF(4) with V nontrivial; and compare each
+summand's class and each class's multiplicity with the numbering by one
+`module_iso` per class found so far.  Too slow for the Tier-1 suite; run
+it as a script:
 
     PYTHONPATH=src python tests/sweep_decompose_heads.py
 """
 
+import json
 import sys
 import time
+from pathlib import Path
 
-from symvert import catalog, rep
+from symvert import catalog, rep, vertex
 from symvert.field import make_field
 
 from conftest import iso_classes_by_module_iso
 
 SEEDS = (0, 20240401)
+MODULE_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "modules"
 
 
 def modules(G, F):
@@ -33,6 +40,33 @@ def modules(G, F):
     yield "irr+irr", rep.direct_sum(irr + irr[::-1]), None
 
 
+def restricted_to_the_vertex(M):
+    """Res_V M with E_V(M) from `is_projective`'s certificate, or None when
+    M is decomposable or projective."""
+    if not rep.is_indecomposable(M):
+        return None
+    green = vertex.green_vertex(M, with_sources=False)
+    if green.vertex.order == 1:
+        return None
+    res = rep.restrict(M, green.vertex)
+    return res, rep.end_algebra(res, basis=green.cert.endo_basis)
+
+
+def vertex_modules():
+    """The benchmark's module files (read only), then the catalogue's
+    irreducibles at GF(2) and GF(4)."""
+    for entry in json.loads((MODULE_FILES / "index.json").read_text()):
+        G = catalog.suite_group(entry["group"])
+        stem = catalog._FILES[entry["group"]][: -len(".json")]
+        yield f"{stem}-{entry['label']}", rep.load_module(
+            MODULE_FILES / f"{stem}-{entry['label']}.json", G)
+    for F in (make_field(1), make_field(2)):
+        for name in catalog.SUITE_NAMES:
+            G = catalog.suite_group(name)
+            for i, S in enumerate(rep.irreducible_modules(G, F)):
+                yield f"{name} irreducible {i} GF({F.q})", S
+
+
 def cases():
     for F in (make_field(1), make_field(2)):
         for name in catalog.SUITE_NAMES:
@@ -42,6 +76,9 @@ def cases():
                     yield f"{name} {label} GF({F.q})", M, endo
         S5 = catalog.suite_group("S5")
         yield f"S5 perm GF({F.q})", rep.permutation_module(S5, F), None
+    for label, M in vertex_modules():
+        if (restricted := restricted_to_the_vertex(M)) is not None:
+            yield f"{label} Res_V", *restricted
 
 
 def main() -> int:

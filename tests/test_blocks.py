@@ -14,6 +14,8 @@ from symvert.linalg import mat_mul
 
 from conftest import (
     block_nondegenerate_reference,
+    centre_mul_by_loop,
+    contragredient_by_loop,
     dense_theta,
     regular_bimodule,
     theta_reference,
@@ -40,6 +42,22 @@ def test_centre_algebra_structure():
             ej = np.zeros(3, dtype=np.int64)
             ej[j] = 1
             assert (Z.mul(ei, ej) == Z.mul(ej, ei)).all()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 12])
+def test_centre_product_and_contragredient_match_the_loops(m):
+    # the XOR-reduced product table and the gather by inverse classes
+    # against one class pair (one class) at a time, on random elements of
+    # Z(kG) with some zero coefficients
+    F = make_field(m)
+    rng = np.random.default_rng(m)
+    for name in catalog.SUITE_NAMES:
+        Z = blocks.CentreAlgebra(catalog.suite_group(name), F)
+        for _ in range(50):
+            u, v = rng.integers(0, F.q, (2, Z.n)) * rng.integers(0, 2, (2, Z.n))
+            assert Z.mul(u, v).tobytes() == centre_mul_by_loop(Z, u, v).tobytes()
+            want = contragredient_by_loop(Z, u)
+            assert Z.contragredient(u).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2])

@@ -31,8 +31,9 @@ def s3_files(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def s3_trivial_file(tmp_path_factory):
-    # the trivial kS3 module: its vertex C2 is not trivial, so the source
-    # descent runs (the 2-dim simple module is projective and skips it)
+    # the trivial kS3 module: its vertex C2 is not trivial, so Res_V M is
+    # decomposed for the source (the 2-dim simple module is projective and
+    # skips it)
     path = tmp_path_factory.mktemp("cli") / "k.json"
     k = rep.trivial_module(catalog.suite_group("S3"), make_field(1))
     path.write_text(json.dumps(rep.module_to_dict(k)))
@@ -72,6 +73,31 @@ def test_vertices_enumerates_the_2_subgroup_classes_once(monkeypatch, s3_files):
     g, m = s3_files
     assert _quiet_main(["--json", "vertices", g, m]) == (0, "")
     assert len(calls) == 1
+
+
+MODULE_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "modules"
+
+
+def test_one_local_quotient_per_vertices_query(monkeypatch, capsys):
+    # psi is read once and kept on the module: the decomposable gate and
+    # every unit question after it (projectivity, symmetric projectivity,
+    # the source and case I) share it; the catalogue modules of the
+    # benchmark's vertices queries cover cases I, II and III
+    calls = []
+    local_quotient = rep.local_quotient
+    monkeypatch.setattr(rep, "local_quotient",
+                        lambda E: calls.append(1) or local_quotient(E))
+    data = Path(cli.__file__).resolve().parent / "data"
+    cases = set()
+    for entry in json.loads((MODULE_FILES / "index.json").read_text()):
+        stem = catalog._FILES[entry["group"]]
+        m = MODULE_FILES / f"{stem[:-len('.json')]}-{entry['label']}.json"
+        calls.clear()
+        code, out = run(["--json", "vertices", str(data / stem), str(m)], capsys)
+        assert len(calls) == 1, m.name
+        if code == 0:
+            cases.add(json.loads(out)["case"])
+    assert {"I", "II", "III"} <= cases
 
 
 def test_blocks_command(s3_files, capsys):
@@ -196,7 +222,7 @@ def test_decomposable_module_exit_code(tmp_path, s3_files, capsys):
 
 
 @pytest.mark.parametrize("layer, name, command", [
-    (vertex, "descend_to_source", "vertices"),
+    (rep, "decompose", "vertices"),
     (vertex, "green_vertex", "vertices"),
     (blocks, "block_decomposition", "blocks"),
 ])

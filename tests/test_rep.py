@@ -71,6 +71,22 @@ def test_full_action_matches_the_element_reference(name, m, kind):
         assert M.action_inv(x).tobytes() == want[G.inverse(x)].tobytes()
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", catalog.SUITE_NAMES)
+def test_irreducibles_carry_their_stored_action(name, m):
+    # each irreducible's whole-group action is its slice of the stored
+    # matrix, set when the module is read back, read-only, and equal to the
+    # action built element by element
+    G, F = catalog.suite_group(name), make_field(m)
+    for S in rep.irreducible_modules(G, F):
+        acts = S._action
+        assert acts is not None and S.full_action() is acts
+        want = full_action_by_elements(S)
+        assert all(acts[x].tobytes() == want[x].tobytes() for x in range(G.order))
+        with pytest.raises(ValueError, match="read-only"):
+            acts[0, 0, 0] ^= 1
+
+
 def test_full_action_is_read_only():
     M = rep.regular_module(S3, F2)
     for view in (M.action(1), M.action_inv(1), M.full_action()):

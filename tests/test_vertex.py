@@ -333,9 +333,9 @@ def _reference_source_signatures(M, V):
 @pytest.mark.parametrize("name", ["S3", "D12", "A4", "S4", "C3:C4"])
 @pytest.mark.parametrize("m", [1, 2])
 def test_sources_by_reciprocity_match_induced_summands(name, m):
-    # the sources green_vertex reaches by descent and N_G(V)-conjugation
-    # match the components of Res_V M that are summands of the induced
-    # module, found by decomposing, inducing and testing over G
+    # the sources green_vertex takes from one decomposition of Res_V M and
+    # N_G(V)-conjugation match the components of Res_V M that are summands
+    # of the induced module, found by decomposing, inducing and testing over G
     G = catalog.suite_group(name)
     for M in _one_per_class(G, make_field(m)):
         green = vertex.green_vertex(M)
@@ -346,12 +346,13 @@ def test_sources_by_reciprocity_match_induced_summands(name, m):
 @pytest.mark.parametrize("name", ["S4", "SL(2,3)"])
 def test_one_algebra_per_vertices_query(monkeypatch, name):
     # a projective module (trivial vertex) has the trivial module of the
-    # trivial group as its one source, with no descent; the symmetric vertex
-    # search reads every E_T(M) off the basis of E_V(M) that is_projective
-    # solved over, so sigma_fixed_basis makes no Hom solve at any candidate
+    # trivial group as its one source, with no decomposition of Res_V M; the
+    # symmetric vertex search reads every E_T(M) off the basis of E_V(M) that
+    # is_projective solved over, so sigma_fixed_basis makes no Hom solve at
+    # any candidate
     mods = _one_per_class(catalog.suite_group(name), F2)
-    descents, homs, fixed = [], [], []
-    descend, hom_space = vertex.descend_to_source, rep.hom_space
+    decomposed, homs, fixed = [], [], []
+    decompose, hom_space = rep.decompose, rep.hom_space
     sigma_fixed_basis = vertex.sigma_fixed_basis
 
     def counted_fixed(M, sigma, H, *rest):
@@ -360,17 +361,17 @@ def test_one_algebra_per_vertices_query(monkeypatch, name):
         fixed.append((H.elements, len(homs) - before))
         return out
 
-    monkeypatch.setattr(vertex, "descend_to_source",
-                        lambda *a: descents.append(1) or descend(*a))
+    monkeypatch.setattr(rep, "decompose",
+                        lambda *a, **k: decomposed.append(1) or decompose(*a, **k))
     monkeypatch.setattr(rep, "hom_space",
                         lambda *a, **k: homs.append(1) or hom_space(*a, **k))
     monkeypatch.setattr(vertex, "sigma_fixed_basis", counted_fixed)
     projective = reused = 0
     for M in mods:
-        descents.clear()
+        decomposed.clear()
         green = vertex.green_vertex(M)
         V = green.vertex
-        assert len(descents) == (V.order > 1)
+        assert len(decomposed) == (V.order > 1)
         if V.order == 1:  # M is projective: k of the trivial group
             projective += 1
             assert _source_signatures(green.sources) == [(1, True, True)]
@@ -400,25 +401,42 @@ def test_two_sources_of_the_gl32_induced_module():
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_descent_follows_the_unit_trace_whichever_half_comes_first(monkeypatch, m):
-    # Res_V M = k + k + kV for the permutation module of S4 and |V| = 2,
-    # and kV is no source; with the halves of every split in either order
-    # the walk must end in a source, and never in kV
+def test_source_follows_the_unit_trace_whichever_component_comes_first(
+    monkeypatch, m
+):
+    # Res_V M = k + k + kV for the permutation module of S4 and |V| = 2, and
+    # kV is no source; with the components of Res_V M in reverse order, kV
+    # comes first, and the source must still be the first component with a
+    # unit trace, never kV
     M = rep.permutation_module(S4, make_field(m))
-    green = vertex.green_vertex(M, with_sources=False)
-    V, cert = green.vertex, green.cert
-    E = rep.end_algebra(rep.restrict(M, V), basis=cert.endo_basis)
-    split = rep.split_corner
-    for order in (1, -1):
-        monkeypatch.setattr(
-            rep, "split_corner",
-            lambda c, s: None if (h := split(c, s)) is None else h[::order],
-        )
-        Z = vertex.descend_to_source(M, V, cert.alpha, E, 0).algebra.module
-        assert Z.dim == 1 and vertex.is_summand(M, rep.induce(Z, V)[0])
+    decompose = rep.decompose
+
+    def reversed_decompose(*args, **kwargs):
+        cert = decompose(*args, **kwargs)
+        cert.components.reverse()
+        return cert
+
+    monkeypatch.setattr(rep, "decompose", reversed_decompose)
+    green = vertex.green_vertex(M)
+    V = green.vertex
+    res = rep.restrict(M, V)
+    E = rep.end_algebra(res, basis=green.cert.endo_basis)
+    assert V.order == 2
+    assert [c.module.dim for c in rep.decompose(res, endo=E).components] == [2, 1, 1]
+    Z = green.sources[0].module
+    assert Z.dim == 1 and vertex.is_summand(M, rep.induce(Z, V)[0])
     # an alpha whose trace is no unit certifies nothing
+    is_projective = vertex.is_projective
+
+    def zero_alpha(M, H):
+        cert = is_projective(M, H)
+        if cert.projective:
+            cert.alpha = 0 * cert.alpha
+        return cert
+
+    monkeypatch.setattr(vertex, "is_projective", zero_alpha)
     with pytest.raises(AssertionError, match="unit trace"):
-        vertex.descend_to_source(M, V, 0 * cert.alpha, E, 0)
+        vertex.green_vertex(M)
 
 
 def _higman_alpha(M, H):
@@ -511,15 +529,14 @@ def test_dual_trace_matches_tracing_every_basis_element(name):
     G = catalog.suite_group(name)
     extension = 0
     for M in _dual_trace_modules(name):
-        psi = rep.local_quotient(rep.end_algebra(M))
-        extension += len(psi.L) > 1
+        extension += len(M.unit_map.L) > 1
         base = forms.base_form(M)
         one = np.eye(M.dim, dtype=np.int64)
         for H in G.two_subgroups_up_to_conjugacy():
             basis = rep.hom_space(M, M, H)
             i = _first_unit_by_tracing_all(M, basis, H)
-            assert vertex.first_unit(M, psi, basis, H) == i
-            cert = vertex.is_projective(M, H, psi)
+            assert vertex.first_unit(M, basis, H) == i
+            cert = vertex.is_projective(M, H)
             assert cert.projective == (i is not None)
             if cert.projective:
                 assert (vertex.rel_trace(M, cert.alpha, H) == one).all()
@@ -527,18 +544,18 @@ def test_dual_trace_matches_tracing_every_basis_element(name):
                 continue
             fixed = vertex.sigma_fixed_basis(M, forms.Adjoint(base), H)
             j = _first_unit_by_tracing_all(M, fixed, H)
-            c = vertex.is_sym_projective(M, H, base, unit=psi)
+            c = vertex.is_sym_projective(M, H, base)
             assert c.projective == (j is not None)
             if c.projective:
                 assert (c.alpha == fixed[j]).all()
                 assert (c.theta == vertex.rel_trace(M, fixed[j], H)).all()
-        green = vertex.green_vertex(M, unit=psi)
+        green = vertex.green_vertex(M)
         src = green.sources[0]
         if base is None or not src.symmetric_type:
             continue
         args = (M, base, src.module, src.form, green.vertex)
         want = _orth_summand_by_tracing_all(*args)
-        got = vertex._is_orth_summand_of_induced(*args, psi)
+        got = vertex._is_orth_summand_of_induced(*args)
         assert (got is None) == (want is None)
         assert got is None or (got == want).all()
     assert extension or name not in ("A4", "SL(2,3)")  # E/J = GF(4), s = 2
@@ -629,9 +646,9 @@ def test_orth_summand_criterion_uses_the_cross_terms(monkeypatch):
     seen = linalg.Echelon(F2, M.dim * Z.dim)
     isotropic = [b for b in span if not unit(b) and seen.insert(b.ravel())]
     assert len(isotropic) == len(downs) and any(unit(b) for b in span)
-    psi = rep.local_quotient(rep.end_algebra(M))  # before hom_space is patched
+    assert M.unit_map is not None  # read before hom_space is patched
     monkeypatch.setattr(rep, "hom_space", lambda *args, **kwargs: isotropic)
-    b = vertex._is_orth_summand_of_induced(M, base, Z, BZ, V, psi)
+    b = vertex._is_orth_summand_of_induced(M, base, Z, BZ, V)
     assert b is not None and unit(b)
 
 
