@@ -189,9 +189,6 @@ class FieldCtx:
         """Unique square root; Frobenius inverse x -> x^(2^(m-1))."""
         return self.pow(a, 1 << (self.m - 1))
 
-    def frobenius(self, a: int) -> int:
-        return self.mul(a, a)
-
     # -- vectorized ops on int64 arrays ----------------------------------
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -82,11 +82,9 @@ class Adjoint:
         self.F = form.F
         self.gram = form.gram
         self.gram_inv = linalg.inverse(self.F, form.gram)
-        # sanity: maps each generator action to the inverse action
-        M = form.module
-        for g in M.group.generators:
-            if (self.apply(M.action(g)) != M.action_inv(g)).any():
-                raise ValueError("adjoint does not invert the group action")
+        # sigma(A) = A^-1 exactly when A^T.P.A = P: invariance, per generator
+        if not form.is_invariant():
+            raise ValueError("adjoint does not invert the group action")
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         return mat_mul(self.F, self.gram_inv, mat_mul(self.F, f.T, self.gram))
@@ -116,12 +114,13 @@ class InvariantForms:
     symplectic: list[np.ndarray]
 
 
-def invariant_forms(M: ModuleRep, H: Subgroup | None = None) -> InvariantForms:
-    """All H-invariant bilinear forms on M (H=None: the whole group),
-    together with the symmetric and symplectic sub-slices."""
+def invariant_forms(M: ModuleRep) -> InvariantForms:
+    """All invariant bilinear forms on M, together with the symmetric and
+    symplectic sub-slices; the H-invariant forms are those of
+    `rep.restrict(M, H)`."""
     F = M.F
     # invariance A^T.X.A = X  <=>  X.A = A^-T.X: X is a hom M -> M*
-    basis = rep.hom_space(M, rep.dual(M), H)
+    basis = rep.hom_space(M, rep.dual(M))
     symmetric = _sub_slice(F, basis, symplectic=False)
     symp = _sub_slice(F, basis, symplectic=True)
     return InvariantForms(basis, symmetric, symp)
@@ -300,12 +299,12 @@ def induce_form(
     """Induce (L, B_L) from H to its parent group.
 
     The induced Gram is block diagonal over the transversal, each block a
-    copy of the Gram of B_L.  Returns (module, form, transversal).
+    copy of the Gram of B_L; it is invariant when B_L is, so it is not
+    checked again.  Returns (module, form, transversal).
     """
     M_ind, trans = rep.induce(L_form.module, H)
-    F = L_form.F
-    gram = linalg.kron(F, eye(len(trans)), L_form.gram)
-    return M_ind, GForm(M_ind, gram), trans
+    gram = linalg.kron(L_form.F, eye(len(trans)), L_form.gram)
+    return M_ind, GForm(M_ind, gram, check=False), trans
 
 
 @dataclass
@@ -339,15 +338,12 @@ def mackey_decompose(
     hidx = {x: i for i, x in enumerate(helems)}
     if L.group.order != Ht.order:
         raise ValueError("form's module is not over the subgroup H")
-    M_ind, trans = rep.induce(L, H)
+    M_ind, ind_form, _ = induce_form(L_form, H)
     _, coset, hid = rep.coset_split(H)
-    gram_ind = linalg.kron(F, eye(len(trans)), L_form.gram)
+    res_module = rep.restrict(M_ind, K)
+    res_form = GForm(res_module, ind_form.gram, check=False)
 
     Kt, kelems = rep.subgroup_table(K)
-    res_mats = [M_ind.action(kelems[g]) for g in Kt.generators]
-    res_module = ModuleRep(Kt, F, res_mats, check=False)
-    res_form = GForm(res_module, gram_ind, check=False)
-
     Lact = L.full_action()
     dl = L.dim
     pieces: list[MackeyPiece] = []
@@ -371,10 +367,8 @@ def mackey_decompose(
             h = G.mul(ginv, G.mul(x, g))
             gmats.append(Lact[hidx[h]])
         gL = ModuleRep(KgT, F, gmats, check=False)
-        gL_form = GForm(gL, L_form.gram, check=False)
-        piece_mod, ktrans = rep.induce(gL, Kg_in_K)
-        piece_form = GForm(
-            piece_mod, linalg.kron(F, eye(len(ktrans)), L_form.gram), check=False
+        piece_mod, piece_form, ktrans = induce_form(
+            GForm(gL, L_form.gram, check=False), Kg_in_K
         )
         pieces.append(MackeyPiece(g, Kg, piece_mod, piece_form, offset))
         offset += piece_mod.dim
@@ -548,15 +542,3 @@ def paired_module(M: ModuleRep) -> tuple[ModuleRep, GForm]:
     gram[:d, d:] = eye(d)
     gram[d:, :d] = eye(d)
     return P, GForm(P, gram)
-
-
-# -- serialization --------------------------------------------------------
-
-
-def form_to_dict(B: GForm) -> dict:
-    return {"gram": rep.matrix_to_hex(B.F, B.gram)}
-
-
-def form_from_dict(data: dict, M: ModuleRep) -> GForm:
-    gram = rep.matrix_from_hex(M.F, data["gram"], M.dim, M.dim)
-    return GForm(M, gram)

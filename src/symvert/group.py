@@ -5,9 +5,9 @@ enumeration, identity first) or from a raw table.  Element ids are small
 ints; id 0 is the identity.  Subgroups are id sets tied to a parent table.
 All queries are pure; tables are immutable after load.  Conjugacy, coset,
 order and class queries are numpy gathers over `mult` and `inv`, tested
-against boolean membership masks; `closure` is a set-based breadth-first
-search over lists of the generators' columns, which beats a gather per
-round on the small subgroups it builds.
+against boolean membership masks; `closure` and `Subgroup._find_gens`
+grow by one set-based breadth-first search over lists of the generators'
+columns, which beats a gather per round on the small subgroups they build.
 """
 
 from __future__ import annotations
@@ -179,20 +179,9 @@ class GroupTable:
     # -- subgroups --------------------------------------------------------
 
     def closure(self, gens: list[int]) -> "Subgroup":
-        elems = {0}
-        frontier = [0]
         gens = [g for g in gens if g != 0]
         cols = [self.mult[:, g].tolist() for g in gens]  # x -> x g
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for col in cols:
-                    y = col[x]
-                    if y not in elems:
-                        elems.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return Subgroup(self, tuple(sorted(elems)), tuple(gens))
+        return Subgroup(self, tuple(sorted(_grow(set(), {0}, cols))), tuple(gens))
 
     def full_subgroup(self) -> "Subgroup":
         return Subgroup(self, tuple(range(self.order)), tuple(self.generators))
@@ -368,10 +357,7 @@ class Subgroup:
             if x not in have:
                 gens.append(x)
                 cols.append(G.mult[:, x].tolist())
-                new = {cols[-1][h] for h in have} - have
-                while new:
-                    have |= new
-                    new = {col[y] for y in new for col in cols} - have
+                _grow(have, {cols[-1][h] for h in have} - have, cols)
                 if len(have) == len(self.elements):
                     break
         return tuple(gens)
@@ -409,6 +395,25 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, elements={self.elements[:8]}...)"
+
+
+def _grow(have: set[int], new: set[int], cols: list[list[int]]) -> set[int]:
+    """have, with the elements in new added, closed under right
+    multiplication by the generators whose columns (y -> y g) are cols:
+    a breadth-first search from new, one level at a time; grows have in
+    place and returns it."""
+    have |= new
+    frontier = list(new)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for col in cols:
+                y = col[x]
+                if y not in have:
+                    have.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return have
 
 
 class FeasibilityError(Exception):

@@ -142,13 +142,6 @@ def pow_mod(F: FieldCtx, a: Poly, e: int, m: Poly) -> Poly:
     return r
 
 
-def evaluate(F: FieldCtx, p: Poly, x: int) -> int:
-    acc = 0
-    for c in reversed(p):
-        acc = F.mul(acc, x) ^ c
-    return acc
-
-
 def eval_matrix(F, p: Poly, A):
     """p(A) for a square matrix A (Horner)."""
     from . import linalg
@@ -177,20 +170,6 @@ def _sqrt_poly(F: FieldCtx, p: Poly) -> Poly:
     for i in range(0, len(p), 2):
         out[i // 2] = F.sqrt(p[i])
     return trim(out)
-
-
-def squarefree_part(F: FieldCtx, p: Poly) -> Poly:
-    p = monic(F, p)
-    if deg(p) <= 1:
-        return p
-    dp = derivative(F, p)
-    if not dp:
-        return squarefree_part(F, _sqrt_poly(F, p))
-    g = gcd(F, p, dp)
-    q, _ = divmod_(F, p, g)
-    if deg(g) == 0:
-        return monic(F, q)
-    return monic(F, lcm(F, q, squarefree_part(F, g)))
 
 
 def factor(F: FieldCtx, p: Poly, seed: int = 0) -> list[tuple[Poly, int]]:
@@ -263,12 +242,3 @@ def _equal_degree_split(F: FieldCtx, p: Poly, d: int, rng) -> list[Poly]:
             return _equal_degree_split(F, g, d, rng) + _equal_degree_split(
                 F, monic(F, q), d, rng
             )
-
-
-def roots(F: FieldCtx, p: Poly) -> list[int]:
-    """All roots in the field, without multiplicity."""
-    out = []
-    for x in range(F.q):
-        if evaluate(F, p, x) == 0:
-            out.append(x)
-    return out

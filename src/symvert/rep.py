@@ -176,7 +176,8 @@ def direct_sum(mods: list[ModuleRep]) -> ModuleRep:
 
 
 def restrict(M: ModuleRep, H: Subgroup) -> ModuleRep:
-    """M as a module for H (over H's own standalone table)."""
+    """M as a module for H (over H's own standalone table): the one reader
+    of H's generators from the whole-group action."""
     Ht, elems = subgroup_table(H)
     mats = [M.action(elems[g]) for g in Ht.generators]
     return ModuleRep(Ht, M.F, mats, check=False)
@@ -252,30 +253,19 @@ def quotient_module(M: ModuleRep, S: Subspace) -> tuple[ModuleRep, np.ndarray]:
 HOM_KRON_UNKNOWNS = 62
 
 
-def hom_space(
-    M: ModuleRep, N: ModuleRep, H: Subgroup | None = None
-) -> list[np.ndarray]:
-    """Basis of {X : X rho_M(h) = rho_N(h) X for h in H} (H=None: all of G),
-    solved over H's generators.
+def hom_space(M: ModuleRep, N: ModuleRep) -> list[np.ndarray]:
+    """Basis of {X : X rho_M(g) = rho_N(g) X for g in G}, solved over G's
+    generators; Hom over a subgroup H is Hom of the restrictions,
+    `hom_space(restrict(M, H), restrict(N, H))`.
 
     The basis is the one `linalg.kernel` gives for the equations on the
     row-major vec(X), by either of two routes that give it byte for byte:
     `_hom_by_kron` solves those equations themselves when dim M . dim N is
     at most HOM_KRON_UNKNOWNS, and `_hom_by_spin` solves fewer unknowns by
     the standard-basis method above that."""
-    pairs = _hom_pairs(M, N, H)
+    pairs = list(zip(M.gen_matrices, N.gen_matrices))
     small = M.dim * N.dim <= HOM_KRON_UNKNOWNS
     return (_hom_by_kron if small else _hom_by_spin)(M.F, pairs)
-
-
-def _hom_pairs(M: ModuleRep, N: ModuleRep, H: Subgroup | None) -> list[tuple]:
-    """(rho_M(h), rho_N(h)) for each generator h of H's own table (H=None:
-    G's generators)."""
-    if H is None:
-        return list(zip(M.gen_matrices, N.gen_matrices))
-    Ht, elems = subgroup_table(H)
-    ids = [elems[g] for g in Ht.generators]
-    return list(zip(M.full_action()[ids], N.full_action()[ids]))
 
 
 def _hom_by_kron(F: FieldCtx, pairs: list[tuple]) -> list[np.ndarray]:
@@ -356,7 +346,7 @@ def _hom_by_spin(F: FieldCtx, pairs: list[tuple]) -> list[np.ndarray]:
 
 @dataclass
 class EndoAlgebra:
-    """Endomorphism algebra of a module (over a subgroup's action).
+    """Endomorphism algebra of a module.
 
     `quotient`, when set, is the map reading E/J(E) that `Semisimple.of`
     returns instead of chopping the module; it lives on this instance.
@@ -543,9 +533,7 @@ def _proper_submodule(
         mu = linalg.min_poly(F, a)
         for p, _mult in polys.factor(F, mu, seed=seed + attempt):
             pa = polys.eval_matrix(F, p, a)
-            ker = linalg.kernel(F, pa)
-            if ker.shape[0] == 0:
-                continue
+            ker = linalg.kernel(F, pa)  # nonzero: p divides mu, so p(a) is singular
             for v in ker:
                 S = spin(F, v.reshape(1, -1), gens)
                 if S.dim < d:

@@ -23,6 +23,7 @@ tr_V^G(f.alpha) a unit, whose image is a source.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -36,11 +37,10 @@ from .linalg import combine, eye, mat_mul, zeros
 from .rep import ModuleRep
 
 
-def rel_trace(
-    M: ModuleRep, f: np.ndarray, H: Subgroup, K: Subgroup | None = None
-) -> np.ndarray:
-    """tr_H^K(f) = sum of rho(t).f.rho(t)^-1 over a transversal of H in K."""
-    return rel_trace_batch(M, [f], H, K)[0]
+def rel_trace(M: ModuleRep, f: np.ndarray, H: Subgroup) -> np.ndarray:
+    """tr_H^G(f) = sum of rho(t).f.rho(t)^-1 over a transversal of H in G;
+    tr_H^K is this trace on `rep.restrict(M, K)`, H in K's own table."""
+    return rel_trace_batch(M, [f], H)[0]
 
 
 # entries of one chunk's stacked products in `rel_trace_batch`: s h d^2 for
@@ -51,7 +51,7 @@ TRACE_CHUNK_ENTRIES = 1 << 16
 
 
 def rel_trace_batch(
-    M: ModuleRep, fs: list[np.ndarray], H: Subgroup, K: Subgroup | None = None
+    M: ModuleRep, fs: list[np.ndarray], H: Subgroup
 ) -> list[np.ndarray]:
     """Relative traces of several endomorphisms at once (shared transversal),
     two products per chunk of s transversal elements: Y = vstack(rho(t)).C
@@ -59,7 +59,7 @@ def rel_trace_batch(
     (t, b) times vstack(rho(t)^-1), which sums over t inside the product."""
     G = M.group
     F = M.F
-    trans = G.left_transversal(H, K)
+    trans = G.left_transversal(H)
     d = M.dim
     h = len(fs)
     C = np.concatenate(fs, axis=1)  # d x (h d)
@@ -126,7 +126,10 @@ def is_projective(M: ModuleRep, H: Subgroup) -> ProjectivityCert:
     """
     F = M.F
     index = M.group.order // H.order  # its 2-part is index & -index
-    basis = [] if M.dim % (index & -index) else rep.hom_space(M, M, H)
+    if M.dim % (index & -index):
+        return ProjectivityCert(False, None)
+    res = rep.restrict(M, H)
+    basis = rep.hom_space(res, res)
     if not basis:
         return ProjectivityCert(False, None)
     if M.unit_map is None:
@@ -220,50 +223,36 @@ class SourceInfo:
 
 @dataclass
 class GreenVertexInfo:
+    """The vertex V of M with its projectivity certificate; the sources are
+    computed on first read of `sources` and kept."""
+
     vertex: Subgroup
     cert: ProjectivityCert
-    sources: list[SourceInfo]
+    module: ModuleRep
+    seed: int
 
-
-def green_vertex(
-    M: ModuleRep, with_sources: bool = True, seed: int = 0
-) -> GreenVertexInfo:
-    """The vertex of an indecomposable module: a minimal 2-subgroup V with
-    M relatively V-projective, found ascending the 2-subgroup classes.
-
-    The sources, the indecomposable kV-modules Z with M | Ind_V^G Z, are
-    the N_G(V)-conjugates of one of them (Green): f.Res_V M for the first
-    component f of `rep.decompose(Res_V M)` over the basis of E_V(M) that
-    `is_projective` solved over with tr_V^G(f.alpha) a unit of E_G(M),
-    tr_V^G(alpha) = 1.  The components' traces sum to tr(alpha) = 1 and
-    E_G(M) is local, so one of them is a unit; f.alpha factors through
-    f.M, so by reciprocity the unit factors through Ind_V^G(f.M).  The
-    others are the images of the V-endomorphisms rho(t).f.rho(t)^-1 over
-    t in N_G(V), one per isomorphism class.  A trivial V makes M
-    projective, and its one source is the trivial module of the trivial
-    group: nothing is decomposed, and cert.alpha is still returned.  A
-    decomposable M raises ValueError."""
-    G = M.group
-    _local_map(M)
-    classes = sorted(G.two_subgroups_up_to_conjugacy(), key=lambda s: s.order)
-    V = None
-    cert = None
-    for H in classes:
-        c = is_projective(M, H)
-        if c.projective:
-            V, cert = H, c
-            break
-    if V is None:
-        raise AssertionError("module not projective relative to a Sylow 2-subgroup")
-    sources: list[SourceInfo] = []
-    if with_sources and V.order == 1:
-        Z = rep.trivial_module(rep.subgroup_table(V)[0], M.F)
-        sources.append(SourceInfo(Z, True, forms.base_form(Z)))
-    elif with_sources:
-        F = M.F
+    @functools.cached_property
+    def sources(self) -> list[SourceInfo]:
+        """The indecomposable kV-modules Z with M | Ind_V^G Z, which are the
+        N_G(V)-conjugates of one of them (Green): f.Res_V M for the first
+        component f of `rep.decompose(Res_V M)` over the basis of E_V(M)
+        that `is_projective` solved over with tr_V^G(f.alpha) a unit of
+        E_G(M), tr_V^G(alpha) = 1.  The components' traces sum to
+        tr(alpha) = 1 and E_G(M) is local, so one of them is a unit;
+        f.alpha factors through f.M, so by reciprocity the unit factors
+        through Ind_V^G(f.M).  The others are the images of the
+        V-endomorphisms rho(t).f.rho(t)^-1 over t in N_G(V), one per
+        isomorphism class.  A trivial V makes M projective, and its one
+        source is the trivial module of the trivial group: nothing is
+        decomposed."""
+        M, V, cert = self.module, self.vertex, self.cert
+        G, F = M.group, M.F
+        if V.order == 1:
+            Z = rep.trivial_module(rep.subgroup_table(V)[0], F)
+            return [SourceInfo(Z, True, forms.base_form(Z))]
         res = rep.restrict(M, V)
         E = rep.end_algebra(res, basis=cert.endo_basis)
-        fs = [c.idempotent for c in rep.decompose(res, seed, endo=E).components]
+        fs = [c.idempotent for c in rep.decompose(res, self.seed, endo=E).components]
         i = first_unit(M, [mat_mul(F, f, cert.alpha) for f in fs], V)
         if i is None:
             raise AssertionError("no component of Res_V M has a unit trace")
@@ -272,6 +261,7 @@ def green_vertex(
         twists: dict[bytes, int] = {}  # t^-1 v t on V's gens fixes the conjugate
         for t in G.left_transversal(V, G.normalizer(V)):
             twists.setdefault(G.mult[G.mult[G.inverse(t), gens], t].tobytes(), t)
+        sources: list[SourceInfo] = []
         for t in twists.values():
             ft = mat_mul(F, M.action(t), mat_mul(F, f, M.action(G.inverse(t))))
             Z, _, _ = rep.sub_module(res, linalg.col_space(F, ft))
@@ -279,25 +269,44 @@ def green_vertex(
                 form = forms.base_form(Z)  # nondegenerate: an iso Z -> Z*
                 selfdual = form is not None or rep.is_selfdual(Z)
                 sources.append(SourceInfo(Z, selfdual, form))
-    return GreenVertexInfo(V, cert, sources)
+        return sources
+
+
+def green_vertex(M: ModuleRep, seed: int = 0) -> GreenVertexInfo:
+    """The vertex of an indecomposable module: a minimal 2-subgroup V with
+    M relatively V-projective, found ascending the 2-subgroup classes, with
+    the certificate alpha, tr_V^G(alpha) = 1; `seed` seeds the
+    decomposition of Res_V M behind the sources.  A decomposable M raises
+    ValueError."""
+    G = M.group
+    _local_map(M)
+    classes = sorted(G.two_subgroups_up_to_conjugacy(), key=lambda s: s.order)
+    for H in classes:
+        cert = is_projective(M, H)
+        if cert.projective:
+            return GreenVertexInfo(H, cert, M, seed)
+    raise AssertionError("module not projective relative to a Sylow 2-subgroup")
 
 
 # -- projectivity of forms ------------------------------------------------
 
 
 def sigma_fixed_basis(
-    M: ModuleRep, sigma: Adjoint, H: Subgroup | None,
+    M: ModuleRep, sigma: Adjoint, H: Subgroup,
     endo_basis: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Basis of the self-adjoint part of E_H(M), from `endo_basis` when it
-    is given: the basis `rep.hom_space(M, M, H)` returns, solved already.
+    is given: the basis E_H(M) = `rep.hom_space(res, res)` for res =
+    `rep.restrict(M, H)`, solved already.
     sigma(b) = P^-1 b^T P for the whole basis in two stacked products, and
     the fixed elements as one product of the kernel with the basis."""
     F, d = M.F, M.dim
-    basis = rep.hom_space(M, M, H) if endo_basis is None else endo_basis
-    if not basis:
+    if endo_basis is None:
+        res = rep.restrict(M, H)
+        endo_basis = rep.hom_space(res, res)
+    if not endo_basis:
         return []
-    B = np.array(basis)
+    B = np.array(endo_basis)
     sig = _left(F, sigma.gram_inv, _right(F, B.transpose(0, 2, 1), sigma.gram))
     flat = B.reshape(len(B), d * d)
     K = linalg.kernel(F, (flat ^ sig.reshape(flat.shape)).T)
@@ -346,43 +355,29 @@ def form_is_H_projective(
     if x is None:
         return FormProjectivityCert(False)
     alpha = combine(F, x, fixed)
-    cert = FormProjectivityCert(True, alpha)
-    _build_form_isometry(B, theta, alpha, H, cert)
-    return cert
-
-
-def _build_form_isometry(B, theta, alpha, H, cert):
-    """phi(m) = sum over the transversal of t tensor alpha.t^-1.m, an
-    isometry (M, B_theta) -> Ind_H^G(alpha.M, B-hat)."""
-    F = B.F
-    M = B.module
-    G = M.group
+    # phi(m) = sum over the transversal of t tensor alpha.t^-1.m, an
+    # isometry (M, B_theta) -> Ind_H^G(alpha.M, B-hat)
     res = rep.restrict(M, H)
-    S = linalg.col_space(F, alpha)
-    Lmod, incl, proj = rep.sub_module(res, S)
+    Lmod, incl, proj = rep.sub_module(res, linalg.col_space(F, alpha))
     # B-hat(u, alpha.m) = B(u, m) on alpha.M, in the basis given by incl
     d = Lmod.dim
     bhat = zeros(d, d)
     for j in range(d):
         m, _ = linalg.solve(F, alpha, incl[:, j])
         bhat[:, j] = linalg.mat_vec(F, mat_mul(F, incl.T, B.gram), m)
-    ind, trans = rep.induce(Lmod, H)
-    gram_ind = linalg.kron(F, eye(len(trans)), bhat)
-    ind_form = GForm(ind, gram_ind, check=False)
+    ind, ind_form, trans = forms.induce_form(GForm(Lmod, bhat, check=False), H)
+    G = M.group
     phi = np.concatenate(
         [mat_mul(F, proj, mat_mul(F, alpha, M.action(G.inverse(t)))) for t in trans]
     )
-    pulled = mat_mul(F, phi.T, mat_mul(F, gram_ind, phi))
+    pulled = mat_mul(F, phi.T, mat_mul(F, ind_form.gram, phi))
     ok = bool(
         linalg.is_invertible(F, bhat)  # B-hat nondegenerate on alpha.M
         and all((mat_mul(F, phi, A) == mat_mul(F, Ai, phi)).all()
                 for A, Ai in zip(M.gen_matrices, ind.gen_matrices))
         and (pulled == mat_mul(F, theta.T, B.gram)).all()
     )
-    cert.isometry = phi
-    cert.target_module = ind
-    cert.target_form = ind_form
-    cert.verified = ok
+    return FormProjectivityCert(True, alpha, phi, ind, ind_form, ok)
 
 
 # -- symmetric projectivity and symmetric vertices ------------------------
@@ -409,7 +404,7 @@ def is_sym_projective(
     unit, that is, has a nonzero image under psi, `M.unit_map`.  One dual
     trace finds the first such basis element, and one trace gives theta.
     `endo_basis`, when given, is the basis of E_H(M) that
-    `rep.hom_space(M, M, H)` returns.
+    `sigma_fixed_basis` would solve for.
     """
     fixed = sigma_fixed_basis(M, Adjoint(base), H, endo_basis)
     i = first_unit(M, fixed, H)
@@ -442,7 +437,7 @@ def symmetric_vertices(
     """
     G = M.group
     if green is None:
-        green = green_vertex(M, with_sources=False)
+        green = green_vertex(M)
     V = green.vertex
     cands = [
         T
@@ -475,7 +470,7 @@ def _endo_basis_over(
     index at most 2: E_gVg^-1(M) = rho(g).E_V(M).rho(g)^-1, and when the
     index is 2, E_T(M) is its kernel of x -> x.rho(t) + rho(t).x for one t
     in T outside gVg^-1.  `linalg.reverse_rref` makes the basis the one
-    `rep.hom_space(M, M, T)` returns, byte for byte."""
+    `rep.hom_space` returns for `rep.restrict(M, T)`, byte for byte."""
     if T.elements == V.elements:
         return endo
     G, F, d = M.group, M.F, M.dim
@@ -584,7 +579,7 @@ def scott_component(V: Subgroup, Z: ModuleRep) -> ScottComponentCert:
     comps = [next(c for c in dec.components if c.iso_class == i)
              for i in range(len(dec.multiplicities))]
     vertexV = [i for i, c in enumerate(comps) if G.subgroup_conjugate(
-        green_vertex(c.module, with_sources=False).vertex, V) is not None]
+        green_vertex(c.module).vertex, V) is not None]
     odd = [i for i in vertexV if dec.multiplicities[i] % 2 == 1]
     if len(odd) != 1:
         raise AssertionError("distinguished component is not unique")

@@ -1,11 +1,13 @@
 """Shared fixtures, the reference routes (the dense GF(2) rref, Light's
 test by right multiplication, the irreducibles and J(kG) by chopping kG,
-summand classes by module_iso, corner bases by Echelon, subgroup
-generators by fresh closures, subgroup lattices by every element, a
-module's whole-group action one element at a time, Theta on kG as a
-G x G-module, a block's nondegeneracy through the regular module), and
-the acceptance-criterion reporting hook."""
+summand classes by module_iso, corner bases by Echelon, Hom over a
+subgroup from the whole-group actions, relative traces one element at a
+time, subgroup generators by fresh closures, subgroup lattices by every
+element, a module's whole-group action one element at a time, Theta on
+kG as a G x G-module, a block's nondegeneracy through the regular
+module), and the acceptance-criterion reporting hook."""
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +151,48 @@ def compress_corner_by_echelon(F, mats, e, incl, proj) -> list[np.ndarray]:
     return basis
 
 
+def hom_pairs_reference(M: rep.ModuleRep, N: rep.ModuleRep, H: Subgroup) -> list:
+    """(rho_M(h), rho_N(h)) for each generator h of H's own table, read off
+    the whole-group actions of M and N."""
+    Ht, elems = rep.subgroup_table(H)
+    ids = [elems[g] for g in Ht.generators]
+    return list(zip(M.full_action()[ids], N.full_action()[ids]))
+
+
+def hom_over_subgroup_reference(M: rep.ModuleRep, N: rep.ModuleRep, H: Subgroup):
+    """Hom_H(M, N) solved on `hom_pairs_reference` by the route
+    `rep.hom_space` picks for dim M . dim N: the reference for Hom over a
+    subgroup as `hom_space` of the restrictions."""
+    small = M.dim * N.dim <= rep.HOM_KRON_UNKNOWNS
+    route = rep._hom_by_kron if small else rep._hom_by_spin
+    return route(M.F, hom_pairs_reference(M, N, H))
+
+
+def rel_trace_by_element(M: rep.ModuleRep, fs, H: Subgroup, K=None) -> list:
+    """tr_H^K of each f (K = None: the whole group), one transversal
+    element at a time: rho(t).f_j side by side, then stacked and multiplied
+    by rho(t)^-1.  The reference for `vertex.rel_trace_batch`, and the
+    trace to an intermediate subgroup K."""
+    F, G, h = M.F, M.group, len(fs)
+    acc = np.zeros((h * M.dim, M.dim), dtype=np.int64)
+    for t in G.left_transversal(H, K):
+        left = linalg.mat_mul(F, M.action(t), np.concatenate(fs, axis=1))
+        acc ^= linalg.mat_mul(F, np.concatenate(np.split(left, h, axis=1)),
+                              M.action(G.inverse(t)))
+    return np.split(acc, h)
+
+
+def array_digest(arrays) -> str:
+    """sha256 over each array's dtype, shape and bytes, in order: a pin of
+    certificate matrices byte for byte."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def gens_by_fresh_closure(G: GroupTable, elements) -> tuple[int, ...]:
     """`Subgroup._find_gens` with the closure recomputed from scratch after
     each generator it adds: the reference for its incremental closure."""
@@ -274,7 +318,7 @@ def theta_reference(b, bi: RegularBimodule, choices: dict[int, int]) -> np.ndarr
         dD = diagonal_subgroup(bi, G.sylow2(within=G.centralizer(c, within=E)))
         f = linalg.zeros(G.order, G.order)
         f[d, G.inverse(d)] = 1
-        tr = vertex.rel_trace(bi.module, f, dD, dE)
+        tr = rel_trace_by_element(bi.module, [f], dD, dE)[0]
         theta ^= F.vscale(int(b.idempotent[i]), tr)
     return theta
 

@@ -45,7 +45,7 @@ def restricted_to_the_vertex(M):
     M is decomposable or projective."""
     if not rep.is_indecomposable(M):
         return None
-    green = vertex.green_vertex(M, with_sources=False)
+    green = vertex.green_vertex(M)
     if green.vertex.order == 1:
         return None
     res = rep.restrict(M, green.vertex)

@@ -7,7 +7,9 @@ each conjugacy class representative of 2-subgroups, take every ordered
 pair (M, N) of them with dim M . dim N at most twice
 `rep.HOM_KRON_UNKNOWNS`; over the whole group, also one pair (S + k^j, N)
 of each size up to that bound that no pair of the pool has.  Run
-`_hom_by_kron` and `_hom_by_spin` on the same generator pairs and compare
+`_hom_by_kron` and `_hom_by_spin` on the same generator pairs (over H,
+those of the restrictions `rep.restrict(M, H)` and `rep.restrict(N, H)`)
+and compare
 the bases byte for byte (dtype, shape and entries).  Too slow for the
 Tier-1 suite; run it as a script:
 
@@ -60,7 +62,9 @@ def main() -> int:
             fill = [filler(mods, n) for n in range(1, LIMIT + 1) if n not in have]
             for H in [None, *G.two_subgroups_up_to_conjugacy()]:
                 for (a, M), (b, N) in cases + (fill if H is None else []):
-                    pairs = rep._hom_pairs(M, N, H)
+                    if H is not None:  # Hom over H: Hom of the restrictions
+                        M, N = rep.restrict(M, H), rep.restrict(N, H)
+                    pairs = list(zip(M.gen_matrices, N.gen_matrices))
                     kron = as_bytes(rep._hom_by_kron(F, pairs))
                     runs += 1
                     sizes.add(M.dim * N.dim)

@@ -288,7 +288,7 @@ def test_criterion_06_vertex_bound_sweep():
                 base = forms.base_form(S)
                 if base is None:
                     continue
-                gv = vertex.green_vertex(S, with_sources=False)
+                gv = vertex.green_vertex(S)
                 sv = vertex.symmetric_vertices(S, base, gv)
                 assert sv, (name, S.dim)
                 case_one = False
@@ -470,7 +470,7 @@ def test_criterion_10_scott():
 
     Z = rep.ModuleRep(Vt, F2, [upper(np.eye(2, dtype=np.int64)), upper(C)])
     assert rep.is_indecomposable(Z) and rep.is_selfdual(Z)
-    assert vertex.green_vertex(Z, with_sources=False).vertex.order == 4
+    assert vertex.green_vertex(Z).vertex.order == 4
     cert = vertex.scott_component(V, Z)
     assert cert.multiplicity == 1
     assert all(cert.checks.values()), cert.checks

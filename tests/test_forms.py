@@ -9,7 +9,7 @@ from symvert import catalog, forms, linalg, rep
 from symvert.field import make_field
 from symvert.linalg import Subspace, mat_mul
 
-from conftest import kg_radical_by_chop
+from conftest import array_digest, fresh_table, kg_radical_by_chop
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -48,14 +48,15 @@ def test_invariant_forms_for_a_proper_subgroup():
     M = regular_s3()
     H = S3.sylow2()
     assert H.order == 2
-    inv = forms.invariant_forms(M, H)
+    inv = forms.invariant_forms(rep.restrict(M, H))
     # Res_H kG is free of rank 3, so the forms are Hom_H(kH^3, kH^3)
     assert len(inv.basis) == 18
     for X in inv.basis:
         for h in H.elements:
             A = M.action(h)
             assert (mat_mul(F2, A.T, mat_mul(F2, X, A)) == X).all()
-    assert len(forms.invariant_forms(M, S3.trivial_subgroup()).basis) == 36
+    trivial = rep.restrict(M, S3.trivial_subgroup())
+    assert len(forms.invariant_forms(trivial).basis) == 36
 
 
 def test_regular_form_flags():
@@ -346,6 +347,56 @@ def test_mackey_decompose_verified():
     assert len(md.pieces) == len(S4.double_cosets(K, H))
 
 
+# sha256 (`array_digest`) of the witness, the restricted module's matrices
+# and Gram, then each piece's matrices and Gram, of `mackey_decompose` for
+# (L, B_L) = (kP, B_t) over GF(4), P a Sylow 2-subgroup of S4 and t the
+# first involution of P's table (a Gram that is no identity matrix), for
+# each 2-subgroup class K; recorded before the induced Grams and the
+# restriction came from `induce_form` and `rep.restrict`
+MACKEY_PINS = [
+    "c77ecc1648368848dfefabc2e7bd1408f6506e651b0335cfc86f763ccb82f1a3",
+    "09ee9b9e102b25d44beacef28d0a281a77240b66c6ecac4fcb286a2f1ac6e6a5",
+    "eee1583255c98ba4b1f81101d32f4aea1fa004e3c1d5031e8d6f166d94c4dfb8",
+    "47f195e1cf4b2818e5e2763f9a5e90c462347ae812f94e7a76ce4acac0fb3e60",
+    "524a4054f5da6fa4b12b89905cec3d45ead24dcb96e2730d623f2ba097ebdbd7",
+    "3fcdb60896292d36ffbc699185ba24376bfca20c97d22c298b528ea9cbca1adc",
+    "877c6a2a24de5b9b17a36aa5095e02006105edd74d1070e0e619f11ea4ed1aa9",
+]
+
+
+def test_mackey_witness_is_pinned():
+    # a fresh table: the first subgroup table of P's element set, built
+    # from P's generators here, fixes the ids the module is read over
+    G = fresh_table(S4)
+    P = G.sylow2()
+    Pt = rep.subgroup_table(P)[0]
+    L = rep.regular_module(Pt, F4)
+    BL = forms.involution_form(L, Pt.involutions()[0])
+    got = []
+    for K in G.two_subgroups_up_to_conjugacy():
+        md = forms.mackey_decompose(BL, P, K)
+        assert md.verified
+        pieces = [a for p in md.pieces for a in (*p.module.gen_matrices, p.form.gram)]
+        got.append(array_digest(
+            [md.witness, *md.res_module.gen_matrices, md.res_form.gram, *pieces]
+        ))
+    assert got == MACKEY_PINS
+
+
+def test_adjoint_refuses_a_gram_that_is_not_invariant():
+    # sigma(A) = A^-1 exactly when A^T.P.A = P, so the adjoint of a
+    # nondegenerate Gram that is not invariant is refused as before; an
+    # invariant one is checked on the generators alone, so the module's
+    # whole-group action is never built
+    M = regular_s3()
+    swap = forms.GForm(M, np.eye(6, dtype=np.int64)[[1, 0, 2, 3, 4, 5]], check=False)
+    assert swap.nondegenerate and swap.symmetric and not swap.is_invariant()
+    with pytest.raises(ValueError, match="adjoint does not invert the group action"):
+        forms.Adjoint(swap)
+    forms.Adjoint(forms.standard_form(M))
+    assert M._action is None
+
+
 def test_lift_selfadjoint_idempotent_contract():
     # every a = r(x), x in kS3, modulo I = r(J(kS3)): a lift exists exactly
     # when a is idempotent and sigma-fixed modulo I, and ValueError otherwise
@@ -428,11 +479,3 @@ def test_extend_form_from_summand_round_trip():
     theta, Bth = forms.extend_form_from_summand(B, e, incl, bhat)
     got = mat_mul(F2, incl.T, mat_mul(F2, Bth.gram, incl))
     assert (got == bhat).all()
-
-
-def test_form_serialization_round_trip():
-    M = regular_s3()
-    B = forms.standard_form(M)
-    d = forms.form_to_dict(B)
-    B2 = forms.form_from_dict(d, M)
-    assert (B2.gram == B.gram).all()

@@ -95,12 +95,6 @@ def test_factor_known_cases():
     assert sorted(f[0] for f, _ in f4) == [2, 3]  # the two primitive elements
 
 
-def test_squarefree_part():
-    # (x)(x+1)^2 -> squarefree part x(x+1) = x^2 + x
-    p = polys.mul(F2, [0, 1], polys.mul(F2, [1, 1], [1, 1]))
-    assert polys.squarefree_part(F2, p) == [0, 1, 1]
-
-
 def test_derivative_char2():
     # d/dx (x^4 + x^3 + x^2 + x + 1) = 3x^2 + 1 = x^2 + 1
     assert polys.derivative(F2, [1, 1, 1, 1, 1]) == [1, 0, 1]
@@ -114,11 +108,3 @@ def test_eval_matrix_cayley_hamilton_style():
     assert not polys.eval_matrix(F2, mu, A).any()
     assert (polys.eval_matrix(F2, [0, 1], A) == A).all()
     assert (polys.eval_matrix(F2, [1], A) == np.eye(2, dtype=np.int64)).all()
-
-
-def test_roots():
-    # x^2 + x over GF(4) has roots 0 and 1 only
-    assert polys.roots(F4, [0, 1, 1]) == [0, 1]
-    # x^2 + x + 1 has the two non-subfield elements of GF(4) as roots
-    assert polys.roots(F4, [1, 1, 1]) == [2, 3]
-    assert polys.roots(F2, [1, 1, 1]) == []

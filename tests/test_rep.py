@@ -21,6 +21,7 @@ from conftest import (
     compress_corner_by_echelon,
     fresh_table,
     full_action_by_elements,
+    hom_over_subgroup_reference,
     irreducibles_by_chop,
     iso_classes_by_module_iso,
     kg_radical_by_chop,
@@ -493,20 +494,41 @@ def hom_cases(draw):
 @given(hom_cases())
 def test_hom_space_matches_kronecker_reference(case):
     M, N, H = case
-    got = rep.hom_space(M, N, H)
-    want = kron_hom_reference(M, N, H)
+    if H is not None:  # Hom over H is Hom of the restrictions
+        M, N = rep.restrict(M, H), rep.restrict(N, H)
+    got = rep.hom_space(M, N)
+    want = kron_hom_reference(*case)
     assert len(got) == len(want)
     for X, Y in zip(got, want):
         assert X.shape == (N.dim, M.dim)
         assert (X == Y).all()
     # both routes on every case, so the spin route stays tested below the
     # bound and the Kronecker route above it
-    pairs = rep._hom_pairs(M, N, H)
+    pairs = list(zip(M.gen_matrices, N.gen_matrices))
     for route in (rep._hom_by_kron, rep._hom_by_spin):
         basis = route(M.F, pairs)
         assert [(X.dtype, X.shape, X.tobytes()) for X in basis] == [
             (Y.dtype, Y.shape, Y.tobytes()) for Y in got
         ]
+
+
+@pytest.mark.parametrize("name", catalog.SUITE_NAMES)
+@pytest.mark.parametrize("m", [1, 2])
+def test_hom_over_a_subgroup_matches_the_whole_group_action_route(name, m):
+    # over each 2-subgroup class representative H, Hom of the restrictions
+    # equals, byte for byte, Hom solved on the generator pairs read off the
+    # whole-group actions
+    G, F = catalog.suite_group(name), make_field(m)
+    mods = [rep.permutation_module(G, F)]
+    if G.order <= 24:
+        mods.append(rep.regular_module(G, F))
+    for H in G.two_subgroups_up_to_conjugacy():
+        for M, N in itertools.product(mods, repeat=2):
+            got = rep.hom_space(rep.restrict(M, H), rep.restrict(N, H))
+            want = hom_over_subgroup_reference(M, N, H)
+            assert [(X.dtype, X.shape, X.tobytes()) for X in got] == [
+                (Y.dtype, Y.shape, Y.tobytes()) for Y in want
+            ]
 
 
 def spin_reference(F, vecs, gens):

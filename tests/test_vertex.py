@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from symvert import catalog, forms, linalg, rep, vertex
 from symvert.field import make_field
+from symvert.group import Subgroup
 from symvert.linalg import mat_mul
+
+from conftest import array_digest, rel_trace_by_element
 
 F2 = make_field(1)
 S3 = catalog.suite_group("S3")
@@ -21,13 +24,19 @@ def two_dim_simple(G):
     return [m for m in rep.irreducible_modules(G, F2) if m.dim == 2][0]
 
 
+def _endo_over(M, H):
+    """E_H(M): the Hom space of Res_H M with itself."""
+    res = rep.restrict(M, H)
+    return rep.hom_space(res, res)
+
+
 def test_rel_trace_transitivity():
     M = rep.regular_module(S4, F2)
     P = S4.sylow2()
     H = [K for K in S4.two_subgroups_up_to_conjugacy()
          if K.order == 2 and S4.is_subgroup_of(K, P)][0]
-    f = rep.hom_space(M, M, H)[3]
-    via = vertex.rel_trace(M, vertex.rel_trace(M, f, H, P), P)
+    f = _endo_over(M, H)[3]
+    via = vertex.rel_trace(M, rel_trace_by_element(M, [f], H, P)[0], P)
     direct = vertex.rel_trace(M, f, H)
     assert (via == direct).all()
 
@@ -36,25 +45,13 @@ def test_rel_trace_frobenius_identity():
     # tr_H^G(alpha . res(phi)) = tr_H^G(alpha) . phi for phi in E_G(M)
     M = rep.regular_module(S3, F2)
     H = S3.sylow2()
-    alphas = rep.hom_space(M, M, H)
+    alphas = _endo_over(M, H)
     phis = rep.hom_space(M, M)
     for alpha in alphas[:4]:
         for phi in phis[:4]:
             lhs = vertex.rel_trace(M, mat_mul(F2, alpha, phi), H)
             rhs = mat_mul(F2, vertex.rel_trace(M, alpha, H), phi)
             assert (lhs == rhs).all()
-
-
-def _rel_trace_by_element(M, fs, H, K):
-    """tr_H^K of each f, one transversal element at a time: rho(t).f_j side
-    by side, then stacked and multiplied by rho(t)^-1."""
-    F, G, h = M.F, M.group, len(fs)
-    acc = np.zeros((h * M.dim, M.dim), dtype=np.int64)
-    for t in G.left_transversal(H, K):
-        left = mat_mul(F, M.action(t), np.concatenate(fs, axis=1))
-        acc ^= mat_mul(F, np.concatenate(np.split(left, h, axis=1)),
-                       M.action(G.inverse(t)))
-    return np.split(acc, h)
 
 
 S5 = catalog.suite_group("S5")
@@ -73,14 +70,19 @@ _INVOLUTION = next(x for x in _P.elements if S5.element_order(x) == 2)
 def test_rel_trace_batch_matches_the_per_element_sum(m, H, K, h):
     # on the 5-dim permutation module of S5, h = 600 and 1400 endomorphisms
     # make chunks of 4 transversal elements (the last one short for |G:P| =
-    # 15) and of 1
+    # 15) and of 1; tr_H^K is the trace on Res_K M, with H in K's table
     F = make_field(m)
     M = rep.permutation_module(S5, F)
     rng = np.random.default_rng(h)
     fs = list(rng.integers(0, F.q, size=(h, M.dim, M.dim)))
     assert vertex.TRACE_CHUNK_ENTRIES // (h * M.dim**2) == (4 if h == 600 else 1)
-    got = vertex.rel_trace_batch(M, fs, H, K)
-    want = _rel_trace_by_element(M, fs, H, K)
+    if K is None:
+        got = vertex.rel_trace_batch(M, fs, H)
+    else:
+        Kt, elems = rep.subgroup_table(K)
+        H_in_K = Subgroup(Kt, tuple(elems.index(x) for x in H.elements), None)
+        got = vertex.rel_trace_batch(rep.restrict(M, K), fs, H_in_K)
+    want = rel_trace_by_element(M, fs, H, K)
     assert len(got) == h
     assert all((g == w).all() for g, w in zip(got, want))
 
@@ -370,12 +372,12 @@ def test_one_algebra_per_vertices_query(monkeypatch, name):
     for M in mods:
         decomposed.clear()
         green = vertex.green_vertex(M)
-        V = green.vertex
+        V, sources = green.vertex, green.sources
         assert len(decomposed) == (V.order > 1)
         if V.order == 1:  # M is projective: k of the trivial group
             projective += 1
-            assert _source_signatures(green.sources) == [(1, True, True)]
-            assert green.sources[0].module.group.order == 1
+            assert _source_signatures(sources) == [(1, True, True)]
+            assert sources[0].module.group.order == 1
         base = forms.base_form(M)
         if base is None:
             continue
@@ -385,6 +387,47 @@ def test_one_algebra_per_vertices_query(monkeypatch, name):
         assert fixed and all(n == 0 for _, n in fixed)
         reused += 1
     assert projective >= 2 and reused >= 2
+
+
+def test_sources_are_decomposed_on_first_read_only(monkeypatch):
+    # symmetric_vertices needs the vertex alone and decomposes nothing; the
+    # sources come from one decomposition of Res_V M, made on the first
+    # read of green.sources and kept
+    M = two_dim_simple(S4)
+    base = forms.base_form(M)
+    decomposed = []
+    decompose = rep.decompose
+    monkeypatch.setattr(rep, "decompose",
+                        lambda *a, **k: decomposed.append(1) or decompose(*a, **k))
+    assert vertex.symmetric_vertices(M, base) and decomposed == []
+    green = vertex.green_vertex(M)
+    assert green.vertex.order > 1 and decomposed == []
+    sources = green.sources
+    assert green.sources is sources and decomposed == [1]
+
+
+# sha256 (`array_digest`) of alpha, the isometry, the target module's
+# matrices and the target Gram that `form_is_H_projective` certifies for
+# each symmetric vertex class T of D12's 4-dim PIM relative to T itself
+# (criterion 1); recorded before the induced Gram came from
+# `forms.induce_form`
+FORM_CERT_PINS = [
+    "ede4d216004306530f6f8f431eaf6590531d87fa18c78ae3999159c4f5ae1f11",
+    "6699892afc3c5b1d26dd965e019703b40e72a362c38261e19a197c0fe2e56b17",
+]
+
+
+def test_form_projectivity_certificates_are_pinned():
+    P, _ = catalog.d12_pim(F2)
+    base = forms.base_form(P)
+    got = []
+    for t in vertex.symmetric_vertices(P, base):
+        theta = forms.endo_from_form(base, t.form)
+        c = vertex.form_is_H_projective(base, theta, t.subgroup)
+        assert c.projective and c.verified
+        got.append(array_digest([c.alpha, c.isometry, *c.target_module.gen_matrices,
+                                 c.target_form.gram]))
+    assert got == FORM_CERT_PINS
 
 
 def test_two_sources_of_the_gl32_induced_module():
@@ -435,14 +478,15 @@ def test_source_follows_the_unit_trace_whichever_component_comes_first(
         return cert
 
     monkeypatch.setattr(vertex, "is_projective", zero_alpha)
+    green = vertex.green_vertex(M)
     with pytest.raises(AssertionError, match="unit trace"):
-        vertex.green_vertex(M)
+        green.sources  # computed on first read
 
 
 def _higman_alpha(M, H):
     """The full Higman solve: an alpha in E_H(M) with tr_H^G(alpha) the
     identity, from the traces of a basis of E_H(M); None when there is none."""
-    basis = rep.hom_space(M, M, H)
+    basis = _endo_over(M, H)
     if not basis:
         return None
     traces = vertex.rel_trace_batch(M, basis, H)
@@ -474,7 +518,7 @@ def test_dimension_bound_rejects_only_what_higman_rejects():
             continue
         V, alpha = next((H, a) for H in classes
                         if (a := _higman_alpha(M, H)) is not None)
-        green = vertex.green_vertex(M, with_sources=False)
+        green = vertex.green_vertex(M)
         assert green.vertex.elements == V.elements
         assert (green.cert.alpha == alpha).all()
     assert rejected > 0
@@ -533,7 +577,7 @@ def test_dual_trace_matches_tracing_every_basis_element(name):
         base = forms.base_form(M)
         one = np.eye(M.dim, dtype=np.int64)
         for H in G.two_subgroups_up_to_conjugacy():
-            basis = rep.hom_space(M, M, H)
+            basis = _endo_over(M, H)
             i = _first_unit_by_tracing_all(M, basis, H)
             assert vertex.first_unit(M, basis, H) == i
             cert = vertex.is_projective(M, H)
