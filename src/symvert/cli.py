@@ -207,15 +207,11 @@ def cmd_verify(args) -> int:
         print("error: the verify suites run over fixed fields; "
               "--field-degree must be 1", file=sys.stderr)
         return EXIT_PARSE
-    import time
-
-    t0 = time.time()
     results = _run_checks(suites[args.suite](args))
     out = {
         "meta": _meta(make_field(args.field_degree), args),
         "suite": args.suite,
         "results": results,
-        "elapsed_s": round(time.time() - t0, 3),
     }
     _emit(out, args)
     return EXIT_OK if all(r["pass"] for r in results) else 1

@@ -28,7 +28,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -355,13 +355,10 @@ class EndoAlgebra:
 
     module: ModuleRep
     basis: list[np.ndarray]
-    gens: list[np.ndarray] = field(default_factory=list)
     quotient: Semisimple | None = None
     check: InitVar[bool] = True
 
     def __post_init__(self, check: bool):
-        if not self.gens:
-            self.gens = list(self.basis)
         flat = np.array([b.ravel() for b in self.basis])
         if check and linalg.rank(self.module.F, flat) != len(self.basis):
             raise ValueError("endomorphism basis is linearly dependent")
@@ -382,12 +379,11 @@ def regular_end_algebra(G: GroupTable, F: FieldCtx, M: ModuleRep) -> EndoAlgebra
     action of a on the irreducibles, zero exactly for a in J(kG).  Each
     row of A is labelled by its irreducible."""
     basis = [right_mult_matrix(G, e) for e in eye(G.order)]
-    gens = [basis[g] for g in G.generators]
     (A, heads), e0 = _irreducible_actions(G, F), eye(G.order)[:, :1]
     ss = Semisimple(F, A, e0, np.ones((len(A), 1), dtype=bool), heads)
     # r(x) has its 1s at (y x, y), so the r(x) have disjoint supports and
     # are independent
-    return EndoAlgebra(M, basis, gens=gens, quotient=ss, check=False)
+    return EndoAlgebra(M, basis, quotient=ss, check=False)
 
 
 # kG multiplies on the group-element basis through the table: the
@@ -587,7 +583,7 @@ class Semisimple:
         if E.quotient is not None:
             return E.quotient
         F = E.module.F
-        factors = chop(F, E.gens, E.module.dim, seed=seed)
+        factors = chop(F, E.basis, E.module.dim, seed=seed)
         Q = np.concatenate([lift for _, lift in factors]).T
         sizes = [len(lift) for _, lift in factors]
         block = np.repeat(np.arange(len(sizes)), sizes)
@@ -617,15 +613,12 @@ class Semisimple:
         L, R = mat_mul(F, self.L, incl), mat_mul(F, proj, self.R)
         return Semisimple(F, L, R, self.mask, self.heads)
 
-    def kernel(self, E: EndoAlgebra, echelon=None) -> list[np.ndarray]:
-        """J(E): the elements of E that the map sends to zero (`echelon`:
-        the rref of images(E.basis).T, if read already), as the products
-        of its coefficient vectors with E's flattened basis.  The product
-        runs over bands of rows, about 2^18 basis entries a band, so no
-        flattened copy of the whole basis is made."""
-        if echelon is None:
-            echelon = linalg.rref(self.F, self.images(E.basis).T)
-        coeffs = linalg._kernel_from_rref(*echelon, E.dim)
+    def kernel(self, E: EndoAlgebra) -> list[np.ndarray]:
+        """J(E): the elements of E that the map sends to zero, as the
+        products of its coefficient vectors with E's flattened basis.  The
+        product runs over bands of rows, about 2^18 basis entries a band,
+        so no flattened copy of the whole basis is made."""
+        coeffs = linalg.kernel(self.F, self.images(E.basis).T)
         d, e = E.basis[0].shape
         out = np.empty((len(coeffs), d, e), dtype=np.int64)
         rows = max(1, (1 << 18) // (E.dim * e))
@@ -661,18 +654,11 @@ class Component:
 
 @dataclass
 class DecompositionCert:
-    """The summands of a module, grouped by isomorphism class.
-
-    `radical` is the basis of J(E), as matrices on the module: the kernel
-    of the map through which `decompose` read E/J(E).  For kG with E =
-    `regular_end_algebra`, these are the right multiplications r(a) for a
-    in a basis of J(kG), and as r(a) sends the identity (id 0) to a,
-    column 0 of each reads a off."""
+    """The summands of a module, grouped by isomorphism class."""
 
     module: ModuleRep
     components: list[Component]
     multiplicities: list[int]  # per iso class
-    radical: list[np.ndarray]
 
     def verify(self) -> bool:
         F = self.module.F
@@ -704,13 +690,11 @@ def lift_idempotent(F: FieldCtx, a: np.ndarray, s: int) -> np.ndarray:
     return e
 
 
-def _split_once(
-    E: EndoAlgebra, ss: Semisimple, seed: int, lifts: list[np.ndarray] | None = None
-) -> np.ndarray | None:
+def _split_once(E: EndoAlgebra, ss: Semisimple, seed: int) -> np.ndarray | None:
     """A nontrivial idempotent of E, or None when E is local (ss reads
-    E/J(E); `lifts`, when given, is its `semisimple_quotient`)."""
+    E/J(E))."""
     F = E.module.F
-    lifts = semisimple_quotient(E, ss) if lifts is None else lifts
+    lifts = semisimple_quotient(E, ss)
     r = len(lifts)
     if r == 1:
         return None
@@ -758,20 +742,19 @@ def _compress_corner(F, mats, e: np.ndarray, incl, proj) -> list[np.ndarray]:
 @dataclass
 class Corner:
     """A summand f.M of a module M: its algebra fEf in the summand's
-    coordinates, the map reading fEf/J(fEf), incl into M's coordinates and
-    proj back, and the algebra's `semisimple_quotient` when already read."""
+    coordinates, the map reading fEf/J(fEf), and incl into M's coordinates
+    and proj back."""
 
     algebra: EndoAlgebra
     quotient: Semisimple
     incl: np.ndarray
     proj: np.ndarray
-    lifts: list[np.ndarray] | None = None
 
     @classmethod
-    def top(cls, E: EndoAlgebra, ss: Semisimple, lifts: list | None = None) -> Corner:
+    def top(cls, E: EndoAlgebra, ss: Semisimple) -> Corner:
         """The whole module, the corner of the identity."""
         d = E.module.dim
-        return cls(E, ss, eye(d), eye(d), lifts)
+        return cls(E, ss, eye(d), eye(d))
 
     @property
     def idempotent(self) -> np.ndarray:
@@ -785,7 +768,7 @@ def split_corner(c: Corner, seed: int) -> tuple[Corner, Corner] | None:
     indecomposable)."""
     E = c.algebra
     F = E.module.F
-    e = _split_once(E, c.quotient, seed, c.lifts)
+    e = _split_once(E, c.quotient, seed)
     if e is None:
         return None
     halves = []
@@ -810,11 +793,7 @@ def decompose(
     E = endo if endo is not None else end_algebra(M)
     comps: list[Component] = []
     ss = Semisimple.of(E, seed)
-    # one rref of E.basis' images: its pivots lift E/J(E) for the first
-    # split, and its kernel is J(E)
-    echelon = linalg.rref(F, ss.images(E.basis).T)
-    lifts = [E.basis[i] for i in echelon[1]]
-    todo = [(Corner.top(E, ss, lifts), seed)]  # splits use seed + depth
+    todo = [(Corner.top(E, ss), seed)]  # splits use seed + depth
     while todo:
         c, s = todo.pop()
         halves = split_corner(c, s)
@@ -831,7 +810,7 @@ def decompose(
     for c, h in zip(comps, heads):
         c.iso_class = classes.index(h)
     mults = [heads.count(h) for h in classes]
-    return DecompositionCert(M, comps, mults, ss.kernel(E, echelon))
+    return DecompositionCert(M, comps, mults)
 
 
 def local_quotient(E: EndoAlgebra) -> Semisimple | None:
@@ -848,7 +827,7 @@ def local_quotient(E: EndoAlgebra) -> Semisimple | None:
     and irreducibly on S: E/J = Mat_n(D) with dim S = n dim D and
     dim E/J = n^2 dim D, equal only for n = 1, when E/J is a field."""
     F, d = E.module.F, E.module.dim
-    gens, incl, proj, seed = E.gens, eye(d), eye(d), 0
+    gens, incl, proj, seed = E.basis, eye(d), eye(d), 0
     while (W := _proper_submodule(F, gens, len(proj), seed)) is not None:
         gens, i, p = _compress_action(F, gens, Subspace(F, len(proj), W))
         incl, proj, seed = mat_mul(F, incl, i), mat_mul(F, p, proj), seed + 1
@@ -994,12 +973,12 @@ class PimInfo:
 def pims(G: GroupTable, F: FieldCtx, seed: int = 0) -> list[PimInfo]:
     """One PIM per isomorphism class of summands of kG, with its head.
 
-    kG is decomposed once; J(kG) is column 0 of the radical it split
-    modulo.  P = kG.e has rad P = J.kG.e = J.e, and c.proj applies e, so
-    the head P / rad P is a quotient by one product."""
+    kG is decomposed once, with no chop of kG, and J(kG) is
+    `group_algebra_radical`.  P = kG.e has rad P = J.kG.e = J.e, and
+    c.proj applies e, so the head P / rad P is a quotient by one product."""
     M = regular_module(G, F)
     cert = decompose(M, seed=seed, endo=regular_end_algebra(G, F, M))
-    J = np.array([r[:, 0] for r in cert.radical]).reshape(-1, G.order)
+    J = group_algebra_radical(G, F).basis
     out: list[PimInfo] = []
     for i, mult in enumerate(cert.multiplicities):
         c = next(c for c in cert.components if c.iso_class == i)

@@ -279,6 +279,25 @@ def test_oracle_small_suite(capsys):
     assert all(r["pass"] for r in data["results"])
 
 
+@pytest.mark.parametrize("seed", [0, 20240401])
+def test_paper_examples_suite(seed, capsys):
+    # every named check passes, the report holds no wall-clock field, and
+    # a second run at the same seed prints the same bytes
+    argv = ["--json", "--seed", str(seed), "verify", "paper-examples"]
+    code, out = run(argv, capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["suite"] == "paper-examples" and "elapsed_s" not in data
+    assert data["results"] == [{"name": name, "pass": True} for name in (
+        "dihedral-pim-two-symmetric-vertices",
+        "s5-specht-case-I",
+        "gl32-extension-case-III",
+        "specht-row-reversal-quadratic-type",
+        "s3-two-real-blocks",
+    )]
+    assert run(argv, capsys) == (0, out)
+
+
 def test_verify_rejects_a_field_degree_it_would_not_use(capsys):
     # both suites compute over fixed fields, so --field-degree 3 would be
     # reported in meta but never used

@@ -1,17 +1,19 @@
 """Byte-for-byte pins of the decompositions, PIMs and irreducibles.
 
 Each digest is a sha256 over the int64 bytes (and shapes) of a
-`DecompositionCert`'s idempotents, iso classes, multiplicities and
-`radical`, of the PIM and head generator matrices and multiplicity of
+`DecompositionCert`'s idempotents, iso classes and multiplicities
+followed by `rep.radical` of the module's endomorphism algebra at the
+same seed, of the PIM and head generator matrices and multiplicity of
 each `pims` entry, or of the generator matrices of a list of
 irreducibles: kind `irreducibles` for conftest's `irreducibles_by_chop`
 (the factors of a composition series of kG, at each seed), kind
 `irreducible_modules` for `rep.irreducible_modules` (read off the tensor
 closure, no seed).  They were recorded while E/J(E) was still read by a
-reduction modulo a basis of J(E), and the irreducibles rebuilt as
-sub-quotients of kG.  They pin that reading E/J(E) off the composition
-series instead, and taking the irreducibles from `chop`'s factor
-matrices, moves no output."""
+reduction modulo a basis of J(E), the irreducibles rebuilt as
+sub-quotients of kG, and the basis of J(E) carried on the certificate.
+They pin that reading E/J(E) off the composition series instead, taking
+the irreducibles from `chop`'s factor matrices, and reading J(E) from
+`rep.radical` once `decompose` no longer builds it, moves no output."""
 
 import hashlib
 
@@ -218,12 +220,12 @@ def _feed(h, arrays):
         h.update(A.tobytes())
 
 
-def cert_digest(cert: rep.DecompositionCert) -> str:
+def cert_digest(cert: rep.DecompositionCert, seed: int) -> str:
     h = hashlib.sha256()
     for c in cert.components:
         _feed(h, [c.idempotent, [c.iso_class]])
     _feed(h, [cert.multiplicities])
-    _feed(h, cert.radical)
+    _feed(h, rep.radical(rep.end_algebra(cert.module), seed))
     return h.hexdigest()
 
 
@@ -246,7 +248,7 @@ def pinned_digest(name, kind, m, seed) -> str:
             _feed(h, S.gen_matrices)
         return h.hexdigest()
     module = rep.regular_module if kind == "regular" else rep.permutation_module
-    return cert_digest(rep.decompose(module(G, F), seed=seed))
+    return cert_digest(rep.decompose(module(G, F), seed=seed), seed)
 
 
 @pytest.mark.parametrize("name, kind, m, seed", list(PINS))

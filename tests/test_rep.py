@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from symvert import blocks, catalog, linalg, polys, rep
+from symvert import blocks, catalog, linalg, polys, rep, vertex
 from symvert.field import make_field, splitting_degree
 from symvert.group import GroupTable, from_permutations, load_group
 
@@ -33,6 +33,7 @@ S3 = catalog.suite_group("S3")
 S4 = catalog.suite_group("S4")
 A4 = catalog.suite_group("A4")
 V4 = catalog.suite_group("V4")
+MODULE_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "modules"
 
 
 def sylow_sub(G):
@@ -161,31 +162,70 @@ def record_chop_dims(monkeypatch) -> list[int]:
     return dims
 
 
-def count_chop_dims(monkeypatch) -> list[int]:
-    """`record_chop_dims`, failing on the public routes to the irreducibles
-    and J(kG): `pims` reads J(kG) off its own decomposition, through the
-    map `regular_end_algebra` carries."""
-    dims = record_chop_dims(monkeypatch)
-    for name in ("group_algebra_radical", "irreducible_modules"):
-        monkeypatch.setattr(rep, name, lambda *a, name=name, **k: pytest.fail(name))
-    return dims
+def count_chop_dims(monkeypatch) -> tuple[list[int], list[tuple]]:
+    """`record_chop_dims`, with each call of `group_algebra_radical`
+    recorded as well, and failing on `irreducible_modules`: `pims` reads
+    J(kG) from `group_algebra_radical` alone, the kernel of the tensor
+    closure's action matrix."""
+    dims, calls = record_chop_dims(monkeypatch), []
+    real_radical = rep.group_algebra_radical
+
+    def group_algebra_radical(G, F):
+        calls.append((G, F))
+        return real_radical(G, F)
+
+    monkeypatch.setattr(rep, "group_algebra_radical", group_algebra_radical)
+    monkeypatch.setattr(
+        rep, "irreducible_modules", lambda *a, **k: pytest.fail("irreducible_modules")
+    )
+    return dims, calls
 
 
 def test_pims_s3(monkeypatch):
-    dims = count_chop_dims(monkeypatch)
+    dims, calls = count_chop_dims(monkeypatch)
     ps = rep.pims(S3, F2)
     got = sorted((p.pim.dim, p.head.dim, p.multiplicity) for p in ps)
     assert got == [(2, 1, 1), (2, 2, 2)]
     assert sum(p.pim.dim * p.multiplicity for p in ps) == 6
+    assert calls == [(S3, F2)]
     assert dims.count(S3.order) == 0  # kG is never chopped
 
 
 def test_pims_s4(monkeypatch):
-    dims = count_chop_dims(monkeypatch)
-    ps = rep.pims(S4, F2)
+    dims, calls = count_chop_dims(monkeypatch)
+    ps = rep.pims(fresh_table(S4), F2)  # a fresh table runs the tensor closure
     got = sorted((p.pim.dim, p.head.dim, p.multiplicity) for p in ps)
     assert got == [(8, 1, 1), (8, 2, 2)]
-    assert dims.count(S4.order) == 0
+    assert len(calls) == 1
+    assert dims and dims.count(S4.order) == 0
+
+
+def _decompose_cases():
+    """(module, endomorphism algebra) for three direct `decompose` calls:
+    kG over `regular_end_algebra`, S4's permutation module over GF(4), and
+    Res_V M over the basis of E_V(M) that `is_projective` solved, for the
+    induced GL(3,2):2 module with two sources."""
+    M = rep.regular_module(S4, F2)
+    yield M, rep.regular_end_algebra(S4, F2, M)
+    M = rep.permutation_module(S4, F4)
+    yield M, rep.end_algebra(M)
+    G = catalog.suite_group("GL(3,2):2")
+    M = rep.load_module(str(MODULE_FILES / "gl32_2-induced-6.json"), G)
+    green = vertex.green_vertex(M)  # reads M.unit_map, whose test uses the kernel
+    res = rep.restrict(M, green.vertex)
+    yield res, rep.end_algebra(res, basis=green.cert.endo_basis)
+
+
+def test_decompose_builds_no_radical(monkeypatch):
+    # decompose splits through the quotient map alone: its kernel, J(E),
+    # is never read back as matrices
+    cases = list(_decompose_cases())
+    monkeypatch.setattr(
+        rep.Semisimple, "kernel", lambda *a, **k: pytest.fail("Semisimple.kernel")
+    )
+    for M, E in cases:
+        cert = rep.decompose(M, endo=E)
+        assert cert.verify()
 
 
 SMALL_GROUPS = [n for n in catalog.SUITE_NAMES if catalog.suite_group(n).order <= 24]
@@ -196,11 +236,8 @@ SMALL_GROUPS = [n for n in catalog.SUITE_NAMES if catalog.suite_group(n).order <
 def test_pims_heads_from_decomposition_radical(name, F):
     G = catalog.suite_group(name)
     J = kg_radical_by_chop(G, F)
-    # J(kG) is column 0 of the radical the regular decomposition splits modulo
-    M = rep.regular_module(G, F)
-    cert = rep.decompose(M, endo=rep.regular_end_algebra(G, F, M))
-    col0 = np.array([r[:, 0] for r in cert.radical]).reshape(-1, G.order)
-    assert linalg.Subspace(F, G.order, col0) == J
+    # the J(kG) that pims reads, from the tensor closure, is the reference's
+    assert rep.group_algebra_radical(G, F) == J
     # reference heads: P / J.P from every left multiplication by a basis of J
     Jmats = [rep.left_mult_matrix(G, v) for v in J.basis]
     for seed in (0, 20240401):
@@ -225,17 +262,18 @@ def test_pims_heads_from_decomposition_radical(name, F):
 def test_regular_quotient_matches_the_composition_series_map(name, F, seed):
     # the map through the irreducibles that regular_end_algebra carries and
     # the composition-series map of a bare algebra of the same basis have
-    # the same kernel, so the decompositions agree to the byte
+    # the same kernel, so the radicals and decompositions agree to the byte
     G = catalog.suite_group(name)
     M = rep.regular_module(G, F)
     E = rep.regular_end_algebra(G, F, M)
-    bare = rep.EndoAlgebra(M, E.basis, gens=E.gens)
+    bare = rep.EndoAlgebra(M, E.basis)
     assert bare.quotient is None and rep.Semisimple.of(E, seed) is E.quotient
+    got_radical, want_radical = rep.radical(E, seed), rep.radical(bare, seed)
+    assert len(got_radical) == G.order - linalg.rank(F, E.quotient.L)
+    for a, b in zip(got_radical, want_radical, strict=True):
+        assert (a == b).all()
     got = rep.decompose(M, seed=seed, endo=E)
     want = rep.decompose(M, seed=seed, endo=bare)
-    assert len(got.radical) == G.order - linalg.rank(F, E.quotient.L)
-    for a, b in zip(got.radical, want.radical, strict=True):
-        assert (a == b).all()
     assert got.multiplicities == want.multiplicities
     for a, b in zip(got.components, want.components, strict=True):
         assert (a.idempotent == b.idempotent).all() and a.iso_class == b.iso_class
@@ -936,7 +974,7 @@ def _label_cases():
         ss = rep.Semisimple.of(E, 0)
         cert = rep.decompose(M, endo=E)
         rng = random.Random(1)
-        J = linalg.Subspace(M.F, M.dim**2, np.array([x.ravel() for x in cert.radical]))
+        J = linalg.Subspace(M.F, M.dim**2, np.array([x.ravel() for x in rep.radical(E)]))
         xs = [linalg.combine(M.F, [rng.randrange(M.F.q) for _ in E.basis], E.basis)
               for _ in range(20)]
         xs = [x for x in xs if not J.contains(x.ravel())]
