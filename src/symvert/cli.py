@@ -48,13 +48,16 @@ def _emit(data: dict, args) -> None:
 def cmd_vertices(args) -> int:
     try:
         G = load_group(args.group, args.bound_group_order)
-        M = rep.load_module(args.module, G)
+        with open(args.module) as fh:
+            data = json.load(fh)
+        # before the module is built: validating it builds the action of
+        # the whole group, |G| times the size of the file
+        if int(data["dim"]) > args.bound_dim:
+            raise FeasibilityError(f"module dimension exceeds bound {args.bound_dim}")
+        M = rep.module_from_dict(data, G)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if M.dim > args.bound_dim:
-        print("error: input exceeds feasibility bounds", file=sys.stderr)
-        return EXIT_INFEASIBLE
     if M.unit_map is None:
         print("error: module is decomposable", file=sys.stderr)
         return EXIT_PARSE

@@ -40,8 +40,16 @@ def _is_irreducible_gf2(poly: int, m: int) -> bool:
 
     if xpow2k(m) != x:
         return False
+    for p in _prime_factors(m):
+        t = xpow2k(m // p)
+        if _poly_gcd(poly, t ^ x) != 1:
+            return False
+    return True
+
+
+def _prime_factors(n: int) -> set[int]:
+    """The distinct prime factors of n, by trial division."""
     primes = set()
-    n = m
     d = 2
     while d * d <= n:
         if n % d == 0:
@@ -51,11 +59,7 @@ def _is_irreducible_gf2(poly: int, m: int) -> bool:
         d += 1
     if n > 1:
         primes.add(n)
-    for p in primes:
-        t = xpow2k(m // p)
-        if _poly_gcd(poly, t ^ x) != 1:
-            return False
-    return True
+    return primes
 
 
 def _poly_gcd(a: int, b: int) -> int:
@@ -139,17 +143,7 @@ class FieldCtx:
 
     def _find_generator(self) -> int:
         order = self.q - 1
-        factors = set()
-        n = order
-        d = 2
-        while d * d <= n:
-            if n % d == 0:
-                factors.add(d)
-                while n % d == 0:
-                    n //= d
-            d += 1
-        if n > 1:
-            factors.add(n)
+        factors = _prime_factors(order)
         for g in range(2, self.q):
             if all(self._powmod(g, order // p) != 1 for p in factors):
                 return g

@@ -5,10 +5,9 @@ is form <-> endomorphism: for a fixed nondegenerate base form B with Gram g,
 every invariant form is B_f(x, y) = B(f x, y) with Gram f^T.g, and the adjoint
 anti-automorphism sigma(f) = g^-1.f^T.g turns the endomorphism algebra into an
 involutary algebra.  On top of that sit nondegeneracy on subspaces (by the
-restricted Gram) and orthogonal projections, perfect pairings between theta.M
-and sigma(theta).M, self-adjoint idempotent lifting, induced forms with their
-Mackey decomposition, and the greedy orthogonal decomposition into
-nondegenerate pieces (indecomposable summands or dual pairs).
+restricted Gram) and orthogonal projections, self-adjoint idempotent lifting,
+induced forms, and the greedy orthogonal decomposition into nondegenerate
+pieces (indecomposable summands or dual pairs).
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, rep
-from .group import GroupTable, Subgroup
-from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul, mat_vec, zeros
+from .group import Subgroup
+from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul
 from .rep import EndoAlgebra, ModuleRep
 
 
@@ -229,67 +228,6 @@ def lift_selfadjoint_idempotent(
     return e
 
 
-# -- perfect pairings -----------------------------------------------------
-
-
-@dataclass
-class PairingCert:
-    left: Subspace  # theta.M
-    right: Subspace  # sigma(theta).M
-    matrix: np.ndarray  # pairing values on the two bases
-    perfect: bool
-    duality: np.ndarray  # coords of right-basis images in the dual of left
-
-
-def perfect_pairing(B: GForm, theta: np.ndarray) -> PairingCert:
-    """The pairing (theta.m1, sigma(theta).m2) -> B(theta.m1, m2) together
-    with the duality sigma(theta).M = (theta.M)* it induces."""
-    F = B.F
-    sigma = Adjoint(B)
-    left = linalg.col_space(F, theta)
-    right = linalg.col_space(F, sigma(theta))
-    ts = sigma(theta)
-    P = zeros(left.dim, right.dim)
-    for j, w in enumerate(right.basis):
-        m, _ = linalg.solve(F, ts, w)
-        if m is None:
-            raise AssertionError("basis vector outside the image")
-        vals = mat_vec(F, mat_mul(F, left.basis, B.gram), m)
-        P[:, j] = vals
-    perfect = left.dim == right.dim and linalg.is_invertible(F, P)
-    return PairingCert(left, right, P, perfect, P.T.copy())
-
-
-# -- extension of forms from summands -------------------------------------
-
-
-def extend_form_from_summand(
-    B: GForm, e: np.ndarray, incl: np.ndarray, bhat: np.ndarray
-) -> tuple[np.ndarray, GForm]:
-    """Find theta in sigma(e).E(M).e whose form restricts to bhat on e.M.
-
-    incl columns are a basis of e.M; bhat is the Gram of the target form in
-    that basis.  Returns (theta, B_theta).
-    """
-    F = B.F
-    sigma = Adjoint(B)
-    # solve gives zero and dependent candidates the coefficient 0
-    cand = [
-        mat_mul(F, sigma(e), mat_mul(F, f, e))
-        for f in rep.hom_space(B.module, B.module)
-    ]
-    # condition: incl^T theta^T gram incl = bhat, linear in the coefficients
-    cols = []
-    for t in cand:
-        r = mat_mul(F, incl.T, mat_mul(F, t.T, mat_mul(F, B.gram, incl)))
-        cols.append(r.ravel())
-    x, _ = linalg.solve(F, np.array(cols).T, bhat.ravel())
-    if x is None:
-        raise AssertionError("no extension exists; form not invariant?")
-    theta = combine(F, x, cand)
-    return theta, form_from_endo(B, theta)
-
-
 # -- induction of forms ---------------------------------------------------
 
 
@@ -305,106 +243,6 @@ def induce_form(
     M_ind, trans = rep.induce(L_form.module, H)
     gram = linalg.kron(L_form.F, eye(len(trans)), L_form.gram)
     return M_ind, GForm(M_ind, gram, check=False), trans
-
-
-@dataclass
-class MackeyPiece:
-    coset_rep: int
-    intersection: Subgroup  # of K (as a subgroup of the parent group)
-    module: ModuleRep  # induced to K (over K's standalone table)
-    form: GForm
-    offset: int
-
-
-@dataclass
-class MackeyDecomposition:
-    res_module: ModuleRep  # Res_K Ind_H L over K's standalone table
-    res_form: GForm
-    pieces: list[MackeyPiece]
-    witness: np.ndarray  # columns: images of the pieces' basis vectors
-    verified: bool
-
-
-def mackey_decompose(
-    L_form: GForm, H: Subgroup, K: Subgroup
-) -> MackeyDecomposition:
-    """Res_K Ind_H (L, B_L) as the orthogonal sum over double cosets KgH of
-    Ind_{K cap gHg^-1}^K of the conjugated restriction, with an explicit
-    isometry witness."""
-    G = H.parent
-    F = L_form.F
-    L = L_form.module
-    Ht, helems = rep.subgroup_table(H)
-    hidx = {x: i for i, x in enumerate(helems)}
-    if L.group.order != Ht.order:
-        raise ValueError("form's module is not over the subgroup H")
-    M_ind, ind_form, _ = induce_form(L_form, H)
-    _, coset, hid = rep.coset_split(H)
-    res_module = rep.restrict(M_ind, K)
-    res_form = GForm(res_module, ind_form.gram, check=False)
-
-    Kt, kelems = rep.subgroup_table(K)
-    Lact = L.full_action()
-    dl = L.dim
-    pieces: list[MackeyPiece] = []
-    cols: list[np.ndarray] = []
-    offset = 0
-    kpos = {x: i for i, x in enumerate(kelems)}
-    in_H = H.mask()
-    kel = np.array(kelems)
-    for g in G.double_cosets(K, H):
-        ginv = G.inverse(g)
-        # K cap gHg^-1: the x in K with g^-1 x g in H
-        inter_elems = kel[in_H[G.mult[G.mult[ginv, kel], g]]].tolist()
-        Kg = Subgroup(G, tuple(inter_elems), None)
-        # the same subgroup inside K's standalone table
-        Kg_in_K = Subgroup(Kt, tuple(kpos[x] for x in inter_elems), None)
-        KgT, kg_elems = rep.subgroup_table(Kg_in_K)
-        # conjugated module gL over Kg: x acts as L(g^-1 x g)
-        gmats = []
-        for y in KgT.generators:
-            x = kelems[kg_elems[y]]  # element of G
-            h = G.mul(ginv, G.mul(x, g))
-            gmats.append(Lact[hidx[h]])
-        gL = ModuleRep(KgT, F, gmats, check=False)
-        piece_mod, piece_form, ktrans = induce_form(
-            GForm(gL, L_form.gram, check=False), Kg_in_K
-        )
-        pieces.append(MackeyPiece(g, Kg, piece_mod, piece_form, offset))
-        offset += piece_mod.dim
-        # witness columns: (coset k_i, basis e_l) -> k_i . (g tensor e_l)
-        for ki in ktrans:
-            x = G.mul(kelems[ki], g)
-            blk, h = int(coset[x]), int(hid[x])
-            for l in range(dl):
-                col = zeros(M_ind.dim, 1).ravel()
-                col[blk * dl : (blk + 1) * dl] = Lact[h][:, l]
-                cols.append(col)
-    W = np.array(cols).T
-    verified = _verify_mackey(F, res_module, res_form, pieces, W)
-    return MackeyDecomposition(res_module, res_form, pieces, W, verified)
-
-
-def _verify_mackey(F, res_module, res_form, pieces, W) -> bool:
-    if W.shape[0] != W.shape[1] or not linalg.is_invertible(F, W):
-        return False
-    # K-equivariance: W . blockdiag(piece actions) = res action . W
-    for gi in range(len(res_module.gen_matrices)):
-        blk = zeros(W.shape[1], W.shape[1])
-        for p in pieces:
-            d = p.module.dim
-            blk[p.offset : p.offset + d, p.offset : p.offset + d] = (
-                p.module.gen_matrices[gi]
-            )
-        if (mat_mul(F, W, blk) != mat_mul(F, res_module.gen_matrices[gi], W)).any():
-            return False
-    # isometry: W^T gram W = blockdiag of the pieces' Grams
-    pulled = mat_mul(F, W.T, mat_mul(F, res_form.gram, W))
-    expect = zeros(W.shape[1], W.shape[1])
-    for p in pieces:
-        d = p.module.dim
-        expect[p.offset : p.offset + d, p.offset : p.offset + d] = p.form.gram
-    return bool((pulled == expect).all())
 
 
 # -- orthogonal decomposition ---------------------------------------------
@@ -516,29 +354,3 @@ def involution_form(M: ModuleRep, t: int) -> GForm:
     a = np.zeros(M.group.order, dtype=np.int64)
     a[t] = 1
     return regular_form(M, a)
-
-
-def involution_component_test(
-    G: GroupTable, s: int, t: int
-) -> tuple[bool, int | None]:
-    """Whether B_t takes a nonzero value on some (x, s.x) pair — equivalent
-    to s and t being conjugate; tested on the group-element basis where
-    B_t(g, s.g) = [g.t == s.g]."""
-    for x in (s, t):
-        if G.mul(x, x) != 0 or x == 0:
-            raise ValueError("both elements must be involutions")
-    # the least g with g.t == s.g: column t of the table against row s
-    hits = np.flatnonzero(G.mult[:, t] == G.mult[s])
-    return (True, int(hits[0])) if hits.size else (False, None)
-
-
-def paired_module(M: ModuleRep) -> tuple[ModuleRep, GForm]:
-    """The module M* + M with the evaluation pairing extended to a symplectic
-    form vanishing on both summands."""
-    F = M.F
-    P = rep.direct_sum([rep.dual(M), M])
-    d = M.dim
-    gram = zeros(2 * d, 2 * d)
-    gram[:d, d:] = eye(d)
-    gram[d:, :d] = eye(d)
-    return P, GForm(P, gram)

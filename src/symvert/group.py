@@ -72,8 +72,7 @@ class GroupTable:
         # cycle would keep each table alive until the cyclic collector runs
         self._two_subgroups: list[tuple[tuple[int, ...], ...]] | None = None
         self.class_ids: np.ndarray | None = None  # class index of each element
-        # standalone subgroup tables, keyed by element set; the first entry
-        # wins, since its generators fix the element ids callers see
+        # standalone subgroup tables, keyed by element set
         self.subgroup_tables: dict[tuple[int, ...], tuple] = {}
         # the irreducibles' actions and each row's irreducible, per field,
         # keyed by (m, modulus), read only: arrays alone, since modules
@@ -380,7 +379,10 @@ class Subgroup:
         idx = np.full(G.order, -1, dtype=np.int64)
         idx[elems] = np.arange(len(elems))
         mult = idx[G.mult[np.ix_(elems, elems)]]
-        gens = idx[list(self.gens or self.elements)].tolist()
+        # generators found on the element set alone, whatever self.gens
+        # are, so each element set has one table; the trivial group has
+        # none, and its table takes the identity
+        gens = idx[list(self._find_gens() or self.elements)].tolist()
         return GroupTable(mult, gens), elems
 
     def __eq__(self, other) -> bool:

@@ -1021,5 +1021,7 @@ def load_module(path: str, G: GroupTable) -> ModuleRep:
 def module_from_dict(data: dict, G: GroupTable) -> ModuleRep:
     F = make_field(int(data["field_degree"]))
     d = int(data["dim"])
+    if d < 1:
+        raise ValueError("module dimension must be at least 1")
     mats = [matrix_from_hex(F, m, d, d) for m in data["matrices"]]
     return ModuleRep(G, F, mats)

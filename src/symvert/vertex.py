@@ -551,84 +551,6 @@ def classify_case(
     return VertexReport(M, green, sym, case, principal, checks)
 
 
-# -- the distinguished multiplicity-one component -------------------------
-
-
-@dataclass
-class ScottComponentCert:
-    module: ModuleRep
-    induced: rep.DecompositionCert
-    multiplicity: int
-    checks: dict[str, bool]
-
-
-def scott_component(V: Subgroup, Z: ModuleRep) -> ScottComponentCert:
-    """The unique vertex-V component M of Ind_V^G Z with odd multiplicity
-    (for Z indecomposable with vertex V and symmetric type), certified:
-    (a) the multiplicity is 1; (b) all other vertex-V components occur with
-    even multiplicity; (c) Z is a component of an orthogonal decomposition
-    of Res_V M under a nondegenerate symmetric form on M; (d) every
-    nondegenerate V-projective form on the induced module restricts
-    nondegenerately to the M-component."""
-    B0 = forms.base_form(Z)
-    if B0 is None:
-        raise ValueError("Z has no nondegenerate symmetric form")
-    G = V.parent
-    ind, indB, _ = forms.induce_form(B0, V)
-    dec = rep.decompose(ind)
-    comps = [next(c for c in dec.components if c.iso_class == i)
-             for i in range(len(dec.multiplicities))]
-    vertexV = [i for i, c in enumerate(comps) if G.subgroup_conjugate(
-        green_vertex(c.module).vertex, V) is not None]
-    odd = [i for i in vertexV if dec.multiplicities[i] % 2 == 1]
-    if len(odd) != 1:
-        raise AssertionError("distinguished component is not unique")
-    cls = odd[0]
-    comp = comps[cls]
-    M = comp.module
-    checks = {
-        "multiplicity_one": dec.multiplicities[cls] == 1,
-        "others_even": all(
-            dec.multiplicities[i] % 2 == 0 for i in vertexV if i != cls
-        ),
-    }
-    # (c): Z is a component of an orthogonal decomposition of Res_V M
-    resB = GForm(rep.restrict(M, V), forms.base_form(M).gram, check=False)
-    checks["source_is_form_component"] = any(
-        piece.kind == "indecomposable"
-        and rep.module_iso(piece.modules[0], Z) is not None
-        for piece in forms.orth_decompose(resB)
-    )
-    # (d): nondegenerate V-projective forms are nondegenerate on the
-    # M-component of the induced module
-    fixed = sigma_fixed_basis(ind, Adjoint(indB), V)
-    forms_V = [forms.form_from_endo(indB, t) for t in rel_trace_batch(ind, fixed, V)]
-    checks["V_projective_forms_nondegenerate_on_component"] = all(
-        forms.is_nondegenerate_on(Bt, comp.subspace)
-        for Bt in forms_V if Bt.nondegenerate
-    )
-    return ScottComponentCert(M, dec, dec.multiplicities[cls], checks)
-
-
-# -- Theorem-style cross-check: T-projective forms detect T up to conjugacy
-
-
-def verify_TleqH(B: GForm, theta: np.ndarray, T: Subgroup) -> dict:
-    """For every 2-subgroup class H: the form B_theta is H-projective
-    exactly when a conjugate of T lies in H.  Returns the per-class results
-    and any violations (none expected)."""
-    G = B.module.group
-    results = []
-    violations = []
-    for H in G.two_subgroups_up_to_conjugacy():
-        got = form_is_H_projective(B, theta, H).projective
-        expect = G.conjugate_into(T, H) is not None
-        results.append((H, got, expect))
-        if got != expect:
-            violations.append(H)
-    return {"results": results, "violations": violations, "ok": not violations}
-
-
 # -- serialization --------------------------------------------------------
 
 

@@ -5,7 +5,10 @@ subgroup from the whole-group actions, relative traces one element at a
 time, subgroup generators by fresh closures, subgroup lattices by every
 element, a module's whole-group action one element at a time, Theta on
 kG as a G x G-module, a block's nondegeneracy through the regular
-module), and the acceptance-criterion reporting hook."""
+module), two of the paper's side lemmas that only tests check, each
+asserting its certificate (the Mackey decomposition of an induced form,
+the distinguished Scott component), and the acceptance-criterion
+reporting hook."""
 
 import hashlib
 from dataclasses import dataclass
@@ -332,6 +335,116 @@ def theta_verdicts_reference(b, bi: RegularBimodule, theta) -> tuple[bool, bool]
     full = vertex.rel_trace(bi.module, theta, dE)
     reb = rep.right_mult_matrix(G, b.group_algebra_vector)
     return bool((sigma(theta) == theta).all()), bool((full == reb).all())
+
+
+def mackey_decompose(L_form: forms.GForm, H: Subgroup, K: Subgroup):
+    """Res_K Ind_H (L, B_L) as the orthogonal sum over double cosets KgH of
+    Ind_{K cap gHg^-1}^K of the conjugated restriction gL, with the witness
+    W whose columns are the images of the pieces' basis vectors.  Asserts
+    that W is invertible, a K-map and an isometry onto the pieces' forms;
+    returns (the restricted form, the piece forms, W)."""
+    G = H.parent
+    F = L_form.F
+    L = L_form.module
+    helems = rep.subgroup_table(H)[1]
+    hidx = {x: i for i, x in enumerate(helems)}
+    M_ind, ind_form, _ = forms.induce_form(L_form, H)
+    _, coset, hid = rep.coset_split(H)
+    res_form = forms.GForm(rep.restrict(M_ind, K), ind_form.gram, check=False)
+    Kt, kelems = rep.subgroup_table(K)
+    Lact = L.full_action()
+    dl = L.dim
+    pieces: list[forms.GForm] = []
+    cols: list[np.ndarray] = []
+    kpos = {x: i for i, x in enumerate(kelems)}
+    in_H = H.mask()
+    kel = np.array(kelems)
+    for g in G.double_cosets(K, H):
+        ginv = G.inverse(g)
+        # K cap gHg^-1, the x in K with g^-1 x g in H, inside K's own table
+        inter_elems = kel[in_H[G.mult[G.mult[ginv, kel], g]]].tolist()
+        Kg_in_K = Subgroup(Kt, tuple(kpos[x] for x in inter_elems), None)
+        KgT, kg_elems = rep.subgroup_table(Kg_in_K)
+        # conjugated module gL over Kg: x acts as L(g^-1 x g)
+        gmats = []
+        for y in KgT.generators:
+            x = kelems[kg_elems[y]]  # element of G
+            h = G.mul(ginv, G.mul(x, g))
+            gmats.append(Lact[hidx[h]])
+        gL = rep.ModuleRep(KgT, F, gmats, check=False)
+        _, piece_form, ktrans = forms.induce_form(
+            forms.GForm(gL, L_form.gram, check=False), Kg_in_K
+        )
+        pieces.append(piece_form)
+        # witness columns: (coset k_i, basis e_l) -> k_i . (g tensor e_l)
+        for ki in ktrans:
+            x = G.mul(kelems[ki], g)
+            blk, h = int(coset[x]), int(hid[x])
+            for l in range(dl):
+                col = np.zeros(M_ind.dim, dtype=np.int64)
+                col[blk * dl : (blk + 1) * dl] = Lact[h][:, l]
+                cols.append(col)
+    W = np.array(cols).T
+    assert W.shape[0] == W.shape[1] and linalg.is_invertible(F, W)
+    # K-equivariance: W . blockdiag(piece actions) = res action . W
+    for gi, A in enumerate(res_form.module.gen_matrices):
+        blk = block_diag([p.module.gen_matrices[gi] for p in pieces])
+        assert (linalg.mat_mul(F, W, blk) == linalg.mat_mul(F, A, W)).all()
+    # isometry: W^T gram W = blockdiag of the pieces' Grams
+    pulled = linalg.mat_mul(F, W.T, linalg.mat_mul(F, res_form.gram, W))
+    assert (pulled == block_diag([p.gram for p in pieces])).all()
+    return res_form, pieces, W
+
+
+def block_diag(mats) -> np.ndarray:
+    """The block-diagonal matrix with the given square blocks."""
+    n = sum(len(A) for A in mats)
+    out = linalg.zeros(n, n)
+    off = 0
+    for A in mats:
+        out[off : off + len(A), off : off + len(A)] = A
+        off += len(A)
+    return out
+
+
+def scott_component(V: Subgroup, Z: rep.ModuleRep) -> rep.ModuleRep:
+    """The unique vertex-V component M of Ind_V^G Z with odd multiplicity,
+    for Z indecomposable with vertex V and symmetric type, after asserting
+    (a) its multiplicity is 1; (b) all other vertex-V components occur with
+    even multiplicity; (c) Z is a component of an orthogonal decomposition
+    of Res_V M under a nondegenerate symmetric form on M; (d) every
+    nondegenerate V-projective form on the induced module restricts
+    nondegenerately to the M-component."""
+    B0 = forms.base_form(Z)
+    assert B0 is not None, "Z has no nondegenerate symmetric form"
+    G = V.parent
+    ind, indB, _ = forms.induce_form(B0, V)
+    dec = rep.decompose(ind)
+    comps = [next(c for c in dec.components if c.iso_class == i)
+             for i in range(len(dec.multiplicities))]
+    vertexV = [i for i, c in enumerate(comps) if G.subgroup_conjugate(
+        vertex.green_vertex(c.module).vertex, V) is not None]
+    # (b): one vertex-V class has odd multiplicity, so all others have even
+    odd = [i for i in vertexV if dec.multiplicities[i] % 2 == 1]
+    assert len(odd) == 1, "distinguished component is not unique"
+    comp = comps[odd[0]]
+    M = comp.module
+    assert dec.multiplicities[odd[0]] == 1  # (a)
+    # (c): Z is a component of an orthogonal decomposition of Res_V M
+    resB = forms.GForm(rep.restrict(M, V), forms.base_form(M).gram, check=False)
+    assert any(
+        piece.kind == "indecomposable"
+        and rep.module_iso(piece.modules[0], Z) is not None
+        for piece in forms.orth_decompose(resB)
+    )
+    # (d): nondegenerate V-projective forms are nondegenerate on the
+    # M-component of the induced module
+    fixed = vertex.sigma_fixed_basis(ind, forms.Adjoint(indB), V)
+    forms_V = [forms.form_from_endo(indB, t)
+               for t in vertex.rel_trace_batch(ind, fixed, V)]
+    assert all(forms.is_nondegenerate_on(Bt, comp.subspace)
+               for Bt in forms_V if Bt.nondegenerate)
+    return M
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

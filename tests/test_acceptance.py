@@ -12,7 +12,7 @@ from symvert import blocks, catalog, forms, linalg, rep, specht, vertex
 from symvert.field import make_field
 from symvert.linalg import Subspace, mat_mul
 
-from conftest import kg_radical_by_chop, record_criterion
+from conftest import kg_radical_by_chop, record_criterion, scott_component
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -451,9 +451,7 @@ def test_criterion_10_scott():
         V = G.sylow2()
         Vt, _ = rep.subgroup_table(V)
         Z = rep.trivial_module(Vt, F2)
-        cert = vertex.scott_component(V, Z)
-        assert cert.multiplicity == 1
-        assert all(cert.checks.values()), (name, cert.checks)
+        scott_component(V, Z)
 
     # a nontrivial symmetric-type source: the self-dual 4-dim module of the
     # self-normalizing Klein four subgroup of the dihedral group of order 12
@@ -471,9 +469,7 @@ def test_criterion_10_scott():
     Z = rep.ModuleRep(Vt, F2, [upper(np.eye(2, dtype=np.int64)), upper(C)])
     assert rep.is_indecomposable(Z) and rep.is_selfdual(Z)
     assert vertex.green_vertex(Z).vertex.order == 4
-    cert = vertex.scott_component(V, Z)
-    assert cert.multiplicity == 1
-    assert all(cert.checks.values()), cert.checks
+    scott_component(V, Z)
 
 
 # -- criterion 11: oracle cross-checks -------------------------------------

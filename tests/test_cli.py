@@ -414,16 +414,30 @@ def test_corrupted_input_files_exit_with_a_documented_code(s3_files, data):
     ("module", {"field_degree": [], "dim": 2, "matrices": []}),
     ("module", {"field_degree": 10**6, "dim": 2, "matrices": []}),
     ("module", {"field_degree": 1, "dim": 2, "matrices": [[1]]}),
+    ("module", {"field_degree": 1, "dim": 0, "matrices": [[], []]}),
 ])
 def test_input_files_that_used_to_crash_exit_2(tmp_path, s3_files, which, doc):
     # each raised TypeError, IndexError or OverflowError out of cli.main,
-    # or (a field degree of 10**6) searched for a modulus without end
+    # or (a field degree of 10**6) searched for a modulus without end; a
+    # module of dimension 0 was built, and the rank check of its
+    # endomorphism algebra raised ValueError outside the input checks
     g, m = s3_files
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     argv = [g, str(bad)] if which == "module" else [str(bad), m]
     code, err = _quiet_main(["vertices"] + argv)
-    assert code == 2 and err.startswith("error: ")
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_an_over_bound_module_exits_3_before_it_is_built(s3_files, tmp_path):
+    # both generators a 3-cycle break the relations of S3, which building
+    # the module would find (exit 2); the file's dim is checked first
+    g, _ = s3_files
+    cycle = ["0", "0", "1", "1", "0", "0", "0", "1", "0"]
+    bad = tmp_path / "over.json"
+    bad.write_text(json.dumps({"field_degree": 1, "dim": 3, "matrices": [cycle] * 2}))
+    code, err = _quiet_main(["--bound-dim", "2", "vertices", g, str(bad)])
+    assert code == 3 and err == "error: module dimension exceeds bound 2\n"
 
 
 def test_field_degree_flag_out_of_range_is_a_usage_error(s3_files, capsys):

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symvert.field import _is_irreducible_gf2, default_modulus, make_field, splitting_degree
+from symvert.field import (
+    MAX_DEGREE, _is_irreducible_gf2, default_modulus, make_field, splitting_degree,
+)
 
 
 def test_default_moduli_are_the_expected_polynomials():
-    # x+1, x^2+x+1, x^3+x+1, x^4+x+1, x^8+x^4+x^3+x+1 (AES field)
-    assert default_modulus(1) == 0b11
-    assert default_modulus(2) == 0b111
-    assert default_modulus(3) == 0b1011
-    assert default_modulus(4) == 0b10011
-    assert default_modulus(8) == 0b100011011
+    # the moduli fix the bytes of every module file: bit i is the
+    # coefficient of x^i, so x+1, x^2+x+1, x^3+x+1, x^4+x+1, ...,
+    # x^8+x^4+x^3+x+1 (AES field), ..., x^16+x^5+x^3+x+1
+    assert [default_modulus(m) for m in range(1, MAX_DEGREE + 1)] == [
+        0x3, 0x7, 0xB, 0x13, 0x25, 0x43, 0x83, 0x11B,
+        0x203, 0x409, 0x805, 0x1009, 0x201B, 0x4021, 0x8003, 0x1002B,
+    ]
 
 
 def test_reducible_modulus_rejected():

@@ -9,7 +9,7 @@ from symvert import catalog, forms, linalg, rep
 from symvert.field import make_field
 from symvert.linalg import Subspace, mat_mul
 
-from conftest import array_digest, fresh_table, kg_radical_by_chop
+from conftest import array_digest, kg_radical_by_chop, mackey_decompose
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -308,16 +308,26 @@ def test_orth_decompose_decomposes_once(monkeypatch):
 
 
 def test_perfect_pairing():
+    # (theta.m1, sigma(theta).m2) -> B(theta.m1, m2) pairs theta.M perfectly
+    # with sigma(theta).M
     M = regular_s3()
     B = forms.standard_form(M)
     t = S3.involutions()[0]
     v = np.zeros(6, dtype=np.int64)
     v[0] = v[t] = 1  # theta = 1 + t, a non-unit
     theta = rep.right_mult_matrix(S3, v)
-    cert = forms.perfect_pairing(B, theta)
-    assert cert.perfect
-    assert cert.left.dim == cert.right.dim == 3
-    assert linalg.is_invertible(F2, cert.matrix)
+    ts = forms.Adjoint(B)(theta)
+    left = linalg.col_space(F2, theta)
+    right = linalg.col_space(F2, ts)
+    assert left.dim == right.dim == 3
+    # column j: the pairing of the left basis with the j-th right basis
+    # vector sigma(theta).m
+    P = np.zeros((3, 3), dtype=np.int64)
+    for j, w in enumerate(right.basis):
+        m, _ = linalg.solve(F2, ts, w)
+        assert m is not None  # w lies in the image of sigma(theta)
+        P[:, j] = linalg.mat_vec(F2, mat_mul(F2, left.basis, B.gram), m)
+    assert linalg.is_invertible(F2, P)
 
 
 def test_induce_form_block_structure():
@@ -341,10 +351,9 @@ def test_mackey_decompose_verified():
     Ht, _ = rep.subgroup_table(H)
     L = rep.trivial_module(Ht, F2)
     BL = forms.GForm(L, np.eye(1, dtype=np.int64))
-    md = forms.mackey_decompose(BL, H, K)
-    assert md.verified
-    assert sum(p.module.dim for p in md.pieces) == md.res_module.dim == 3
-    assert len(md.pieces) == len(S4.double_cosets(K, H))
+    res_form, pieces, _ = mackey_decompose(BL, H, K)
+    assert sum(p.module.dim for p in pieces) == res_form.module.dim == 3
+    assert len(pieces) == len(S4.double_cosets(K, H))
 
 
 # sha256 (`array_digest`) of the witness, the restricted module's matrices
@@ -352,7 +361,9 @@ def test_mackey_decompose_verified():
 # (L, B_L) = (kP, B_t) over GF(4), P a Sylow 2-subgroup of S4 and t the
 # first involution of P's table (a Gram that is no identity matrix), for
 # each 2-subgroup class K; recorded before the induced Grams and the
-# restriction came from `induce_form` and `rep.restrict`
+# restriction came from `induce_form` and `rep.restrict`.  The last (K = P)
+# was recorded again when subgroup tables took their generators from the
+# element set alone: P's table had the generators of `G.sylow2()` before
 MACKEY_PINS = [
     "c77ecc1648368848dfefabc2e7bd1408f6506e651b0335cfc86f763ccb82f1a3",
     "09ee9b9e102b25d44beacef28d0a281a77240b66c6ecac4fcb286a2f1ac6e6a5",
@@ -360,25 +371,24 @@ MACKEY_PINS = [
     "47f195e1cf4b2818e5e2763f9a5e90c462347ae812f94e7a76ce4acac0fb3e60",
     "524a4054f5da6fa4b12b89905cec3d45ead24dcb96e2730d623f2ba097ebdbd7",
     "3fcdb60896292d36ffbc699185ba24376bfca20c97d22c298b528ea9cbca1adc",
-    "877c6a2a24de5b9b17a36aa5095e02006105edd74d1070e0e619f11ea4ed1aa9",
+    "541743a52058e867b0e9f82aa1cf1a5a3d8d5b3bd00b8a4110d7654ba58b9af6",
 ]
 
 
 def test_mackey_witness_is_pinned():
-    # a fresh table: the first subgroup table of P's element set, built
-    # from P's generators here, fixes the ids the module is read over
-    G = fresh_table(S4)
+    # S4's shared table: each subgroup table depends on its element set
+    # alone, so the tables other tests built on it change nothing here
+    G = S4
     P = G.sylow2()
     Pt = rep.subgroup_table(P)[0]
     L = rep.regular_module(Pt, F4)
     BL = forms.involution_form(L, Pt.involutions()[0])
     got = []
     for K in G.two_subgroups_up_to_conjugacy():
-        md = forms.mackey_decompose(BL, P, K)
-        assert md.verified
-        pieces = [a for p in md.pieces for a in (*p.module.gen_matrices, p.form.gram)]
+        res_form, pieces, W = mackey_decompose(BL, P, K)
+        pieces = [a for p in pieces for a in (*p.module.gen_matrices, p.gram)]
         got.append(array_digest(
-            [md.witness, *md.res_module.gen_matrices, md.res_form.gram, *pieces]
+            [W, *res_form.module.gen_matrices, res_form.gram, *pieces]
         ))
     assert got == MACKEY_PINS
 
@@ -439,35 +449,51 @@ def test_lift_selfadjoint_idempotent_contract():
 
 
 def test_paired_module_hyperbolic():
+    # M* + M with the evaluation pairing extended to a symplectic form
+    # vanishing on both summands
     M = [m for m in rep.irreducible_modules(S3, F2) if m.dim == 2][0]
-    P, B = forms.paired_module(M)
+    P = rep.direct_sum([rep.dual(M), M])
+    gram = np.zeros((4, 4), dtype=np.int64)
+    gram[:2, 2:] = np.eye(2, dtype=np.int64)
+    gram[2:, :2] = np.eye(2, dtype=np.int64)
+    B = forms.GForm(P, gram)
     assert P.dim == 4 and B.symmetric and B.symplectic and B.nondegenerate
     # both halves are totally isotropic
-    half = Subspace(F2, 4, np.eye(4, dtype=np.int64)[:2])
-    assert not forms.gram_on(B, half.basis).any()
+    for half in (np.eye(4, dtype=np.int64)[:2], np.eye(4, dtype=np.int64)[2:]):
+        assert not forms.gram_on(B, half).any()
 
 
 def test_involution_component_test():
-    invs = catalog.suite_group("D12").involutions()
+    # B_t takes a nonzero value on some (x, s.x) pair exactly when s and t
+    # are conjugate; on the group-element basis B_t(g, s.g) = [g.t == s.g],
+    # so the g with a nonzero value are where column t of the table
+    # matches row s
     D12 = catalog.suite_group("D12")
+    invs = D12.involutions()
     central = [t for t in invs if D12.centralizer(t).order == 12]
     refl = [t for t in invs if t not in central]
     s, t = refl[0], refl[1]
+
+    def hits(u):
+        return np.flatnonzero(D12.mult[:, u] == D12.mult[s])
+
     same = D12.class_of(s) == D12.class_of(t)
-    ok, witness = forms.involution_component_test(D12, s, t)
-    assert ok == same
+    assert (hits(t).size > 0) == same
     # each conjugate pair gives a witness w with w.u.w^-1 = s
     pairs = 0
     for u in refl[1:]:
         if D12.class_of(u) == D12.class_of(s):
-            ok, w = forms.involution_component_test(D12, s, u)
-            assert ok and w is not None
+            assert hits(u).size
+            w = int(hits(u)[0])
             assert D12.mul(w, D12.mul(u, D12.inverse(w))) == s
             pairs += 1
     assert pairs == 2
 
 
 def test_extend_form_from_summand_round_trip():
+    # theta in sigma(e).E(M).e whose form restricts to bhat on e.M: the
+    # condition incl^T theta^T gram incl = bhat is linear in theta's
+    # coefficients over the candidates sigma(e).f.e
     M = regular_s3()
     B = forms.standard_form(M)
     piece = [
@@ -476,6 +502,15 @@ def test_extend_form_from_summand_round_trip():
     e = forms.orth_projection(B, piece.space)
     incl = piece.space.basis.T.copy()
     bhat = forms.gram_on(B, piece.space.basis)
-    theta, Bth = forms.extend_form_from_summand(B, e, incl, bhat)
+    sigma = forms.Adjoint(B)
+    cand = [mat_mul(F2, sigma(e), mat_mul(F2, f, e)) for f in rep.hom_space(M, M)]
+    cols = []
+    for t in cand:
+        r = mat_mul(F2, incl.T, mat_mul(F2, t.T, mat_mul(F2, B.gram, incl)))
+        cols.append(r.ravel())
+    x, _ = linalg.solve(F2, np.array(cols).T, bhat.ravel())
+    assert x is not None, "no extension exists"
+    theta = linalg.combine(F2, x, cand)
+    Bth = forms.form_from_endo(B, theta)
     got = mat_mul(F2, incl.T, mat_mul(F2, Bth.gram, incl))
     assert (got == bhat).all()

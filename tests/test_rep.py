@@ -18,6 +18,7 @@ from symvert.field import make_field, splitting_degree
 from symvert.group import GroupTable, from_permutations, load_group
 
 from conftest import (
+    array_digest,
     compress_corner_by_echelon,
     fresh_table,
     full_action_by_elements,
@@ -402,6 +403,24 @@ def test_induce_restrict_dims_and_mackey_size():
     assert ind.dim == (S3.order // H.order) * L.dim == 3
     res = rep.restrict(ind, H)
     assert res.dim == 3
+
+
+def test_restriction_does_not_depend_on_which_subgroup_came_first():
+    # G.sylow2() and the class representative with the same elements have
+    # different generators; whichever is restricted to first, the tables
+    # and so both restrictions have the same bytes
+    digests = []
+    for sylow_first in (True, False):
+        G = fresh_table(S4)
+        P = G.sylow2()
+        Q = next(H for H in G.two_subgroups_up_to_conjugacy()
+                 if H.elements == P.elements)
+        assert P.gens != Q.gens
+        M = rep.permutation_module(G, F2)
+        order = (P, Q) if sylow_first else (Q, P)
+        res = {H.gens: rep.restrict(M, H).gen_matrices for H in order}
+        digests.append(array_digest([*res[P.gens], *res[Q.gens]]))
+    assert digests[0] == digests[1]
 
 
 def test_induction_respects_group_law():

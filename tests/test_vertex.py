@@ -12,7 +12,7 @@ from symvert.field import make_field
 from symvert.group import Subgroup
 from symvert.linalg import mat_mul
 
-from conftest import array_digest, rel_trace_by_element
+from conftest import array_digest, rel_trace_by_element, scott_component
 
 F2 = make_field(1)
 S3 = catalog.suite_group("S3")
@@ -162,12 +162,16 @@ def test_form_projectivity_regular_b1_and_bt():
 
 
 def test_verify_TleqH():
+    # for every 2-subgroup class H, B_theta is H-projective exactly when a
+    # conjugate of T lies in H
     M = rep.regular_module(S3, F2)
     B1 = forms.standard_form(M)
     t = S3.involutions()[0]
     theta_t = forms.endo_from_form(B1, forms.involution_form(M, t))
-    out = vertex.verify_TleqH(B1, theta_t, S3.closure([t]))
-    assert out["ok"] and not out["violations"]
+    T = S3.closure([t])
+    for H in S3.two_subgroups_up_to_conjugacy():
+        got = vertex.form_is_H_projective(B1, theta_t, H).projective
+        assert got == (S3.conjugate_into(T, H) is not None), H
 
 
 def test_is_sym_projective_basics():
@@ -236,13 +240,11 @@ def test_scott_component_s3():
     V = S3.sylow2()
     Vt, _ = rep.subgroup_table(V)
     Z = rep.trivial_module(Vt, F2)
-    cert = vertex.scott_component(V, Z)
-    assert cert.multiplicity == 1
-    assert all(cert.checks.values())
+    M = scott_component(V, Z)
     # for a Sylow 2-subgroup of odd index the trivial module itself is a
     # summand of the induced module and is the distinguished component
-    assert cert.module.dim == 1
-    assert rep.module_iso(cert.module, rep.trivial_module(S3, F2)) is not None
+    assert M.dim == 1
+    assert rep.module_iso(M, rep.trivial_module(S3, F2)) is not None
 
 
 def test_report_to_dict_shape():
