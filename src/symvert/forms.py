@@ -12,12 +12,14 @@ pieces (indecomposable summands or dual pairs).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg, rep
+from .field import FieldCtx
 from .group import Subgroup
 from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul
 from .rep import EndoAlgebra, ModuleRep
@@ -26,18 +28,14 @@ from .rep import EndoAlgebra, ModuleRep
 class GForm:
     """A bilinear form on a module, stored as a Gram matrix.
 
-    Invariance under the module's group generators is verified at
-    construction unless ``check=False``.
+    The Gram is trusted to be invariant: the library builds every form from
+    invariant ones, and `is_invariant` checks it where that is the question.
     """
 
-    def __init__(self, module: ModuleRep, gram: np.ndarray, check: bool = True):
+    def __init__(self, module: ModuleRep, gram: np.ndarray):
         self.module = module
         self.F = module.F
         self.gram = np.asarray(gram, dtype=np.int64)
-        if self.gram.shape != (module.dim, module.dim):
-            raise ValueError("Gram matrix size does not match the module")
-        if check and not self.is_invariant():
-            raise ValueError("form is not invariant under the group action")
         self._nondeg: bool | None = None
 
     def is_invariant(self) -> bool:
@@ -96,7 +94,7 @@ class Adjoint:
 
 def form_from_endo(B: GForm, f: np.ndarray) -> GForm:
     """The form B_f(x, y) = B(f x, y); Gram is f^T times the base Gram."""
-    return GForm(B.module, mat_mul(B.F, f.T, B.gram), check=False)
+    return GForm(B.module, mat_mul(B.F, f.T, B.gram))
 
 
 def endo_from_form(B: GForm, other: GForm | np.ndarray) -> np.ndarray:
@@ -108,9 +106,14 @@ def endo_from_form(B: GForm, other: GForm | np.ndarray) -> np.ndarray:
 
 @dataclass
 class InvariantForms:
+    F: FieldCtx
     basis: list[np.ndarray]  # Gram matrices
     symmetric: list[np.ndarray]
-    symplectic: list[np.ndarray]
+
+    @functools.cached_property
+    def symplectic(self) -> list[np.ndarray]:
+        """The symplectic slice, solved on first read."""
+        return _sub_slice(self.F, self.basis, symplectic=True)
 
 
 def invariant_forms(M: ModuleRep) -> InvariantForms:
@@ -120,9 +123,7 @@ def invariant_forms(M: ModuleRep) -> InvariantForms:
     F = M.F
     # invariance A^T.X.A = X  <=>  X.A = A^-T.X: X is a hom M -> M*
     basis = rep.hom_space(M, rep.dual(M))
-    symmetric = _sub_slice(F, basis, symplectic=False)
-    symp = _sub_slice(F, basis, symplectic=True)
-    return InvariantForms(basis, symmetric, symp)
+    return InvariantForms(F, basis, _sub_slice(F, basis, symplectic=False))
 
 
 def _sub_slice(F, basis, symplectic: bool):
@@ -237,12 +238,12 @@ def induce_form(
     """Induce (L, B_L) from H to its parent group.
 
     The induced Gram is block diagonal over the transversal, each block a
-    copy of the Gram of B_L; it is invariant when B_L is, so it is not
-    checked again.  Returns (module, form, transversal).
+    copy of the Gram of B_L; it is invariant when B_L is.  Returns
+    (module, form, transversal).
     """
     M_ind, trans = rep.induce(L_form.module, H)
     gram = linalg.kron(L_form.F, eye(len(trans)), L_form.gram)
-    return M_ind, GForm(M_ind, gram, check=False), trans
+    return M_ind, GForm(M_ind, gram), trans
 
 
 # -- orthogonal decomposition ---------------------------------------------
@@ -337,7 +338,7 @@ def regular_form(M: ModuleRep, a: np.ndarray) -> GForm:
     G = M.group
     if M.dim != G.order:
         raise ValueError("regular forms live on the regular module")
-    return GForm(M, rep.right_mult_matrix(G, a).T, check=False)
+    return GForm(M, rep.right_mult_matrix(G, a).T)
 
 
 def standard_form(M: ModuleRep) -> GForm:

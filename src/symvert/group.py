@@ -2,12 +2,15 @@
 
 Groups are ingested from permutation generators (expanded by orbit
 enumeration, identity first) or from a raw table.  Element ids are small
-ints; id 0 is the identity.  Subgroups are id sets tied to a parent table.
-All queries are pure; tables are immutable after load.  Conjugacy, coset,
-order and class queries are numpy gathers over `mult` and `inv`, tested
-against boolean membership masks; `closure` and `Subgroup._find_gens`
-grow by one set-based breadth-first search over lists of the generators'
-columns, which beats a gather per round on the small subgroups they build.
+ints; id 0 is the identity.  A file's table is checked once, where it is
+read (`group_from_dict`); `GroupTable` trusts the table it is given, as
+`from_permutations` and `Subgroup.as_table` build groups by construction.
+Subgroups are id sets tied to a parent table.  All queries are pure;
+tables are immutable after load.  Conjugacy, coset, order and class
+queries are numpy gathers over `mult` and `inv`, tested against boolean
+membership masks; `closure` and `Subgroup._find_gens` grow by one
+set-based breadth-first search over lists of the generators' columns,
+which beats a gather per round on the small subgroups they build.
 """
 
 from __future__ import annotations
@@ -29,42 +32,14 @@ class GroupTable:
         generators: list[int] | None,
         perms: list[tuple[int, ...]] | None = None,
     ):
-        """A group from its multiplication table, checked exactly: a Latin
-        square with identity 0, generated by `generators` (None: derive
-        them), and associative by Light's test over the generators.
-
-        Light's test asks (g x) y = g (x y) for every generator g and all
-        x, y, by row gathers over blocks of rows x.  It suffices: the set S
-        of a with (a x) y = a (x y) for all x, y is closed under products,
-        since for a, b in S
-        ((a b) x) y = (a (b x)) y = a ((b x) y) = a (b (x y)) = (a b)(x y),
-        and it holds the identity, so it holds every product of generators,
-        which is every element once the generators generate the table."""
+        """A group from its multiplication table, trusted to be one, with
+        `generators` generating it (None: derive them)."""
         self.mult = np.asarray(mult, dtype=np.int64)
-        n = self.order = self.mult.shape[0] if self.mult.ndim == 2 else 0
-        ids = np.arange(n)
-        if self.mult.shape != (n, n) or not (
-            (np.sort(self.mult, axis=0) == ids[:, None]).all()
-            and (np.sort(self.mult, axis=1) == ids).all()
-        ):
-            raise ValueError("not a group table: not a Latin square")
-        if (self.mult[0] != ids).any() or (self.mult[:, 0] != ids).any():
-            raise ValueError("id 0 is not the identity")
+        n = self.order = self.mult.shape[0]
         self.inv = np.argmin(self.mult, axis=1)  # the 0 in each row
         if generators is None:
             generators = Subgroup(self, tuple(range(n)), None).gens
         self.generators = list(generators)
-        if any(not 0 <= g < n for g in self.generators):
-            raise ValueError(f"generator id outside range({n})")
-        if self.closure(self.generators).order != n:
-            raise ValueError("generators do not generate the table")
-        step = max(1, (1 << 16) // n)  # rows per block: 2^16 entries at most
-        for g in self.generators:
-            left = self.mult[g]
-            for x in range(0, n, step):
-                xs = self.mult[x : x + step]
-                if (self.mult[left[x : x + step]] != left[xs]).any():
-                    raise ValueError("multiplication table is not associative")
         self.perms = perms  # optional permutation labels, 0-based images
         self._orders: np.ndarray | None = None
         self._classes: list[ConjClass] | None = None
@@ -482,14 +457,47 @@ def load_group(path: str, bound: int | None = None) -> GroupTable:
 
 def group_from_dict(data: dict, bound: int | None = None) -> GroupTable:
     """The group of a file's data; FeasibilityError if its order passes
-    `bound` (for permutations, before the table is built)."""
+    `bound` (for permutations, before the table is built; for a table,
+    before it is checked).
+
+    A table is checked exactly: a Latin square with identity 0, generated
+    by its generators (None: derive them), and associative by Light's test
+    over the generators.  Light's test asks (g x) y = g (x y) for every
+    generator g and all x, y, by row gathers over blocks of rows x.  It
+    suffices: the set S of a with (a x) y = a (x y) for all x, y is closed
+    under products, since for a, b in S
+    ((a b) x) y = (a (b x)) y = a ((b x) y) = a (b (x y)) = (a b)(x y),
+    and it holds the identity, so it holds every product of generators,
+    which is every element once the generators generate the table."""
     if "points" in data:
         return from_permutations(data["points"], data["generators"], bound)
     if "table" not in data:
         raise ValueError("group file needs 'points'+'generators' or 'table'")
-    G = GroupTable(data["table"], data.get("generators"))
-    if bound is not None and G.order > bound:
+    mult = np.asarray(data["table"], dtype=np.int64)
+    n = mult.shape[0] if mult.ndim == 2 else 0
+    if bound is not None and n > bound:
         raise FeasibilityError(f"group order exceeds bound {bound}")
+    ids = np.arange(n)
+    if mult.shape != (n, n) or not (
+        (np.sort(mult, axis=0) == ids[:, None]).all()
+        and (np.sort(mult, axis=1) == ids).all()
+    ):
+        raise ValueError("not a group table: not a Latin square")
+    if (mult[0] != ids).any() or (mult[:, 0] != ids).any():
+        raise ValueError("id 0 is not the identity")
+    gens = data.get("generators")
+    if gens is not None and any(not 0 <= g < n for g in gens):
+        raise ValueError(f"generator id outside range({n})")
+    G = GroupTable(mult, gens)
+    if G.closure(G.generators).order != n:
+        raise ValueError("generators do not generate the table")
+    step = max(1, (1 << 16) // n)  # rows per block: 2^16 entries at most
+    for g in G.generators:
+        left = mult[g]
+        for x in range(0, n, step):
+            xs = mult[x : x + step]
+            if (mult[left[x : x + step]] != left[xs]).any():
+                raise ValueError("multiplication table is not associative")
     return G
 
 

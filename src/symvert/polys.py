@@ -172,11 +172,12 @@ def _sqrt_poly(F: FieldCtx, p: Poly) -> Poly:
     return trim(out)
 
 
-def factor(F: FieldCtx, p: Poly, seed: int = 0) -> list[tuple[Poly, int]]:
-    """Full factorization into (monic irreducible, multiplicity) pairs."""
+def factor(F: FieldCtx, p: Poly) -> list[tuple[Poly, int]]:
+    """Full factorization into (monic irreducible, multiplicity) pairs,
+    sorted: the random splits change no answer."""
     p = monic(F, p)
     out: dict[tuple, int] = {}
-    _factor_rec(F, p, 1, out, random.Random(seed))
+    _factor_rec(F, p, 1, out, random.Random(0))
     return sorted(
         ([list(k), e] for k, e in out.items()), key=lambda t: (deg(t[0]), t[0])
     )

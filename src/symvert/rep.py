@@ -28,7 +28,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,40 +39,18 @@ from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul, zeros
 
 
 class ModuleRep:
-    def __init__(
-        self,
-        group: GroupTable,
-        F: FieldCtx,
-        gen_matrices: list[np.ndarray],
-        check: bool = True,
-    ):
+    def __init__(self, group: GroupTable, F: FieldCtx, gen_matrices: list[np.ndarray]):
+        """Trusts its matrices to be invertible and to satisfy the relations:
+        `module_from_dict` checks a file's; the rest are built from checked ones."""
         self.group = group
         self.F = F
         if len(gen_matrices) != len(group.generators):
             raise ValueError("one matrix per group generator required")
-        self.gen_matrices = [np.asarray(A, dtype=np.int64) for A in gen_matrices]
-        self.dim = self.gen_matrices[0].shape[0] if self.gen_matrices else 0
-        if not self.gen_matrices:
+        if not gen_matrices:
             raise ValueError("groups must have at least one generator")
+        self.gen_matrices = [np.asarray(A, dtype=np.int64) for A in gen_matrices]
+        self.dim = self.gen_matrices[0].shape[0]
         self._action: np.ndarray | None = None
-        if check:
-            self._validate()
-
-    def _validate(self) -> None:
-        for A in self.gen_matrices:
-            if A.shape != (self.dim, self.dim):
-                raise ValueError("generator matrices must be square, same size")
-            if not linalg.is_invertible(self.F, A):
-                raise ValueError("generator matrix is singular")
-        # x -> acts[x] is a homomorphism iff acts[x] A_g = acts[x g] on every
-        # edge of the Cayley graph; the tree edges hold by construction
-        acts = self.full_action()
-        G, d = self.group, self.dim
-        stacked = acts.reshape(G.order * d, d)
-        for g, A in zip(G.generators, self.gen_matrices):
-            moved = mat_mul(self.F, stacked, A).reshape(acts.shape)
-            if (moved != acts[G.mult[:, g]]).any():
-                raise ValueError("matrices do not satisfy the group relations")
 
     def full_action(self) -> np.ndarray:
         """rho(x) for every element x, one read-only (|G|, d, d) array.
@@ -130,13 +108,13 @@ class ModuleRep:
 
 def trivial_module(G: GroupTable, F: FieldCtx) -> ModuleRep:
     one = eye(1)
-    return ModuleRep(G, F, [one.copy() for _ in G.generators], check=False)
+    return ModuleRep(G, F, [one.copy() for _ in G.generators])
 
 
 def regular_module(G: GroupTable, F: FieldCtx) -> ModuleRep:
     """Left regular module: g sends basis vector e_x to e_{gx}."""
     mats = [left_mult_matrix(G, e) for e in eye(G.order)[G.generators]]
-    return ModuleRep(G, F, mats, check=False)
+    return ModuleRep(G, F, mats)
 
 
 def permutation_module(G: GroupTable, F: FieldCtx) -> ModuleRep:
@@ -151,12 +129,12 @@ def permutation_module(G: GroupTable, F: FieldCtx) -> ModuleRep:
         for i in range(pts):
             A[p[i], i] = 1
         mats.append(A)
-    return ModuleRep(G, F, mats, check=False)
+    return ModuleRep(G, F, mats)
 
 
 def dual(M: ModuleRep) -> ModuleRep:
     mats = [linalg.inverse(M.F, A).T.copy() for A in M.gen_matrices]
-    return ModuleRep(M.group, M.F, mats, check=False)
+    return ModuleRep(M.group, M.F, mats)
 
 
 def direct_sum(mods: list[ModuleRep]) -> ModuleRep:
@@ -172,7 +150,7 @@ def direct_sum(mods: list[ModuleRep]) -> ModuleRep:
             A[off : off + k, off : off + k] = b
             off += k
         mats.append(A)
-    return ModuleRep(G, F, mats, check=False)
+    return ModuleRep(G, F, mats)
 
 
 def restrict(M: ModuleRep, H: Subgroup) -> ModuleRep:
@@ -180,7 +158,7 @@ def restrict(M: ModuleRep, H: Subgroup) -> ModuleRep:
     of H's generators from the whole-group action."""
     Ht, elems = subgroup_table(H)
     mats = [M.action(elems[g]) for g in Ht.generators]
-    return ModuleRep(Ht, M.F, mats, check=False)
+    return ModuleRep(Ht, M.F, mats)
 
 
 def subgroup_table(H: Subgroup) -> tuple[GroupTable, list[int]]:
@@ -208,7 +186,7 @@ def induce(L: ModuleRep, H: Subgroup) -> tuple[ModuleRep, list[int]]:
     A = np.zeros((r, k, k, dl, dl), dtype=np.int64)
     A[np.arange(r)[:, None], coset[gt], np.arange(k)] = acts[hid[gt]]
     mats = list(A.transpose(0, 1, 3, 2, 4).reshape(r, k * dl, k * dl))
-    return ModuleRep(G, L.F, mats, check=False), trans
+    return ModuleRep(G, L.F, mats), trans
 
 
 def coset_split(H: Subgroup) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -228,13 +206,13 @@ def coset_split(H: Subgroup) -> tuple[list[int], np.ndarray, np.ndarray]:
 def sub_module(M: ModuleRep, S: Subspace) -> tuple[ModuleRep, np.ndarray, np.ndarray]:
     """Compress a G-stable subspace; returns (module, incl d x c, proj c x d)."""
     mats, incl, proj = _compress_action(M.F, M.gen_matrices, S)
-    return ModuleRep(M.group, M.F, mats, check=False), incl, proj
+    return ModuleRep(M.group, M.F, mats), incl, proj
 
 
 def quotient_module(M: ModuleRep, S: Subspace) -> tuple[ModuleRep, np.ndarray]:
     """M/S; returns (module, projection c x d sending v to its coordinates)."""
     mats, proj, _ = _quotient_action(M.F, M.gen_matrices, S)
-    return ModuleRep(M.group, M.F, mats, check=False), proj
+    return ModuleRep(M.group, M.F, mats), proj
 
 
 # -- hom spaces and endomorphism algebras ---------------------------------
@@ -346,22 +324,14 @@ def _hom_by_spin(F: FieldCtx, pairs: list[tuple]) -> list[np.ndarray]:
 
 @dataclass
 class EndoAlgebra:
-    """Endomorphism algebra of a module.
+    """Endomorphism algebra of a module, on an independent basis.
 
     `quotient`, when set, is the map reading E/J(E) that `Semisimple.of`
-    returns instead of chopping the module; it lives on this instance.
-    `check=False` skips the rank check of a basis independent by
-    construction."""
+    returns instead of chopping the module; it lives on this instance."""
 
     module: ModuleRep
     basis: list[np.ndarray]
     quotient: Semisimple | None = None
-    check: InitVar[bool] = True
-
-    def __post_init__(self, check: bool):
-        flat = np.array([b.ravel() for b in self.basis])
-        if check and linalg.rank(self.module.F, flat) != len(self.basis):
-            raise ValueError("endomorphism basis is linearly dependent")
 
     @property
     def dim(self) -> int:
@@ -383,7 +353,7 @@ def regular_end_algebra(G: GroupTable, F: FieldCtx, M: ModuleRep) -> EndoAlgebra
     ss = Semisimple(F, A, e0, np.ones((len(A), 1), dtype=bool), heads)
     # r(x) has its 1s at (y x, y), so the r(x) have disjoint supports and
     # are independent
-    return EndoAlgebra(M, basis, quotient=ss, check=False)
+    return EndoAlgebra(M, basis, quotient=ss)
 
 
 # kG multiplies on the group-element basis through the table: the
@@ -524,10 +494,10 @@ def _proper_submodule(
     rng = random.Random(seed)
     pool = list(gens)
     gensT = [A.T.copy() for A in gens]
-    for attempt in range(500):
+    for _ in range(500):
         a = _random_algebra_element(F, gens, rng, pool)
         mu = linalg.min_poly(F, a)
-        for p, _mult in polys.factor(F, mu, seed=seed + attempt):
+        for p, _mult in polys.factor(F, mu):
             pa = polys.eval_matrix(F, p, a)
             ker = linalg.kernel(F, pa)  # nonzero: p divides mu, so p(a) is singular
             for v in ker:
@@ -702,9 +672,9 @@ def _split_once(E: EndoAlgebra, ss: Semisimple, seed: int) -> np.ndarray | None:
     s = idempotent_power_exponent(E.dim)
     draws = coefficient_vectors(F.q, r, rng, 400 - r)
     cands = itertools.chain(lifts, (combine(F, c, lifts) for c in draws))
-    for attempt, a in enumerate(cands):
+    for a in cands:
         mu = linalg.min_poly(F, a, (ss.R, ss.read))  # a's minimal polynomial in E/J
-        fac = polys.factor(F, mu, seed=seed + attempt)
+        fac = polys.factor(F, mu)
         sqfree = [p for p, _ in fac]
         if len(sqfree) < 2:
             # a primitive element with irreducible minimal polynomial of
@@ -779,7 +749,7 @@ def split_corner(c: Corner, seed: int) -> tuple[Corner, Corner] | None:
         # y in the corner is incl.y.proj.part in E, as incl.proj.part = part;
         # the basis is the pivots of an rref, so independent
         basis = _compress_corner(F, E.basis, part, incl, proj)
-        Ec = EndoAlgebra(comp_mod, basis, check=False)
+        Ec = EndoAlgebra(comp_mod, basis)
         back = mat_mul(F, proj, part)
         amb_incl, amb_proj = mat_mul(F, c.incl, incl), mat_mul(F, back, c.proj)
         halves.append(Corner(Ec, c.quotient.corner(incl, back), amb_incl, amb_proj))
@@ -890,7 +860,7 @@ def irreducible_modules(G: GroupTable, F: FieldCtx) -> list[ModuleRep]:
         d = math.isqrt(int(n))
         acts = A[heads == i].T.reshape(G.order, d, d)
         acts.setflags(write=False)
-        S = ModuleRep(G, F, [acts[g].copy() for g in G.generators], check=False)
+        S = ModuleRep(G, F, [acts[g].copy() for g in G.generators])
         S._action = acts
         out.append(S)
     out.sort(key=lambda m: m.dim)
@@ -931,7 +901,7 @@ def _irreducible_actions(G: GroupTable, F: FieldCtx) -> tuple[np.ndarray, np.nda
 
     def keep(gens: list[np.ndarray], dim: int) -> None:
         for mats, _ in chop(F, gens, dim):
-            S = ModuleRep(G, F, mats, check=False)
+            S = ModuleRep(G, F, mats)
             if len(found) < count and all(module_iso(S, T) is None for T in found):
                 found.append(S)
 
@@ -1019,9 +989,22 @@ def load_module(path: str, G: GroupTable) -> ModuleRep:
 
 
 def module_from_dict(data: dict, G: GroupTable) -> ModuleRep:
+    """The module of a file's data, checked: invertible d x d matrices that
+    satisfy G's relations on every edge of the Cayley graph."""
     F = make_field(int(data["field_degree"]))
     d = int(data["dim"])
     if d < 1:
         raise ValueError("module dimension must be at least 1")
     mats = [matrix_from_hex(F, m, d, d) for m in data["matrices"]]
-    return ModuleRep(G, F, mats)
+    M = ModuleRep(G, F, mats)
+    if not all(linalg.is_invertible(F, A) for A in M.gen_matrices):
+        raise ValueError("generator matrix is singular")
+    # x -> acts[x] is a homomorphism iff acts[x] A_g = acts[x g] on every
+    # edge of the Cayley graph; the tree edges hold by construction
+    acts = M.full_action()
+    stacked = acts.reshape(G.order * d, d)
+    for g, A in zip(G.generators, M.gen_matrices):
+        moved = mat_mul(F, stacked, A).reshape(acts.shape)
+        if (moved != acts[G.mult[:, g]]).any():
+            raise ValueError("matrices do not satisfy the group relations")
+    return M

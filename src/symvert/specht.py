@@ -132,13 +132,13 @@ def specht_module(n: int, lam: tuple[int, ...], F: FieldCtx) -> SpechtData:
             img = tuple(frozenset(perm[x] for x in row) for row in t)
             P[index[img], i] = 1
         mats.append(P)
-    Mtab = ModuleRep(G, F, mats, check=False)
+    Mtab = ModuleRep(G, F, mats)
     stds = _standard_tableaux(lam)
     vecs = np.array([_polytabloid(t, lam, index) for t in stds])
     S = Subspace(F, nt, vecs)
     Smod, incl, proj = rep.sub_module(Mtab, S)
     gram = mat_mul(F, incl.T, incl)  # tabloid basis is orthonormal
-    Sform = GForm(Smod, gram, check=False)
+    Sform = GForm(Smod, gram)
     rad = Subspace(F, Smod.dim, linalg.kernel(F, gram))
     if rad.dim:
         Dmod, qproj = rep.quotient_module(Smod, rad)
@@ -147,7 +147,7 @@ def specht_module(n: int, lam: tuple[int, ...], F: FieldCtx) -> SpechtData:
     else:
         Dmod, qproj = Smod, np.eye(Smod.dim, dtype=np.int64)
         dgram = gram
-    Dform = GForm(Dmod, dgram, check=False)
+    Dform = GForm(Dmod, dgram)
     # row-reversal involution of the first standard tableau
     T = stds[0]
     perm = list(range(n))

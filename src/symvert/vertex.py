@@ -365,7 +365,7 @@ def form_is_H_projective(
     for j in range(d):
         m, _ = linalg.solve(F, alpha, incl[:, j])
         bhat[:, j] = linalg.mat_vec(F, mat_mul(F, incl.T, B.gram), m)
-    ind, ind_form, trans = forms.induce_form(GForm(Lmod, bhat, check=False), H)
+    ind, ind_form, trans = forms.induce_form(GForm(Lmod, bhat), H)
     G = M.group
     phi = np.concatenate(
         [mat_mul(F, proj, mat_mul(F, alpha, M.action(G.inverse(t)))) for t in trans]

@@ -16,13 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from symvert import forms, linalg, rep, vertex
-from symvert.group import GroupTable, Subgroup
+from symvert.group import GroupTable, Subgroup, group_from_dict
 
 _ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
 
 
 def record_criterion(n: int, name: str, passed: bool) -> None:
     _ACCEPTANCE_RESULTS[n] = (name, passed)
+
+
+def read_back(M: rep.ModuleRep) -> rep.ModuleRep:
+    """M through the module file reader, which checks its matrices:
+    invertible, and satisfying the group's relations on every edge."""
+    return rep.module_from_dict(rep.module_to_dict(M), M.group)
 
 
 def rref_dense_reference(A) -> tuple[np.ndarray, list[int]]:
@@ -71,7 +77,7 @@ def irreducibles_by_chop(G, F, seed=0) -> list[rep.ModuleRep]:
     out: list[rep.ModuleRep] = []
     kG = rep.regular_module(G, F)
     for mats, _ in rep.chop(F, kG.gen_matrices, G.order, seed=seed):
-        S = rep.ModuleRep(G, F, mats, check=False)
+        S = rep.ModuleRep(G, F, mats)
         if all(rep.module_iso(S, r) is None for r in out):
             out.append(S)
     out.sort(key=lambda m: m.dim)
@@ -95,7 +101,7 @@ def block_nondegenerate_reference(G, F, b) -> bool:
     `blocks.verify_theorem_vertexBlock` reports as that nondegeneracy."""
     # permutation matrices preserve the orthonormal form: no invariance check
     kG = rep.regular_module(G, F)
-    orthonormal = forms.GForm(kG, linalg.eye(G.order), check=False)
+    orthonormal = forms.GForm(kG, linalg.eye(G.order))
     S = linalg.col_space(F, rep.right_mult_matrix(G, b.group_algebra_vector))
     return forms.is_nondegenerate_on(orthonormal, S)
 
@@ -256,7 +262,7 @@ def direct_product(G: GroupTable, H: GroupTable) -> tuple[GroupTable, "ProductMa
         G.mult[a[:, None], a[None, :]] * nH + H.mult[b[:, None], b[None, :]]
     )
     gens = [g * nH for g in G.generators] + list(H.generators)
-    P = GroupTable(mult, gens)
+    P = group_from_dict({"table": mult, "generators": gens})
     return P, ProductMaps(nH)
 
 
@@ -290,8 +296,9 @@ def regular_bimodule(G: GroupTable, F) -> RegularBimodule:
         a, b = maps.split(gen)
         # column x holds a 1 in row a.x.b^-1
         mats.append(linalg.eye(n)[:, G.mult[a, G.mult[:, G.inv[b]]]])
-    M = rep.ModuleRep(GG, F, mats, check=False)
+    M = rep.ModuleRep(GG, F, mats)
     B = forms.GForm(M, linalg.eye(n))
+    assert B.is_invariant()
     return RegularBimodule(M, GG, maps.pair, B)
 
 
@@ -350,7 +357,7 @@ def mackey_decompose(L_form: forms.GForm, H: Subgroup, K: Subgroup):
     hidx = {x: i for i, x in enumerate(helems)}
     M_ind, ind_form, _ = forms.induce_form(L_form, H)
     _, coset, hid = rep.coset_split(H)
-    res_form = forms.GForm(rep.restrict(M_ind, K), ind_form.gram, check=False)
+    res_form = forms.GForm(rep.restrict(M_ind, K), ind_form.gram)
     Kt, kelems = rep.subgroup_table(K)
     Lact = L.full_action()
     dl = L.dim
@@ -371,9 +378,9 @@ def mackey_decompose(L_form: forms.GForm, H: Subgroup, K: Subgroup):
             x = kelems[kg_elems[y]]  # element of G
             h = G.mul(ginv, G.mul(x, g))
             gmats.append(Lact[hidx[h]])
-        gL = rep.ModuleRep(KgT, F, gmats, check=False)
+        gL = rep.ModuleRep(KgT, F, gmats)
         _, piece_form, ktrans = forms.induce_form(
-            forms.GForm(gL, L_form.gram, check=False), Kg_in_K
+            forms.GForm(gL, L_form.gram), Kg_in_K
         )
         pieces.append(piece_form)
         # witness columns: (coset k_i, basis e_l) -> k_i . (g tensor e_l)
@@ -431,7 +438,7 @@ def scott_component(V: Subgroup, Z: rep.ModuleRep) -> rep.ModuleRep:
     M = comp.module
     assert dec.multiplicities[odd[0]] == 1  # (a)
     # (c): Z is a component of an orthogonal decomposition of Res_V M
-    resB = forms.GForm(rep.restrict(M, V), forms.base_form(M).gram, check=False)
+    resB = forms.GForm(rep.restrict(M, V), forms.base_form(M).gram)
     assert any(
         piece.kind == "indecomposable"
         and rep.module_iso(piece.modules[0], Z) is not None

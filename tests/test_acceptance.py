@@ -12,7 +12,7 @@ from symvert import blocks, catalog, forms, linalg, rep, specht, vertex
 from symvert.field import make_field
 from symvert.linalg import Subspace, mat_mul
 
-from conftest import kg_radical_by_chop, record_criterion, scott_component
+from conftest import kg_radical_by_chop, read_back, record_criterion, scott_component
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -113,6 +113,7 @@ def test_criterion_02_seeded_decompositions():
     for i in range(3):
         gram[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = B.gram
     B3 = forms.GForm(three, gram)
+    assert B3.is_invariant()
     shapes = {}
     for seed in (0, 1):
         pieces = forms.orth_decompose(B3, seed=seed)
@@ -158,6 +159,7 @@ def test_criterion_03_v4_family():
     big_gram[:n, :n] = Br.gram
     big_gram[n:, n:] = Bs.gram
     Big = forms.GForm(big_mod, big_gram)
+    assert Big.is_invariant()
     for alpha in units:
         for beta in units:
             if alpha == beta:
@@ -466,7 +468,8 @@ def test_criterion_10_scott():
         M[:2, 2:] = B
         return M
 
-    Z = rep.ModuleRep(Vt, F2, [upper(np.eye(2, dtype=np.int64)), upper(C)])
+    one = np.eye(2, dtype=np.int64)
+    Z = read_back(rep.ModuleRep(Vt, F2, [upper(one), upper(C)]))
     assert rep.is_indecomposable(Z) and rep.is_selfdual(Z)
     assert vertex.green_vertex(Z).vertex.order == 4
     scott_component(V, Z)
@@ -511,6 +514,7 @@ def test_criterion_11_oracles():
                 for g in inv.symmetric
                 if linalg.is_invertible(F2, g)
             ]
+            assert all(b.is_invariant() for b in bases)
             if len(bases) < 2:
                 continue
             for H in G.two_subgroups_up_to_conjugacy():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from symvert import blocks, catalog, forms, linalg, rep
 from symvert.field import make_field, splitting_degree
-from symvert.group import GroupTable, group_from_dict
+from symvert.group import group_from_dict
 from symvert.linalg import mat_mul
 
 from conftest import (
@@ -403,5 +403,6 @@ def test_blocks_do_not_depend_on_element_labels(name, m, data):
     p = np.array([0] + data.draw(st.permutations(range(1, G.order))))
     mult = np.empty_like(G.mult)
     mult[np.ix_(p, p)] = p[G.mult]
-    H = GroupTable(mult, [int(p[g]) for g in G.generators])
+    gens = [int(p[g]) for g in G.generators]
+    H = group_from_dict({"table": mult, "generators": gens})
     assert _block_invariants(H, F, p) == _block_invariants(G, F, np.arange(G.order))

@@ -200,7 +200,7 @@ def test_non_group_table_exit_code(tmp_path, s3_files, capsys):
     table = [[0, 1, 2, 3], [1, 0, 1, 1], [2, 0, 1, 2], [3, 1, 2, 0]]
     for gens in (None, [1, 2, 3]):
         with pytest.raises(ValueError):
-            GroupTable(table, gens)
+            group.group_from_dict({"table": table, "generators": gens})
     for i, extra in enumerate(({}, {"generators": [1, 2, 3]})):
         g = tmp_path / f"non-group-{i}.json"
         g.write_text(json.dumps({"table": table, **extra}))
@@ -252,6 +252,21 @@ def test_infeasible_exit_code(s3_files, capsys):
     g, m = s3_files
     assert cli.main(["--bound-group-order", "2", "blocks", g]) == 3
     assert cli.main(["--bound-dim", "1", "vertices", g, m]) == 3
+
+
+def test_group_order_bound_comes_before_the_table_checks(tmp_path, capsys):
+    # an over-bound table file exits 3 before its table is checked; the
+    # same broken file under no bound exits 2 on the first failed check
+    g = tmp_path / "non-latin-3.json"
+    g.write_text(json.dumps({"table": [[0, 1, 2], [1, 1, 2], [2, 2, 0]]}))
+    assert cli.main(["--bound-group-order", "2", "blocks", str(g)]) == 3
+    assert "exceeds bound 2" in capsys.readouterr().err
+    assert cli.main(["blocks", str(g)]) == 2
+    assert "not a Latin square" in capsys.readouterr().err
+    c3 = tmp_path / "c3-table.json"
+    c3.write_text(json.dumps({"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
+    assert cli.main(["--bound-group-order", "2", "blocks", str(c3)]) == 3
+    assert "exceeds bound 2" in capsys.readouterr().err
 
 
 def test_group_order_bound_stops_the_enumeration(monkeypatch, capsys):

@@ -9,7 +9,7 @@ from symvert import catalog, forms, linalg, rep
 from symvert.field import make_field
 from symvert.linalg import Subspace, mat_mul
 
-from conftest import array_digest, kg_radical_by_chop, mackey_decompose
+from conftest import array_digest, kg_radical_by_chop, mackey_decompose, read_back
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -27,8 +27,7 @@ def test_gform_invariance_checked():
     assert good.symmetric and good.nondegenerate and not good.symplectic
     bad = np.zeros((6, 6), dtype=np.int64)
     bad[0, 1] = 1  # not invariant
-    with pytest.raises(ValueError):
-        forms.GForm(M, bad)
+    assert good.is_invariant() and not forms.GForm(M, bad).is_invariant()
 
 
 def test_invariant_forms_regular_s3():
@@ -199,7 +198,7 @@ def _radical_by_enumeration(F, gram, basis):
 @pytest.mark.parametrize("m, n, max_dim", [(1, 7, 6), (2, 4, 3)])
 def test_is_nondegenerate_on_matches_enumeration(m, n, max_dim):
     F = make_field(m)
-    T = rep.ModuleRep(S3, F, [linalg.eye(n)] * len(S3.generators))
+    T = read_back(rep.ModuleRep(S3, F, [linalg.eye(n)] * len(S3.generators)))
     rng = np.random.default_rng(n)
     seen = set()
     for _ in range(60):
@@ -207,6 +206,7 @@ def test_is_nondegenerate_on_matches_enumeration(m, n, max_dim):
         if rng.integers(2):
             gram = gram ^ gram.T  # also symmetric ones, with a zero diagonal
         B = forms.GForm(T, gram)
+        assert B.is_invariant()
         L = Subspace(F, n, rng.integers(0, F.q, (int(rng.integers(0, max_dim + 1)), n)))
         want = not _radical_by_enumeration(F, B.gram, L.basis)
         assert forms.is_nondegenerate_on(B, L) == want
@@ -241,7 +241,9 @@ def test_orth_decompose_regular_bt():
 def _block_sum(base: forms.GForm, copies: int) -> forms.GForm:
     """copies of (M, base) as one module with the block-diagonal form."""
     gram = linalg.kron(base.F, np.eye(copies, dtype=np.int64), base.gram)
-    return forms.GForm(rep.direct_sum([base.module] * copies), gram)
+    B = forms.GForm(rep.direct_sum([base.module] * copies), gram)
+    assert B.is_invariant()
+    return B
 
 
 def _same_summands(mods, N) -> bool:
@@ -351,6 +353,7 @@ def test_mackey_decompose_verified():
     Ht, _ = rep.subgroup_table(H)
     L = rep.trivial_module(Ht, F2)
     BL = forms.GForm(L, np.eye(1, dtype=np.int64))
+    assert BL.is_invariant()
     res_form, pieces, _ = mackey_decompose(BL, H, K)
     assert sum(p.module.dim for p in pieces) == res_form.module.dim == 3
     assert len(pieces) == len(S4.double_cosets(K, H))
@@ -399,7 +402,7 @@ def test_adjoint_refuses_a_gram_that_is_not_invariant():
     # invariant one is checked on the generators alone, so the module's
     # whole-group action is never built
     M = regular_s3()
-    swap = forms.GForm(M, np.eye(6, dtype=np.int64)[[1, 0, 2, 3, 4, 5]], check=False)
+    swap = forms.GForm(M, np.eye(6, dtype=np.int64)[[1, 0, 2, 3, 4, 5]])
     assert swap.nondegenerate and swap.symmetric and not swap.is_invariant()
     with pytest.raises(ValueError, match="adjoint does not invert the group action"):
         forms.Adjoint(swap)
@@ -439,8 +442,9 @@ def test_lift_selfadjoint_idempotent_contract():
     assert (lifted, refused) == (8, 24)
     # an ideal that is not nil: I = E = M_2(k) on two trivial summands, where
     # b = a.sigma(a) = [[1, 1], [1, 0]] has order 3 and squares to no idempotent
-    T = rep.ModuleRep(S3, F2, [np.eye(2, dtype=np.int64)] * len(S3.generators))
-    sigma = forms.Adjoint(forms.GForm(T, np.eye(2, dtype=np.int64)))
+    one = np.eye(2, dtype=np.int64)
+    T = read_back(rep.ModuleRep(S3, F2, [one] * len(S3.generators)))
+    sigma = forms.Adjoint(forms.GForm(T, one))
     a = np.array([[1, 0], [1, 1]], dtype=np.int64)
     with pytest.raises(AssertionError, match="not nil"):
         forms.lift_selfadjoint_idempotent(
@@ -457,6 +461,7 @@ def test_paired_module_hyperbolic():
     gram[:2, 2:] = np.eye(2, dtype=np.int64)
     gram[2:, :2] = np.eye(2, dtype=np.int64)
     B = forms.GForm(P, gram)
+    assert B.is_invariant()
     assert P.dim == 4 and B.symmetric and B.symplectic and B.nondegenerate
     # both halves are totally isotropic
     for half in (np.eye(4, dtype=np.int64)[:2], np.eye(4, dtype=np.int64)[2:]):

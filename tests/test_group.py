@@ -12,7 +12,6 @@ import pytest
 from symvert import catalog
 from symvert.group import (
     FeasibilityError,
-    GroupTable,
     Subgroup,
     from_permutations,
     group_from_dict,
@@ -427,17 +426,18 @@ def test_table_validation_is_exact():
     ]
     for gens in (None, [1, 2], [1, 2, 3, 4]):
         with pytest.raises(ValueError, match="not associative"):
-            GroupTable(loop5, gens)
+            group_from_dict({"table": loop5, "generators": gens})
     for bad in (5, [0, 1], [[0, 1]]):
         with pytest.raises(ValueError, match="Latin square"):
-            GroupTable(bad, None)
+            group_from_dict({"table": bad, "generators": None})
     rows = S3.mult.copy()
     rows[1, [2, 3]] = rows[1, [3, 2]]  # rows stay permutations, columns not
     with pytest.raises(ValueError, match="Latin square"):
-        GroupTable(rows, None)
+        group_from_dict({"table": rows, "generators": None})
     with pytest.raises(ValueError, match="do not generate"):
-        GroupTable(S3.mult, [S3.involutions()[0]])
-    assert GroupTable(S3.mult, None).closure(S3.generators).order == 6
+        group_from_dict({"table": S3.mult, "generators": [S3.involutions()[0]]})
+    G = group_from_dict({"table": S3.mult, "generators": None})
+    assert G.closure(S3.generators).order == 6
 
 
 def _intercalate_mutants(G, rows):
@@ -457,7 +457,7 @@ def _intercalate_mutants(G, rows):
 
 def _light_verdict(mult, gens) -> bool:
     try:
-        GroupTable(mult, gens)
+        group_from_dict({"table": mult, "generators": gens})
     except ValueError as e:
         assert "not associative" in str(e)
         return False

@@ -15,7 +15,12 @@ from hypothesis import strategies as st
 
 from symvert import blocks, catalog, linalg, polys, rep, vertex
 from symvert.field import make_field, splitting_degree
-from symvert.group import GroupTable, from_permutations, load_group
+from symvert.group import (
+    GroupTable,
+    from_permutations,
+    group_from_dict,
+    load_group,
+)
 
 from conftest import (
     array_digest,
@@ -26,6 +31,7 @@ from conftest import (
     irreducibles_by_chop,
     iso_classes_by_module_iso,
     kg_radical_by_chop,
+    read_back,
 )
 
 F2 = make_field(1)
@@ -101,14 +107,14 @@ def test_full_action_is_read_only():
 def test_checked_module_rejects_broken_actions():
     P = rep.permutation_module(S3, F2).gen_matrices
     with pytest.raises(ValueError, match="do not satisfy the group relations"):
-        rep.ModuleRep(S3, F2, [P[0], P[0]])  # the first matrix for both
+        read_back(rep.ModuleRep(S3, F2, [P[0], P[0]]))  # the first matrix for both
     # a table whose generator list is cut to one of its generators
     for cut in ([S3.generators[0]], [S3.generators[1]]):
         G = GroupTable(S3.mult, S3.generators)
         G.generators = cut
         A = rep.regular_module(S3, F2).action(cut[0])
         with pytest.raises(ValueError, match="generators do not generate the group"):
-            rep.ModuleRep(G, F2, [A])
+            read_back(rep.ModuleRep(G, F2, [A]))
 
 
 def test_permutation_module_column_sums():
@@ -267,6 +273,7 @@ def test_regular_quotient_matches_the_composition_series_map(name, F, seed):
     G = catalog.suite_group(name)
     M = rep.regular_module(G, F)
     E = rep.regular_end_algebra(G, F, M)
+    assert linalg.rank(F, np.array([b.ravel() for b in E.basis])) == G.order
     bare = rep.EndoAlgebra(M, E.basis)
     assert bare.quotient is None and rep.Semisimple.of(E, seed) is E.quotient
     got_radical, want_radical = rep.radical(E, seed), rep.radical(bare, seed)
@@ -301,7 +308,7 @@ def test_tensor_closure_finds_the_irreducibles_of_kG(monkeypatch, name, m):
     assert G.order not in dims or len(G.perms[0]) == G.order
     assert len(got) == len(ref)
     for S in got:
-        S._validate()  # read back from the stored actions, checked exactly
+        read_back(S)  # read back from the stored actions, checked exactly
         assert sum(rep.module_iso(S, R) is not None for R in ref) == 1, (name, m)
 
 
@@ -450,7 +457,7 @@ def test_subgroup_table_cache_is_per_group():
     v4 = idx[:, None] ^ idx[None, :]
     for _ in range(50):
         for table, gens in ((c4, [1]), (v4, [1, 2])):
-            G = GroupTable(table, gens)
+            G = group_from_dict({"table": table, "generators": gens})
             assert (rep.subgroup_table(G.full_subgroup())[0].mult == G.mult).all()
             del G
             gc.collect()
@@ -649,16 +656,43 @@ def test_validation_checks_every_cayley_graph_edge():
     a = np.array([[1, 1], [0, 1]], dtype=np.int64)
     b = np.array([[1, 0], [1, 1]], dtype=np.int64)
     with pytest.raises(ValueError, match="group relations"):
-        rep.ModuleRep(V4, F2, [a, b])
-    rep.ModuleRep(V4, F2, [a, a])
+        read_back(rep.ModuleRep(V4, F2, [a, b]))
+    read_back(rep.ModuleRep(V4, F2, [a, a]))
     # a repeated generator never enters the breadth-first action, so only
     # its Cayley-graph edges can see that its two matrices differ
     G = from_permutations(3, [[2, 3, 1], [2, 1, 3], [2, 3, 1]])
     P = rep.permutation_module(G, F2).gen_matrices
     with pytest.raises(ValueError, match="group relations"):
-        rep.ModuleRep(G, F2, [P[0], P[1], P[1]])
+        read_back(rep.ModuleRep(G, F2, [P[0], P[1], P[1]]))
     for M in (rep.regular_module(S4, F4), rep.permutation_module(A4, F2)):
-        rep.ModuleRep(M.group, M.F, M.gen_matrices)
+        read_back(M)
+
+
+def test_built_groups_and_modules_pass_the_reader_checks(monkeypatch):
+    # the constructors trust their arguments, and the library builds groups
+    # and modules that are valid by construction: the file readers' checks
+    # pass on them
+    for name in catalog.SUITE_NAMES:
+        G = catalog.suite_group(name)  # from_permutations
+        tables = [G]
+        if name in ("S4", "S5", "GL(3,2):2"):
+            tables += [H.as_table()[0] for H in G.two_subgroups_up_to_conjugacy()]
+        for T in tables:
+            R = group_from_dict({"table": T.mult.tolist(), "generators": T.generators})
+            assert R.generators == T.generators and (R.mult == T.mult).all()
+    # the catalogue's modules, and the modules they are induced from
+    induced, real_induce = [], rep.induce
+    monkeypatch.setattr(
+        rep, "induce", lambda L, H: induced.append(L) or real_induce(L, H)
+    )
+    built = [
+        catalog.gl32_induced_module(F2)[0],
+        catalog.d12_pim(F2)[0],
+        catalog.s5_specht_irreducible(F2).irreducible,
+    ]
+    assert [M.dim for M in induced] == [3, 2]
+    for M in induced + built:
+        read_back(M)
 
 
 def test_end_dim_of_regular_module_is_group_order():
@@ -699,7 +733,7 @@ def test_module_iso_transport():
         linalg.mat_mul(F2, linalg.mat_mul(F2, Pi, M.action(g)), P)
         for g in S3.generators
     ]
-    N = rep.ModuleRep(S3, F2, mats)
+    N = read_back(rep.ModuleRep(S3, F2, mats))
     phi = rep.module_iso(M, N)
     assert phi is not None
     for g in S3.generators:
@@ -931,19 +965,16 @@ def test_quotient_min_poly_matches_left_multiplication(label, M, monkeypatch):
         assert mu == linalg.min_poly(F, La), label
         degrees.add(polys.deg(mu))
     assert min(degrees) < r, label  # some La is not cyclic
-    # one min_poly call per attempt; polys.factor is seeded seed + attempt
+    # one min_poly call and one polys.factor call per attempt
     calls, attempts = [], []
     real_min_poly, real_factor = linalg.min_poly, polys.factor
     monkeypatch.setattr(
         linalg, "min_poly", lambda *a: calls.append(1) or real_min_poly(*a)
     )
     monkeypatch.setattr(
-        polys,
-        "factor",
-        lambda *a, seed: attempts.append(seed) or real_factor(*a, seed=seed),
+        polys, "factor", lambda *a: attempts.append(1) or real_factor(*a)
     )
     e = rep._split_once(E, ss, seed)
-    assert attempts == list(range(seed, seed + len(attempts)))
     assert len(calls) == len(attempts) >= 1
     assert (e is None) == (label == "SL(2,3)-irreducible-gf2")
 

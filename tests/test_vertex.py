@@ -197,7 +197,7 @@ def test_is_sym_projective_base_form_independent():
     for g in inv.symmetric:
         if linalg.is_invertible(F2, g):
             bases.append(forms.GForm(P, g))
-    assert len(bases) >= 2
+    assert len(bases) >= 2 and all(b.is_invariant() for b in bases)
     for H in S3.two_subgroups_up_to_conjugacy():
         answers = {vertex.is_sym_projective(P, H, b).projective for b in bases}
         assert len(answers) == 1
@@ -680,6 +680,7 @@ def test_orth_summand_criterion_uses_the_cross_terms(monkeypatch):
     k = rep.trivial_module(rep.subgroup_table(V)[0], F2)
     Z = rep.direct_sum([k, k])
     BZ = forms.GForm(Z, np.eye(2, dtype=np.int64))
+    assert BZ.is_invariant()
     Pinv = linalg.inverse(F2, base.gram)
 
     def unit(b):
