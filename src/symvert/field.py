@@ -105,6 +105,11 @@ class FieldCtx:
         exp[self.q - 1 : 2 * (self.q - 1)] = exp[: self.q - 1]
         self._exp = exp
         self._log = log
+        # the scalar ops read Python lists: indexing a numpy array one
+        # element at a time costs more than the product itself.  Two periods
+        # of exp, sharing their ints, so a sum of two logs needs no mod
+        self._exps = exp[: self.q - 1].tolist() * 2
+        self._logs = log.tolist()
         # full multiplication table (q x q); q <= 256 in practice
         if self.q <= 256:
             idx = np.arange(self.q)
@@ -113,10 +118,6 @@ class FieldCtx:
             ).reshape(self.q, self.q)
         else:
             self.mul_table = None
-        inv = np.zeros(self.q, dtype=np.int64)
-        for a in range(1, self.q):
-            inv[a] = int(self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)])
-        self.inv_table = inv
         # x^t mod the modulus for t < 2m-1, folding bit-plane products back
         masks = []
         t = 1
@@ -167,17 +168,17 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self._exp[(int(self._log[a]) + int(self._log[b])) % (self.q - 1)])
+        return self._exps[self._logs[a] + self._logs[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return int(self.inv_table[a])
+        return self._exps[-self._logs[a] % (self.q - 1)]
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 0 if e else 1
-        return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
+        return self._exps[self._logs[a] * e % (self.q - 1)]
 
     def sqrt(self, a: int) -> int:
         """Unique square root; Frobenius inverse x -> x^(2^(m-1))."""

@@ -1,10 +1,12 @@
 """Finite groups as full multiplication tables.
 
 Groups are ingested from permutation generators (expanded by orbit
-enumeration, identity first) or from a raw table.  Element ids are small
-ints; id 0 is the identity.  A file's table is checked once, where it is
-read (`group_from_dict`); `GroupTable` trusts the table it is given, as
-`from_permutations` and `Subgroup.as_table` build groups by construction.
+enumeration, identity first, into one C-order int64 table filled in place)
+or from a raw table.  Element ids are small ints; id 0 is the identity.
+No table past TABLE_BUDGET_BYTES is allocated (FeasibilityError).  A
+file's table is checked once, where it is read (`group_from_dict`);
+`GroupTable` trusts the table it is given, as `from_permutations` and
+`Subgroup.as_table` build groups by construction.
 Subgroups are id sets tied to a parent table.  All queries are pure;
 tables are immutable after load.  Conjugacy, coset, order and class
 queries are numpy gathers over `mult` and `inv`, tested against boolean
@@ -23,6 +25,9 @@ import numpy as np
 
 # the largest group whose 2-subgroup lattice is walked
 TWO_SUBGROUPS_ORDER_BOUND = 10_000
+# the largest multiplication table built, in bytes (n^2 int64 ids): 256 MiB
+# holds S7's (order 5,040: 203 MB) and stops at order 5,792
+TABLE_BUDGET_BYTES = 1 << 28
 
 
 class GroupTable:
@@ -397,6 +402,15 @@ class FeasibilityError(Exception):
     """Raised when a computation exceeds a configured search bound."""
 
 
+def _check_table_budget(n: int) -> None:
+    """FeasibilityError, before any allocation, if an order-n table of
+    int64 ids would take more than TABLE_BUDGET_BYTES."""
+    if n * n * 8 > TABLE_BUDGET_BYTES:
+        raise FeasibilityError(
+            f"a group table of order {n} exceeds the {TABLE_BUDGET_BYTES}-byte budget"
+        )
+
+
 # -- constructors ---------------------------------------------------------
 
 
@@ -409,12 +423,14 @@ def from_permutations(
     points: int, generators: list[list[int]], bound: int | None = None
 ) -> GroupTable:
     """Build a table from 1-based permutation images; FeasibilityError as
-    soon as the enumeration passes `bound` elements.
+    soon as the enumeration passes `bound` elements, or before the table is
+    allocated when it would pass TABLE_BUDGET_BYTES.
 
     Elements are numbered in breadth-first order of the right Cayley graph.
     Its edges give right multiplication by each generator, R_g[x] = x g, and
     every element j > 0 was first reached as parent(j) g, so the table
-    fills one column at a time: x j = (x parent(j)) g = R_g[x parent(j)].
+    fills one column at a time, in place: x j = (x parent(j)) g =
+    R_g[x parent(j)].
     """
     gens = [tuple(x - 1 for x in g) for g in generators]
     for g in gens:
@@ -436,14 +452,15 @@ def from_permutations(
                     raise FeasibilityError(f"group order exceeds bound {bound}")
             right[k].append(index[q])
     n = len(elems)
+    _check_table_budget(n)
     R = np.array(right, dtype=np.int64).reshape(len(gens), n)
-    cols = np.empty((n, n), dtype=np.int64)  # cols[j] = column j of the table
-    cols[0] = np.arange(n)
+    table = np.empty((n, n), dtype=np.int64)  # one C-order copy, filled in place
+    table[:, 0] = np.arange(n)
     for j in range(1, n):
         x, k = reached[j]
-        cols[j] = R[k][cols[x]]
+        table[:, j] = R[k][table[:, x]]
     gen_ids = [index[g] for g in gens]
-    return GroupTable(np.ascontiguousarray(cols.T), gen_ids, perms=elems)
+    return GroupTable(table, gen_ids, perms=elems)
 
 
 # -- serialization --------------------------------------------------------
@@ -458,7 +475,8 @@ def load_group(path: str, bound: int | None = None) -> GroupTable:
 def group_from_dict(data: dict, bound: int | None = None) -> GroupTable:
     """The group of a file's data; FeasibilityError if its order passes
     `bound` (for permutations, before the table is built; for a table,
-    before it is checked).
+    before it is checked) or its table TABLE_BUDGET_BYTES (before the
+    table is allocated).
 
     A table is checked exactly: a Latin square with identity 0, generated
     by its generators (None: derive them), and associative by Light's test
@@ -473,10 +491,13 @@ def group_from_dict(data: dict, bound: int | None = None) -> GroupTable:
         return from_permutations(data["points"], data["generators"], bound)
     if "table" not in data:
         raise ValueError("group file needs 'points'+'generators' or 'table'")
-    mult = np.asarray(data["table"], dtype=np.int64)
-    n = mult.shape[0] if mult.ndim == 2 else 0
+    rows = data["table"]
+    # the order from the row count, before numpy copies the rows
+    n = len(rows) if isinstance(rows, (list, np.ndarray)) else 0
     if bound is not None and n > bound:
         raise FeasibilityError(f"group order exceeds bound {bound}")
+    _check_table_budget(n)
+    mult = np.asarray(rows, dtype=np.int64)
     ids = np.arange(n)
     if mult.shape != (n, n) or not (
         (np.sort(mult, axis=0) == ids[:, None]).all()

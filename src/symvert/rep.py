@@ -240,8 +240,14 @@ def hom_space(M: ModuleRep, N: ModuleRep) -> list[np.ndarray]:
     row-major vec(X), by either of two routes that give it byte for byte:
     `_hom_by_kron` solves those equations themselves when dim M . dim N is
     at most HOM_KRON_UNKNOWNS, and `_hom_by_spin` solves fewer unknowns by
-    the standard-basis method above that."""
-    pairs = list(zip(M.gen_matrices, N.gen_matrices))
+    the standard-basis method above that.  A pair of identities (any
+    generator of the trivial group) gives no equations; with no other pair
+    every X is a hom, and the basis is the unit matrices in row-major order."""
+    one_m, one_n = eye(M.dim), eye(N.dim)
+    pairs = [(A, B) for A, B in zip(M.gen_matrices, N.gen_matrices)
+             if not (np.array_equal(A, one_m) and np.array_equal(B, one_n))]
+    if not pairs:
+        return list(eye(N.dim * M.dim).reshape(-1, N.dim, M.dim))
     small = M.dim * N.dim <= HOM_KRON_UNKNOWNS
     return (_hom_by_kron if small else _hom_by_spin)(M.F, pairs)
 

@@ -24,7 +24,6 @@ tr_V^G(f.alpha) a unit, whose image is a source.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 
@@ -555,6 +554,8 @@ def classify_case(
 
 
 def _hash_matrix(A: np.ndarray) -> str:
+    import hashlib  # here, not at the top: it loads libcrypto (about 3.6 MB)
+
     return hashlib.sha256(np.ascontiguousarray(A).tobytes()).hexdigest()[:16]
 
 

@@ -5,6 +5,8 @@ import copy
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -284,6 +286,50 @@ def test_group_order_bound_stops_the_enumeration(monkeypatch, capsys):
     assert 0 < len(calls) <= 11 * 3
     assert "exceeds bound 10" in capsys.readouterr().err
     assert cli.main(["--bound-group-order", "336", "--json", "blocks", path]) == 0
+
+
+def test_a_table_over_the_memory_budget_exits_3(monkeypatch, tmp_path):
+    # S5's table takes 120^2 int64 ids; one byte less of budget refuses it,
+    # from its permutations and from its table alike
+    path = str(Path(cli.__file__).parent / "data" / "s5.json")
+    table = tmp_path / "s5-table.json"
+    table.write_text(json.dumps({"table": catalog.suite_group("S5").mult.tolist()}))
+    monkeypatch.setattr(group, "TABLE_BUDGET_BYTES", 120 * 120 * 8 - 1)
+    want = f"error: a group table of order 120 exceeds the {120 * 120 * 8 - 1}-byte budget\n"
+    for f in (path, str(table)):
+        assert _quiet_main(["blocks", f]) == (3, want)
+    monkeypatch.setattr(group, "TABLE_BUDGET_BYTES", 120 * 120 * 8)
+    assert group.load_group(path).order == group.load_group(str(table)).order == 120
+
+
+def test_blocks_and_verify_do_not_load_libcrypto():
+    # hashlib's OpenSSL module adds about 3.6 MB to a fresh process; only a
+    # printed form hash needs it
+    code = """
+import sys
+if "_hashlib" in sys.modules:
+    print("preloaded")
+    raise SystemExit
+import contextlib, io
+import numpy as np
+from symvert import cli, vertex
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["blocks", sys.argv[1]]) == 0
+    assert cli.main(["verify", "paper-examples"]) == 0
+print("loaded" if "_hashlib" in sys.modules else "clean")
+vertex._hash_matrix(np.eye(2, dtype=np.int64))
+print("loaded" if "_hashlib" in sys.modules else "clean")
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    s4 = str(Path(cli.__file__).parent / "data" / "s4.json")
+    out = subprocess.run(
+        [sys.executable, "-c", code, s4], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    ).stdout.split()
+    if out == ["preloaded"]:
+        pytest.skip("_hashlib is loaded at start-up")
+    assert out == ["clean", "loaded"]  # a form hash still loads it
 
 
 def test_oracle_small_suite(capsys):

@@ -1,12 +1,15 @@
 """Field arithmetic in GF(2^m)."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symvert.field import (
-    MAX_DEGREE, _is_irreducible_gf2, default_modulus, make_field, splitting_degree,
+    MAX_DEGREE, _is_irreducible_gf2, _poly_mulmod_gf2, default_modulus, make_field,
+    splitting_degree,
 )
 
 
@@ -62,6 +65,36 @@ def test_pow_matches_repeated_mul_gf256(a, e):
     for _ in range(e):
         r = F.mul(r, a)
     assert F.pow(a, e) == r
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_scalar_ops_agree_with_the_multiplication_table(m):
+    # the scalar ops read Python lists, vmul the numpy table
+    F = make_field(m)
+    els = range(F.q)
+    table = F.mul_table.tolist()
+    assert [[F.mul(a, b) for b in els] for a in els] == table
+    assert all(type(F.mul(a, a)) is int for a in els)
+    # the inverse is the one b with a b = 1
+    assert [F.inv(a) for a in els[1:]] == [row.index(1) for row in table[1:]]
+    for a in els:
+        r = 1
+        for e in range(F.q + 1):  # past a^(q-1) = 1, where the exponents wrap
+            assert F.pow(a, e) == r
+            r = table[r][a]
+
+
+def test_scalar_ops_agree_with_polynomial_products_gf4096():
+    F = make_field(12)
+    assert F.mul_table is None
+    rng = random.Random(0)
+    for _ in range(2000):
+        a, b, e = rng.randrange(F.q), rng.randrange(F.q), rng.randrange(3 * F.q)
+        assert F.mul(a, b) == _poly_mulmod_gf2(a, b, F.modulus, 12)
+        assert F.mul(a, b) == int(F.vmul(np.int64(a), np.int64(b)))
+        assert F.pow(a, e) == F._powmod(a, e)
+        if a:
+            assert _poly_mulmod_gf2(a, F.inv(a), F.modulus, 12) == 1
 
 
 def test_vscale_special_cases():

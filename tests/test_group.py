@@ -1,5 +1,6 @@
 """Finite group tables: classes, subgroups, Sylow theory, transversals."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -407,6 +408,27 @@ def test_from_permutations_matches_pairwise_composition(spec):
     assert G.perms == perms
     assert G.mult.tolist() == mult
     assert G.generators == gen_ids
+
+
+# sha256 of each table's bytes, recorded when from_permutations still built
+# the columns and then a transposed copy
+TABLE_PINS = {
+    "C2": "db7f8e2aa97f8d23", "V4": "cd18db5001222f5a", "S3": "00c2207c6dc19a5a",
+    "D12": "d58d498bfe9c49b3", "A4": "3d0e9172686c0936", "S4": "12de8f85aee85556",
+    "S5": "0c3028285ab53211", "SL(2,3)": "d832d376288441dd",
+    "GL(3,2):2": "a884c9b04f54b496", "C3:C4": "02d9d382b8272624",
+    "S6": "dfbaca1d389953bb",
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_PINS))
+def test_tables_built_in_place_are_pinned(name):
+    if name == "S6":
+        G = from_permutations(6, [[2, 1, 3, 4, 5, 6], [2, 3, 4, 5, 6, 1]])
+    else:
+        G = from_permutations(**group_to_dict(catalog.suite_group(name)))
+    assert G.mult.dtype == np.int64 and G.mult.flags.c_contiguous
+    assert hashlib.sha256(G.mult.tobytes()).hexdigest()[:16] == TABLE_PINS[name]
 
 
 def test_from_permutations_rejects_garbage():

@@ -576,6 +576,28 @@ def test_hom_space_matches_kronecker_reference(case):
         ]
 
 
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("regular", [False, True])  # 16 and 96 unknowns
+def test_hom_over_the_trivial_group_takes_the_short_cut(monkeypatch, regular, m):
+    # the trivial group's one generator gives an identity pair and no
+    # equations: both routes solve that empty system to the unit matrices
+    # in row-major order, and hom_space returns them without solving
+    F = make_field(m)
+    M = rep.permutation_module(S4, F)
+    N = rep.regular_module(S4, F) if regular else M
+    T = S4.trivial_subgroup()
+    resM, resN = rep.restrict(M, T), rep.restrict(N, T)
+    pairs = list(zip(resM.gen_matrices, resN.gen_matrices))
+    want = [(X.dtype, X.shape, X.tobytes()) for X in rep._hom_by_kron(F, pairs)]
+    assert [(X.dtype, X.shape, X.tobytes()) for X in rep._hom_by_spin(F, pairs)] == want
+    units = np.eye(N.dim * M.dim, dtype=np.int64).reshape(-1, N.dim, M.dim)
+    assert want == [(X.dtype, X.shape, X.tobytes()) for X in units]
+    for route in ("_hom_by_kron", "_hom_by_spin"):
+        monkeypatch.setattr(rep, route, None)
+    got = rep.hom_space(resM, resN)
+    assert [(X.dtype, X.shape, X.tobytes()) for X in got] == want
+
+
 @pytest.mark.parametrize("name", catalog.SUITE_NAMES)
 @pytest.mark.parametrize("m", [1, 2])
 def test_hom_over_a_subgroup_matches_the_whole_group_action_route(name, m):
