@@ -34,10 +34,6 @@ _FILES = {
 
 SUITE_NAMES = list(_FILES)
 
-# groups used in the Fong / P(k) / vertex-bound sweeps (the large member of
-# the catalogue is exercised separately by the case-III exemplar)
-FONG_SUITE = ["S3", "D12", "A4", "S4", "SL(2,3)", "S5"]
-
 _cache: dict[str, GroupTable] = {}
 
 
@@ -102,7 +98,10 @@ def gl32_induced_module(F: FieldCtx) -> tuple[ModuleRep, Subgroup]:
 
     A = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=np.int64)
     B = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=np.int64)
-    Ht, _ = rep.subgroup_table(H)
+    Ht, elems = rep.subgroup_table(H)
+    # ModuleRep trusts its matrices: A and B must act as Ht's generators
+    if [elems[g] for g in Ht.generators] != [gA, gB]:
+        raise AssertionError("subgroup table generators are not (gA, gB)")
     nat = ModuleRep(Ht, F, [A, B])
     M, _ = rep.induce(nat, H)
     return M, H

@@ -180,10 +180,6 @@ class FieldCtx:
             return 0 if e else 1
         return self._exps[self._logs[a] * e % (self.q - 1)]
 
-    def sqrt(self, a: int) -> int:
-        """Unique square root; Frobenius inverse x -> x^(2^(m-1))."""
-        return self.pow(a, 1 << (self.m - 1))
-
     # -- vectorized ops on int64 arrays ----------------------------------
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

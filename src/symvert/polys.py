@@ -1,14 +1,13 @@
 """Univariate polynomial arithmetic over a FieldCtx.
 
 Polynomials are lists of field elements indexed by power, with no trailing
-zeros (the zero polynomial is the empty list).  Includes the factorization
-pipeline needed to split commutative algebras in characteristic 2:
-squarefree decomposition, distinct-degree and equal-degree factorization.
+zeros (the zero polynomial is the empty list).  `factor` returns the
+distinct irreducible factors, all that splitting a commutative algebra in
+characteristic 2 needs: distinct-degree factorization, then a
+deterministic equal-degree split by the trace to GF(2).
 """
 
 from __future__ import annotations
-
-import random
 
 from .field import FieldCtx
 
@@ -109,28 +108,6 @@ def inverse_mod(F: FieldCtx, a: Poly, m: Poly) -> Poly:
     return scale(F, F.inv(r0[0]), mod(F, s0, m))
 
 
-def crt_idempotents(F: FieldCtx, fac: list[tuple[Poly, int]]) -> list[Poly]:
-    """Chinese-remainder idempotents of a factorization [(p_i, m_i), ...].
-
-    u_i is 1 modulo p_i^m_i and 0 modulo every other primary factor,
-    reduced modulo the product of all of them, so the u_i sum to 1.
-    """
-    primary = []
-    for p, m in fac:
-        q = [1]
-        for _ in range(m):
-            q = mul(F, q, p)
-        primary.append(q)
-    total = [1]
-    for q in primary:
-        total = mul(F, total, q)
-    out = []
-    for q in primary:
-        rest = divmod_(F, total, q)[0]
-        out.append(mod(F, mul(F, rest, inverse_mod(F, rest, q)), total))
-    return out
-
-
 def pow_mod(F: FieldCtx, a: Poly, e: int, m: Poly) -> Poly:
     r = [1]
     a = mod(F, a, m)
@@ -155,91 +132,54 @@ def eval_matrix(F, p: Poly, A):
     return acc
 
 
-def derivative(F: FieldCtx, p: Poly) -> Poly:
-    # characteristic 2: even-power terms vanish
-    out = [0] * max(len(p) - 1, 0)
-    for i in range(1, len(p)):
-        if i & 1:
-            out[i - 1] = p[i]
-    return trim(out)
+def factor(F: FieldCtx, p: Poly) -> list[Poly]:
+    """The distinct monic irreducible factors of p, sorted by (degree,
+    coefficients).
 
-
-def _sqrt_poly(F: FieldCtx, p: Poly) -> Poly:
-    """For p with only even-power terms, the q with q^2 = p."""
-    out = [0] * ((len(p) + 1) // 2)
-    for i in range(0, len(p), 2):
-        out[i // 2] = F.sqrt(p[i])
-    return trim(out)
-
-
-def factor(F: FieldCtx, p: Poly) -> list[tuple[Poly, int]]:
-    """Full factorization into (monic irreducible, multiplicity) pairs,
-    sorted: the random splits change no answer."""
-    p = monic(F, p)
-    out: dict[tuple, int] = {}
-    _factor_rec(F, p, 1, out, random.Random(0))
-    return sorted(
-        ([list(k), e] for k, e in out.items()), key=lambda t: (deg(t[0]), t[0])
-    )
-
-
-def _factor_rec(F, p: Poly, mult: int, out: dict, rng) -> None:
-    if deg(p) == 0:
-        return
-    dp = derivative(F, p)
-    if not dp:
-        _factor_rec(F, _sqrt_poly(F, p), 2 * mult, out, rng)
-        return
-    g = gcd(F, p, dp)
-    sqfree, _ = divmod_(F, p, g)
-    for irr in _factor_squarefree(F, monic(F, sqfree), rng):
-        key = tuple(irr)
-        out[key] = out.get(key, 0) + mult
-        # strip this factor fully out of g so recursion sees the rest
-    if deg(g) > 0:
-        _factor_rec(F, g, mult, out, rng)
-
-
-def _factor_squarefree(F: FieldCtx, p: Poly, rng) -> list[Poly]:
-    """Distinct-degree then equal-degree split of a squarefree monic p."""
-    factors: list[Poly] = []
+    Distinct-degree on p itself: the step-d gcd g is the product of the
+    degree-d factors, stripped out of rest with all their powers, so every
+    factor left has degree > d and rest is irreducible once 2d > deg rest.
+    """
     x = [0, 1]
     h = list(x)
     d = 0
-    rest = list(p)
+    rest = monic(F, p)
+    out: list[Poly] = []
     while deg(rest) > 0:
         d += 1
         if 2 * d > deg(rest):
-            factors.append(rest)
+            out.append(rest)
             break
         h = pow_mod(F, h, F.q, rest)
         g = gcd(F, add(F, h, x), rest)
         if deg(g) > 0:
-            factors.extend(_equal_degree_split(F, g, d, rng))
-            rest, _ = divmod_(F, rest, g)
+            out.extend(_equal_degree_split(F, g, d))
+            while deg(g) > 0:
+                rest = divmod_(F, rest, g)[0]
+                g = gcd(F, rest, g)
             h = mod(F, h, rest)
-    return factors
+    return sorted(out, key=lambda f: (deg(f), f))
 
 
-def _equal_degree_split(F: FieldCtx, p: Poly, d: int, rng) -> list[Poly]:
-    """Cantor–Zassenhaus in characteristic 2 via the trace map."""
-    if deg(p) == d:
-        return [p]
-    n = deg(p)
-    while True:
-        h = [rng.randrange(F.q) for _ in range(n)]
-        trim(h)
-        if deg(h) < 1:
-            continue
-        # T(h) = h + h^2 + h^4 + ... + h^(2^(m*d - 1)) mod p
-        t = list(h)
-        acc = list(h)
-        for _ in range(F.m * d - 1):
-            t = mod(F, mul(F, t, t), p)
-            acc = add(F, acc, t)
-        g = gcd(F, acc, p)
-        if 0 < deg(g) < deg(p):
-            q, _ = divmod_(F, p, g)
-            return _equal_degree_split(F, g, d, rng) + _equal_degree_split(
-                F, monic(F, q), d, rng
-            )
+def _equal_degree_split(F: FieldCtx, g: Poly, d: int) -> list[Poly]:
+    """The factors of a squarefree monic g whose r irreducible factors all
+    have degree d, by the trace to GF(2): modulo g, T(h) = h + h^2 + ... +
+    h^(2^(md-1)) is 0 or 1 on each factor, and gcd(T(h), g) splits g when
+    it is neither on all of them.  T maps the GF(2)-basis c x^j (c = 2^k,
+    j < deg g) onto GF(2)^r, and a constant has the same trace on every
+    factor, so some c x^j with j >= 1 splits g when r > 1."""
+    n = deg(g)
+    if n == d:
+        return [g]
+    for j in range(1, n):
+        for k in range(F.m):
+            t = [0] * j + [1 << k]
+            acc = list(t)
+            for _ in range(F.m * d - 1):
+                t = mod(F, mul(F, t, t), g)
+                acc = add(F, acc, t)
+            f = gcd(F, acc, g)
+            if 0 < deg(f) < n:
+                q = divmod_(F, g, f)[0]
+                return _equal_degree_split(F, f, d) + _equal_degree_split(F, q, d)
+    raise AssertionError("no trace splits the equal-degree product")

@@ -503,7 +503,7 @@ def _proper_submodule(
     for _ in range(500):
         a = _random_algebra_element(F, gens, rng, pool)
         mu = linalg.min_poly(F, a)
-        for p, _mult in polys.factor(F, mu):
+        for p in polys.factor(F, mu):
             pa = polys.eval_matrix(F, p, a)
             ker = linalg.kernel(F, pa)  # nonzero: p divides mu, so p(a) is singular
             for v in ker:
@@ -681,15 +681,17 @@ def _split_once(E: EndoAlgebra, ss: Semisimple, seed: int) -> np.ndarray | None:
     for a in cands:
         mu = linalg.min_poly(F, a, (ss.R, ss.read))  # a's minimal polynomial in E/J
         fac = polys.factor(F, mu)
-        sqfree = [p for p, _ in fac]
-        if len(sqfree) < 2:
-            # a primitive element with irreducible minimal polynomial of
-            # full degree certifies that E/J is a field, i.e. E is local
-            if len(fac) == 1 and fac[0][1] == 1 and polys.deg(mu) == r:
+        if len(fac) == 1:
+            # an irreducible minimal polynomial of full degree (deg mu <= r,
+            # so mu = p1) certifies that E/J is a field, i.e. E is local
+            if polys.deg(fac[0]) == r:
                 return None
             continue
-        # u = 1 mod p1, 0 mod the rest
-        u = polys.crt_idempotents(F, [(p, 1) for p in sqfree])[0]
+        # u = rest (rest^-1 mod p1): 1 mod p1 and 0 mod the other factors
+        rest = [1]
+        for p in fac[1:]:
+            rest = polys.mul(F, rest, p)
+        u = polys.mul(F, rest, polys.inverse_mod(F, rest, fac[0]))
         c = polys.eval_matrix(F, u, a)
         e = lift_idempotent(F, c, s)
         if (mat_mul(F, e, e) != e).any():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from symvert import catalog
+from symvert.field import make_field
 from symvert.group import (
     FeasibilityError,
     Subgroup,
@@ -326,6 +327,20 @@ def test_subgroup_tables_match_the_parent(name):
         # `_find_gens` on the element set, whatever H.gens are
         want = gens_by_fresh_closure(G, H.elements) or H.elements
         assert [elems[g] for g in Ht.generators] == list(want)
+
+
+def test_gl32_induced_module_checks_generator_order(monkeypatch):
+    # the natural module's matrices are assigned to the subgroup table's
+    # generators by position; on a fresh table whose generators come out
+    # reversed, the constructor must refuse rather than build a wrong module
+    monkeypatch.setattr(catalog, "_cache", {})
+    catalog.suite_group("GL(3,2):2")
+    find_gens = Subgroup._find_gens
+    monkeypatch.setattr(
+        Subgroup, "_find_gens", lambda self: tuple(reversed(find_gens(self)))
+    )
+    with pytest.raises(AssertionError, match="generators"):
+        catalog.gl32_induced_module(make_field(1))
 
 
 def test_group_queries_do_not_import_numpy_ma():

@@ -204,7 +204,7 @@ def test_min_poly_annihilates(F_A):
     assert not polys.eval_matrix(F, mu, A).any()
     assert mu[-1] == 1  # monic
     # minimality: no proper divisor annihilates
-    for f, _ in polys.factor(F, mu):
+    for f in polys.factor(F, mu):
         q, r = polys.divmod_(F, mu, f)
         assert r == []
         if polys.deg(q) >= 1 or q != [1]:

@@ -1,6 +1,10 @@
 """Polynomial arithmetic and factorization over GF(2^m)."""
 
+import itertools
+import random
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,69 +39,106 @@ def test_division_identity(a, b):
     assert polys.deg(r) < polys.deg(b)
 
 
-@settings(max_examples=60)
-@given(poly_strategy(F2, 8))
-def test_factor_reassembles_gf2(p):
-    if polys.deg(p) < 1:
-        return
-    fac = polys.factor(F2, p)
-    prod = [1]
-    for f, mult in fac:
-        for _ in range(mult):
-            prod = polys.mul(F2, prod, f)
-    assert prod == polys.monic(F2, p)
-    for f, _ in fac:
-        # irreducible: no root-degree-1 factor strictly dividing, and no
-        # nontrivial gcd with x^(2^d) - x for d < deg f
-        for d in range(1, polys.deg(f)):
-            xq = polys.pow_mod(F2, [0, 1], 2**d, f)
-            g = polys.gcd(F2, polys.add(F2, xq, [0, 1]), f)
-            assert polys.deg(g) == 0, (f, d)
+def _has_root(F, p):
+    for a in F.elements():
+        v = 0
+        for c in reversed(p):
+            v = F.mul(v, a) ^ c
+        if v == 0:
+            return True
+    return False
 
 
-@settings(max_examples=60)
+def _monic_irreducibles(F):
+    """Every monic irreducible of degree at most 3, by brute force: a
+    reducible polynomial of degree 2 or 3 has a linear factor, so a root."""
+    return [
+        p
+        for d in (1, 2, 3)
+        for low in itertools.product(range(F.q), repeat=d)
+        for p in [list(low) + [1]]
+        if d == 1 or not _has_root(F, p)
+    ]
+
+
+IRREDUCIBLES = {F.m: _monic_irreducibles(F) for F in (F2, F4)}
+
+
+def test_irreducible_counts():
+    # Gauss: q, (q^2 - q)/2 and (q^3 - q)/3 monic irreducibles of degree 1-3
+    for F in (F2, F4):
+        q = F.q
+        degs = [polys.deg(p) for p in IRREDUCIBLES[F.m]]
+        assert [degs.count(d) for d in (1, 2, 3)] == [q, (q * q - q) // 2,
+                                                      (q**3 - q) // 3]
+
+
+@settings(max_examples=80)
 @given(
     st.sampled_from([F2, F4]).flatmap(
-        lambda F: st.tuples(st.just(F), poly_strategy(F, 8))
+        lambda F: st.tuples(
+            st.just(F),
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(IRREDUCIBLES[F.m]) - 1),
+                    st.integers(1, 3),
+                ),
+                min_size=1,
+                max_size=4,
+            ),
+            st.integers(1, F.q - 1),
+        )
     )
 )
-def test_crt_idempotents(F_p):
-    F, p = F_p
-    if polys.deg(p) < 1:
-        return
-    fac = polys.factor(F, p)
-    primary = []
-    for f, mult in fac:
-        q = [1]
+def test_factor_against_brute_force(F_picks_lead):
+    # products of random irreducibles, each with a multiplicity up to 3 and
+    # a random leading coefficient: factor returns the distinct picks, sorted
+    F, picks, lead = F_picks_lead
+    irr = IRREDUCIBLES[F.m]
+    p = [lead]
+    for i, mult in picks:
         for _ in range(mult):
-            q = polys.mul(F, q, f)
-        primary.append(q)
-    us = polys.crt_idempotents(F, fac)
-    assert len(us) == len(fac)
-    total = []
-    for i, u in enumerate(us):
-        assert polys.deg(u) < polys.deg(p)
-        for j, q in enumerate(primary):
-            assert polys.mod(F, u, q) == ([1] if i == j else [])
-        total = polys.add(F, total, u)
-    assert polys.mod(F, total, polys.monic(F, p)) == [1]
+            p = polys.mul(F, p, irr[i])
+    want = map(list, {tuple(irr[i]) for i, _ in picks})
+    assert polys.factor(F, p) == sorted(want, key=lambda f: (polys.deg(f), f))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_factor_equal_degree(m):
+    # products of several distinct irreducibles of one degree, which only
+    # the equal-degree split separates: linear factors, and quadratics (no
+    # root) over GF(4), GF(8) and GF(256); over GF(2), x^2 + x and the two
+    # irreducible cubics
+    F = make_field(m)
+    rng = random.Random(m)
+    if m == 1:
+        cases = [[[0, 1], [1, 1]], [[1, 1, 0, 1], [1, 0, 1, 1]]]
+    else:
+        lin = sorted(rng.sample(range(F.q), 4))
+        quad: list = []
+        while len(quad) < 3:
+            p = [rng.randrange(1, F.q), rng.randrange(F.q), 1]
+            if p not in quad and not _has_root(F, p):
+                quad.append(p)
+        cases = [[[a, 1] for a in lin], quad[:2], quad]
+    for fs in cases:
+        p = [1]
+        for f in fs:
+            p = polys.mul(F, p, f)
+        assert polys.factor(F, p) == sorted(fs, key=lambda f: (polys.deg(f), f))
+        # a repeated factor leaves the answer as it is
+        assert polys.factor(F, polys.mul(F, p, fs[-1])) == polys.factor(F, p)
 
 
 def test_factor_known_cases():
     # x^2 + x = x(x+1)
-    assert polys.factor(F2, [0, 1, 1]) == [[[0, 1], 1], [[1, 1], 1]]
+    assert polys.factor(F2, [0, 1, 1]) == [[0, 1], [1, 1]]
     # x^2 + 1 = (x+1)^2
-    assert polys.factor(F2, [1, 0, 1]) == [[[1, 1], 2]]
+    assert polys.factor(F2, [1, 0, 1]) == [[1, 1]]
     # x^2 + x + 1 irreducible over GF(2), splits over GF(4)
-    assert polys.factor(F2, [1, 1, 1]) == [[[1, 1, 1], 1]]
-    f4 = polys.factor(F4, [1, 1, 1])
-    assert [m for _, m in f4] == [1, 1]
-    assert sorted(f[0] for f, _ in f4) == [2, 3]  # the two primitive elements
-
-
-def test_derivative_char2():
-    # d/dx (x^4 + x^3 + x^2 + x + 1) = 3x^2 + 1 = x^2 + 1
-    assert polys.derivative(F2, [1, 1, 1, 1, 1]) == [1, 0, 1]
+    assert polys.factor(F2, [1, 1, 1]) == [[1, 1, 1]]
+    # over GF(4) its roots are the two primitive elements
+    assert polys.factor(F4, [1, 1, 1]) == [[2, 1], [3, 1]]
 
 
 def test_eval_matrix_cayley_hamilton_style():
