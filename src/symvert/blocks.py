@@ -375,7 +375,6 @@ def verify_theorem_vertexBlock(
         for vs in simples if vs is not None for t in vs
     )
     details = {"part_i_modules_checked": len(sampled)}
-    details["B1_nondegenerate_on_block"] = b.real
     theta_cert = build_theta(b)
     part_iii = theta_cert.sigma_fixed and theta_cert.trace_is_block
     return VertexBlockReport(part_i, part_ii, part_iii, theta_cert, details)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+import numpy as np
+
 from . import rep, specht
 from .field import FieldCtx
 from .group import GroupTable, Subgroup, group_from_dict
@@ -94,8 +96,6 @@ def gl32_induced_module(F: FieldCtx) -> tuple[ModuleRep, Subgroup]:
     H = Subgroup(G, G.closure([gA, gB]).elements, (gA, gB))
     if H.order != 168:
         raise AssertionError("unexpected index-2 subgroup")
-    import numpy as np
-
     A = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=np.int64)
     B = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=np.int64)
     Ht, elems = rep.subgroup_table(H)

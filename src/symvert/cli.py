@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from collections.abc import Callable
 
@@ -20,6 +21,7 @@ from . import blocks as blocks_mod
 from . import catalog, forms, rep, vertex
 from .field import MAX_DEGREE, make_field
 from .group import FeasibilityError, load_group
+from .linalg import Subspace, mat_mul
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -133,8 +135,6 @@ def _verify_paper_examples(args) -> list[tuple[str, Callable[[], bool]]]:
 
 
 def _verify_oracle_small(args) -> list[tuple[str, Callable[[], bool]]]:
-    import random
-
     F = make_field(1)
     rng = random.Random(args.seed)
 
@@ -154,8 +154,6 @@ def _verify_oracle_small(args) -> list[tuple[str, Callable[[], bool]]]:
         return True
 
     def lifting_oracle():
-        from .linalg import Subspace, mat_mul
-
         G = catalog.suite_group("S3")
         M = rep.regular_module(G, F)
         B = forms.standard_form(M)

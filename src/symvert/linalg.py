@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import polys
 from .field import FieldCtx
 
 
@@ -59,6 +60,21 @@ def mat_mul(F: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape[0] * A.shape[1] * B.shape[1] <= small_product_macs(F.m):
         return _mat_mul_small(F, A, B)
     return _mat_mul_blas(F, A, B)
+
+
+def stack_right(F: FieldCtx, X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X_i.B for every matrix of a (k, a, b) stack X, as one product of
+    the k.a stacked rows with B."""
+    k, a, b = X.shape
+    return mat_mul(F, X.reshape(k * a, b), B).reshape(k, a, B.shape[1])
+
+
+def stack_left(F: FieldCtx, A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A.X_i for every matrix of a (k, a, b) stack X, as one product of A
+    with the k matrices side by side."""
+    k, a, b = X.shape
+    side = X.transpose(1, 0, 2).reshape(a, k * b)
+    return mat_mul(F, A, side).reshape(A.shape[0], k, b).transpose(1, 0, 2)
 
 
 def small_product_macs(m: int) -> int:
@@ -307,8 +323,6 @@ def min_poly(F: FieldCtx, A: np.ndarray, coords=None) -> list[int]:
     read(x.R) maps linearly onto coordinates (a quotient, say): as
     p(L_A) 1 = p(A), the local polynomial of the identity, from the one
     sequence read(A^j.R), built by products of A with R's columns."""
-    from . import polys
-
     if coords is not None:
         R, read = coords
         return _first_dependency(F, map(read, _orbit(lambda P: mat_mul(F, A, P), R)))
@@ -320,6 +334,17 @@ def min_poly(F: FieldCtx, A: np.ndarray, coords=None) -> list[int]:
         if polys.deg(mu) == n:
             break
     return mu
+
+
+def eval_matrix(F: FieldCtx, p: list[int], A: np.ndarray) -> np.ndarray:
+    """p(A) for a square matrix A (Horner)."""
+    n = A.shape[0]
+    acc = zeros(n, n)
+    for c in reversed(p):
+        acc = mat_mul(F, acc, A)
+        if c:
+            acc = acc ^ (c * eye(n))
+    return acc
 
 
 def _orbit(step, v):

@@ -119,19 +119,6 @@ def pow_mod(F: FieldCtx, a: Poly, e: int, m: Poly) -> Poly:
     return r
 
 
-def eval_matrix(F, p: Poly, A):
-    """p(A) for a square matrix A (Horner)."""
-    from . import linalg
-
-    n = A.shape[0]
-    acc = linalg.zeros(n, n)
-    for c in reversed(p):
-        acc = linalg.mat_mul(F, acc, A)
-        if c:
-            acc = acc ^ (c * linalg.eye(n))
-    return acc
-
-
 def factor(F: FieldCtx, p: Poly) -> list[Poly]:
     """The distinct monic irreducible factors of p, sorted by (degree,
     coefficients).

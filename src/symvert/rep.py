@@ -36,6 +36,7 @@ from . import linalg, polys
 from .field import FieldCtx, make_field
 from .group import GroupTable, Subgroup
 from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul, zeros
+from .linalg import stack_left, stack_right
 
 
 class ModuleRep:
@@ -77,8 +78,7 @@ class ModuleRep:
                             nxt.append(y)
                 for (xs, ys), A in zip(reached, self.gen_matrices):
                     if xs:
-                        prod = mat_mul(F, acts[xs].reshape(len(xs) * d, d), A)
-                        acts[ys] = prod.reshape(len(ys), d, d)
+                        acts[ys] = stack_right(F, acts[xs], A)
                 level = nxt
             if len(seen) != G.order:
                 raise ValueError("generators do not generate the group")
@@ -278,9 +278,8 @@ def _hom_by_spin(F: FieldCtx, pairs: list[tuple]) -> list[np.ndarray]:
     hom basis this solves for is brought to `linalg.kernel`'s form by
     `linalg.reverse_rref`."""
     dm, dn = pairs[0][0].shape[0], pairs[0][1].shape[0]
-    # a new vector's images under all generators: v.[A_g^T] and [B_g].W
-    side = np.hstack([A.T for A, _ in pairs])
-    stacked = np.concatenate([B for _, B in pairs])
+    A = np.array([a for a, _ in pairs])
+    B = np.array([b for _, b in pairs])
     # spun vectors carry their coordinates over the spun basis as trailing
     # columns, so a vector already in the span reduces to its relation
     ech = linalg.Echelon(F, dm)
@@ -303,8 +302,9 @@ def _hom_by_spin(F: FieldCtx, pairs: list[tuple]) -> list[np.ndarray]:
                 spun.append(v)
                 words.append(W)
                 seeds.append(r)
-                todo += zip(mat_mul(F, v[None], side).reshape(-1, dm),
-                            mat_mul(F, stacked, W).reshape(-1, dn, dn))
+                # the images under all generators: A_g.v and B_g.W
+                todo += zip(stack_right(F, A, v[:, None])[:, :, 0],
+                            stack_right(F, B, W))
             else:
                 rels.append((w[dm:], W, r))
         r += 1
@@ -445,10 +445,9 @@ def _compress_action(F, gens, sub: Subspace):
     incl = sub.basis.T.copy()
     proj = zeros(sub.dim, sub.ambient)
     proj[range(sub.dim), sub.pivots] = 1
-    # one product of the stacked generators; proj only selects pivot rows
-    k, d = len(gens), sub.ambient
-    stacked = np.concatenate(gens) if gens else zeros(0, d)
-    images = mat_mul(F, stacked, incl).reshape(k, d, sub.dim)
+    # one stacked product; proj only selects pivot rows
+    d = sub.ambient
+    images = stack_right(F, np.reshape(gens, (len(gens), d, d)), incl)
     return list(images[:, sub.pivots]), incl, proj
 
 
@@ -464,11 +463,9 @@ def _quotient_action(F, gens, sub: Subspace):
     comp = eye(sub.ambient)[free]
     proj = comp.copy()
     proj[:, sub.pivots] = sub.basis[:, free].T
-    # one product with the generators side by side, split back per generator
-    k, c = len(gens), len(free)
-    side = np.hstack([A[:, free] for A in gens]) if gens else zeros(sub.ambient, 0)
-    images = mat_mul(F, proj, side)
-    return list(images.reshape(c, k, c).transpose(1, 0, 2).copy()), proj, comp
+    d = sub.ambient
+    images = stack_left(F, proj, np.reshape(gens, (len(gens), d, d))[:, :, free])
+    return list(images), proj, comp
 
 
 def _random_algebra_element(F, gens, rng, pool: list[np.ndarray]) -> np.ndarray:
@@ -504,7 +501,7 @@ def _proper_submodule(
         a = _random_algebra_element(F, gens, rng, pool)
         mu = linalg.min_poly(F, a)
         for p in polys.factor(F, mu):
-            pa = polys.eval_matrix(F, p, a)
+            pa = linalg.eval_matrix(F, p, a)
             ker = linalg.kernel(F, pa)  # nonzero: p divides mu, so p(a) is singular
             for v in ker:
                 S = spin(F, v.reshape(1, -1), gens)
@@ -567,11 +564,8 @@ class Semisimple:
 
     def images(self, mats: list[np.ndarray]) -> np.ndarray:
         """One row per matrix: its masked entries, flattened."""
-        F, (p, c), q = self.F, self.L.shape, self.R.shape[1]
-        right = mat_mul(F, np.concatenate(mats), self.R).reshape(len(mats), c, q)
-        both = mat_mul(F, self.L, right.transpose(1, 0, 2).reshape(c, -1))
-        both = both.reshape(p, len(mats), q)
-        return both.transpose(1, 0, 2)[:, self.mask]
+        right = stack_right(self.F, np.array(mats), self.R)
+        return stack_left(self.F, self.L, right)[:, self.mask]
 
     def read(self, Y: np.ndarray) -> np.ndarray:
         """x's image from Y = x.R alone: the masked entries of L.Y."""
@@ -692,7 +686,7 @@ def _split_once(E: EndoAlgebra, ss: Semisimple, seed: int) -> np.ndarray | None:
         for p in fac[1:]:
             rest = polys.mul(F, rest, p)
         u = polys.mul(F, rest, polys.inverse_mod(F, rest, fac[0]))
-        c = polys.eval_matrix(F, u, a)
+        c = linalg.eval_matrix(F, u, a)
         e = lift_idempotent(F, c, s)
         if (mat_mul(F, e, e) != e).any():
             continue
@@ -708,13 +702,11 @@ def _compress_corner(F, mats, e: np.ndarray, incl, proj) -> list[np.ndarray]:
     pivots of one rref with the compressions as columns."""
     if not mats:
         return []
-    k, (d, c) = len(mats), incl.shape
-    # X e incl for all X stacked, then proj e times all of them side by side
-    right = mat_mul(F, np.concatenate(mats), mat_mul(F, e, incl))
-    right = right.reshape(k, d, c).transpose(1, 0, 2).reshape(d, k * c)
-    both = mat_mul(F, mat_mul(F, proj, e), right)
-    flat = both.reshape(c, k, c).transpose(1, 0, 2).reshape(k, c * c)
-    return [flat[i].reshape(c, c) for i in linalg.rref(F, flat.T)[1]]
+    c = incl.shape[1]
+    right = stack_right(F, np.array(mats), mat_mul(F, e, incl))
+    both = stack_left(F, mat_mul(F, proj, e), right)
+    flat = both.reshape(len(mats), c * c)
+    return [both[i] for i in linalg.rref(F, flat.T)[1]]
 
 
 @dataclass
@@ -816,10 +808,10 @@ def local_quotient(E: EndoAlgebra) -> Semisimple | None:
         return None
     # N^j k^d shrinks to 0 exactly when N is nilpotent; a step that keeps
     # its dimension has reached a nonzero N-stable space
-    stack, V = np.concatenate(N + [zeros(0, d)]), eye(d)
+    NT, V = np.reshape(N, (len(N), d, d)).transpose(0, 2, 1), eye(d)
     while len(V):
-        NV = mat_mul(F, stack, V.T).reshape(len(N), d, len(V))
-        R, pivots = linalg.rref(F, NV.transpose(0, 2, 1).reshape(-1, d))
+        # rows V.N_i^T: the vectors N_i v for v in V
+        R, pivots = linalg.rref(F, stack_left(F, V, NT).reshape(len(N) * len(V), d))
         if len(pivots) == len(V):
             return None
         V = R[: len(pivots)]
@@ -1010,9 +1002,7 @@ def module_from_dict(data: dict, G: GroupTable) -> ModuleRep:
     # x -> acts[x] is a homomorphism iff acts[x] A_g = acts[x g] on every
     # edge of the Cayley graph; the tree edges hold by construction
     acts = M.full_action()
-    stacked = acts.reshape(G.order * d, d)
     for g, A in zip(G.generators, M.gen_matrices):
-        moved = mat_mul(F, stacked, A).reshape(acts.shape)
-        if (moved != acts[G.mult[:, g]]).any():
+        if (stack_right(F, acts, A) != acts[G.mult[:, g]]).any():
             raise ValueError("matrices do not satisfy the group relations")
     return M

@@ -32,7 +32,7 @@ import numpy as np
 from . import forms, linalg, rep
 from .forms import Adjoint, GForm
 from .group import Subgroup
-from .linalg import combine, eye, mat_mul, zeros
+from .linalg import combine, eye, mat_mul, stack_left, stack_right, zeros
 from .rep import ModuleRep
 
 
@@ -187,18 +187,14 @@ def _is_orth_summand_of_induced(
     downs = rep.hom_space(rep.restrict(M, V), Z)
     if not downs:
         return None
-    d = M.dim
+    n, d, b = len(downs), M.dim, np.array(downs)
     Pinv = linalg.inverse(F, base.gram)
-    B0b = mat_mul(F, BZ.gram, np.concatenate(downs, axis=1))
-    # rows[i][:, j-th block] = P^-1 b_i^T B0 b_j
-    rows = [mat_mul(F, mat_mul(F, Pinv, b.T), B0b) for b in downs]
-
-    def block(i, j):
-        return rows[i][:, j * d : (j + 1) * d]
-
-    pairs = [(i, i) for i in range(len(downs))]
-    pairs += list(itertools.combinations(range(len(downs)), 2))
-    ends = [block(i, i) if i == j else block(i, j) ^ block(j, i) for i, j in pairs]
+    PbT = stack_left(F, Pinv, b.transpose(0, 2, 1)).reshape(n * d, Z.dim)
+    # C[j, i] = P^-1 b_i^T B0 b_j, from the P^-1 b_i^T stacked by rows
+    C = stack_left(F, PbT, stack_left(F, BZ.gram, b)).reshape(n, n, d, d)
+    pairs = [(i, i) for i in range(n)]
+    pairs += list(itertools.combinations(range(n), 2))
+    ends = [C[i, i] if i == j else C[i, j] ^ C[j, i] for i, j in pairs]
     k = first_unit(M, ends, V)
     if k is None:
         return None
@@ -306,20 +302,10 @@ def sigma_fixed_basis(
     if not endo_basis:
         return []
     B = np.array(endo_basis)
-    sig = _left(F, sigma.gram_inv, _right(F, B.transpose(0, 2, 1), sigma.gram))
+    sig = stack_left(F, sigma.gram_inv, stack_right(F, B.transpose(0, 2, 1), sigma.gram))
     flat = B.reshape(len(B), d * d)
     K = linalg.kernel(F, (flat ^ sig.reshape(flat.shape)).T)
     return list(mat_mul(F, K, flat).reshape(len(K), d, d))
-
-
-def _right(F, X: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """X_i.B for every matrix of the stack X, in one product."""
-    return mat_mul(F, X.reshape(-1, X.shape[2]), B).reshape(len(X), X.shape[1], -1)
-
-
-def _left(F, A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A.X_i for every matrix of the stack X, in one product: (X_i^T A^T)^T."""
-    return _right(F, X.transpose(0, 2, 1), A.T).transpose(0, 2, 1)
 
 
 @dataclass
@@ -474,12 +460,12 @@ def _endo_basis_over(
         return endo
     G, F, d = M.group, M.F, M.dim
     g = G.conjugate_into(V, T)
-    X = _left(F, M.action(g), _right(F, np.array(endo), M.action_inv(g)))
+    X = stack_left(F, M.action(g), stack_right(F, np.array(endo), M.action_inv(g)))
     flat = X.reshape(len(X), d * d)
     if T.order > V.order:
         inner = set(G.mult[G.mult[g, V.elements], G.inverse(g)].tolist())
         A = M.action(next(t for t in T.elements if t not in inner))
-        comm = (_right(F, X, A) ^ _left(F, A, X)).reshape(flat.shape)
+        comm = (stack_right(F, X, A) ^ stack_left(F, A, X)).reshape(flat.shape)
         flat = mat_mul(F, linalg.kernel(F, comm.T), flat)
     return list(linalg.reverse_rref(F, flat).reshape(-1, d, d))
 

@@ -290,7 +290,6 @@ def test_vertex_block_theorem_on_every_real_block(name, m):
     for b in bl:
         r = blocks.verify_theorem_vertexBlock(G, F, b, irreps)
         assert r.part_i and r.part_ii and r.part_iii is True
-        assert r.details["B1_nondegenerate_on_block"]
         assert r.theta.sigma_fixed and r.theta.trace_is_block
 
 
@@ -329,7 +328,6 @@ def test_vertex_block_theorem_on_s6():
     for b in real:
         r = blocks.verify_theorem_vertexBlock(G, F2, b, irreps)
         assert r.part_i and r.part_ii and r.part_iii is True
-        assert r.details["B1_nondegenerate_on_block"]
 
 
 @pytest.mark.parametrize("m", [1, 4])

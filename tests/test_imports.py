@@ -1,5 +1,6 @@
-"""Every import is used and every function is called: stdlib-ast scans of
-src/symvert, tests/ and perfbench/."""
+"""Every import is used, every function is called, and src/symvert imports
+inside functions only where it must: stdlib-ast scans of src/symvert,
+tests/ and perfbench/."""
 
 import ast
 import re
@@ -105,3 +106,36 @@ def _unreferenced_functions() -> list[str]:
 
 def test_no_unreferenced_functions_in_src():
     assert _unreferenced_functions() == []
+
+
+# The only imports src/symvert makes inside a function, by (module, innermost
+# function): every other import sits at the top of its module.
+FUNCTION_IMPORTS = {
+    # the BLAS thread variables must be set before numpy loads
+    ("__main__", "main"): ["cli"],
+    # hashlib loads libcrypto (about 3.6 MB), which only a form hash needs
+    ("vertex", "_hash_matrix"): ["hashlib"],
+    # blocks imports vertex at its top: the vertex <-> blocks cycle
+    ("vertex", "classify_case"): ["blocks"],
+}
+
+
+def _function_imports() -> dict:
+    found = {}
+
+    def visit(node, mod, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTIONS):
+                visit(child, mod, child.name)
+                continue
+            if fn and isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.setdefault((mod, fn), []).extend(a.name for a in child.names)
+            visit(child, mod, fn)
+
+    for f in sorted(SRC.glob("*.py")):
+        visit(ast.parse(f.read_text()), f.stem, None)
+    return found
+
+
+def test_imports_inside_functions_are_the_known_ones():
+    assert _function_imports() == FUNCTION_IMPORTS

@@ -118,6 +118,32 @@ def test_mat_mul_takes_one_route(m, monkeypatch):
         assert routes == [want], (r, k, c)
 
 
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_stacked_products_match_a_loop(m):
+    # stacks of k matrices X_i (a x b) with B (b x c) and A (c x a): a
+    # product of k.a.b.c multiply-adds on either side of the small route's
+    # crossover (16 x 16 x 16 x 4 is past it at m = 1 and 2), and an empty
+    # stack; GF(2^9) has no table, so it takes the bit-sliced BLAS route
+    F = make_field(m)
+    T = linalg.small_product_macs(m)
+    rng = np.random.default_rng(40 + m)
+    shapes = [(0, 3, 4, 5), (1, 1, 1, 1), (2, 3, 4, 5), (4, 16, 16, 16), (3, 9, 40, 2)]
+    macs = [k * a * b * c for k, a, b, c in shapes[1:]]
+    assert max(macs) > T and (min(macs) <= T or T < 0)
+    for k, a, b, c in shapes:
+        X = rng.integers(0, F.q, (k, a, b))
+        A, B = rng.integers(0, F.q, (c, a)), rng.integers(0, F.q, (b, c))
+        want_right = np.zeros((k, a, c), np.int64)
+        want_left = np.zeros((k, c, b), np.int64)
+        for i, x in enumerate(X):
+            want_right[i] = linalg.mat_mul(F, x, B)
+            want_left[i] = linalg.mat_mul(F, A, x)
+        for got, want in [(linalg.stack_right(F, X, B), want_right),
+                          (linalg.stack_left(F, A, X), want_left)]:
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert (got == want).all(), (k, a, b, c)
+
+
 def test_mat_mul_small_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         linalg.mat_mul(F4, np.ones((2, 1), np.int64), np.ones((3, 2), np.int64))
@@ -201,14 +227,14 @@ def test_inverse_round_trip(A):
 def test_min_poly_annihilates(F_A):
     F, A = F_A  # over GF(4) the Krylov pivots need not be 1
     mu = linalg.min_poly(F, A)
-    assert not polys.eval_matrix(F, mu, A).any()
+    assert not linalg.eval_matrix(F, mu, A).any()
     assert mu[-1] == 1  # monic
     # minimality: no proper divisor annihilates
     for f in polys.factor(F, mu):
         q, r = polys.divmod_(F, mu, f)
         assert r == []
         if polys.deg(q) >= 1 or q != [1]:
-            if polys.eval_matrix(F, q, A).any():
+            if linalg.eval_matrix(F, q, A).any():
                 continue
             pytest.fail("min_poly not minimal")
 
