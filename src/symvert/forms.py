@@ -13,7 +13,6 @@ pieces (indecomposable summands or dual pairs).
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from . import linalg, rep
 from .field import FieldCtx
 from .group import Subgroup
-from .linalg import Subspace, coefficient_vectors, combine, eye, mat_mul
+from .linalg import Subspace, combine, eye, mat_mul
 from .rep import EndoAlgebra, ModuleRep
 
 
@@ -257,13 +256,11 @@ class OrthPiece:
     gram: np.ndarray  # of the restriction, in the row-basis of `space`
 
 
-def orth_decompose(B: GForm, seed: int = 0) -> list[OrthPiece]:
+def orth_decompose(B: GForm) -> list[OrthPiece]:
     """Orthogonal decomposition into B-nondegenerate pieces, each either an
     indecomposable summand or an indecomposable-plus-dual pair.
 
-    One Krull-Schmidt decomposition M = W_1 + ... + W_r, moved along a
-    seeded automorphism when seed != 0 (the summands of a module are unique
-    up to isomorphism, its internal decompositions are not).  Then greedy,
+    One Krull-Schmidt decomposition M = W_1 + ... + W_r, then greedy,
     in the coordinates of M: the piece P is W_1 when B is nondegenerate on
     it, else W_1 + W_j for the first partner W_j that makes B nondegenerate,
     those isomorphic to the dual of W_1 first (one `rep.module_iso` per
@@ -276,17 +273,10 @@ def orth_decompose(B: GForm, seed: int = 0) -> list[OrthPiece]:
     if not B.symmetric or not B.nondegenerate:
         raise ValueError("orthogonal decomposition needs a nondegenerate symmetric form")
     F, M = B.F, B.module
-    E = rep.end_algebra(M)
-    cert = rep.decompose(M, seed=seed, endo=E)
+    cert = rep.decompose(M)
     comps = [(c.subspace, c.module, c.iso_class) for c in cert.components]
-    move = _seeded_automorphism(M, E.basis, seed) if seed else None
     pieces: list[OrthPiece] = []
     while comps:
-        if move is not None:
-            comps = [
-                (Subspace(F, M.dim, mat_mul(F, S.basis, move.T)), m, i)
-                for S, m, i in comps
-            ]
         (P, m0, _), rest = comps[0], comps[1:]
         kind, mods = "indecomposable", [m0]
         found = _gram_and_inverse(B, P)
@@ -307,23 +297,12 @@ def orth_decompose(B: GForm, seed: int = 0) -> list[OrthPiece]:
             kind, mods = "dual-pair", [m0, rest.pop(j)[1]]
         gram, gram_inv = found
         pieces.append(OrthPiece(P, kind, mods, gram))
+        if rest:
+            move = eye(M.dim) ^ _projection(B, P, gram_inv)
+            rest = [(Subspace(F, M.dim, mat_mul(F, S.basis, move.T)), m, i)
+                    for S, m, i in rest]
         comps = rest
-        move = eye(M.dim) ^ _projection(B, P, gram_inv) if rest else None
     return pieces
-
-
-def _seeded_automorphism(
-    M: ModuleRep, basis: list[np.ndarray], seed: int
-) -> np.ndarray | None:
-    """A seeded random unit of the endomorphism algebra with the given
-    basis, or None."""
-    F = M.F
-    rng = random.Random(seed)
-    for c in coefficient_vectors(F.q, len(basis), rng, 50):
-        u = combine(F, c, basis)
-        if linalg.is_invertible(F, u):
-            return u
-    return None
 
 
 # -- forms on the regular module ------------------------------------------

@@ -36,10 +36,9 @@ def combine(F: FieldCtx, coeffs, mats) -> np.ndarray:
 
 
 def coefficient_vectors(q: int, h: int, rng, draws: int):
-    """`draws` coefficient vectors of length h for a seeded combination
-    search, each drawn entry by entry with rng.randrange(q): the candidates
-    of `_split_once`, which raises when they run out, and of
-    `_seeded_automorphism`, whose transport is optional."""
+    """`draws` coefficient vectors of length h, each drawn entry by entry
+    with rng.randrange(q): the candidates of `rep._split_once`, which
+    raises when they run out."""
     for _ in range(draws):
         yield [rng.randrange(q) for _ in range(h)]
 

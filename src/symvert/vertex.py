@@ -224,7 +224,6 @@ class GreenVertexInfo:
     vertex: Subgroup
     cert: ProjectivityCert
     module: ModuleRep
-    seed: int
 
     @functools.cached_property
     def sources(self) -> list[SourceInfo]:
@@ -247,7 +246,7 @@ class GreenVertexInfo:
             return [SourceInfo(Z, True, forms.base_form(Z))]
         res = rep.restrict(M, V)
         E = rep.end_algebra(res, basis=cert.endo_basis)
-        fs = [c.idempotent for c in rep.decompose(res, self.seed, endo=E).components]
+        fs = [c.idempotent for c in rep.decompose(res, E).components]
         i = first_unit(M, [mat_mul(F, f, cert.alpha) for f in fs], V)
         if i is None:
             raise AssertionError("no component of Res_V M has a unit trace")
@@ -267,11 +266,10 @@ class GreenVertexInfo:
         return sources
 
 
-def green_vertex(M: ModuleRep, seed: int = 0) -> GreenVertexInfo:
+def green_vertex(M: ModuleRep) -> GreenVertexInfo:
     """The vertex of an indecomposable module: a minimal 2-subgroup V with
     M relatively V-projective, found ascending the 2-subgroup classes, with
-    the certificate alpha, tr_V^G(alpha) = 1; `seed` seeds the
-    decomposition of Res_V M behind the sources.  A decomposable M raises
+    the certificate alpha, tr_V^G(alpha) = 1.  A decomposable M raises
     ValueError."""
     G = M.group
     _local_map(M)
@@ -279,7 +277,7 @@ def green_vertex(M: ModuleRep, seed: int = 0) -> GreenVertexInfo:
     for H in classes:
         cert = is_projective(M, H)
         if cert.projective:
-            return GreenVertexInfo(H, cert, M, seed)
+            return GreenVertexInfo(H, cert, M)
     raise AssertionError("module not projective relative to a Sylow 2-subgroup")
 
 
@@ -484,8 +482,8 @@ class VertexReport:
 
 
 def classify_case(
-    M: ModuleRep, base: GForm | None = None, seed: int = 0,
-    check_principal: bool = True,
+    M: ModuleRep, base: GForm | None = None, check_principal: bool = True,
+    *, seed: int = 0,
 ) -> VertexReport:
     """How the symmetric vertices of M sit over its Green vertex V:
     case III when the sources are not self-dual; case I when a source Z has
@@ -500,13 +498,14 @@ def classify_case(
     induced form pulls back along phi_b to Gram P.tr_V^G(P^-1 b^T B0 b);
     M is a nondegenerate component exactly when some phi_b pulls it back
     to a nondegenerate form, as phi_b(M) then splits off with its
-    orthogonal complement."""
+    orthogonal complement.  `seed` is ignored: the benchmark harness in
+    perfbench/ still passes one."""
     G = M.group
     if base is None:
         base = forms.base_form(M)
         if base is None:
             raise ValueError("module has no nondegenerate symmetric form")
-    green = green_vertex(M, seed=seed)
+    green = green_vertex(M)
     sym = symmetric_vertices(M, base, green)
     V = green.vertex
     src = green.sources[0]

@@ -5,12 +5,15 @@ subgroup from the whole-group actions, relative traces one element at a
 time, subgroup generators by fresh closures, subgroup lattices by every
 element, a module's whole-group action one element at a time, Theta on
 kG as a G x G-module, a block's nondegeneracy through the regular
-module), two of the paper's side lemmas that only tests check, each
+module), modules after a random change of basis and orthogonal
+decompositions moved along a seeded automorphism (the library takes no
+seed), two of the paper's side lemmas that only tests check, each
 asserting its certificate (the Mackey decomposition of an induced form,
 the distinguished Scott component), and the acceptance-criterion
 reporting hook."""
 
 import hashlib
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,17 +73,81 @@ def associative_by_right_light(mult, generators) -> bool:
     )
 
 
-def irreducibles_by_chop(G, F, seed=0) -> list[rep.ModuleRep]:
+def irreducibles_by_chop(G, F, rng=None) -> list[rep.ModuleRep]:
     """All irreducible modules: the factors of a composition series of the
-    regular module, one per isomorphism class.  The reference for
-    `rep.irreducible_modules`, which reads them off the tensor closure."""
+    regular module, one per isomorphism class; with rng, of the regular
+    module after a random change of basis drawn from it (`conjugated`).
+    The reference for `rep.irreducible_modules`, which reads them off the
+    tensor closure."""
     out: list[rep.ModuleRep] = []
     kG = rep.regular_module(G, F)
-    for mats, _ in rep.chop(F, kG.gen_matrices, G.order, seed=seed):
+    if rng is not None:
+        kG = conjugated(kG, rng)
+    for mats, _ in rep.chop(F, kG.gen_matrices, G.order):
         S = rep.ModuleRep(G, F, mats)
         if all(rep.module_iso(S, r) is None for r in out):
             out.append(S)
     out.sort(key=lambda m: m.dim)
+    return out
+
+
+def conjugated(M: rep.ModuleRep, rng) -> rep.ModuleRep:
+    """The same module after a random change of basis: generators P.A.P^-1
+    for an invertible P drawn entry by entry from rng."""
+    return conjugated_with_algebra(M, None, rng)[0]
+
+
+def conjugated_with_algebra(M: rep.ModuleRep, E, rng) -> tuple:
+    """`conjugated`, with an algebra E of M (or None) moved along the same
+    P: basis P.x.P^-1, and E's map onto E/J(E), when it carries one, x ->
+    L.x.R read as L.P^-1 and P.R, so that it reads P.x.P^-1 as it read x."""
+    F, d = M.F, M.dim
+    while True:
+        P = np.array([[rng.randrange(F.q) for _ in range(d)] for _ in range(d)])
+        if linalg.is_invertible(F, P):
+            break
+    P_inv = linalg.inverse(F, P)
+
+    def move(A):
+        return linalg.mat_mul(F, P, linalg.mat_mul(F, A, P_inv))
+
+    N = rep.ModuleRep(M.group, F, [move(A) for A in M.gen_matrices])
+    if E is None:
+        return N, None
+    ss = E.quotient
+    if ss is not None:
+        ss = rep.Semisimple(F, linalg.mat_mul(F, ss.L, P_inv),
+                            linalg.mat_mul(F, P, ss.R), ss.mask, ss.heads)
+    return N, rep.EndoAlgebra(N, [move(x) for x in E.basis], quotient=ss)
+
+
+def seeded_automorphism(M: rep.ModuleRep, seed: int) -> np.ndarray:
+    """A unit u of E_G(M): the identity at seed 0, else the first of 50
+    combinations of `rep.end_algebra(M)`'s basis, with coefficients drawn
+    from random.Random(seed), that is invertible."""
+    F = M.F
+    if not seed:
+        return linalg.eye(M.dim)
+    basis = rep.end_algebra(M).basis
+    for c in linalg.coefficient_vectors(F.q, len(basis), random.Random(seed), 50):
+        u = linalg.combine(F, c, basis)
+        if linalg.is_invertible(F, u):
+            return u
+    raise AssertionError("no unit among 50 draws")
+
+
+def orth_decompose_moved(B: forms.GForm, u: np.ndarray) -> list[forms.OrthPiece]:
+    """An orthogonal decomposition of B whose summands are moved along a
+    unit u of E_G(M) (the summands of a module are unique up to
+    isomorphism, its internal decompositions are not): `forms.orth_decompose`
+    of B_u(x, y) = B(ux, uy), invariant as u commutes with G, with each
+    piece mapped back by u, its Gram that of B on the moved basis."""
+    F, n = B.F, B.module.dim
+    Bu = forms.GForm(B.module, linalg.mat_mul(F, u.T, linalg.mat_mul(F, B.gram, u)))
+    out = []
+    for p in forms.orth_decompose(Bu):
+        S = linalg.Subspace(F, n, linalg.mat_mul(F, p.space.basis, u.T))
+        out.append(forms.OrthPiece(S, p.kind, p.modules, forms.gram_on(B, S.basis)))
     return out
 
 

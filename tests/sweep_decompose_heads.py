@@ -1,21 +1,24 @@
 """Sweep: `rep.decompose`'s classes by head against `rep.module_iso`.
 
 For every catalogue group of order at most 24, and for S5's permutation
-module, at GF(2) and GF(4) and at program seeds 0 and 20240401, decompose
-kG (through `regular_end_algebra` and through its full endomorphism
-algebra), the permutation module, P + P + k and the irreducibles twice;
+module, at GF(2) and GF(4), decompose kG (through `regular_end_algebra`
+and through its full endomorphism algebra), the permutation module,
+P + P + k and the irreducibles twice;
 decompose Res_V M over the basis of E_V(M) in the projectivity
 certificate, V the Green vertex, as `vertex.green_vertex` does for the
 source, for every indecomposable benchmark module and every catalogue
 irreducible at GF(2) and GF(4) with V nontrivial; and compare each
 summand's class and each class's multiplicity with the numbering by one
-`module_iso` per class found so far.  Too slow for the Tier-1 suite; run
-it as a script:
+`module_iso` per class found so far.  Each module runs in its own basis
+and after a random change of basis (conftest's `conjugated_with_algebra`,
+which moves the algebra along with it).  Too slow for the Tier-1 suite;
+run it as a script:
 
     PYTHONPATH=src python tests/sweep_decompose_heads.py
 """
 
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -23,9 +26,8 @@ from pathlib import Path
 from symvert import catalog, rep, vertex
 from symvert.field import make_field
 
-from conftest import iso_classes_by_module_iso
+from conftest import conjugated_with_algebra, iso_classes_by_module_iso
 
-SEEDS = (0, 20240401)
 MODULE_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "modules"
 
 
@@ -83,16 +85,18 @@ def cases():
 
 def main() -> int:
     t0, runs, bad = time.perf_counter(), 0, []
+    rng = random.Random(20240401)
     for label, M, endo in cases():
-        for seed in SEEDS:
-            cert = rep.decompose(M, seed=seed, endo=endo)
+        moved = conjugated_with_algebra(M, endo, rng)
+        for basis, (N, E) in (("own", (M, endo)), ("conjugated", moved)):
+            cert = rep.decompose(N, E)
             classes, mults = iso_classes_by_module_iso(
                 [c.module for c in cert.components])
             runs += 1
             if [c.iso_class for c in cert.components] != classes or (
                 cert.multiplicities != mults
             ):
-                bad.append(f"{label} seed {seed}")
+                bad.append(f"{label} {basis} basis")
     for line in bad:
         print("MISMATCH", line)
     print(f"{runs} decompositions, {len(bad)} mismatches, "

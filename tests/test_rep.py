@@ -25,6 +25,7 @@ from symvert.group import (
 from conftest import (
     array_digest,
     compress_corner_by_echelon,
+    conjugated_with_algebra,
     fresh_table,
     full_action_by_elements,
     hom_over_subgroup_reference,
@@ -41,6 +42,16 @@ S4 = catalog.suite_group("S4")
 A4 = catalog.suite_group("A4")
 V4 = catalog.suite_group("V4")
 MODULE_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "modules"
+# 0: a module in its own basis; otherwise the seed of a change of basis
+BASES = [0, 20240401]
+
+
+def in_basis(M, basis, endo=None):
+    """(M, endo) as given at basis 0, else both moved along the change of
+    basis drawn from random.Random(basis)."""
+    if not basis:
+        return M, endo
+    return conjugated_with_algebra(M, endo, random.Random(basis))
 
 
 def sylow_sub(G):
@@ -161,9 +172,9 @@ def record_chop_dims(monkeypatch) -> list[int]:
     """Record the dimension of every `rep.chop`."""
     dims, real_chop = [], rep.chop
 
-    def chop(F, gens, dim, seed=0):
+    def chop(F, gens, dim):
         dims.append(dim)
-        return real_chop(F, gens, dim, seed=seed)
+        return real_chop(F, gens, dim)
 
     monkeypatch.setattr(rep, "chop", chop)
     return dims
@@ -247,41 +258,41 @@ def test_pims_heads_from_decomposition_radical(name, F):
     assert rep.group_algebra_radical(G, F) == J
     # reference heads: P / J.P from every left multiplication by a basis of J
     Jmats = [rep.left_mult_matrix(G, v) for v in J.basis]
-    for seed in (0, 20240401):
-        for p in rep.pims(G, F, seed=seed):
-            c = p.component
-            imgs = [
-                linalg.mat_mul(F, c.proj, linalg.mat_mul(F, L, c.incl)).T
-                for L in Jmats
-            ]
-            radP = linalg.Subspace(
-                F, c.module.dim, np.concatenate(imgs) if imgs else None
-            )
-            head, _ = rep.quotient_module(c.module, radP)
-            assert head.dim == p.head.dim, (name, seed)
-            for A, B in zip(head.gen_matrices, p.head.gen_matrices):
-                assert (A == B).all(), (name, seed)
+    for p in rep.pims(G, F):
+        c = p.component
+        imgs = [
+            linalg.mat_mul(F, c.proj, linalg.mat_mul(F, L, c.incl)).T
+            for L in Jmats
+        ]
+        radP = linalg.Subspace(
+            F, c.module.dim, np.concatenate(imgs) if imgs else None
+        )
+        head, _ = rep.quotient_module(c.module, radP)
+        assert head.dim == p.head.dim, name
+        for A, B in zip(head.gen_matrices, p.head.gen_matrices):
+            assert (A == B).all(), name
 
 
-@pytest.mark.parametrize("seed", [0, 20240401])
+@pytest.mark.parametrize("basis", BASES)
 @pytest.mark.parametrize("F", [F2, F4], ids=["GF2", "GF4"])
 @pytest.mark.parametrize("name", SMALL_GROUPS)
-def test_regular_quotient_matches_the_composition_series_map(name, F, seed):
+def test_regular_quotient_matches_the_composition_series_map(name, F, basis):
     # the map through the irreducibles that regular_end_algebra carries and
     # the composition-series map of a bare algebra of the same basis have
-    # the same kernel, so the radicals and decompositions agree to the byte
+    # the same kernel, so the radicals and decompositions agree to the byte,
+    # on kG's own basis and after a change of basis
     G = catalog.suite_group(name)
     M = rep.regular_module(G, F)
-    E = rep.regular_end_algebra(G, F, M)
+    M, E = in_basis(M, basis, rep.regular_end_algebra(G, F, M))
     assert linalg.rank(F, np.array([b.ravel() for b in E.basis])) == G.order
     bare = rep.EndoAlgebra(M, E.basis)
-    assert bare.quotient is None and rep.Semisimple.of(E, seed) is E.quotient
-    got_radical, want_radical = rep.radical(E, seed), rep.radical(bare, seed)
+    assert bare.quotient is None and rep.Semisimple.of(E) is E.quotient
+    got_radical, want_radical = rep.radical(E), rep.radical(bare)
     assert len(got_radical) == G.order - linalg.rank(F, E.quotient.L)
     for a, b in zip(got_radical, want_radical, strict=True):
         assert (a == b).all()
-    got = rep.decompose(M, seed=seed, endo=E)
-    want = rep.decompose(M, seed=seed, endo=bare)
+    got = rep.decompose(M, E)
+    want = rep.decompose(M, bare)
     assert got.multiplicities == want.multiplicities
     for a, b in zip(got.components, want.components, strict=True):
         assert (a.idempotent == b.idempotent).all() and a.iso_class == b.iso_class
@@ -783,7 +794,7 @@ def test_is_indecomposable():
 def _is_local_by_chop(E):
     """The reference verdict: E is local when `_split_once` finds no
     idempotent through the whole composition series map of the module."""
-    return rep._split_once(E, rep.Semisimple.of(E, 0), 0) is None
+    return rep._split_once(E, rep.Semisimple.of(E), 0) is None
 
 
 def _local_quotient_sweep(name, F):
@@ -879,16 +890,17 @@ def _corner_modules():
     yield "GL(3,2):2-induced-gf2", catalog.gl32_induced_module(F2)[0]
 
 
-@pytest.mark.parametrize("seed", [0, 20240401])
-def test_compressed_radical_is_the_corner_radical(seed):
+@pytest.mark.parametrize("basis", BASES)
+def test_compressed_radical_is_the_corner_radical(basis):
     # J(fEf) = f J(E) f: a corner reads fEf/J through E's map, composed with
     # its incl and proj, instead of chopping its own module again
     split = 0
     for label, M in _corner_modules():
         assert M.dim <= 24
+        M, _ = in_basis(M, basis)
         F = M.F
         E = rep.end_algebra(M)
-        halves = rep.split_corner(rep.Corner.top(E, rep.Semisimple.of(E, seed)), seed)
+        halves = rep.split_corner(rep.Corner.top(E, rep.Semisimple.of(E)), 0)
         if halves is None:
             continue
         split += 1
@@ -896,7 +908,7 @@ def test_compressed_radical_is_the_corner_radical(seed):
             n2 = c.algebra.module.dim**2
             got, want = (
                 linalg.Subspace(F, n2, np.array([x.ravel() for x in X]))
-                for X in (c.quotient.kernel(c.algebra), rep.radical(c.algebra, seed + 1))
+                for X in (c.quotient.kernel(c.algebra), rep.radical(c.algebra))
             )
             assert got == want, label
     assert split >= 10
@@ -910,16 +922,17 @@ def _factor_is_irreducible(F, mats, c):
     return True
 
 
-@pytest.mark.parametrize("seed", [0, 20240401])
+@pytest.mark.parametrize("basis", BASES)
 @pytest.mark.parametrize("label, M", [
     ("S4-regular-gf2", rep.regular_module(S4, F2)),
     ("A4-regular-gf4", rep.regular_module(A4, F4)),
     ("S5-perm-gf2", rep.permutation_module(catalog.suite_group("S5"), F2)),
     ("D12-pim-gf2", catalog.d12_pim(F2)[0]),
 ])
-def test_chop_factors_are_a_composition_series(label, M, seed):
+def test_chop_factors_are_a_composition_series(label, M, basis):
+    M, _ = in_basis(M, basis)
     F, gens, d = M.F, M.gen_matrices, M.dim
-    factors = rep.chop(F, gens, d, seed=seed)
+    factors = rep.chop(F, gens, d)
     lifts = np.concatenate([lift for _, lift in factors])
     assert lifts.shape == (d, d) and linalg.is_invertible(F, lifts), label
     below = linalg.Subspace(F, d, None)
@@ -963,9 +976,9 @@ def _split_cases():
 
 @pytest.mark.parametrize("label, M", list(_split_cases()))
 def test_quotient_min_poly_matches_left_multiplication(label, M, monkeypatch):
-    F, seed = M.F, 3
+    F, depth = M.F, 3
     E = rep.end_algebra(M)
-    ss = rep.Semisimple.of(E, seed)
+    ss = rep.Semisimple.of(E)
     lifts = rep.semisimple_quotient(E, ss)
     r = len(lifts)
     assert r + len(ss.kernel(E)) == E.dim, label  # the lifts are a basis of E/J
@@ -977,7 +990,7 @@ def test_quotient_min_poly_matches_left_multiplication(label, M, monkeypatch):
         assert x is not None, label
         return x
 
-    draws = linalg.coefficient_vectors(F.q, r, random.Random(seed), 400 - r)
+    draws = linalg.coefficient_vectors(F.q, r, random.Random(depth), 400 - r)
     cands = itertools.chain(lifts, (linalg.combine(F, c, lifts) for c in draws))
     degrees = set()
     for a in itertools.islice(cands, 20):
@@ -996,7 +1009,7 @@ def test_quotient_min_poly_matches_left_multiplication(label, M, monkeypatch):
     monkeypatch.setattr(
         polys, "factor", lambda *a: attempts.append(1) or real_factor(*a)
     )
-    e = rep._split_once(E, ss, seed)
+    e = rep._split_once(E, ss, depth)
     assert len(calls) == len(attempts) >= 1
     assert (e is None) == (label == "SL(2,3)-irreducible-gf2")
 
@@ -1019,10 +1032,11 @@ def _class_cases():
             yield f"{name}-regular-gf{F.q}", M, rep.regular_end_algebra(G, F, M)
 
 
-@pytest.mark.parametrize("seed", [0, 20240401])
+@pytest.mark.parametrize("basis", BASES)
 @pytest.mark.parametrize("label, M, endo", list(_class_cases()))
-def test_classes_by_head_match_module_iso(label, M, endo, seed):
-    cert = rep.decompose(M, seed=seed, endo=endo)
+def test_classes_by_head_match_module_iso(label, M, endo, basis):
+    M, endo = in_basis(M, basis, endo)
+    cert = rep.decompose(M, endo)
     classes, mults = iso_classes_by_module_iso([c.module for c in cert.components])
     assert [c.iso_class for c in cert.components] == classes, label
     assert cert.multiplicities == mults, label
@@ -1043,7 +1057,7 @@ def _label_cases():
     for M in (rep.direct_sum([S, k, S, k]),
               rep.direct_sum([rep.permutation_module(S4, F4)] * 2)):
         E = rep.end_algebra(M)
-        ss = rep.Semisimple.of(E, 0)
+        ss = rep.Semisimple.of(E)
         cert = rep.decompose(M, endo=E)
         rng = random.Random(1)
         J = linalg.Subspace(M.F, M.dim**2, np.array([x.ravel() for x in rep.radical(E)]))
@@ -1093,7 +1107,7 @@ def _power_cases():
     N = rep.direct_sum([rep.permutation_module(A4, F4)] * 2)
     for label, E in (("S4-regular-gf2", rep.regular_end_algebra(S4, F2, M)),
                      ("A4-perm+perm-gf4", rep.end_algebra(N))):
-        ss = rep.Semisimple.of(E, 0)
+        ss = rep.Semisimple.of(E)
         yield label, E, ss
         halves = rep.split_corner(rep.Corner.top(E, ss), 0)
         for c in halves:
@@ -1117,13 +1131,14 @@ def test_right_built_power_images_match_explicit_powers(label, E, ss):
         assert linalg.min_poly(F, a, (ss.R, ss.read)) == want, label
 
 
-@pytest.mark.parametrize("seed", [0, 20240401])
-def test_compress_corner_matches_the_echelon_greedy(seed):
+@pytest.mark.parametrize("basis", BASES)
+def test_compress_corner_matches_the_echelon_greedy(basis):
     compared = 0
     for label, M in _corner_modules():
+        M, _ = in_basis(M, basis)
         F = M.F
         E = rep.end_algebra(M)
-        e = rep._split_once(E, rep.Semisimple.of(E, seed), seed)
+        e = rep._split_once(E, rep.Semisimple.of(E), 0)
         if e is None:
             continue
         # zero and repeated compressions, which the greedy skips, in an
