@@ -69,11 +69,14 @@ def stack_right(F: FieldCtx, X: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def stack_left(F: FieldCtx, A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A.X_i for every matrix of a (k, a, b) stack X, as one product of A
-    with the k matrices side by side."""
+    """A.X_i for every matrix of a (k, a, b) stack X, as a view: one product
+    of the k.b stacked rows of the X_i^T with A^T, whose blocks are the
+    (A.X_i)^T.  Those rows need no copy when X is a stack of transposes,
+    such as Y.transpose(0, 2, 1) of a stacked array Y or what `stack_left`
+    itself returns."""
     k, a, b = X.shape
-    side = X.transpose(1, 0, 2).reshape(a, k * b)
-    return mat_mul(F, A, side).reshape(A.shape[0], k, b).transpose(1, 0, 2)
+    rows = X.transpose(0, 2, 1).reshape(k * b, a)
+    return mat_mul(F, rows, A.T).reshape(k, b, A.shape[0]).transpose(0, 2, 1)
 
 
 def small_product_macs(m: int) -> int:
@@ -114,7 +117,9 @@ def _mat_mul_blas(F: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     m, k = F.m, A.shape[1]
     if m == 1:
         t = np.float32 if k < 1 << 24 else np.float64
-        return (A.astype(t) @ B.astype(t)).astype(np.int64) & 1
+        C = (A.astype(t) @ B.astype(t)).astype(np.int64)
+        C &= 1
+        return C
     h, s, chunk, spread, groups = min(
         F.mat_mul_plans, key=lambda p: len(p[4]) * -(-k // p[2])
     )
@@ -140,14 +145,16 @@ def rref(F: FieldCtx, A: np.ndarray) -> tuple[np.ndarray, list[int]]:
     Over GF(2) the rows are packed into Python ints and reduced by
     `_rref_gf2_packed`; over GF(2^m), m > 1, a dense loop eliminates one
     column at a time.  The reduced echelon form of a matrix is unique, so
-    both give the same R and pivots for the same input."""
-    R = np.array(A, dtype=np.int64)
-    rows, cols = R.shape
+    both give the same R and pivots for the same input.  Over GF(2) the
+    rows are packed from A itself, which is never copied or written."""
+    A = np.asarray(A, dtype=np.int64)
+    rows, cols = A.shape
     if F.m == 1:
-        pivots, packed = _rref_gf2_packed(_pack_gf2(R), cols)
-        R[:] = 0
+        pivots, packed = _rref_gf2_packed(_pack_gf2(A), cols)
+        R = zeros(rows, cols)
         R[: len(pivots)] = _unpack_gf2(packed, cols)
         return R, pivots
+    R = A.copy()
     pivots: list[int] = []
     r = 0
     for c in range(cols):

@@ -345,7 +345,7 @@ class EndoAlgebra:
 
 
 def end_algebra(M: ModuleRep, basis: list[np.ndarray] | None = None) -> EndoAlgebra:
-    return EndoAlgebra(M, hom_space(M, M) if basis is None else basis)
+    return EndoAlgebra(M, hom_space(M, M) if basis is None else list(basis))
 
 
 def regular_end_algebra(G: GroupTable, F: FieldCtx, M: ModuleRep) -> EndoAlgebra:

@@ -29,6 +29,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# SHA-256 from the interpreter's own module, as `random` takes its SHA-512:
+# hashlib would load OpenSSL's libcrypto, about 3.5 MB of a fresh process
+try:
+    from _sha256 import sha256  # CPython 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        from hashlib import sha256
+
 from . import forms, linalg, rep
 from .forms import Adjoint, GForm
 from .group import Subgroup
@@ -81,7 +91,7 @@ def rel_trace_batch(
 class ProjectivityCert:
     projective: bool
     alpha: np.ndarray | None  # H-endomorphism with tr_H^G(alpha) = identity
-    endo_basis: list[np.ndarray] | None = None  # the basis of E_H(M) solved over
+    endo_basis: np.ndarray | None = None  # the (n, d, d) basis of E_H(M) solved over
 
 
 def first_unit(M: ModuleRep, fs: list[np.ndarray], H: Subgroup) -> int | None:
@@ -128,8 +138,8 @@ def is_projective(M: ModuleRep, H: Subgroup) -> ProjectivityCert:
     if M.dim % (index & -index):
         return ProjectivityCert(False, None)
     res = rep.restrict(M, H)
-    basis = rep.hom_space(res, res)
-    if not basis:
+    basis = np.array(rep.hom_space(res, res))  # one stack, which no reader copies
+    if not len(basis):
         return ProjectivityCert(False, None)
     if M.unit_map is None:
         A = np.array([t.ravel() for t in rel_trace_batch(M, basis, H)]).T
@@ -286,21 +296,22 @@ def green_vertex(M: ModuleRep) -> GreenVertexInfo:
 
 def sigma_fixed_basis(
     M: ModuleRep, sigma: Adjoint, H: Subgroup,
-    endo_basis: list[np.ndarray] | None = None,
+    endo_basis: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Basis of the self-adjoint part of E_H(M), from `endo_basis` when it
     is given: the basis E_H(M) = `rep.hom_space(res, res)` for res =
     `rep.restrict(M, H)`, solved already.
-    sigma(b) = P^-1 b^T P for the whole basis in two stacked products, and
-    the fixed elements as one product of the kernel with the basis."""
+    sigma(b) = (P^-1 b^T) P for the whole basis in two stacked products,
+    the first on the transposes with no copy of the basis, and the fixed
+    elements as one product of the kernel with the basis."""
     F, d = M.F, M.dim
     if endo_basis is None:
         res = rep.restrict(M, H)
         endo_basis = rep.hom_space(res, res)
-    if not endo_basis:
+    if not len(endo_basis):
         return []
-    B = np.array(endo_basis)
-    sig = stack_left(F, sigma.gram_inv, stack_right(F, B.transpose(0, 2, 1), sigma.gram))
+    B = np.asarray(endo_basis)
+    sig = stack_right(F, stack_left(F, sigma.gram_inv, B.transpose(0, 2, 1)), sigma.gram)
     flat = B.reshape(len(B), d * d)
     K = linalg.kernel(F, (flat ^ sig.reshape(flat.shape)).T)
     return list(mat_mul(F, K, flat).reshape(len(K), d, d))
@@ -376,7 +387,7 @@ class SymProjectivityCert:
 
 def is_sym_projective(
     M: ModuleRep, H: Subgroup, base: GForm,
-    endo_basis: list[np.ndarray] | None = None,
+    endo_basis: np.ndarray | None = None,
 ) -> SymProjectivityCert:
     """Whether M is symmetrically H-projective: tr_H^G of the self-adjoint
     part of E_H(M) contains a unit of E_G(M).
@@ -393,7 +404,8 @@ def is_sym_projective(
     i = first_unit(M, fixed, H)
     if i is None:
         return SymProjectivityCert(False, base=base)
-    return SymProjectivityCert(True, fixed[i], rel_trace(M, fixed[i], H), base)
+    alpha = fixed[i].copy()  # a view would pin the whole stack of fixed
+    return SymProjectivityCert(True, alpha, rel_trace(M, alpha, H), base)
 
 
 @dataclass
@@ -430,8 +442,10 @@ def symmetric_vertices(
     ]
     hits = []
     for T in cands:
-        basis = _endo_basis_over(M, V, green.cert.endo_basis, T)
-        c = is_sym_projective(M, T, base, basis)
+        # no name holds a basis of E_T(M), so the next T does not pin it
+        c = is_sym_projective(
+            M, T, base, _endo_basis_over(M, V, green.cert.endo_basis, T)
+        )
         if c.projective:
             hits.append(SymVertexClass(T, c))
     out = []
@@ -447,25 +461,28 @@ def symmetric_vertices(
 
 
 def _endo_basis_over(
-    M: ModuleRep, V: Subgroup, endo: list[np.ndarray], T: Subgroup
-) -> list[np.ndarray]:
-    """E_T(M) from endo, the basis of E_V(M), for T containing gVg^-1 with
-    index at most 2: E_gVg^-1(M) = rho(g).E_V(M).rho(g)^-1, and when the
-    index is 2, E_T(M) is its kernel of x -> x.rho(t) + rho(t).x for one t
-    in T outside gVg^-1.  `linalg.reverse_rref` makes the basis the one
-    `rep.hom_space` returns for `rep.restrict(M, T)`, byte for byte."""
+    M: ModuleRep, V: Subgroup, endo: np.ndarray, T: Subgroup
+) -> np.ndarray:
+    """E_T(M) from endo, the stacked basis of E_V(M), for T containing
+    gVg^-1 with index at most 2: E_gVg^-1(M) = rho(g).E_V(M).rho(g)^-1,
+    and when the index is 2, E_T(M) is its kernel of x -> x.rho(t) +
+    rho(t).x for one t in T outside gVg^-1.  `linalg.reverse_rref` makes
+    the basis the one `rep.hom_space` returns for `rep.restrict(M, T)`,
+    byte for byte, as one (n, d, d) stack."""
     if T.elements == V.elements:
         return endo
     G, F, d = M.group, M.F, M.dim
-    g = G.conjugate_into(V, T)
-    X = stack_left(F, M.action(g), stack_right(F, np.array(endo), M.action_inv(g)))
+    g = G.conjugate_into(V, T)  # the identity 0 whenever V <= T, as for V = 1
+    X = endo
+    if g:
+        X = stack_left(F, M.action(g), stack_right(F, X, M.action_inv(g)))
     flat = X.reshape(len(X), d * d)
     if T.order > V.order:
         inner = set(G.mult[G.mult[g, V.elements], G.inverse(g)].tolist())
         A = M.action(next(t for t in T.elements if t not in inner))
         comm = (stack_right(F, X, A) ^ stack_left(F, A, X)).reshape(flat.shape)
         flat = mat_mul(F, linalg.kernel(F, comm.T), flat)
-    return list(linalg.reverse_rref(F, flat).reshape(-1, d, d))
+    return linalg.reverse_rref(F, flat).reshape(-1, d, d)
 
 
 # -- the case classification ----------------------------------------------
@@ -539,9 +556,7 @@ def classify_case(
 
 
 def _hash_matrix(A: np.ndarray) -> str:
-    import hashlib  # here, not at the top: it loads libcrypto (about 3.6 MB)
-
-    return hashlib.sha256(np.ascontiguousarray(A).tobytes()).hexdigest()[:16]
+    return sha256(A.tobytes()).hexdigest()[:16]  # tobytes is C order for any layout
 
 
 def report_to_dict(r: VertexReport) -> dict:

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -302,34 +304,66 @@ def test_a_table_over_the_memory_budget_exits_3(monkeypatch, tmp_path):
     assert group.load_group(path).order == group.load_group(str(table)).order == 120
 
 
+def _fresh_python(code: str, *args: str) -> list[str]:
+    """The words a fresh interpreter prints running code, with this
+    checkout's src/ first on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=path),
+    ).stdout.split()
+
+
 def test_blocks_and_verify_do_not_load_libcrypto():
-    # hashlib's OpenSSL module adds about 3.6 MB to a fresh process; only a
-    # printed form hash needs it
+    # hashlib's OpenSSL module adds about 3.5 MB to a fresh process; the
+    # form hash takes SHA-256 from the interpreter's own module, so not
+    # even a vertices report that prints one loads it
     code = """
 import sys
 if "_hashlib" in sys.modules:
     print("preloaded")
     raise SystemExit
-import contextlib, io
-import numpy as np
-from symvert import cli, vertex
-with contextlib.redirect_stdout(io.StringIO()):
+import contextlib, io, json
+from symvert import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
     assert cli.main(["blocks", sys.argv[1]]) == 0
     assert cli.main(["verify", "paper-examples"]) == 0
-print("loaded" if "_hashlib" in sys.modules else "clean")
-vertex._hash_matrix(np.eye(2, dtype=np.int64))
+    assert cli.main(["--json", "vertices", sys.argv[2], sys.argv[3]]) == 0
+report = json.loads(out.getvalue().splitlines()[-1])
+print(report["symmetric_vertices"][0]["form_hash"])
 print("loaded" if "_hashlib" in sys.modules else "clean")
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    s4 = str(Path(cli.__file__).parent / "data" / "s4.json")
-    out = subprocess.run(
-        [sys.executable, "-c", code, s4], capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    ).stdout.split()
+    data = Path(cli.__file__).parent / "data"
+    module = Path(__file__).resolve().parents[1] / "perfbench/data/modules/sl23-regular-1.json"
+    out = _fresh_python(code, str(data / "s4.json"), str(data / "sl23.json"), str(module))
     if out == ["preloaded"]:
         pytest.skip("_hashlib is loaded at start-up")
-    assert out == ["clean", "loaded"]  # a form hash still loads it
+    assert out == ["1fa766a40bfda527", "clean"]
+
+
+def test_form_hash_is_sha256_of_the_c_order_bytes():
+    A = np.arange(35, dtype=np.int64).reshape(5, 7) % 3
+    for X in (A, A.T, A[1:, ::2]):
+        want = hashlib.sha256(np.ascontiguousarray(X).tobytes()).hexdigest()[:16]
+        assert vertex._hash_matrix(X) == want
+
+
+def test_form_hash_falls_back_to_hashlib():
+    # an interpreter without _sha256 and _sha2 takes hashlib's sha256, with
+    # the same digest
+    code = """
+import sys
+sys.modules["_sha256"] = sys.modules["_sha2"] = None
+import hashlib
+import numpy as np
+from symvert import vertex
+print(vertex.sha256 is hashlib.sha256)
+print(vertex._hash_matrix(np.arange(35, dtype=np.int64).reshape(5, 7).T % 3))
+"""
+    A = np.arange(35, dtype=np.int64).reshape(5, 7).T % 3
+    assert _fresh_python(code) == ["True", vertex._hash_matrix(A)]
 
 
 def test_oracle_small_suite(capsys):

@@ -113,8 +113,6 @@ def test_no_unreferenced_functions_in_src():
 FUNCTION_IMPORTS = {
     # the BLAS thread variables must be set before numpy loads
     ("__main__", "main"): ["cli"],
-    # hashlib loads libcrypto (about 3.6 MB), which only a form hash needs
-    ("vertex", "_hash_matrix"): ["hashlib"],
     # blocks imports vertex at its top: the vertex <-> blocks cycle
     ("vertex", "classify_case"): ["blocks"],
 }

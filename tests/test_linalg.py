@@ -144,6 +144,22 @@ def test_stacked_products_match_a_loop(m):
             assert (got == want).all(), (k, a, b, c)
 
 
+def test_stack_left_lays_out_a_stack_of_transposes_with_no_copy(monkeypatch):
+    # A.X_i is the transpose of X_i^T.A^T, so for X = Y^T of a stacked
+    # array Y (rep.spin's transposed generators, sigma's b^T) the product's
+    # stacked rows are a view of Y; a stacked X itself is copied once
+    rng = np.random.default_rng(41)
+    Y, A = rng.integers(0, 2, (3, 70, 70)), rng.integers(0, 2, (5, 70))
+    seen = []
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda F, P, Q: seen.append(P) or mat_mul(F, P, Q))
+    for X, shared in [(Y.transpose(0, 2, 1), True), (Y, False)]:
+        seen.clear()
+        got = linalg.stack_left(F2, A, X)
+        assert len(seen) == 1 and np.shares_memory(seen[0], Y) == shared
+        assert (got == [mat_mul(F2, A, x) for x in X]).all()
+
+
 def test_mat_mul_small_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         linalg.mat_mul(F4, np.ones((2, 1), np.int64), np.ones((3, 2), np.int64))
@@ -389,6 +405,42 @@ def test_rref_packs_rows_over_gf2_only(monkeypatch):
     assert linalg.Subspace(F4, 30, K).dim == 10
     linalg.kernel(F2, A & 1)
     assert packed == [30]
+
+
+def _invertible_gf2(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    while True:
+        A = rng.integers(0, 2, size=(n, n))
+        if linalg.is_invertible(F2, A):
+            return A
+
+
+@pytest.mark.parametrize("n", [40, 100])  # one int64 product packs up to 62 columns
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "sliced"])
+def test_gf2_elimination_leaves_its_input_alone(n, layout):
+    # rref packs its rows straight from A over GF(2): neither it nor
+    # kernel, inverse and solve write into A, and no result shares its memory
+    A = _invertible_gf2(n, n)
+    if layout == "transposed":
+        A = A.T
+    elif layout == "sliced":
+        big = np.zeros((2 * n, n + 3), dtype=np.int64)
+        big[::2, 3:] = A
+        A = big[::2, 3:]
+    assert A.flags.c_contiguous == (layout == "contiguous")
+    before = A.copy()
+    b = np.random.default_rng(n + 1).integers(0, 2, size=n)
+    R, pivots = linalg.rref(F2, A)
+    assert R.dtype == np.int64 and R.shape == A.shape and pivots == list(range(n))
+    K = linalg.kernel(F2, A[: n // 2])
+    inv = linalg.inverse(F2, A)
+    x, _ = linalg.solve(F2, A, b)
+    assert K.shape == (n - n // 2, n) and not linalg.mat_mul(F2, A[: n // 2], K.T).any()
+    assert (linalg.mat_mul(F2, A, inv) == np.eye(n, dtype=np.int64)).all()
+    assert (linalg.mat_vec(F2, A, x) == b).all()
+    assert (A == before).all()
+    for out in (R, K, inv, x):
+        assert not np.shares_memory(out, A)
 
 
 @given(matrices(F4, 4, 7), matrices(F4, 3, 3))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,6 +445,19 @@ def test_two_sources_of_the_gl32_induced_module():
     )
     Z, W = (s.module for s in green.sources)
     assert rep.module_iso(W, rep.dual(Z)) is not None
+
+
+def test_the_gl32_pim_probe_is_projective_of_case_II():
+    # GL(3,2):2's 32-dim PIM over GF(2), the module of CI's memory probe:
+    # projective, so E_1(M) is all of End_k(M), 32^2 matrices of 32 x 32,
+    # and its symmetric vertex has order 2; the form hash pins the bytes
+    G = catalog.suite_group("GL(3,2):2")
+    M = rep.load_module(str(Path(__file__).parent / "data" / "gl32_2-pim2.json"), G)
+    r = vertex.classify_case(M)
+    assert M.dim == 32 and r.green.vertex.order == 1 and r.case == "II"
+    assert vertex.report_to_dict(r)["symmetric_vertices"] == [
+        {"order": 2, "generators": [77], "form_hash": "71a12faf4be8a30e"}
+    ]
 
 
 @pytest.mark.parametrize("m", [1, 2])
