@@ -11,9 +11,9 @@ centralizer of a real defect class element) with D <= E of index at most 2.
 Off a splitting field a real block may lack a real defect class; then
 `block_decomposition` raises FeasibilityError naming the degree needed.
 The module also houses the quadratic-type test for projective covers of
-self-dual irreducibles, and the theorem check: Theta, read off G's table,
-realizes b as a relative trace from Delta E on kG as a G x G-module, and
-b being real makes the orthonormal form nondegenerate on kG.b.
+self-dual irreducibles, and Theta: read off G's table, it realizes b as a
+relative trace from Delta E on kG as a G x G-module
+(`vertex.verify_theorem_vertexBlock` checks the theorem with it).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import forms, linalg, rep, vertex
+from . import forms, linalg, rep
 from .field import FieldCtx, splitting_degree
 from .forms import GForm
 from .group import FeasibilityError, GroupTable, Subgroup
@@ -102,16 +102,17 @@ def block_decomposition(G: GroupTable, F: FieldCtx) -> list[BlockInfo]:
         if not all(Z.classes[i].is_2regular for i in support):
             raise AssertionError("block idempotent supported off 2-regular classes")
         real = bool((Z.contragredient(e) == e).all())
-        # principal: the augmentation (sum over G of the coefficients) is 1
-        aug = 0
-        for i in support:
-            if Z.classes[i].size % 2:
-                aug ^= int(e[i])
-        b = BlockInfo(e, support, real, aug == 1, Z)
+        b = BlockInfo(e, support, real, _is_principal(Z, e), Z)
         _fill_defect_groups(G, F, b)
         out.append(b)
     out.sort(key=lambda b: (not b.principal, b.idempotent.tobytes()))
     return out
+
+
+def _is_principal(Z: CentreAlgebra, e: np.ndarray) -> bool:
+    """Whether the block idempotent e is the principal one: its augmentation
+    (the sum over G of its coefficients) is 1."""
+    return bool(np.bitwise_xor.reduce(e[[c.size % 2 == 1 for c in Z.classes]]) == 1)
 
 
 def _primitive_idempotents(Z: CentreAlgebra) -> list[np.ndarray]:
@@ -206,15 +207,22 @@ def block_of_module(M: ModuleRep, blocks: list[BlockInfo] | None = None) -> Bloc
     if blocks is None:
         blocks = block_decomposition(M.group, M.F)
     for b in blocks:
-        if _lies_in(M, b):
+        if acts_as_identity(M, b.group_algebra_vector):
             return b
     raise ValueError("no block acts as the identity (module not indecomposable?)")
 
 
-def _lies_in(M: ModuleRep, b: BlockInfo) -> bool:
-    """Whether the block idempotent acts as the identity on M."""
-    acts = M.full_action()
-    return bool((combine(M.F, b.group_algebra_vector, acts) == eye(M.dim)).all())
+def in_principal_block(M: ModuleRep) -> bool:
+    """Whether the principal block idempotent acts as the identity on the
+    indecomposable M; no defect group is computed, so any field will do."""
+    Z = CentreAlgebra(M.group, M.F)
+    e = next(e for e in _primitive_idempotents(Z) if _is_principal(Z, e))
+    return acts_as_identity(M, Z.to_group_algebra(e))
+
+
+def acts_as_identity(M: ModuleRep, u: np.ndarray) -> bool:
+    """Whether u in kG, as coefficients over G, acts as the identity on M."""
+    return bool((combine(M.F, u, M.full_action()) == eye(M.dim)).all())
 
 
 # -- quadratic type -------------------------------------------------------
@@ -337,56 +345,6 @@ def _choose_class_element(G: GroupTable, cls, E: Subgroup) -> int:
     raise AssertionError("no class element with extended centralizer Sylow in E")
 
 
-@dataclass
-class VertexBlockReport:
-    part_i: bool
-    part_ii: bool
-    part_iii: bool
-    theta: ThetaCert
-    details: dict
-
-
-def verify_theorem_vertexBlock(
-    G: GroupTable, F: FieldCtx, b: BlockInfo, sample_modules: list[ModuleRep]
-) -> VertexBlockReport:
-    """(i) symmetric vertices of indecomposable modules in the block lie in
-    the extended defect group E; (ii) some self-dual irreducible in the
-    block has symmetric vertex exactly E; (iii) on kG as a G x G-module the
-    orthonormal form is nondegenerate on the block summand kG.b and
-    Delta E-projective, certified by the explicit Theta.  The form
-    <g, h> = delta_gh has <x.a, y> = <x, y.sigma(a)>, sigma(g) = g^-1.  A
-    real block has sigma(b) = b, so kG.b is orthogonal to kG.(1 - b), as
-    (1 - b).b = 0, and the form is nondegenerate on both summands of kG;
-    a block that is not real (sigma(b) another block, b.sigma(b) = 0, kG.b
-    totally isotropic) is rejected, so nondegeneracy is b.real."""
-    if not b.real or b.extended_defect_group is None:
-        raise ValueError("theorem applies to real blocks")
-    E = b.extended_defect_group
-    sampled = [_block_vertices(M, b) for M in sample_modules]
-    sampled = [vs for vs in sampled if vs is not None]
-    if not sampled:
-        raise ValueError("no symmetric-type sample module lies in the block")
-    part_i = all(
-        G.conjugate_into(t.subgroup, E) is not None for vs in sampled for t in vs
-    )
-    simples = (_block_vertices(M, b) for M in rep.irreducible_modules(G, F))
-    part_ii = any(
-        G.subgroup_conjugate(t.subgroup, E) is not None
-        for vs in simples if vs is not None for t in vs
-    )
-    details = {"part_i_modules_checked": len(sampled)}
-    theta_cert = build_theta(b)
-    part_iii = theta_cert.sigma_fixed and theta_cert.trace_is_block
-    return VertexBlockReport(part_i, part_ii, part_iii, theta_cert, details)
-
-
-def _block_vertices(M: ModuleRep, b: BlockInfo) -> list | None:
-    """M's symmetric vertex classes, or None unless M lies in the block and
-    has a base form."""
-    base = forms.base_form(M) if _lies_in(M, b) else None
-    return None if base is None else vertex.symmetric_vertices(M, base)
-
-
 # -- serialization --------------------------------------------------------
 
 
@@ -398,17 +356,8 @@ def block_to_dict(b: BlockInfo) -> dict:
         "support_class_reps": [int(b.centre.classes[i].rep) for i in b.support],
         "real": b.real,
         "principal": b.principal,
-        "defect_group": (
-            {"order": b.defect_group.order, "generators": list(b.defect_group.gens)}
-            if b.defect_group
-            else None
-        ),
+        "defect_group": b.defect_group and b.defect_group.to_dict(),
         "extended_defect_group": (
-            {
-                "order": b.extended_defect_group.order,
-                "generators": list(b.extended_defect_group.gens),
-            }
-            if b.extended_defect_group
-            else None
+            b.extended_defect_group and b.extended_defect_group.to_dict()
         ),
     }

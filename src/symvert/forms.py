@@ -4,10 +4,11 @@ A form is stored as a Gram matrix tied to its module.  The central dictionary
 is form <-> endomorphism: for a fixed nondegenerate base form B with Gram g,
 every invariant form is B_f(x, y) = B(f x, y) with Gram f^T.g, and the adjoint
 anti-automorphism sigma(f) = g^-1.f^T.g turns the endomorphism algebra into an
-involutary algebra.  On top of that sit nondegeneracy on subspaces (by the
-restricted Gram) and orthogonal projections, self-adjoint idempotent lifting,
-induced forms, and the greedy orthogonal decomposition into nondegenerate
-pieces (indecomposable summands or dual pairs).
+involutary algebra; f = sigma(f) exactly when g.f is symmetric.  On top of that
+sit nondegeneracy on subspaces (by the restricted Gram) and orthogonal
+projections, self-adjoint idempotent lifting, induced forms, and the greedy
+orthogonal decomposition into nondegenerate pieces (indecomposable summands or
+dual pairs).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import linalg, rep
 from .field import FieldCtx
 from .group import Subgroup
-from .linalg import Subspace, combine, eye, mat_mul
+from .linalg import Subspace, eye, mat_mul
 from .rep import EndoAlgebra, ModuleRep
 
 
@@ -74,7 +75,6 @@ class Adjoint:
     def __init__(self, form: GForm):
         if not form.nondegenerate:
             raise ValueError("adjoint requires a nondegenerate form")
-        self.form = form
         self.F = form.F
         self.gram = form.gram
         self.gram_inv = linalg.inverse(self.F, form.gram)
@@ -112,29 +112,35 @@ class InvariantForms:
     @functools.cached_property
     def symplectic(self) -> list[np.ndarray]:
         """The symplectic slice, solved on first read."""
-        return _sub_slice(self.F, self.basis, symplectic=True)
+        return symmetric_slice(self.F, self.basis, alternating=True)
 
 
 def invariant_forms(M: ModuleRep) -> InvariantForms:
     """All invariant bilinear forms on M, together with the symmetric and
     symplectic sub-slices; the H-invariant forms are those of
     `rep.restrict(M, H)`."""
-    F = M.F
     # invariance A^T.X.A = X  <=>  X.A = A^-T.X: X is a hom M -> M*
     basis = rep.hom_space(M, rep.dual(M))
-    return InvariantForms(F, basis, _sub_slice(F, basis, symplectic=False))
+    return InvariantForms(M.F, basis, symmetric_slice(M.F, basis))
 
 
-def _sub_slice(F, basis, symplectic: bool):
-    if not basis:
+def symmetric_slice(F: FieldCtx, X, of=None, alternating: bool = False) -> list:
+    """The combinations of the square X_i that are symmetric (alternating:
+    with zero diagonal too), taken of the stack `of` (X by default): the
+    `linalg.kernel` of the strict upper triangles of the X_i + X_i^T, which
+    in characteristic 2 are symmetric with zero diagonal (the X_i's own
+    diagonals appended when alternating), times `of` in one product."""
+    X = np.asarray(X)
+    if not len(X):
         return []
-    cols = []
-    for b in basis:
-        cond = (b ^ b.T).ravel()
-        if symplectic:
-            cond = np.concatenate([cond, np.diag(b)])
-        cols.append(cond)
-    return [combine(F, c, basis) for c in linalg.kernel(F, np.array(cols).T)]
+    of = X if of is None else np.asarray(of)
+    i, j = np.triu_indices(X.shape[1], 1)
+    cond = X[:, i, j] ^ X[:, j, i]
+    if alternating:
+        cond = np.concatenate([cond, np.diagonal(X, axis1=1, axis2=2)], axis=1)
+    K = linalg.kernel(F, cond.T)
+    flat = of.reshape(len(of), of[0].size)
+    return list(mat_mul(F, K, flat).reshape(len(K), *of.shape[1:]))
 
 
 def base_form(M: ModuleRep) -> GForm | None:
@@ -146,9 +152,9 @@ def base_form(M: ModuleRep) -> GForm | None:
     of the canonical symmetric-slice basis exists exactly when any
     nondegenerate symmetric form does.
     """
-    for g in invariant_forms(M).symmetric:
-        if linalg.is_invertible(M.F, g):
-            return GForm(M, g)
+    for B in (GForm(M, g) for g in invariant_forms(M).symmetric):
+        if B.nondegenerate:  # cached: sigma_fixed_basis reads it again
+            return B
     return None
 
 

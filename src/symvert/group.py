@@ -345,6 +345,9 @@ class Subgroup:
     def order(self) -> int:
         return len(self.elements)
 
+    def to_dict(self) -> dict:
+        return {"order": self.order, "generators": list(self.gens)}
+
     def contains(self, x: int) -> bool:
         return x in self.elements
 

@@ -39,9 +39,10 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import forms, linalg, rep
-from .forms import Adjoint, GForm
-from .group import Subgroup
+from . import blocks, forms, linalg, rep
+from .field import FieldCtx
+from .forms import GForm
+from .group import GroupTable, Subgroup
 from .linalg import combine, eye, mat_mul, stack_left, stack_right, zeros
 from .rep import ModuleRep
 
@@ -295,26 +296,24 @@ def green_vertex(M: ModuleRep) -> GreenVertexInfo:
 
 
 def sigma_fixed_basis(
-    M: ModuleRep, sigma: Adjoint, H: Subgroup,
+    M: ModuleRep, base: GForm, H: Subgroup,
     endo_basis: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """Basis of the self-adjoint part of E_H(M), from `endo_basis` when it
-    is given: the basis E_H(M) = `rep.hom_space(res, res)` for res =
-    `rep.restrict(M, H)`, solved already.
-    sigma(b) = (P^-1 b^T) P for the whole basis in two stacked products,
-    the first on the transposes with no copy of the basis, and the fixed
-    elements as one product of the kernel with the basis."""
-    F, d = M.F, M.dim
+    """Basis of the part of E_H(M) fixed by the adjoint sigma of `base`
+    (ValueError unless nondegenerate and symmetric), from `endo_basis` when
+    it is given: the basis E_H(M) = `rep.hom_space(res, res)` for res =
+    `rep.restrict(M, H)`, solved already.  With P the Gram of base, b =
+    sigma(b) = P^-1.b^T.P exactly when P.b is symmetric: one stacked
+    product and `forms.symmetric_slice`."""
+    if not (base.symmetric and base.nondegenerate):
+        raise ValueError("sigma needs a nondegenerate symmetric form")
     if endo_basis is None:
         res = rep.restrict(M, H)
         endo_basis = rep.hom_space(res, res)
     if not len(endo_basis):
         return []
     B = np.asarray(endo_basis)
-    sig = stack_right(F, stack_left(F, sigma.gram_inv, B.transpose(0, 2, 1)), sigma.gram)
-    flat = B.reshape(len(B), d * d)
-    K = linalg.kernel(F, (flat ^ sig.reshape(flat.shape)).T)
-    return list(mat_mul(F, K, flat).reshape(len(K), d, d))
+    return forms.symmetric_slice(M.F, stack_left(M.F, base.gram, B), of=B)
 
 
 @dataclass
@@ -336,11 +335,10 @@ def form_is_H_projective(
     verified, including nondegeneracy of B-hat on alpha.M."""
     F = B.F
     M = B.module
-    sigma = Adjoint(B)
     Btheta = forms.form_from_endo(B, theta)
     if not Btheta.symmetric or not Btheta.nondegenerate:
         raise ValueError("the form to test must be symmetric and nondegenerate")
-    fixed = sigma_fixed_basis(M, sigma, H)
+    fixed = sigma_fixed_basis(M, B, H)
     if not fixed:
         return FormProjectivityCert(False)
     traces = rel_trace_batch(M, fixed, H)
@@ -400,7 +398,7 @@ def is_sym_projective(
     `endo_basis`, when given, is the basis of E_H(M) that
     `sigma_fixed_basis` would solve for.
     """
-    fixed = sigma_fixed_basis(M, Adjoint(base), H, endo_basis)
+    fixed = sigma_fixed_basis(M, base, H, endo_basis)
     i = first_unit(M, fixed, H)
     if i is None:
         return SymProjectivityCert(False, base=base)
@@ -545,11 +543,61 @@ def classify_case(
         )
     principal = None
     if check_principal and case == "I":
-        from . import blocks
-
-        principal = blocks.block_of_module(M).principal
+        principal = blocks.in_principal_block(M)
         checks["principal_block"] = principal
     return VertexReport(M, green, sym, case, principal, checks)
+
+
+# -- the vertex-block theorem ---------------------------------------------
+
+
+@dataclass
+class VertexBlockReport:
+    part_i: bool
+    part_ii: bool
+    part_iii: bool
+    theta: blocks.ThetaCert
+
+
+def verify_theorem_vertexBlock(
+    G: GroupTable, F: FieldCtx, b: blocks.BlockInfo, sample_modules: list[ModuleRep]
+) -> VertexBlockReport:
+    """(i) symmetric vertices of indecomposable modules in the block lie in
+    the extended defect group E; (ii) some self-dual irreducible in the
+    block has symmetric vertex exactly E; (iii) on kG as a G x G-module the
+    orthonormal form is nondegenerate on the block summand kG.b and
+    Delta E-projective, certified by the explicit Theta.  The form
+    <g, h> = delta_gh has <x.a, y> = <x, y.sigma(a)>, sigma(g) = g^-1.  A
+    real block has sigma(b) = b, so kG.b is orthogonal to kG.(1 - b), as
+    (1 - b).b = 0, and the form is nondegenerate on both summands of kG;
+    a block that is not real (sigma(b) another block, b.sigma(b) = 0, kG.b
+    totally isotropic) is rejected, so nondegeneracy is b.real."""
+    if not b.real or b.extended_defect_group is None:
+        raise ValueError("theorem applies to real blocks")
+    E = b.extended_defect_group
+    sampled = [_block_vertices(M, b) for M in sample_modules]
+    sampled = [vs for vs in sampled if vs is not None]
+    if not sampled:
+        raise ValueError("no symmetric-type sample module lies in the block")
+    part_i = all(
+        G.conjugate_into(t.subgroup, E) is not None for vs in sampled for t in vs
+    )
+    simples = (_block_vertices(M, b) for M in rep.irreducible_modules(G, F))
+    part_ii = any(
+        G.subgroup_conjugate(t.subgroup, E) is not None
+        for vs in simples if vs is not None for t in vs
+    )
+    theta_cert = blocks.build_theta(b)
+    part_iii = theta_cert.sigma_fixed and theta_cert.trace_is_block
+    return VertexBlockReport(part_i, part_ii, part_iii, theta_cert)
+
+
+def _block_vertices(M: ModuleRep, b: blocks.BlockInfo) -> list | None:
+    """M's symmetric vertex classes, or None unless M lies in the block and
+    has a base form."""
+    inside = blocks.acts_as_identity(M, b.group_algebra_vector)
+    base = forms.base_form(M) if inside else None
+    return None if base is None else symmetric_vertices(M, base)
 
 
 # -- serialization --------------------------------------------------------
@@ -561,10 +609,7 @@ def _hash_matrix(A: np.ndarray) -> str:
 
 def report_to_dict(r: VertexReport) -> dict:
     return {
-        "green_vertex": {
-            "order": r.green.vertex.order,
-            "generators": list(r.green.vertex.gens),
-        },
+        "green_vertex": r.green.vertex.to_dict(),
         "sources": [
             {
                 "dim": s.module.dim,
@@ -574,11 +619,7 @@ def report_to_dict(r: VertexReport) -> dict:
             for s in r.green.sources
         ],
         "symmetric_vertices": [
-            {
-                "order": t.subgroup.order,
-                "generators": list(t.subgroup.gens),
-                "form_hash": _hash_matrix(t.form.gram),
-            }
+            {**t.subgroup.to_dict(), "form_hash": _hash_matrix(t.form.gram)}
             for t in r.sym_vertices
         ],
         "case": r.case,

@@ -1,16 +1,16 @@
 """Shared fixtures, the reference routes (the dense GF(2) rref, Light's
 test by right multiplication, the irreducibles and J(kG) by chopping kG,
 summand classes by module_iso, corner bases by Echelon, Hom over a
-subgroup from the whole-group actions, relative traces one element at a
-time, subgroup generators by fresh closures, subgroup lattices by every
-element, a module's whole-group action one element at a time, Theta on
-kG as a G x G-module, a block's nondegeneracy through the regular
-module), modules after a random change of basis and orthogonal
-decompositions moved along a seeded automorphism (the library takes no
-seed), two of the paper's side lemmas that only tests check, each
-asserting its certificate (the Mackey decomposition of an induced form,
-the distinguished Scott component), and the acceptance-criterion
-reporting hook."""
+subgroup from the whole-group actions, relative traces, symmetric slices
+and sigma-fixed bases one element at a time, subgroup generators by fresh
+closures, subgroup lattices by every element, a module's whole-group
+action one element at a time, Theta on kG as a G x G-module, a block's
+nondegeneracy through the regular module), modules after a random change
+of basis and orthogonal decompositions moved along a seeded automorphism
+(the library takes no seed), two of the paper's side lemmas that only
+tests check, each asserting its certificate (the Mackey decomposition of
+an induced form, the distinguished Scott component), and the
+acceptance-criterion reporting hook."""
 
 import hashlib
 import random
@@ -165,7 +165,7 @@ def block_nondegenerate_reference(G, F, b) -> bool:
     """Whether the orthonormal form on kG is nondegenerate on kG.b, with
     kG.b the column space of right multiplication by b in the regular
     module: the reference for `b.real`, which
-    `blocks.verify_theorem_vertexBlock` reports as that nondegeneracy."""
+    `vertex.verify_theorem_vertexBlock` reports as that nondegeneracy."""
     # permutation matrices preserve the orthonormal form: no invariance check
     kG = rep.regular_module(G, F)
     orthonormal = forms.GForm(kG, linalg.eye(G.order))
@@ -256,6 +256,35 @@ def rel_trace_by_element(M: rep.ModuleRep, fs, H: Subgroup, K=None) -> list:
         acc ^= linalg.mat_mul(F, np.concatenate(np.split(left, h, axis=1)),
                               M.action(G.inverse(t)))
     return np.split(acc, h)
+
+
+def slice_by_loop(F, basis, symplectic: bool) -> list[np.ndarray]:
+    """The symmetric (or symplectic) combinations of a basis of Grams: all
+    d^2 conditions b + b^T (and the diagonal) per element, one `combine`
+    per kernel row.  The reference for `forms.symmetric_slice` on
+    `invariant_forms`."""
+    if not basis:
+        return []
+    cols = []
+    for b in basis:
+        cond = (b ^ b.T).ravel()
+        if symplectic:
+            cond = np.concatenate([cond, np.diag(b)])
+        cols.append(cond)
+    return [linalg.combine(F, c, basis) for c in linalg.kernel(F, np.array(cols).T)]
+
+
+def sigma_fixed_by_adjoint(M: rep.ModuleRep, base: forms.GForm, H: Subgroup) -> list:
+    """The sigma-fixed part of E_H(M) as the kernel of b + sigma(b) over
+    the basis, sigma = `forms.Adjoint(base)` applied to one element at a
+    time: the reference for `vertex.sigma_fixed_basis`."""
+    res = rep.restrict(M, H)
+    basis = rep.hom_space(res, res)
+    if not basis:
+        return []
+    sigma = forms.Adjoint(base)
+    K = linalg.kernel(M.F, np.array([(b ^ sigma(b)).ravel() for b in basis]).T)
+    return [linalg.combine(M.F, k, basis) for k in K]
 
 
 def array_digest(arrays) -> str:
@@ -513,7 +542,7 @@ def scott_component(V: Subgroup, Z: rep.ModuleRep) -> rep.ModuleRep:
     )
     # (d): nondegenerate V-projective forms are nondegenerate on the
     # M-component of the induced module
-    fixed = vertex.sigma_fixed_basis(ind, forms.Adjoint(indB), V)
+    fixed = vertex.sigma_fixed_basis(ind, indB, V)
     forms_V = [forms.form_from_endo(indB, t)
                for t in vertex.rel_trace_batch(ind, fixed, V)]
     assert all(forms.is_nondegenerate_on(Bt, comp.subspace)

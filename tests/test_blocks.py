@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symvert import blocks, catalog, forms, linalg, rep
+from symvert import blocks, catalog, forms, linalg, rep, vertex
 from symvert.field import make_field, splitting_degree
 from symvert.group import group_from_dict
 from symvert.linalg import mat_mul
@@ -201,6 +201,17 @@ def test_block_of_module_routing():
     assert not blocks.block_of_module(M, bl).principal
 
 
+def test_principal_flag_from_the_idempotents_alone():
+    # in_principal_block reads the augmentation-1 idempotent without the
+    # defect groups, and agrees with the block that block_of_module routes to
+    for G, m in itertools.product((S3, S4, D12, SL23, C7), (1, 2)):
+        F = make_field(m)
+        bl = blocks.block_decomposition(G, F)
+        for S in rep.irreducible_modules(G, F):
+            want = blocks.block_of_module(S, bl).principal
+            assert blocks.in_principal_block(S) == want
+
+
 def test_quadratic_type_pim_s3():
     M = [m for m in rep.irreducible_modules(S3, F2) if m.dim == 2][0]
     q = blocks.quadratic_type_pim(M)
@@ -268,7 +279,7 @@ def test_verify_theorem_vertexBlock_s3():
     bl = blocks.block_decomposition(S3, F2)
     mods = rep.irreducible_modules(S3, F2)
     for b in bl:
-        r = blocks.verify_theorem_vertexBlock(S3, F2, b, mods)
+        r = vertex.verify_theorem_vertexBlock(S3, F2, b, mods)
         assert r.part_i and r.part_ii and r.part_iii
         assert r.theta is not None and r.theta.trace_is_block
 
@@ -288,7 +299,7 @@ def test_vertex_block_theorem_on_every_real_block(name, m):
     G, F, bl = _real_blocks(name, m)
     irreps = rep.irreducible_modules(G, F)
     for b in bl:
-        r = blocks.verify_theorem_vertexBlock(G, F, b, irreps)
+        r = vertex.verify_theorem_vertexBlock(G, F, b, irreps)
         assert r.part_i and r.part_ii and r.part_iii is True
         assert r.theta.sigma_fixed and r.theta.trace_is_block
 
@@ -312,7 +323,7 @@ def test_block_nondegeneracy_is_reality(name, m):
         assert block_nondegenerate_reference(G, F, b) == b.real == fixed, name
         if not b.real:
             with pytest.raises(ValueError, match="real blocks"):
-                blocks.verify_theorem_vertexBlock(G, F, b, [])
+                vertex.verify_theorem_vertexBlock(G, F, b, [])
     assert all(b.real for b in bl) == (name not in ("C3", "C7")), name
 
 
@@ -326,7 +337,7 @@ def test_vertex_block_theorem_on_s6():
     real = [b for b in blocks.block_decomposition(G, F2) if b.real]
     assert len(real) == 2
     for b in real:
-        r = blocks.verify_theorem_vertexBlock(G, F2, b, irreps)
+        r = vertex.verify_theorem_vertexBlock(G, F2, b, irreps)
         assert r.part_i and r.part_ii and r.part_iii is True
 
 

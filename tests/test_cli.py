@@ -161,6 +161,22 @@ def test_blocks_of_a_cyclic_group_need_a_splitting_field(
         assert [b["real"] for b in data] == [True] + [False] * (points - 1)
 
 
+def test_vertices_off_a_splitting_field_reads_only_the_principal_idempotent(
+    tmp_path, capsys
+):
+    # C3 over GF(2) has a real block without a real defect class, so
+    # `blocks` exits 3; the case-I principal-block flag needs only the
+    # augmentation-1 idempotent, 1 + g + g^2, which fixes the trivial module
+    g, k = tmp_path / "c3.json", tmp_path / "k.json"
+    g.write_text(json.dumps({"points": 3, "generators": [[2, 3, 1]]}))
+    k.write_text(json.dumps({"field_degree": 1, "dim": 1, "matrices": [["1"]]}))
+    code, out = run(["--json", "vertices", str(g), str(k)], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["case"] == "I" and data["principal_block"] is True
+    assert cli.main(["--json", "blocks", str(g)]) == 3
+
+
 def test_parse_error_exit_code(s3_files, capsys):
     _, m = s3_files
     code = cli.main(["vertices", "/does/not/exist.json", m])

@@ -16,6 +16,7 @@ from conftest import (
     orth_decompose_moved,
     read_back,
     seeded_automorphism,
+    slice_by_loop,
 )
 
 F2 = make_field(1)
@@ -122,6 +123,45 @@ def test_form_endo_round_trip():
     for f in rep.hom_space(M, M):
         Bf = forms.form_from_endo(B, f)
         assert (forms.endo_from_form(B, Bf) == f).all()
+
+
+def _same_bytes(got, want) -> bool:
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want)
+    )
+
+
+@pytest.mark.parametrize("name", ["S3", "D12", "A4", "S4", "SL(2,3)"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_slices_match_the_per_element_loop(name, m):
+    # the upper triangles of b + b^T give the kernel of all d^2 conditions,
+    # so both slices keep their canonical basis byte for byte, on G-invariant
+    # and on H-invariant forms (the trivial module's 1 x 1 Grams included)
+    G, F = catalog.suite_group(name), make_field(m)
+    mods = [rep.trivial_module(G, F), rep.permutation_module(G, F)]
+    mods += rep.irreducible_modules(G, F)
+    mods += [rep.restrict(M, H) for M in mods[1:3]
+             for H in G.two_subgroups_up_to_conjugacy()]
+    slices = 0
+    for M in mods:
+        inv = forms.invariant_forms(M)
+        assert _same_bytes(inv.symmetric, slice_by_loop(F, inv.basis, False))
+        assert _same_bytes(inv.symplectic, slice_by_loop(F, inv.basis, True))
+        slices += len(inv.symmetric) > len(inv.symplectic) > 0
+    assert slices
+
+
+def test_symmetric_slice_maps_onto_another_stack():
+    # the kernel comes from X and multiplies `of`: with X_i = P.b_i for the
+    # Gram P of a symmetric form, the combinations are the sigma-fixed b
+    M = regular_s3()
+    B = forms.standard_form(M)
+    sigma = forms.Adjoint(B)
+    E = np.array(rep.hom_space(M, M))
+    fixed = forms.symmetric_slice(F2, [mat_mul(F2, B.gram, f) for f in E], of=E)
+    assert fixed and all((sigma(f) == f).all() for f in fixed)
+    assert forms.symmetric_slice(F2, []) == []
 
 
 def test_symmetric_slice_matches_sigma_fixed_endos():

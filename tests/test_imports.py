@@ -113,8 +113,6 @@ def test_no_unreferenced_functions_in_src():
 FUNCTION_IMPORTS = {
     # the BLAS thread variables must be set before numpy loads
     ("__main__", "main"): ["cli"],
-    # blocks imports vertex at its top: the vertex <-> blocks cycle
-    ("vertex", "classify_case"): ["blocks"],
 }
 
 

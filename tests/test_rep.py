@@ -372,7 +372,7 @@ def test_tensor_closure_runs_once_per_table_and_field(monkeypatch):
         real = [b for b in blocks.block_decomposition(G, F) if b.real]
         assert real, F
         for b in real:
-            assert blocks.verify_theorem_vertexBlock(G, F, b, irr).part_ii, F
+            assert vertex.verify_theorem_vertexBlock(G, F, b, irr).part_ii, F
         assert dims == [], F
     assert sorted(G.irreducible_actions) == [(1, F2.modulus), (2, F4.modulus)]
 

@@ -14,7 +14,13 @@ from symvert.field import make_field
 from symvert.group import Subgroup
 from symvert.linalg import mat_mul
 
-from conftest import array_digest, conjugated, rel_trace_by_element, scott_component
+from conftest import (
+    array_digest,
+    conjugated,
+    rel_trace_by_element,
+    scott_component,
+    sigma_fixed_by_adjoint,
+)
 
 F2 = make_field(1)
 S3 = catalog.suite_group("S3")
@@ -298,13 +304,92 @@ def test_basis_checks_match_exhaustive_search(name, m):
         assert (base is not None) == has_form
         decided += 1
         for H in G.two_subgroups_up_to_conjugacy() if has_form else []:
-            fixed = vertex.sigma_fixed_basis(M, forms.Adjoint(base), H)
+            fixed = vertex.sigma_fixed_basis(M, base, H)
             traces = vertex.rel_trace_batch(M, fixed, H) if fixed else []
             unit = _any_unit(F, traces)
             if unit is not None:
                 assert vertex.is_sym_projective(M, H, base).projective == unit
                 decided += 1
     assert decided >= 2 * len(mods)
+
+
+@pytest.mark.parametrize("name", ["S3", "D12", "A4", "S4", "SL(2,3)"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_sigma_fixed_basis_matches_the_adjoint_kernel(name, m):
+    # b = sigma(b) exactly when P.b is symmetric, so the one stacked product
+    # and its upper triangles give the kernel of b + sigma(b) byte for byte,
+    # over every 2-subgroup class, from a solved E_H(M) or without one
+    G, F = catalog.suite_group(name), make_field(m)
+    mods = _one_per_class(G, F)
+    if name == "D12":
+        mods.append(catalog.d12_pim(F)[0])
+    checked = 0
+    for M in mods:
+        base = forms.base_form(M)
+        if base is None:
+            continue
+        for H in G.two_subgroups_up_to_conjugacy():
+            want = sigma_fixed_by_adjoint(M, base, H)
+            got = vertex.sigma_fixed_basis(M, base, H)
+            assert len(got) == len(want)
+            assert all(g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                       for g, w in zip(got, want))
+            solved = vertex.sigma_fixed_basis(M, base, H, _endo_over(M, H))
+            assert array_digest(solved) == array_digest(got)
+            checked += 1
+    assert checked
+
+
+def test_a_degenerate_base_raises_with_one_rank_per_form(monkeypatch):
+    # the degenerate base is found once per form object, by the cached
+    # GForm.nondegenerate, not once per candidate
+    M = rep.trivial_module(S4, F2)
+    zero = forms.GForm(M, np.zeros((1, 1), dtype=np.int64))
+    ranks = []
+    is_invertible = linalg.is_invertible
+    monkeypatch.setattr(linalg, "is_invertible",
+                        lambda *a: ranks.append(1) or is_invertible(*a))
+    for H in S4.two_subgroups_up_to_conjugacy():
+        with pytest.raises(ValueError):
+            vertex.is_sym_projective(M, H, zero)
+    assert len(ranks) == 1
+    with pytest.raises(ValueError):
+        vertex.symmetric_vertices(M, zero)
+    assert len(ranks) == 1
+
+
+@pytest.mark.parametrize("name", ["S4", "SL(2,3)"])
+def test_the_symmetric_vertex_search_applies_no_adjoint(monkeypatch, name):
+    # self-adjoint is symmetric: is_sym_projective inverts no Gram and makes
+    # no stack_right, and the search still finds symmetric vertices
+    counts = {"inverse": 0, "stack_right": 0}
+    inside = []
+    is_sym_projective = vertex.is_sym_projective
+
+    def counted(key, fn):
+        def call(*a):
+            counts[key] += bool(inside)
+            return fn(*a)
+        return call
+
+    def flagged(*a, **k):
+        inside.append(1)
+        try:
+            return is_sym_projective(*a, **k)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(linalg, "inverse", counted("inverse", linalg.inverse))
+    for mod in (linalg, vertex):
+        monkeypatch.setattr(mod, "stack_right",
+                            counted("stack_right", linalg.stack_right))
+    monkeypatch.setattr(vertex, "is_sym_projective", flagged)
+    found = 0
+    for M in _one_per_class(catalog.suite_group(name), F2):
+        base = forms.base_form(M)
+        if base is not None:
+            found += len(vertex.symmetric_vertices(M, base))
+    assert found and counts == {"inverse": 0, "stack_right": 0}
 
 
 def _one_per_class(G, F):
@@ -361,9 +446,9 @@ def test_one_algebra_per_vertices_query(monkeypatch, name):
     decompose, hom_space = rep.decompose, rep.hom_space
     sigma_fixed_basis = vertex.sigma_fixed_basis
 
-    def counted_fixed(M, sigma, H, *rest):
+    def counted_fixed(M, base, H, *rest):
         before = len(homs)
-        out = sigma_fixed_basis(M, sigma, H, *rest)
+        out = sigma_fixed_basis(M, base, H, *rest)
         fixed.append((H.elements, len(homs) - before))
         return out
 
@@ -603,7 +688,7 @@ def test_dual_trace_matches_tracing_every_basis_element(name):
                 assert (vertex.rel_trace(M, cert.alpha, H) == one).all()
             if base is None:
                 continue
-            fixed = vertex.sigma_fixed_basis(M, forms.Adjoint(base), H)
+            fixed = vertex.sigma_fixed_basis(M, base, H)
             j = _first_unit_by_tracing_all(M, fixed, H)
             c = vertex.is_sym_projective(M, H, base)
             assert c.projective == (j is not None)
