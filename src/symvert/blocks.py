@@ -26,7 +26,7 @@ from . import forms, linalg, rep
 from .field import FieldCtx, splitting_degree
 from .forms import GForm
 from .group import FeasibilityError, GroupTable, Subgroup
-from .linalg import combine, eye, mat_mul
+from .linalg import combine, eye
 from .rep import ModuleRep
 
 
@@ -252,19 +252,18 @@ def quadratic_type_pim(M: ModuleRep, B: GForm | None = None) -> QuadraticTypeRes
         if len(nondeg) != 1:
             raise ValueError("module has no unique invariant symmetric form")
         B = GForm(M, nondeg[0])
-    acts = M.full_action()
-    seen: set[int] = set()
+    first: dict[int, int] = {}  # the first involution of each class
     for t in G.involutions():
-        cls = G.class_of(t)
-        if cls in seen:
-            continue
-        seen.add(cls)
-        # q_t on the m-th basis vector is the (m, m) entry of rho(t)^T.gram
-        vals = np.diagonal(mat_mul(F, acts[t].T, B.gram))
-        for m in range(M.dim):
-            if vals[m]:
-                return QuadraticTypeResult(True, t, m, B)
-    return QuadraticTypeResult(False, None, None, B)
+        first.setdefault(G.class_of(t), t)
+    reps = list(first.values())
+    # q_t on the m-th basis vector is the (m, m) entry of rho(t)^T.gram,
+    # the sum over i of rho(t)[i, m].gram[i, m]: one gather for every t
+    q = np.bitwise_xor.reduce(F.vmul(M.full_action()[reps], B.gram), axis=1)
+    hits = np.argwhere(q)
+    if not len(hits):
+        return QuadraticTypeResult(False, None, None, B)
+    c, m = hits[0]
+    return QuadraticTypeResult(True, reps[c], int(m), B)
 
 
 # -- the Theta construction ------------------------------------------------

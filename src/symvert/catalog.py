@@ -82,7 +82,7 @@ def d12_pim(F: FieldCtx) -> tuple[ModuleRep, Subgroup]:
 def s5_specht_irreducible(F: FieldCtx) -> specht.SpechtData:
     """The 4-dimensional irreducible head of the (3,2) Specht module of S5,
     with its symplectic form and row-reversal witness."""
-    return specht.specht_module(5, (3, 2), F)
+    return specht.specht_module(suite_group("S5"), (3, 2), F)
 
 
 def gl32_induced_module(F: FieldCtx) -> tuple[ModuleRep, Subgroup]:

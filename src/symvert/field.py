@@ -188,8 +188,7 @@ class FieldCtx:
         b = np.asarray(b, dtype=np.int64)
         if self.mul_table is not None:
             return self.mul_table[a, b]
-        a, b = np.broadcast_arrays(a, b)
-        return self._mul_via_logs(a.ravel(), b.ravel()).reshape(a.shape)
+        return self._mul_via_logs(a, b)  # broadcasts a and b on its own
 
     def vscale(self, c: int, a: np.ndarray) -> np.ndarray:
         if c == 0:

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the largest group whose 2-subgroup lattice is walked
-TWO_SUBGROUPS_ORDER_BOUND = 10_000
 # the largest multiplication table built, in bytes (n^2 int64 ids): 256 MiB
 # holds S7's (order 5,040: 203 MB) and stops at order 5,792
 TABLE_BUDGET_BYTES = 1 << 28
@@ -242,10 +240,6 @@ class GroupTable:
     def two_subgroups_up_to_conjugacy(self) -> list["Subgroup"]:
         """Conjugacy-class representatives of 2-subgroups (incl. trivial),
         enumerated once per table."""
-        if self.order > TWO_SUBGROUPS_ORDER_BOUND:
-            raise FeasibilityError(
-                f"group order {self.order} exceeds bound {TWO_SUBGROUPS_ORDER_BOUND}"
-            )
         if self._two_subgroups is None:
             reps: list[Subgroup] = []
             for H in self.all_subgroups_of(self.sylow2()):

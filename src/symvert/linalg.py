@@ -279,21 +279,27 @@ def kernel_gf2_stream(row_ints, cols: int) -> np.ndarray:
 def solve(
     F: FieldCtx, A: np.ndarray, b: np.ndarray, certificate: bool = False
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Solve A x = b.  Returns (x, None), or (None, y) when b is not in A's
-    column space: y is None unless a certificate is asked for, and then the
-    first row of the left kernel with y.b != 0, so yA = 0 (Fredholm: such
-    a row exists exactly when the system is inconsistent)."""
-    b = np.asarray(b, dtype=np.int64).ravel()
+    """Solve A x = b for a vector b, or A X = b for a matrix b of right-hand
+    sides, by one rref of [A | b].  Returns (x, None), x zero at A's free
+    columns, or (None, y) when some column of b is not in A's column space:
+    y is None unless a certificate is asked for, and then the first row of
+    the left kernel with y.b != 0, so yA = 0 (Fredholm: such a row exists
+    exactly when the system is inconsistent).  The rref of [A | b] is the
+    rref of A beside the reduced columns of b, and its rows past A's rank
+    are zero exactly when every column is consistent, so each column of X
+    is the one a solve on that column alone gives."""
+    b = np.asarray(b, dtype=np.int64)
+    rhs = b.reshape(A.shape[0], -1)
     n = A.shape[1]
-    R, pivots = rref(F, np.concatenate([A, b.reshape(-1, 1)], axis=1))
-    if pivots and pivots[-1] == n:
+    R, pivots = rref(F, np.concatenate([A, rhs], axis=1))
+    if pivots and pivots[-1] >= n:
         if not certificate:
             return None, None
         Y = kernel(F, A.T)
-        return None, Y[np.flatnonzero(mat_vec(F, Y, b))[0]]
-    x = zeros(1, n).ravel()
-    x[pivots] = R[: len(pivots), n]
-    return x, None
+        return None, Y[np.flatnonzero(mat_mul(F, Y, rhs).any(axis=1))[0]]
+    x = zeros(n, rhs.shape[1])
+    x[pivots] = R[: len(pivots), n:]
+    return (x if b.ndim > 1 else x.ravel()), None
 
 
 def inverse(F: FieldCtx, A: np.ndarray) -> np.ndarray:

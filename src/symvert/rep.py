@@ -284,14 +284,15 @@ def _hom_by_spin(F: FieldCtx, pairs: list[tuple]) -> list[np.ndarray]:
     # columns, so a vector already in the span reduces to its relation
     ech = linalg.Echelon(F, dm)
     pad = zeros(1, dm).ravel()
-    spun, words, seeds = [], [], []  # b_k, W_k and the seed of b_k
-    rels = []  # (c, B_g W_i, seed of b_i) for A_g b_i = sum c_k b_k
-    r = 0
+    spun, words, starts = [], [], []  # b_k, W_k, and the first k of each seed
+    # A_g b_i = sum c_k b_k: the c, the B_g W_i and the seed of b_i
+    rel_c, rel_bw, rel_seed = [], [], []
     for e in eye(dm):
         if len(spun) == dm:
             break
         if not ech.reduce(np.concatenate([e, pad]))[:dm].any():
             continue
+        starts.append(len(spun))
         todo = [(e, eye(dn))]
         while todo:
             v, W = todo.pop()
@@ -301,28 +302,29 @@ def _hom_by_spin(F: FieldCtx, pairs: list[tuple]) -> list[np.ndarray]:
                 ech.append(w)
                 spun.append(v)
                 words.append(W)
-                seeds.append(r)
                 # the images under all generators: A_g.v and B_g.W
                 todo += zip(stack_right(F, A, v[:, None])[:, :, 0],
                             stack_right(F, B, W))
             else:
-                rels.append((w[dm:], W, r))
-        r += 1
-    words, seeds = np.array(words), np.array(seeds)
+                rel_c.append(w[dm:])
+                rel_bw.append(W)
+                rel_seed.append(len(starts) - 1)
+    # each seed's spun vectors are consecutive: one block of k per seed
+    seeds = [slice(a, b) for a, b in zip(starts, starts[1:] + [len(spun)])]
+    words, C, n = np.array(words), np.array(rel_c), len(rel_c)
     # rows: relation, then row of N; columns: seed, then entry of y_seed
-    sys = zeros(len(rels) * dn, r * dn)
-    C = np.array([c for c, _, _ in rels], dtype=np.int64).reshape(-1, dm)
-    for s in range(r):
-        on = seeds == s
-        blk = mat_mul(F, C[:, on], words[on].reshape(-1, dn * dn))
-        sys[:, s * dn : (s + 1) * dn] = blk.reshape(-1, dn)
-    for i, (_, BW, s) in enumerate(rels):
-        sys[i * dn : (i + 1) * dn, s * dn : (s + 1) * dn] ^= BW
-    Y = linalg.kernel(F, sys)
-    # X S has column k equal to W_k y_seed(k), where S has columns b_k
-    XS = np.zeros((len(Y), dn, dm), dtype=np.int64)
-    for k, s in enumerate(seeds):
-        XS[:, :, k] = mat_mul(F, Y[:, s * dn : (s + 1) * dn], words[k].T)
+    sys = np.stack([
+        mat_mul(F, C[:, k], words[k].reshape(-1, dn * dn)).reshape(n, dn, dn)
+        for k in seeds
+    ], axis=2)
+    sys[np.arange(n), :, rel_seed, :] ^= np.array(rel_bw)
+    Y = linalg.kernel(F, sys.reshape(n * dn, len(seeds) * dn))
+    # X S has column k equal to W_k y_seed(k), where S has columns b_k: the
+    # W_k.Y_s^T of one seed s by one stacked product
+    XS = np.concatenate([
+        stack_right(F, words[k], Y[:, s * dn : (s + 1) * dn].T).transpose(2, 1, 0)
+        for s, k in enumerate(seeds)
+    ], axis=2)
     S_inv = linalg.inverse(F, np.array(spun).T)
     X = mat_mul(F, XS.reshape(-1, dm), S_inv).reshape(len(Y), dn * dm)
     return [v.reshape(dn, dm) for v in linalg.reverse_rref(F, X)]

@@ -19,18 +19,9 @@ import numpy as np
 from . import linalg, rep
 from .field import FieldCtx
 from .forms import GForm
-from .group import GroupTable, from_permutations
+from .group import GroupTable
 from .linalg import Subspace, mat_mul, zeros
 from .rep import ModuleRep
-
-
-def symmetric_group(n: int) -> GroupTable:
-    """S_n on n points with the transposition (1 2) and the n-cycle."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    swap = [2, 1] + list(range(3, n + 1))
-    cyc = list(range(2, n + 1)) + [1]
-    return from_permutations(n, [swap, cyc])
 
 
 def _tabloids(n: int, lam: tuple[int, ...]) -> list[tuple[frozenset, ...]]:
@@ -112,15 +103,17 @@ class SpechtData:
     witness_vector: np.ndarray  # image of its polytabloid in the irreducible
 
 
-def specht_module(n: int, lam: tuple[int, ...], F: FieldCtx) -> SpechtData:
-    """The Specht module of a 2-regular partition, its invariant form, the
-    irreducible head under the form, and the row-reversal witness."""
+def specht_module(G: GroupTable, lam: tuple[int, ...], F: FieldCtx) -> SpechtData:
+    """The Specht module of a 2-regular partition of n for G = S_n, a group
+    of permutations of n points (`G.perms`, as the catalogue's S3, S4 and
+    S5 carry), its invariant form, the irreducible head under the form, and
+    the row-reversal witness."""
+    n = len(G.perms[0])
     lam = tuple(sorted(lam, reverse=True))
     if sum(lam) != n:
         raise ValueError("partition does not sum to n")
     if len(set(lam)) != len(lam):
         raise ValueError("partition must be 2-regular (distinct parts)")
-    G = symmetric_group(n)
     tabs = _tabloids(n, lam)
     index = {t: i for i, t in enumerate(tabs)}
     nt = len(tabs)
@@ -154,7 +147,7 @@ def specht_module(n: int, lam: tuple[int, ...], F: FieldCtx) -> SpechtData:
     for row in T:
         for a, b in zip(row, reversed(row)):
             perm[a] = b
-    t_elem = _element_of(G, tuple(perm))
+    t_elem = G.perms.index(tuple(perm))
     eT = _polytabloid(T, lam, index)
     coords = S.coords(eT)
     wit = linalg.mat_vec(F, qproj, coords)
@@ -162,10 +155,3 @@ def specht_module(n: int, lam: tuple[int, ...], F: FieldCtx) -> SpechtData:
         n, lam, G, Mtab, Smod, incl, Sform, Dmod, qproj, Dform,
         t_elem, T, wit,
     )
-
-
-def _element_of(G: GroupTable, perm: tuple[int, ...]) -> int:
-    for g in range(G.order):
-        if tuple(G.perms[g]) == perm:
-            return g
-    raise ValueError("permutation not in the group")

@@ -129,10 +129,11 @@ def is_projective(M: ModuleRep, H: Subgroup) -> ProjectivityCert:
     holds a unit.  For indecomposable M, `first_unit` finds a basis element
     b with u = tr(b) a unit, and alpha = b.u^-1: as u^-1 commutes with G,
     tr(alpha) = tr(b).u^-1 = 1.  For decomposable M (`M.unit_map` is None)
-    a solve on the traces of the whole basis finds alpha.  There is
-    no alpha when |G:H|_2 does not divide dim M (Green): by linearity M is
-    H-projective over the algebraic closure too, where each indecomposable
-    summand X has a vertex Q <=_G H, and |G:Q|_2 divides dim X.
+    `_trace_preimage`, one solve on the traces of the whole basis, finds
+    alpha.  There is no alpha when |G:H|_2 does not divide dim M (Green):
+    by linearity M is H-projective over the algebraic closure too, where
+    each indecomposable summand X has a vertex Q <=_G H, and |G:Q|_2
+    divides dim X.
     """
     F = M.F
     index = M.group.order // H.order  # its 2-part is index & -index
@@ -143,9 +144,7 @@ def is_projective(M: ModuleRep, H: Subgroup) -> ProjectivityCert:
     if not len(basis):
         return ProjectivityCert(False, None)
     if M.unit_map is None:
-        A = np.array([t.ravel() for t in rel_trace_batch(M, basis, H)]).T
-        x, _ = linalg.solve(F, A, eye(M.dim).ravel())
-        alpha = None if x is None else combine(F, x, basis)
+        alpha = _trace_preimage(M, basis, H, eye(M.dim))
     elif (i := first_unit(M, basis, H)) is not None:
         alpha = mat_mul(F, basis[i], linalg.inverse(F, rel_trace(M, basis[i], H)))
     else:
@@ -157,22 +156,30 @@ def is_summand(M: ModuleRep, N: ModuleRep) -> bool:
     """Whether M is a direct summand of N.
 
     The span of all compositions M -> N -> M is the trace ideal of N in
-    E_G(M); M is a summand exactly when it contains the identity.
+    E_G(M); M is a summand exactly when it contains the identity: one
+    stacked product gives every p.q, and one solve decides.
     """
-    F = M.F
+    F, d = M.F, M.dim
     phis = rep.hom_space(M, N)
     psis = rep.hom_space(N, M)
     if not phis or not psis:
         return False
-    seen = linalg.Echelon(F, M.dim**2)
-    target = eye(M.dim).ravel()
-    for p in psis:
-        for q in phis:
-            v = mat_mul(F, p, q).ravel()
-            if v.any() and seen.insert(v):
-                if seen.contains(target):
-                    return True
-    return False
+    # the p.[q_1 | q_2 | ...] for every p, then vec(p.q_j) as columns
+    pq = stack_right(F, np.array(psis), np.concatenate(phis, axis=1))
+    A = pq.reshape(len(psis), d, len(phis), d).transpose(1, 3, 0, 2)
+    x, _ = linalg.solve(F, A.reshape(d * d, -1), eye(d).ravel())
+    return x is not None
+
+
+def _trace_preimage(
+    M: ModuleRep, fs: list[np.ndarray], H: Subgroup, target: np.ndarray
+) -> np.ndarray | None:
+    """The combination alpha of fs with tr_H^G(alpha) = target, or None:
+    the traces of fs, one solve and one `combine`."""
+    d = M.dim
+    A = np.reshape(rel_trace_batch(M, fs, H), (len(fs), d * d)).T
+    x, _ = linalg.solve(M.F, A, target.ravel())
+    return None if x is None else combine(M.F, x, fs)
 
 
 def _is_orth_summand_of_induced(
@@ -341,22 +348,17 @@ def form_is_H_projective(
     fixed = sigma_fixed_basis(M, B, H)
     if not fixed:
         return FormProjectivityCert(False)
-    traces = rel_trace_batch(M, fixed, H)
-    A = np.array([t.ravel() for t in traces]).T
-    x, _ = linalg.solve(F, A, theta.ravel())
-    if x is None:
+    alpha = _trace_preimage(M, fixed, H, theta)
+    if alpha is None:
         return FormProjectivityCert(False)
-    alpha = combine(F, x, fixed)
     # phi(m) = sum over the transversal of t tensor alpha.t^-1.m, an
     # isometry (M, B_theta) -> Ind_H^G(alpha.M, B-hat)
     res = rep.restrict(M, H)
     Lmod, incl, proj = rep.sub_module(res, linalg.col_space(F, alpha))
-    # B-hat(u, alpha.m) = B(u, m) on alpha.M, in the basis given by incl
-    d = Lmod.dim
-    bhat = zeros(d, d)
-    for j in range(d):
-        m, _ = linalg.solve(F, alpha, incl[:, j])
-        bhat[:, j] = linalg.mat_vec(F, mat_mul(F, incl.T, B.gram), m)
+    # B-hat(u, alpha.m) = B(u, m) on alpha.M, in the basis given by incl:
+    # one solve of alpha.X = incl gives an m for every basis vector
+    X, _ = linalg.solve(F, alpha, incl)
+    bhat = mat_mul(F, mat_mul(F, incl.T, B.gram), X)
     ind, ind_form, trans = forms.induce_form(GForm(Lmod, bhat), H)
     G = M.group
     phi = np.concatenate(

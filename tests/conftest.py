@@ -2,9 +2,11 @@
 test by right multiplication, the irreducibles and J(kG) by chopping kG,
 summand classes by module_iso, corner bases by Echelon, Hom over a
 subgroup from the whole-group actions, relative traces, symmetric slices
-and sigma-fixed bases one element at a time, subgroup generators by fresh
-closures, subgroup lattices by every element, a module's whole-group
-action one element at a time, Theta on kG as a G x G-module, a block's
+and sigma-fixed bases one element at a time, summands by an Echelon over
+every pair of homs, B-hat one column at a time, quadratic type one
+involution class at a time, subgroup generators by fresh closures,
+subgroup lattices by every element, a module's whole-group action one
+element at a time, Theta on kG as a G x G-module, a block's
 nondegeneracy through the regular module), modules after a random change
 of basis and orthogonal decompositions moved along a seeded automorphism
 (the library takes no seed), two of the paper's side lemmas that only
@@ -285,6 +287,49 @@ def sigma_fixed_by_adjoint(M: rep.ModuleRep, base: forms.GForm, H: Subgroup) -> 
     sigma = forms.Adjoint(base)
     K = linalg.kernel(M.F, np.array([(b ^ sigma(b)).ravel() for b in basis]).T)
     return [linalg.combine(M.F, k, basis) for k in K]
+
+
+def is_summand_by_pairs(M: rep.ModuleRep, N: rep.ModuleRep) -> bool:
+    """M | N by an `Echelon` fed p.q for each pair of Hom basis elements,
+    stopping once its span holds the identity: the reference for
+    `vertex.is_summand`."""
+    F = M.F
+    seen = linalg.Echelon(F, M.dim**2)
+    target = np.eye(M.dim, dtype=np.int64).ravel()
+    for p in rep.hom_space(N, M):
+        for q in rep.hom_space(M, N):
+            v = linalg.mat_mul(F, p, q).ravel()
+            if v.any() and seen.insert(v) and seen.contains(target):
+                return True
+    return False
+
+
+def bhat_by_columns(F, alpha, incl, gram) -> np.ndarray:
+    """B-hat(u, alpha.m) = B(u, m) on alpha.M in the basis incl, one solve
+    alpha.m = incl[:, j] per column: the reference for the B-hat of
+    `vertex.form_is_H_projective`."""
+    d = incl.shape[1]
+    bhat = np.zeros((d, d), dtype=np.int64)
+    for j in range(d):
+        m, _ = linalg.solve(F, alpha, incl[:, j])
+        bhat[:, j] = linalg.mat_vec(F, linalg.mat_mul(F, incl.T, gram), m)
+    return bhat
+
+
+def quadratic_type_by_loop(M: rep.ModuleRep, B: forms.GForm) -> tuple | None:
+    """(t, m) for the first involution class and basis vector with
+    q_t(e_m) = B(t.e_m, e_m) nonzero, one product per class, or None: the
+    reference for `blocks.quadratic_type_pim`."""
+    G, acts, seen = M.group, M.full_action(), set()
+    for t in G.involutions():
+        if G.class_of(t) in seen:
+            continue
+        seen.add(G.class_of(t))
+        vals = np.diagonal(linalg.mat_mul(M.F, acts[t].T, B.gram))
+        for m in range(M.dim):
+            if vals[m]:
+                return t, m
+    return None
 
 
 def array_digest(arrays) -> str:

@@ -363,8 +363,8 @@ def test_criterion_07_case_exemplars():
 def test_criterion_08_quadratic_type():
     # row-reversal witnesses for the S4 and S5 Specht constructions, plus
     # nondegeneracy of B_t on a P(D)-summand of the regular module
-    for n, lam, name in ((4, (3, 1), "S4"), (5, (3, 2), "S5")):
-        sd = specht.specht_module(n, lam, F2)
+    for lam, name in (((3, 1), "S4"), ((3, 2), "S5")):
+        sd = specht.specht_module(catalog.suite_group(name), lam, F2)
         G = sd.group
         q = blocks.quadratic_type_pim(sd.irreducible, sd.irreducible_form)
         assert q.quadratic

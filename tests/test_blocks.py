@@ -17,6 +17,7 @@ from conftest import (
     centre_mul_by_loop,
     contragredient_by_loop,
     dense_theta,
+    quadratic_type_by_loop,
     regular_bimodule,
     theta_reference,
     theta_verdicts_reference,
@@ -235,6 +236,32 @@ def test_quadratic_type_false_for_c3c4():
     M = [m for m in rep.irreducible_modules(G, F2) if m.dim == 2][0]
     q = blocks.quadratic_type_pim(M)
     assert not q.quadratic
+
+
+def test_quadratic_type_gather_matches_the_loop_per_class():
+    # every catalogue irreducible of dimension above 1 with a unique form,
+    # over GF(2) and GF(4), and the S5 Specht head with its form: one
+    # gather over the first involution of each class finds the (class,
+    # basis vector) the loop over the classes finds first
+    cases = [(sd.irreducible, sd.irreducible_form)
+             for sd in [catalog.s5_specht_irreducible(F2)]]
+    for m in (1, 2):
+        for name in catalog.SUITE_NAMES:
+            G = catalog.suite_group(name)
+            for M in rep.irreducible_modules(G, make_field(m)):
+                if M.dim > 1:
+                    try:
+                        cases.append((M, blocks.quadratic_type_pim(M).form))
+                    except ValueError:  # no unique invariant symmetric form
+                        pass
+    verdicts = []
+    for M, B in cases:
+        q = blocks.quadratic_type_pim(M, B)
+        want = quadratic_type_by_loop(M, B)
+        assert (q.involution, q.basis_index) == (want or (None, None))
+        assert q.quadratic == (want is not None) and q.form is B
+        verdicts.append(q.quadratic)
+    assert len(cases) == 19 and True in verdicts and False in verdicts
 
 
 def test_regular_bimodule():

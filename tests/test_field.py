@@ -96,6 +96,22 @@ def test_scalar_ops_agree_with_polynomial_products_gf4096():
             assert _poly_mulmod_gf2(a, F.inv(a), F.modulus, 12) == 1
 
 
+@pytest.mark.parametrize("m", [9, 12, 16])
+def test_vmul_on_broadcast_shapes_matches_scalar_mul(m):
+    # the log route (no multiplication table) broadcasts its operands itself
+    F = make_field(m)
+    rng = np.random.default_rng(m)
+    a = rng.integers(0, F.q, size=(3, 1, 4))
+    b = rng.integers(0, F.q, size=(5, 1))
+    a[0, 0, 0] = b[1, 0] = 0
+    for x, y in ((a, b), (a, np.int64(7)), (np.int64(0), b), (a[0, 0], b)):
+        got = F.vmul(x, y)
+        xs, ys = np.broadcast_arrays(x, y)
+        assert got.dtype == np.int64 and got.shape == xs.shape
+        assert got.tolist() == np.vectorize(F.mul)(xs, ys).tolist()
+    assert F.vmul(np.int64(3), np.int64(5)).shape == ()
+
+
 def test_vscale_special_cases():
     F = make_field(2)
     v = np.array([0, 1, 2, 3], dtype=np.int64)

@@ -503,6 +503,33 @@ def test_pivot_complement():
     assert whole.dim == 4
 
 
+@settings(max_examples=40)
+@given(
+    st.integers(0, 2**30 - 1),
+    st.sampled_from([F2, F4]),
+    st.sampled_from([(4, 3), (6, 2), (2, 5), (3, 3), (5, 5)]),
+    st.integers(1, 4),
+)
+def test_solve_with_a_matrix_of_right_hand_sides(seed, F, shape, k):
+    # one solve of A X = b equals the solves column by column, byte for
+    # byte, and an inconsistent column gives y with y A = 0 and y.b != 0
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, F.q, size=shape).astype(np.int64)
+    A[:, rng.integers(shape[1])] = 0  # a free column
+    b = linalg.mat_mul(F, A, rng.integers(0, F.q, size=(shape[1], k)))
+    if rng.integers(2):  # one column is random, consistent or not
+        b[:, rng.integers(k)] = rng.integers(0, F.q, size=shape[0])
+    cols = [linalg.solve(F, A, b[:, j])[0] for j in range(k)]
+    X, y = linalg.solve(F, A, b, certificate=True)
+    if all(c is not None for c in cols):
+        assert y is None and X.shape == (shape[1], k)
+        assert X.tobytes() == np.stack(cols, axis=1).tobytes()
+    else:
+        assert X is None and linalg.solve(F, A, b) == (None, None)
+        assert not linalg.mat_mul(F, y.reshape(1, -1), A).any()
+        assert linalg.mat_mul(F, y.reshape(1, -1), b).any()
+
+
 @settings(max_examples=30)
 @given(
     st.integers(0, 2**30 - 1),

@@ -1,22 +1,31 @@
 """Specht modules, their bilinear forms, and row-reversal witnesses."""
 
+import math
+
 import pytest
 
-from symvert import linalg, rep, specht
+from symvert import catalog, linalg, rep, specht
 from symvert.field import make_field
 from symvert.linalg import mat_mul
 
 F2 = make_field(1)
+S4 = catalog.suite_group("S4")
+S5 = catalog.suite_group("S5")
 
 
-def test_symmetric_group_builder():
-    for n, order in ((3, 6), (4, 24), (5, 120)):
-        G = specht.symmetric_group(n)
-        assert G.order == order
+def test_catalogue_symmetric_groups_are_generated_by_swap_and_cycle():
+    # the Specht modules act on the catalogue's S_n through its generators,
+    # (1 2) and the n-cycle, in that order, on n points
+    for n, name in ((3, "S3"), (4, "S4"), (5, "S5")):
+        G = catalog.suite_group(name)
+        swap = (1, 0) + tuple(range(2, n))
+        cycle = tuple(range(1, n)) + (0,)
+        assert G.order == math.factorial(n)
+        assert [G.perms[g] for g in G.generators] == [swap, cycle]
 
 
 def test_specht_s5_32():
-    sd = specht.specht_module(5, (3, 2), F2)
+    sd = specht.specht_module(S5, (3, 2), F2)
     assert sd.tabloid_module.dim == 10  # ordered set partitions of type (3,2)
     assert sd.specht.dim == 5  # number of standard tableaux
     assert sd.irreducible.dim == 4
@@ -27,14 +36,14 @@ def test_specht_s5_32():
 
 
 def test_specht_s4_31():
-    sd = specht.specht_module(4, (3, 1), F2)
+    sd = specht.specht_module(S4, (3, 1), F2)
     assert sd.specht.dim == 3
     assert sd.irreducible.dim == 2
     assert sd.irreducible_form.nondegenerate
 
 
 def test_specht_form_is_gram_of_polytabloids():
-    sd = specht.specht_module(4, (3, 1), F2)
+    sd = specht.specht_module(S4, (3, 1), F2)
     # the bilinear form on the Specht module is the restriction of the
     # permutation form on tabloids
     incl = sd.specht_incl
@@ -43,8 +52,8 @@ def test_specht_form_is_gram_of_polytabloids():
 
 
 def test_row_reversal_witness():
-    for n, lam in ((4, (3, 1)), (5, (3, 2))):
-        sd = specht.specht_module(n, lam, F2)
+    for G, lam in ((S4, (3, 1)), (S5, (3, 2))):
+        sd = specht.specht_module(G, lam, F2)
         t = sd.row_reversal
         G = sd.group
         assert G.element_order(t) in (1, 2)
@@ -61,11 +70,11 @@ def test_row_reversal_witness():
 
 def test_two_rowed_partition_required():
     with pytest.raises(ValueError):
-        specht.specht_module(5, (2, 2, 1), F2)
+        specht.specht_module(S5, (2, 2, 1), F2)
 
 
 def test_quadratic_type_via_specht_witness():
-    sd = specht.specht_module(5, (3, 2), F2)
+    sd = specht.specht_module(S5, (3, 2), F2)
     from symvert import blocks
 
     q = blocks.quadratic_type_pim(sd.irreducible, sd.irreducible_form)

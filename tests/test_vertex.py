@@ -16,7 +16,9 @@ from symvert.linalg import mat_mul
 
 from conftest import (
     array_digest,
+    bhat_by_columns,
     conjugated,
+    is_summand_by_pairs,
     rel_trace_by_element,
     scott_component,
     sigma_fixed_by_adjoint,
@@ -401,6 +403,67 @@ def _one_per_class(G, F):
             if all(rep.module_iso(c.module, X) is None for X in mods):
                 mods.append(c.module)
     return mods
+
+
+@pytest.mark.parametrize("name", ["S3", "D12", "A4", "S4", "C3:C4"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_is_summand_matches_the_pairwise_echelon(name, m):
+    # one solve over every composition p.q decides as the Echelon fed one
+    # pair at a time: M against Ind_H^G Res_H M for every 2-subgroup class
+    # H (at most 48 dimensions), both ways round, and against the others
+    G, F = catalog.suite_group(name), make_field(m)
+    mods = _one_per_class(G, F)
+    pairs = list(itertools.permutations(mods, 2))
+    for M in mods:
+        for H in G.two_subgroups_up_to_conjugacy():
+            if M.dim * (G.order // H.order) <= 48:
+                ind = rep.induce(rep.restrict(M, H), H)[0]
+                pairs += [(M, ind), (ind, M)]
+    verdicts = [vertex.is_summand(M, N) for M, N in pairs]
+    assert verdicts == [is_summand_by_pairs(M, N) for M, N in pairs]
+    assert True in verdicts and False in verdicts
+
+
+def _form_projectivity_cases():
+    """(base, theta, H): the form of each symmetric vertex class T of small
+    catalogue modules over GF(2) and GF(4), against every 2-subgroup class."""
+    out = []
+    for name, m in (("S3", 1), ("D12", 1), ("D12", 2), ("A4", 1), ("S4", 1)):
+        G, F = catalog.suite_group(name), make_field(m)
+        mods = _one_per_class(G, F)
+        if name == "D12":
+            mods.append(catalog.d12_pim(F)[0])
+        for M in mods:
+            base = forms.base_form(M)
+            if base is None:
+                continue
+            for t in vertex.symmetric_vertices(M, base):
+                theta = forms.endo_from_form(base, t.form)
+                out += [(base, theta, H) for H in G.two_subgroups_up_to_conjugacy()]
+    return out
+
+
+def test_form_projectivity_matches_the_per_column_bhat():
+    # alpha from the reference sigma-fixed basis and traces, and B-hat one
+    # solve per column, give the certificate form_is_H_projective returns
+    projective = 0
+    for base, theta, H in _form_projectivity_cases():
+        M, F = base.module, base.F
+        c = vertex.form_is_H_projective(base, theta, H)
+        fixed = sigma_fixed_by_adjoint(M, base, H)
+        A = np.reshape(rel_trace_by_element(M, fixed, H), (len(fixed), -1)).T
+        x, _ = linalg.solve(F, A, theta.ravel())
+        assert c.projective == (x is not None)
+        if x is None:
+            continue
+        assert c.verified
+        assert c.alpha.tobytes() == linalg.combine(F, x, fixed).tobytes()
+        Lmod, incl, _ = rep.sub_module(rep.restrict(M, H), linalg.col_space(F, c.alpha))
+        bhat = bhat_by_columns(F, c.alpha, incl, base.gram)
+        _, want, _ = forms.induce_form(forms.GForm(Lmod, bhat), H)
+        assert c.target_form.gram.tobytes() == want.gram.tobytes()
+        projective += 1
+    assert projective >= 10
 
 
 def _source_signatures(sources):
