@@ -231,20 +231,16 @@ def make_field(m: int) -> FieldCtx:
 
 
 def splitting_degree(group) -> int:
-    """Degree m such that GF(2^m) is a splitting field for the group algebra.
-
-    Brauer's bound: the multiplicative order of 2 modulo the odd part of the
-    group exponent.
-    """
-    odd = group.exponent()
-    while odd % 2 == 0:
-        odd //= 2
-    if odd == 1:
-        return 1
-    k = 1
-    t = 2 % odd
-    while t != 1:
-        t = (t * 2) % odd
-        k += 1
-    return k
-
+    """The least m for which GF(2^m) splits the group algebra: the order of
+    x -> x^2 on the 2-regular classes.  The irreducibles S over GF(q) match
+    the orbits of x -> x^q on those classes (`rep.simple_module_count`),
+    and S splits over the closure into dim End(S) conjugates (End(S) is a
+    finite field, so its Schur index is 1): so GF(q) splits exactly when
+    x -> x^q fixes every 2-regular class, GF(2^m) when this order divides m."""
+    classes = group.conjugacy_classes()
+    square = [group.class_of(group.power(c.rep, 2)) if c.is_2regular else i
+              for i, c in enumerate(classes)]
+    m, power = 1, square  # power[i]: the class of x^(2^m), x in class i
+    while power != list(range(len(classes))):
+        m, power = m + 1, [square[j] for j in power]
+    return m

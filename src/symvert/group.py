@@ -18,7 +18,6 @@ which beats a gather per round on the small subgroups they build.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,9 +98,6 @@ class GroupTable:
                 orders[(power == 0) & (orders == 0)] = k
             self._orders = orders
         return self._orders
-
-    def exponent(self) -> int:
-        return math.lcm(*map(int, self.element_orders()))
 
     def power(self, x: int, e: int) -> int:
         r = 0

@@ -133,14 +133,9 @@ def specht_module(G: GroupTable, lam: tuple[int, ...], F: FieldCtx) -> SpechtDat
     gram = mat_mul(F, incl.T, incl)  # tabloid basis is orthonormal
     Sform = GForm(Smod, gram)
     rad = Subspace(F, Smod.dim, linalg.kernel(F, gram))
-    if rad.dim:
-        Dmod, qproj = rep.quotient_module(Smod, rad)
-        lift = linalg.pivot_complement(rad).T  # the right inverse of qproj
-        dgram = mat_mul(F, lift.T, mat_mul(F, gram, lift))
-    else:
-        Dmod, qproj = Smod, np.eye(Smod.dim, dtype=np.int64)
-        dgram = gram
-    Dform = GForm(Dmod, dgram)
+    Dmod, qproj = rep.quotient_module(Smod, rad)  # the identity for rad = 0
+    lift = linalg.pivot_complement(rad).T  # the right inverse of qproj
+    Dform = GForm(Dmod, mat_mul(F, lift.T, mat_mul(F, gram, lift)))
     # row-reversal involution of the first standard tableau
     T = stds[0]
     perm = list(range(n))

@@ -156,19 +156,20 @@ def is_summand(M: ModuleRep, N: ModuleRep) -> bool:
     """Whether M is a direct summand of N.
 
     The span of all compositions M -> N -> M is the trace ideal of N in
-    E_G(M); M is a summand exactly when it contains the identity: one
-    stacked product gives every p.q, and one solve decides.
+    E_G(M); M is a summand exactly when it contains the identity.  For
+    each psi in Hom(N, M), one product gives psi.phi for every phi in
+    Hom(M, N), and one rref adds them to the reduced span kept so far,
+    which never holds more than d^2 rows.
     """
     F, d = M.F, M.dim
-    phis = rep.hom_space(M, N)
-    psis = rep.hom_space(N, M)
-    if not phis or not psis:
-        return False
-    # the p.[q_1 | q_2 | ...] for every p, then vec(p.q_j) as columns
-    pq = stack_right(F, np.array(psis), np.concatenate(phis, axis=1))
-    A = pq.reshape(len(psis), d, len(phis), d).transpose(1, 3, 0, 2)
-    x, _ = linalg.solve(F, A.reshape(d * d, -1), eye(d).ravel())
-    return x is not None
+    phis, psis = rep.hom_space(M, N), rep.hom_space(N, M)
+    span = zeros(0, d * d)
+    for psi in psis if phis else []:  # psi.[phi_1 | phi_2 | ...]
+        pq = mat_mul(F, psi, np.concatenate(phis, axis=1))
+        pq = pq.reshape(d, len(phis), d).transpose(1, 0, 2).reshape(-1, d * d)
+        R, pivots = linalg.rref(F, np.concatenate([span, pq]))
+        span = R[: len(pivots)]
+    return linalg.rank(F, np.vstack([span, eye(d).reshape(1, -1)])) == len(span)
 
 
 def _trace_preimage(

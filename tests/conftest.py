@@ -1,8 +1,9 @@
 """Shared fixtures, the reference routes (the dense GF(2) rref, Light's
 test by right multiplication, the irreducibles and J(kG) by chopping kG,
-summand classes by module_iso, corner bases by Echelon, Hom over a
-subgroup from the whole-group actions, relative traces, symmetric slices
-and sigma-fixed bases one element at a time, summands by an Echelon over
+the PIMs by decomposing kG over End(kG), summand classes by module_iso,
+corner bases by Echelon, Hom over a subgroup from the whole-group
+actions, relative traces, symmetric slices and sigma-fixed bases one
+element at a time, summands by an Echelon over
 every pair of homs, B-hat one column at a time, quadratic type one
 involution class at a time, subgroup generators by fresh closures,
 subgroup lattices by every element, a module's whole-group action one
@@ -161,6 +162,52 @@ def kg_radical_by_chop(G, F) -> linalg.Subspace:
     acts = [np.concatenate([S.action(x).ravel() for S in irreps])
             for x in range(G.order)]
     return linalg.Subspace(F, G.order, linalg.kernel(F, np.array(acts).T))
+
+
+def pims_by_decomposition(G, F) -> list[tuple]:
+    """(PIM, head, multiplicity) for each isomorphism class of summands of
+    kG, from one `decompose` of kG over `regular_end_algebra`, each head
+    P / J.P with J = J(kG) the kernel of `_irreducible_actions`' matrix:
+    P = kG.e for the component's idempotent f, right multiplication by e,
+    so J.P = J.e = f(J).  The route `rep.pims` took before it lifted each
+    idempotent off kG/J(kG), and the reference for it."""
+    M = rep.regular_module(G, F)
+    cert = rep.decompose(M, endo=rep.regular_end_algebra(G, F, M))
+    J = linalg.kernel(F, rep._irreducible_actions(G, F)[0])
+    out = []
+    for i, mult in enumerate(cert.multiplicities):
+        c = next(c for c in cert.components if c.iso_class == i)
+        P, _, proj = rep.sub_module(M, c.subspace)
+        fJ = linalg.mat_mul(F, proj, linalg.mat_mul(F, c.idempotent, J.T))
+        head, _ = rep.quotient_module(P, linalg.Subspace(F, P.dim, fJ.T))
+        out.append((P, head, mult))
+    return out
+
+
+def pim_mismatches(G, F) -> list[str]:
+    """Each `rep.pims` entry isomorphic to no PIM of `pims_by_decomposition`,
+    or to one with another head or multiplicity, and whether the two lists
+    fail to match one to one: empty when they agree."""
+    ref = pims_by_decomposition(G, F)
+    bad, matched = [], []
+    for i, p in enumerate(rep.pims(G, F)):
+        same = [j for j, (P, _, _) in enumerate(ref)
+                if rep.module_iso(p.pim, P) is not None]
+        if len(same) != 1 or rep.module_iso(p.head, ref[same[0]][1]) is None or (
+            p.multiplicity != ref[same[0]][2]
+        ):
+            bad.append(f"PIM {i}")
+        matched += same
+    if sorted(matched) != list(range(len(ref))):
+        bad.append("not one to one")
+    return bad
+
+
+# The degree of Brauer's bound for each catalogue group, the order of 2
+# modulo the odd part of the exponent: the tests reach these fields for
+# coverage, above the least splitting degree of most groups
+BRAUER_DEGREES = {"C2": 1, "V4": 1, "S3": 2, "D12": 2, "A4": 2, "S4": 2,
+                  "S5": 4, "SL(2,3)": 2, "GL(3,2):2": 6, "C3:C4": 2}
 
 
 def block_nondegenerate_reference(G, F, b) -> bool:

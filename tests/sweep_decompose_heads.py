@@ -11,8 +11,11 @@ irreducible at GF(2) and GF(4) with V nontrivial; and compare each
 summand's class and each class's multiplicity with the numbering by one
 `module_iso` per class found so far.  Each module runs in its own basis
 and after a random change of basis (conftest's `conjugated_with_algebra`,
-which moves the algebra along with it).  Too slow for the Tier-1 suite;
-run it as a script:
+which moves the algebra along with it).  Then match GL(3,2):2's PIMs over
+GF(2), lifted off kG/J(kG) by `rep.pims`, one to one with those of the
+decomposition of kG over End(kG) (conftest's `pim_mismatches`), heads
+and multiplicities included.  Too slow for the Tier-1 suite; run it
+as a script:
 
     PYTHONPATH=src python tests/sweep_decompose_heads.py
 """
@@ -26,7 +29,7 @@ from pathlib import Path
 from symvert import catalog, rep, vertex
 from symvert.field import make_field
 
-from conftest import conjugated_with_algebra, iso_classes_by_module_iso
+from conftest import conjugated_with_algebra, iso_classes_by_module_iso, pim_mismatches
 
 MODULE_FILES = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "modules"
 
@@ -97,10 +100,16 @@ def main() -> int:
                 cert.multiplicities != mults
             ):
                 bad.append(f"{label} {basis} basis")
+    t1 = time.perf_counter()
+    gl32 = catalog.suite_group("GL(3,2):2")
+    pims_bad = [f"GL(3,2):2 {x} GF(2)" for x in pim_mismatches(gl32, make_field(1))]
+    bad += pims_bad
     for line in bad:
         print("MISMATCH", line)
-    print(f"{runs} decompositions, {len(bad)} mismatches, "
-          f"{time.perf_counter() - t0:.1f} s")
+    print(f"{runs} decompositions, {len(bad) - len(pims_bad)} mismatches, "
+          f"{t1 - t0:.1f} s")
+    print(f"GL(3,2):2 PIMs over GF(2) against the decomposition of kG: "
+          f"{len(pims_bad)} mismatches, {time.perf_counter() - t1:.1f} s")
     return 1 if bad else 0
 
 

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symvert import blocks, catalog, forms, linalg, rep, vertex
-from symvert.field import make_field, splitting_degree
+from symvert.field import make_field
 from symvert.group import group_from_dict
 from symvert.linalg import mat_mul
 
 from conftest import (
+    BRAUER_DEGREES,
     block_nondegenerate_reference,
     centre_mul_by_loop,
     contragredient_by_loop,
@@ -318,7 +319,7 @@ def _real_blocks(name, m):
 
 
 FIELDS = [(name, m) for name in catalog.SUITE_NAMES
-          for m in sorted({1, splitting_degree(catalog.suite_group(name))})]
+          for m in sorted({1, BRAUER_DEGREES[name]})]
 
 
 @pytest.mark.parametrize("name,m", FIELDS)

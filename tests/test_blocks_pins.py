@@ -2,11 +2,11 @@
 
 Each digest is a sha256 of the sorted-key JSON of `block_to_dict` over the
 blocks `block_decomposition` returns, in order: the 10 catalogue groups
-over GF(2), GF(4) and GF(2^splitting_degree), and C7, whose central
-characters lie in GF(8), over GF(2) and GF(4).  They were recorded while
-each central idempotent was split by the CRT idempotents of a factored
-minimal polynomial.  They pin that the trace splits of the Berlekamp
-subalgebra move no output."""
+over GF(2), GF(4) and GF(2^m), m the degree of Brauer's bound
+(`BRAUER_DEGREES`), and C7, whose central characters lie in GF(8), over
+GF(2) and GF(4).  They were recorded while each central idempotent was
+split by the CRT idempotents of a factored minimal polynomial.  They pin
+that the trace splits of the Berlekamp subalgebra move no output."""
 
 import hashlib
 import json
@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from symvert import blocks, catalog, linalg
-from symvert.field import make_field, splitting_degree
+from symvert.field import make_field
 from symvert.group import from_permutations
+
+from conftest import BRAUER_DEGREES
 
 PINS = {
     ("C2", 1):
@@ -76,7 +78,7 @@ def test_pins_cover_the_catalogue():
     want = {
         (name, m)
         for name in catalog.SUITE_NAMES
-        for m in (1, 2, splitting_degree(catalog.suite_group(name)))
+        for m in (1, 2, BRAUER_DEGREES[name])
     }
     assert set(PINS) == want | {("C7", 1), ("C7", 2)}
 

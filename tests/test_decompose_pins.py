@@ -16,7 +16,11 @@ reduction modulo a basis of J(E), the irreducibles rebuilt as
 sub-quotients of kG, and the basis of J(E) carried on the certificate.
 They pin that reading E/J(E) off the composition series instead, taking
 the irreducibles from `chop`'s factor matrices, and reading J(E) from
-`rep.radical` once `decompose` no longer builds it, moves no output."""
+`rep.radical` once `decompose` no longer builds it, moves no output.  The
+`pims` pins alone were recorded again once `pims` built each PIM as kG.e
+from an idempotent lifted off kG/J(kG), with its irreducible as its head:
+each new PIM and head is isomorphic to exactly one recorded one, with the
+same multiplicity."""
 
 import hashlib
 import random
@@ -33,27 +37,27 @@ PINS = {
     ("S3", "regular", 1, 0):
         "4a1e1771989414fc680ee4cef698a147ecf94b69ef9cbba905608714f99e9bd0",
     ("S3", "pims", 1, 0):
-        "dda2fc6df1b5b6065484c9146163c41d94356c34cf4bea43379117812840fe74",
+        "e3a08af05131ff6492a6b308b50202b6b673c72d719114ef3a14a8913ee4765f",
     ("D12", "regular", 1, 0):
         "810df56b269131b40af67cfcec261c073bfacba940cf1f40f24d06007fe557ad",
     ("D12", "pims", 1, 0):
-        "5d77a5fbe82461cd6f4fddd56da3ba6cc1fee7ee562283a0e075355fbeac9f2b",
+        "986073b84f62102480a648e8010a234504ef2fe2bd299f09b3e3824d05c11d35",
     ("A4", "regular", 1, 0):
         "9e829cb59ed88780aacd3d816227a3978a768d53375666779df833ecf671192f",
     ("A4", "pims", 1, 0):
-        "d5b6b603e5b7c2ff716244d6a5cd46d02570799eb882f1276041e2ec0a87a5d5",
+        "96d585f46d1199d1635d3f9afcaee8d1b760cf43eb4d76e62d7df9ab92616bd3",
     ("C3:C4", "regular", 1, 0):
         "e094338af303b7eb39450f95263b01684946efd9598fc42c9a5dc3fcd8af6261",
     ("C3:C4", "pims", 1, 0):
-        "253238db1272822fec8dcf8784b8b8f869ebfb3a315c6f89567334be8acc6889",
+        "d34dadc498799baf96d0f57def7f5acffc0266557869201c58e7142319b48b23",
     ("S4", "regular", 1, 0):
         "c3b704eeb215164a9046d74eabb449642093af5bfa6c9db1ed3b22973be9a964",
     ("S4", "pims", 1, 0):
-        "d7a7dceecc416fb6349b260ac4d09443fcb4d96eb36c4ca99eba5b8bfecb051f",
+        "3ce4d06612292db04d9344bb8cb2f765b1d618a6e182fa311193665588048388",
     ("SL(2,3)", "regular", 1, 0):
         "ff5f4647f02da4203c2c3923e5a6f6a8aaa7bcd5127abbcb3c4993f5c3efb4a6",
     ("SL(2,3)", "pims", 1, 0):
-        "e75ea7c89bcc7a83435e3533449d524014b2c254359231f61b08ec448ee32b46",
+        "492634a0ac8d627dfd0a6d1eaf634ecc9963092bb251d2534373bb1b51fe090c",
     ("S4", "perm", 1, 0):
         "93a36a19fefc97dae199b3c0bb57e7148001eb5c61ffb36587579fc67f8c226a",
     ("S5", "perm", 1, 0):
@@ -61,27 +65,27 @@ PINS = {
     ("S3", "regular", 2, 0):
         "9945c65bb59f8aa7b88b5892cdafc7dba64d43843545e3bd9e1e6fdd12a045f2",
     ("S3", "pims", 2, 0):
-        "69c15e6ac1afaaebbd454d778d7759cd2631572220e4056fc46e1141698813ce",
+        "e3a08af05131ff6492a6b308b50202b6b673c72d719114ef3a14a8913ee4765f",
     ("D12", "regular", 2, 0):
         "dcf36635c4083ba5981a2680fd2778df6cb55bf010411eac8b31a372b98e66be",
     ("D12", "pims", 2, 0):
-        "2071715c6af802abbf29ce04fcc926f17e57caba792c1b8af65d8f3234992ff3",
+        "986073b84f62102480a648e8010a234504ef2fe2bd299f09b3e3824d05c11d35",
     ("A4", "regular", 2, 0):
         "afb64ac511e354f0e6be6be3a1e359696830f894896fd6d34987ef9f78b0464e",
     ("A4", "pims", 2, 0):
-        "1202e8173efec662c502bbcfa8a78e44041236ec7e41afcabc8c974a988b0673",
+        "dec8138c83651628e56c3f4b604448b083c10d1db3907ee19f6806129530e7ef",
     ("C3:C4", "regular", 2, 0):
         "f4a8cf990bf079cee89da85f07992cb2cf4f0da34a8ec1cacd38b2fd97c22704",
     ("C3:C4", "pims", 2, 0):
-        "0641c83a1c7811881732209e4363b7ca14d5f7741b53fee16c49e2cf6559d704",
+        "d34dadc498799baf96d0f57def7f5acffc0266557869201c58e7142319b48b23",
     ("S4", "regular", 2, 0):
         "277d0085f2076b80178d4df75809f2dc4915de6e95c6ad9afdbc2bb44c4808ab",
     ("S4", "pims", 2, 0):
-        "346605a35c542acbd54da99313f99e4ce95343aa555c947e5cbd2380f25e5895",
+        "3ce4d06612292db04d9344bb8cb2f765b1d618a6e182fa311193665588048388",
     ("SL(2,3)", "regular", 2, 0):
         "1111fe6c69f0e2ffdcae00f02435dbde1d3fbdbe836489b63784c081445d8a37",
     ("SL(2,3)", "pims", 2, 0):
-        "5a5e2ab99494823015b1fb4c8863612ea06d8626e1078ce21cbe92d855fc1e15",
+        "34ccf5c7681e96a06391c8fd86e047992601c748c68588229aa9485e43973501",
     ("S4", "perm", 2, 0):
         "93a36a19fefc97dae199b3c0bb57e7148001eb5c61ffb36587579fc67f8c226a",
     ("S5", "perm", 2, 0):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symvert import catalog, rep
 from symvert.field import (
     MAX_DEGREE, _is_irreducible_gf2, _poly_mulmod_gf2, default_modulus, make_field,
     splitting_degree,
 )
+from symvert.group import from_permutations
 
 
 def test_default_moduli_are_the_expected_polynomials():
@@ -127,10 +129,35 @@ def test_elem_hex_round_trip():
 
 
 def test_splitting_degree_examples():
-    from symvert import catalog
-
-    # odd part of exponent: S3 -> 3 (ord 2 mod 3 = 2); V4 -> 1;
-    # S5 -> 15 (ord 2 mod 15 = 4)
-    assert splitting_degree(catalog.suite_group("S3")) == 2
+    # the order of x -> x^2 on the 2-regular classes: S3's classes 1 and
+    # (123) are each fixed; V4 has only the identity
+    assert splitting_degree(catalog.suite_group("S3")) == 1
     assert splitting_degree(catalog.suite_group("V4")) == 1
-    assert splitting_degree(catalog.suite_group("S5")) == 4
+    assert splitting_degree(catalog.suite_group("S5")) == 1
+    assert splitting_degree(catalog.suite_group("A4")) == 2
+
+
+def _cyclic(n):
+    return from_permutations(n, [list(range(2, n + 1)) + [1]])
+
+
+SPLITTING_GROUPS = {name: catalog.suite_group(name) for name in catalog.SUITE_NAMES}
+SPLITTING_GROUPS.update(
+    A5=from_permutations(5, [[2, 3, 1, 4, 5], [1, 2, 4, 5, 3]]),
+    C3=_cyclic(3), C5=_cyclic(5), C7=_cyclic(7),
+)
+
+
+@pytest.mark.parametrize("name", list(SPLITTING_GROUPS))
+def test_splitting_degree_is_the_least_splitting_field(name):
+    # at the degree every irreducible is absolutely irreducible (dim End = 1)
+    # and there are as many as 2-regular classes; below it some is not
+    G = SPLITTING_GROUPS[name]
+    regular = sum(c.is_2regular for c in G.conjugacy_classes())
+    m = splitting_degree(G)
+    for k in range(1, m + 1):
+        irr = rep.irreducible_modules(G, make_field(k))
+        split = all(len(rep.hom_space(S, S)) == 1 for S in irr)
+        assert split == (k == m), (name, k)
+        if k == m:
+            assert len(irr) == regular, name

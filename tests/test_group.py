@@ -354,7 +354,6 @@ if "numpy.ma" in sys.modules:
     raise SystemExit
 G = catalog.suite_group("GL(3,2):2")
 P = G.sylow2()
-G.exponent()
 G.involutions()
 for c in G.conjugacy_classes():
     G.centralizer(c.rep)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symvert import blocks, catalog, linalg, polys, rep, vertex
-from symvert.field import make_field, splitting_degree
+from symvert.field import make_field
 from symvert.group import (
     GroupTable,
     from_permutations,
@@ -23,6 +23,7 @@ from symvert.group import (
 )
 
 from conftest import (
+    BRAUER_DEGREES,
     array_digest,
     compress_corner_by_echelon,
     conjugated_with_algebra,
@@ -32,6 +33,7 @@ from conftest import (
     irreducibles_by_chop,
     iso_classes_by_module_iso,
     kg_radical_by_chop,
+    pim_mismatches,
     read_back,
 )
 
@@ -146,11 +148,15 @@ def test_irreducible_dims():
 
 
 def test_radical_dims():
-    # dim J(kG) = |G| - sum (dim S)^2 * [End(S):k]^-1 ... frozen directly:
-    assert rep.group_algebra_radical(S3, F2).dim == 1
-    assert rep.group_algebra_radical(V4, F2).dim == 3
+    # dim J(kG) = |G| - sum (dim S)^2 * [End(S):k]^-1 ... frozen directly,
+    # J(kG) the kernel of the irreducibles' action matrix
+    def dim_j(G, F):
+        return len(linalg.kernel(F, rep._irreducible_actions(G, F)[0]))
+
+    assert dim_j(S3, F2) == 1
+    assert dim_j(V4, F2) == 3
     # kA4/J over GF(2) is GF(2) x GF(4): the 2-dim simple has GF(4) endomorphisms
-    assert rep.group_algebra_radical(A4, F2).dim == 12 - 1 - 2
+    assert dim_j(A4, F2) == 12 - 1 - 2
 
 
 def test_decompose_regular_s3():
@@ -180,42 +186,80 @@ def record_chop_dims(monkeypatch) -> list[int]:
     return dims
 
 
-def count_chop_dims(monkeypatch) -> tuple[list[int], list[tuple]]:
-    """`record_chop_dims`, with each call of `group_algebra_radical`
-    recorded as well, and failing on `irreducible_modules`: `pims` reads
-    J(kG) from `group_algebra_radical` alone, the kernel of the tensor
-    closure's action matrix."""
-    dims, calls = record_chop_dims(monkeypatch), []
-    real_radical = rep.group_algebra_radical
-
-    def group_algebra_radical(G, F):
-        calls.append((G, F))
-        return real_radical(G, F)
-
-    monkeypatch.setattr(rep, "group_algebra_radical", group_algebra_radical)
-    monkeypatch.setattr(
-        rep, "irreducible_modules", lambda *a, **k: pytest.fail("irreducible_modules")
-    )
-    return dims, calls
+def forbid_decompositions(monkeypatch) -> list[int]:
+    """`record_chop_dims`, failing on `decompose` and `regular_end_algebra`:
+    on a splitting field, and wherever dim End(S) = dim S, `pims` lifts each
+    idempotent off kG/J(kG) and decomposes nothing."""
+    for name in ("decompose", "regular_end_algebra"):
+        monkeypatch.setattr(rep, name, lambda *a, _name=name, **k: pytest.fail(_name))
+    return record_chop_dims(monkeypatch)
 
 
 def test_pims_s3(monkeypatch):
-    dims, calls = count_chop_dims(monkeypatch)
+    dims = forbid_decompositions(monkeypatch)
     ps = rep.pims(S3, F2)
-    got = sorted((p.pim.dim, p.head.dim, p.multiplicity) for p in ps)
+    got = [(p.pim.dim, p.head.dim, p.multiplicity) for p in ps]
     assert got == [(2, 1, 1), (2, 2, 2)]
     assert sum(p.pim.dim * p.multiplicity for p in ps) == 6
-    assert calls == [(S3, F2)]
     assert dims.count(S3.order) == 0  # kG is never chopped
 
 
 def test_pims_s4(monkeypatch):
-    dims, calls = count_chop_dims(monkeypatch)
+    dims = forbid_decompositions(monkeypatch)
     ps = rep.pims(fresh_table(S4), F2)  # a fresh table runs the tensor closure
-    got = sorted((p.pim.dim, p.head.dim, p.multiplicity) for p in ps)
+    got = [(p.pim.dim, p.head.dim, p.multiplicity) for p in ps]
     assert got == [(8, 1, 1), (8, 2, 2)]
-    assert len(calls) == 1
     assert dims and dims.count(S4.order) == 0
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("name", catalog.SUITE_NAMES)
+def test_pims_of_the_catalogue_decompose_nothing(monkeypatch, name, m):
+    G, F = catalog.suite_group(name), make_field(m)
+    forbid_decompositions(monkeypatch)
+    ps = rep.pims(G, F)
+    assert sum(p.pim.dim * p.multiplicity for p in ps) == G.order
+
+
+PIM_GROUPS = [n for n in catalog.SUITE_NAMES if catalog.suite_group(n).order <= 120]
+
+
+@pytest.mark.parametrize("F", [F2, F4], ids=["GF2", "GF4"])
+@pytest.mark.parametrize("name", PIM_GROUPS)
+def test_lifted_pims_match_the_decomposition_of_kG(name, F):
+    # one to one under module_iso, heads and multiplicities included, with
+    # the route through End(kG); Hom(P(S), T) is nonzero exactly for T = S
+    G = catalog.suite_group(name)
+    assert pim_mismatches(G, F) == []
+    for p in rep.pims(G, F):
+        for T in rep.irreducible_modules(G, F):
+            covers = rep.module_iso(T, p.head) is not None
+            assert bool(rep.hom_space(p.pim, T)) == covers, name
+
+
+def test_pims_a5_split_the_block_of_a_non_split_head(monkeypatch):
+    # over GF(2) A5's 4-dim irreducible with End = GF(4) is two Galois
+    # conjugates of dim 2 over GF(4): kG.e = P(S)^2 for its block identity
+    G = from_permutations(5, [[2, 3, 1, 4, 5], [1, 2, 4, 5, 3]])
+    calls, real = [], rep.decompose
+    monkeypatch.setattr(rep, "decompose", lambda M: calls.append(M.dim) or real(M))
+    ps = rep.pims(G, F2)
+    assert [(p.pim.dim, p.head.dim, p.multiplicity) for p in ps] == [
+        (12, 1, 1), (4, 4, 4), (16, 4, 2)]
+    assert calls == [32]
+    for p in ps:
+        e = p.idempotent
+        assert (linalg.mat_vec(F2, rep.left_mult_matrix(G, e), e) == e).all()
+        assert rep.is_indecomposable(p.pim)
+    assert [len(rep.hom_space(p.head, p.head)) for p in ps] == [1, 1, 2]
+
+
+def test_pims_s6_fill_kG():
+    G = from_permutations(6, [[2, 1, 3, 4, 5, 6], [2, 3, 4, 5, 6, 1]])
+    ps = rep.pims(G, F2)
+    assert sum(p.pim.dim * p.multiplicity for p in ps) == 720
+    assert sorted((p.pim.dim, p.head.dim) for p in ps) == [
+        (16, 16), (48, 4), (48, 4), (80, 1)]
 
 
 def _decompose_cases():
@@ -254,23 +298,25 @@ SMALL_GROUPS = [n for n in catalog.SUITE_NAMES if catalog.suite_group(n).order <
 def test_pims_heads_from_decomposition_radical(name, F):
     G = catalog.suite_group(name)
     J = kg_radical_by_chop(G, F)
-    # the J(kG) that pims reads, from the tensor closure, is the reference's
-    assert rep.group_algebra_radical(G, F) == J
-    # reference heads: P / J.P from every left multiplication by a basis of J
+    # the J(kG) of the tensor closure's action matrix is the reference's
+    A = rep._irreducible_actions(G, F)[0]
+    assert linalg.Subspace(F, G.order, linalg.kernel(F, A)) == J
+    # each PIM is kG.e for its idempotent e, and its head is the irreducible
+    # itself: P / J.P, from every left multiplication by a basis of J, is
+    # isomorphic to it
+    M = rep.regular_module(G, F)
     Jmats = [rep.left_mult_matrix(G, v) for v in J.basis]
-    for p in rep.pims(G, F):
-        c = p.component
-        imgs = [
-            linalg.mat_mul(F, c.proj, linalg.mat_mul(F, L, c.incl)).T
-            for L in Jmats
-        ]
-        radP = linalg.Subspace(
-            F, c.module.dim, np.concatenate(imgs) if imgs else None
-        )
-        head, _ = rep.quotient_module(c.module, radP)
-        assert head.dim == p.head.dim, name
-        for A, B in zip(head.gen_matrices, p.head.gen_matrices):
-            assert (A == B).all(), name
+    for p, S in zip(rep.pims(G, F), rep.irreducible_modules(G, F), strict=True):
+        assert all((X == Y).all() for X, Y in zip(p.head.gen_matrices, S.gen_matrices))
+        e = p.idempotent
+        assert (linalg.mat_vec(F, rep.left_mult_matrix(G, e), e) == e).all()
+        P, incl, proj = rep.sub_module(M, rep.spin(F, e, M.gen_matrices))
+        for X, Y in zip(P.gen_matrices, p.pim.gen_matrices, strict=True):
+            assert (X == Y).all(), name
+        imgs = [linalg.mat_mul(F, proj, linalg.mat_mul(F, L, incl)).T for L in Jmats]
+        radP = linalg.Subspace(F, P.dim, np.concatenate(imgs) if imgs else None)
+        head, _ = rep.quotient_module(P, radP)
+        assert rep.module_iso(head, S) is not None, name
 
 
 @pytest.mark.parametrize("basis", BASES)
@@ -302,7 +348,7 @@ CLOSURE_CASES = [
     (name, m)
     for name in catalog.SUITE_NAMES
     if catalog.suite_group(name).order <= 120
-    for m in sorted({1, 2, splitting_degree(catalog.suite_group(name))})
+    for m in sorted({1, 2, BRAUER_DEGREES[name]})
 ]
 
 
@@ -323,7 +369,7 @@ def test_tensor_closure_finds_the_irreducibles_of_kG(monkeypatch, name, m):
         assert sum(rep.module_iso(S, R) is not None for R in ref) == 1, (name, m)
 
 
-@pytest.mark.parametrize("m", [1, splitting_degree(catalog.suite_group("GL(3,2):2"))])
+@pytest.mark.parametrize("m", [1, BRAUER_DEGREES["GL(3,2):2"]])
 def test_tensor_closure_gl32_2(monkeypatch, m):
     # kG has 336 dimensions (its chop takes 9 s over GF(2)): count and dims only
     G, F = fresh_table(catalog.suite_group("GL(3,2):2")), make_field(m)
@@ -362,12 +408,12 @@ def test_tensor_closure_runs_once_per_table_and_field(monkeypatch):
     G = fresh_table(S4)
     dims = record_chop_dims(monkeypatch)
     for F in (F2, F4):
-        rep.group_algebra_radical(G, F)
+        rep.pims(G, F)
         assert dims, F  # the first use over each field runs the closure
         dims.clear()
         rep.pims(G, F)
         rep.regular_end_algebra(G, F, rep.regular_module(G, F))
-        rep.group_algebra_radical(G, F)
+        rep._irreducible_actions(G, F)
         irr = rep.irreducible_modules(G, F)
         real = [b for b in blocks.block_decomposition(G, F) if b.real]
         assert real, F

@@ -25,6 +25,7 @@ from conftest import (
 )
 
 F2 = make_field(1)
+MODULES = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "modules"
 S3 = catalog.suite_group("S3")
 S4 = catalog.suite_group("S4")
 D12 = catalog.suite_group("D12")
@@ -408,9 +409,10 @@ def _one_per_class(G, F):
 @pytest.mark.parametrize("name", ["S3", "D12", "A4", "S4", "C3:C4"])
 @pytest.mark.parametrize("m", [1, 2])
 def test_is_summand_matches_the_pairwise_echelon(name, m):
-    # one solve over every composition p.q decides as the Echelon fed one
-    # pair at a time: M against Ind_H^G Res_H M for every 2-subgroup class
-    # H (at most 48 dimensions), both ways round, and against the others
+    # the reduced span of the compositions p.q, one p at a time, decides as
+    # the Echelon fed one pair at a time: M against Ind_H^G Res_H M for every
+    # 2-subgroup class H (at most 48 dimensions), both ways round, and
+    # against the others
     G, F = catalog.suite_group(name), make_field(m)
     mods = _one_per_class(G, F)
     pairs = list(itertools.permutations(mods, 2))
@@ -422,6 +424,17 @@ def test_is_summand_matches_the_pairwise_echelon(name, m):
     verdicts = [vertex.is_summand(M, N) for M, N in pairs]
     assert verdicts == [is_summand_by_pairs(M, N) for M, N in pairs]
     assert True in verdicts and False in verdicts
+
+
+def test_is_summand_of_a_pim_in_an_induction_from_order_2():
+    # SL(2,3)'s 16-dim PIM in Ind_H^G Res_H of it, |H| = 2 (192 dimensions):
+    # every composition at once was a 95 MB matrix, the span is at most
+    # 256 x 256
+    G = catalog.suite_group("SL(2,3)")
+    M = rep.load_module(str(MODULES / "sl23-regular-1.json"), G)
+    H = next(H for H in G.two_subgroups_up_to_conjugacy() if H.order == 2)
+    N = rep.induce(rep.restrict(M, H), H)[0]
+    assert vertex.is_summand(M, N) is is_summand_by_pairs(M, N) is True
 
 
 def _form_projectivity_cases():
